@@ -1,33 +1,14 @@
-"""Kernel backend selection.
+"""Numeric kernels: the hot loops as flat-array numpy functions.
 
-The hot loops (dispersion evaluation, wavenumber bisection, per-bin
-waveguide gain) exist twice: a compiled Cython extension ``_core_c`` and
-a numpy fallback ``_core_py``.  The compiled module is preferred when it
-imported cleanly; set SPINGATE_PURE_PY=1 to force the fallback.  Both
-expose the same flat-array functions, compared by the benchmark in
-``benchmarks/bench_kernels.py`` and by the backend-equivalence test.
+``kernels`` is the module every caller goes through (dispersion, group
+velocity, wavenumber inversion, per-bin waveguide gain, detector
+low-pass); see ``_core_py`` for the conventions.
 """
 
-import os
-from types import ModuleType
-
-from ._core_py import BRANCH_BV, BRANCH_S  # branch codes are backend-free
-from . import _core_py
-
-
-def _select() -> tuple[ModuleType, str]:
-    if os.environ.get("SPINGATE_PURE_PY"):
-        return _core_py, "python"
-    try:
-        from . import _core_c
-    except ImportError:
-        return _core_py, "python"
-    return _core_c, "cython"
-
-
-kernels, BACKEND = _select()
+from . import _core_py as kernels
+from ._core_py import BRANCH_BV, BRANCH_S
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: 'cython' or 'python'."""
-    return BACKEND
+    """Name of the kernel backend; the numpy kernels are the only one."""
+    return "python"

@@ -1,10 +1,9 @@
-"""Numpy implementation of the dispersion kernels.
+"""Numpy kernels of the film dispersion.
 
 Lowest-thickness-mode magnetostatic dispersion of an in-plane magnetized
-film, its analytic group velocity, the monotone wavenumber inversion and
-the per-bin waveguide gain.  All functions take flat float64 arrays plus
-scalar film constants and are the fallback for the compiled extension in
-``_core_c.pyx`` -- keep both implementations in lockstep.
+film, its analytic group velocity, the monotone wavenumber inversion, the
+per-bin waveguide gain and the detector's one-pole low-pass.  All
+functions take flat float64 arrays plus scalar film constants.
 
 Conventions:
   wh = gamma * mu0*H       (rad/s)
@@ -27,9 +26,12 @@ BRANCH_S = 1
 # direct P'(x) expression cancels catastrophically below ~1e-3
 _P_GUARD_X = 1e-12
 _P_DERIV_SERIES_X = 1e-3
-# relative interval width at which the bisection stops
-_BISECT_RTOL = 1e-15
-_BISECT_MAX_ITER = 200
+# Halley stops once its step is below RTOL*x + ATOL (x = k*d).  The cubic
+# convergence makes the applied last step accurate far below RTOL; ATOL is
+# the ~2 eps absolute noise of g(x) over g'(x) near the band edge x -> 0.
+_HALLEY_RTOL = 1e-9
+_HALLEY_ATOL = 8.0 * np.finfo(np.float64).eps
+_HALLEY_MAX_ITER = 64
 
 
 def _thin_film_factor(x):
@@ -84,11 +86,54 @@ def band_edges(wh, wm, d, branch):
     return f_fmr, f_top
 
 
+def _bv_thickness_root(p):
+    """Root x > 0 of P(x) = p, i.e. -expm1(-x) = p*x, for each p in (0, 1).
+
+    Halley's method on g(x) = -expm1(-x) - p*x, safeguarded by bisection
+    inside the bracket (0, 2/p + 2] that every iterate narrows: g > 0 below
+    the root and g < 0 above it.  A step that would leave the bracket is
+    replaced by the bracket midpoint; left of the maximum of g, Halley
+    heads for the trivial root x = 0 and is always caught this way.
+    Convergence is tested on the Halley step before the safeguard, so a
+    root found to rounding noise is never bisected away.
+
+    Start: the smaller of 1/p (the p -> 0 asymptote, an upper bound) and
+    the root of 1/P(x) ~ 1 + x/2 + x^2/12 (exact to O(x^3) as p -> 1).
+    """
+    lo = np.zeros_like(p)
+    hi = 2.0 / p + 2.0  # g(hi) < 0
+    q = (1.0 - p) / p
+    x = np.minimum(1.0 / p, 12.0 * q / (3.0 + np.sqrt(9.0 + 12.0 * q)))
+    done = np.zeros(p.shape, dtype=bool)
+    for _ in range(_HALLEY_MAX_ITER):
+        em = np.expm1(-x)
+        g = -em - p * x
+        g1 = 1.0 + em - p  # g'
+        g2 = -(1.0 + em)  # g''
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = g / g1
+            step = newton / (1.0 - 0.5 * newton * (g2 / g1))
+        above = g > 0.0
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        cand = x - step
+        inside = ((cand > lo) & (cand < hi)) | (g == 0.0)
+        converged = inside & (np.abs(step) <= _HALLEY_RTOL * x + _HALLEY_ATOL)
+        x = np.where(done, x, np.where(inside, cand, 0.5 * (lo + hi)))
+        done |= converged
+        if done.all():
+            break
+    return x
+
+
 def solve_k(f, wh, wm, d, branch):
     """Invert the dispersion: wavenumber (rad/m) for each frequency (Hz).
 
-    Bracketed bisection on the monotone branch; frequencies outside the
-    open propagating band give NaN.
+    Surface branch: the closed form k = -log1p(-s)/(2d) with s the
+    saturation of 1 - exp(-2kd).  Backward-volume branch: the thickness
+    factor P(kd) = p is solved by safeguarded Halley iteration (see
+    _bv_thickness_root).  Frequencies outside the open propagating band,
+    negative ones included, give NaN.
     """
     f = np.asarray(f, dtype=np.float64)
     w2 = (2.0 * np.pi * f) ** 2
@@ -97,42 +142,15 @@ def solve_k(f, wh, wm, d, branch):
     if branch == BRANCH_BV:
         # target thickness factor p in (0, 1); x = k*d
         p = (w2 - wh * wh) / (wh * wm)
-        inband = (p > 0.0) & (p < 1.0)
-        if not np.any(inband):
-            return out
-        pt = p[inband]
-        lo = np.zeros_like(pt)
-        hi = 2.0 / pt + 2.0  # P(hi) < pt is guaranteed
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            high_side = _thin_film_factor(mid) > pt  # P decreasing: root above
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-            if np.all(hi - lo <= _BISECT_RTOL * hi):
-                break
-        out[inband] = 0.5 * (lo + hi) / d
+        inband = (p > 0.0) & (p < 1.0) & (f > 0.0)
+        if np.any(inband):
+            out[inband] = _bv_thickness_root(p[inband]) / d
     else:
         # target saturation s in (0, 1); x = 2*k*d
         s = (w2 - wh * (wh + wm)) * 4.0 / (wm * wm)
-        inband = (s > 0.0) & (s < 1.0)
-        if not np.any(inband):
-            return out
-        st = s[inband]
-        lo = np.zeros_like(st)
-        hi = np.ones_like(st)
-        for _ in range(64):
-            grow = -np.expm1(-hi) < st
-            if not np.any(grow):
-                break
-            hi = np.where(grow, 2.0 * hi, hi)
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            low_side = -np.expm1(-mid) < st  # increasing: root above
-            lo = np.where(low_side, mid, lo)
-            hi = np.where(low_side, hi, mid)
-            if np.all(hi - lo <= _BISECT_RTOL * hi):
-                break
-        out[inband] = 0.25 * (lo + hi) / d
+        inband = (s > 0.0) & (s < 1.0) & (f > 0.0)
+        if np.any(inband):
+            out[inband] = -np.log1p(-s[inband]) / (2.0 * d)
     return out
 
 
@@ -140,7 +158,7 @@ def lowpass_1pole(x, a, y0):
     """Single-pole IIR low-pass: y[n] = a*y[n-1] + (1-a)*x[n], y[-1] = y0.
 
     The sequential recurrence is unrolled in exponentially rescaled chunks
-    so the fallback stays vectorized without overflowing a**(-n).
+    so the scan stays vectorized without overflowing a**(-n).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size

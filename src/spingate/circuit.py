@@ -10,14 +10,15 @@ adder, so channel superposition happens at the amplitude level.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import TransferFunction
 
 CHANNELS = ("i1", "i2", "i3")
 
@@ -114,11 +115,17 @@ class Component:
             raise ValueError(f"unknown component kind {self.kind!r}")
         if self.kind in ("attenuator", "bend") and self.params.get("db", 0.0) < 0:
             raise ValueError(f"{self.kind} loss must be nonnegative")
+        if self.kind == "waveguide" and self.params.get("m", 0.0) < 0:
+            raise ValueError("segment length must be nonnegative")
 
 
 @dataclass(frozen=True)
 class GateNetlist:
-    """Three ordered input chains merging into one output chain."""
+    """Three ordered input chains merging into one output chain.
+
+    Frozen: edits build a new instance (``with_component_params``), so
+    quantities derived from the netlist are cached on it.
+    """
 
     ctx: physics.ModeContext
     geometry: DeviceGeometry
@@ -132,6 +139,14 @@ class GateNetlist:
         for name, chain in self.chains.items():
             if chain[0].kind != "source" or chain[-1].kind != "combiner":
                 raise ValueError(f"chain {name} must run source -> combiner")
+
+    @cached_property
+    def carrier_gains(self) -> np.ndarray:
+        """Read-only complex gains of i1, i2, i3 at the carrier, switch open."""
+        gains = np.array([channel_transfer(self, ch, self.settings.f_c)
+                          for ch in CHANNELS])
+        gains.flags.writeable = False
+        return gains
 
     def component(self, channel: str, kind: str) -> Component:
         for comp in self.chains[channel]:
@@ -186,64 +201,54 @@ def waveguide_transfer(ctx: physics.ModeContext, length: float, f, f_c: float,
     return gain if np.ndim(f) else complex(gain[0])
 
 
-def _component_gain(comp: Component, nl: GateNetlist, f: np.ndarray,
-                    switch_closed: bool) -> np.ndarray | complex | float:
-    kind = comp.kind
-    if kind in ("source", "splitter", "combiner", "diode"):
-        return 1.0
-    if kind == "attenuator":
-        return _loss_amp(comp.params.get("db", 0.0))
-    if kind == "phase_shifter":
-        return complex(np.exp(1j * comp.params.get("rad", 0.0)))
-    if kind == "switch":
-        return 1.0  # path choice is realized on the following delay line
-    if kind == "delay_line":
-        if not switch_closed:
-            return 1.0
-        tau = comp.params.get("rad", 0.0) / (2.0 * math.pi * nl.settings.f_c)
-        return np.exp(-1j * 2.0 * math.pi * f * tau)
-    if kind == "transducer_in" or kind == "transducer_out":
-        # gain convention: positive dB amplifies, unlike the loss elements
-        coupling = 10.0 ** (comp.params.get("gain_db", 0.0) / 20.0) * np.exp(
-            1j * comp.params.get("rad", 0.0))
-        eff = transducer_efficiency(nl.ctx, nl.geometry, f)
-        return coupling * eff
-    if kind == "waveguide":
-        return waveguide_transfer(nl.ctx, comp.params.get("m", 0.0), f,
-                                  nl.settings.f_c)
-    if kind == "bend":
-        return _loss_amp(comp.params.get("db", 0.0))
-    raise ValueError(f"unhandled component kind {kind!r}")
-
-
 def channel_transfer(nl: GateNetlist, channel: str, f,
                      switch_closed: bool = False):
     """Product of all element gains from one source to the detector input.
 
-    Includes the shared output chain.  ``switch_closed`` routes the signal
-    through the delay line where a switch is present.  Any electromagnetic
-    crosstalk constant for the channel is added on top of the propagating
-    path.
+    Includes the shared output chain.  The product is folded in one pass:
+    losses, phase settings and transducer couplings make one constant;
+    film segments multiply into one propagation over their summed length
+    (the gain of a segment is exponential in its length); both
+    transducers share the antenna shape; a closed switch adds the delay
+    line's phase ramp.  Sources, splitters, the switch itself, the
+    combiner and the diode are unit gains.  ``switch_closed`` routes the
+    signal through the delay line where a switch is present.  Any
+    electromagnetic crosstalk constant for the channel is added on top of
+    the propagating path.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
+    const = 1.0 + 0.0j
+    length = 0.0
+    n_transducers = 0
+    delay_rad = 0.0
+    for comp in (*nl.chains[channel], *nl.output):
+        kind, params = comp.kind, comp.params
+        if kind in ("attenuator", "bend"):
+            const *= _loss_amp(params.get("db", 0.0))
+        elif kind == "phase_shifter":
+            const *= cmath.exp(1j * params.get("rad", 0.0))
+        elif kind in ("transducer_in", "transducer_out"):
+            # gain convention: positive dB amplifies, unlike the loss elements
+            const *= 10.0 ** (params.get("gain_db", 0.0) / 20.0) * cmath.exp(
+                1j * params.get("rad", 0.0))
+            n_transducers += 1
+        elif kind == "waveguide":
+            length += params.get("m", 0.0)
+        elif kind == "delay_line" and switch_closed:
+            delay_rad += params.get("rad", 0.0)
     f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    gain = np.ones(f_arr.shape, dtype=np.complex128)
-    for comp in nl.chains[channel]:
-        gain = gain * _component_gain(comp, nl, f_arr, switch_closed)
-    for comp in nl.output:
-        gain = gain * _component_gain(comp, nl, f_arr, switch_closed)
+    gain = const * waveguide_transfer(nl.ctx, length, f_arr, nl.settings.f_c)
+    if n_transducers:
+        eff = transducer_efficiency(nl.ctx, nl.geometry, f_arr)
+        gain = gain * eff ** n_transducers
+    if delay_rad:
+        tau = delay_rad / (2.0 * math.pi * nl.settings.f_c)
+        gain = gain * np.exp(-1j * 2.0 * math.pi * f_arr * tau)
     xt = nl.settings.crosstalk[CHANNELS.index(channel)]
     if xt != 0:
         gain = gain + complex(xt)
     return gain if np.ndim(f) else complex(gain[0])
-
-
-def channel_transfer_function(nl: GateNetlist, channel: str) -> TransferFunction:
-    """The channel as a TransferFunction with the propagating band declared."""
-    band = physics.band_limits(nl.ctx)
-    return TransferFunction(lambda f: channel_transfer(nl, channel, f),
-                            band=band, stopband=True)
 
 
 def transmission_spectrum(nl: GateNetlist, channel: str, f_grid,

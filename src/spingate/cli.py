@@ -21,7 +21,7 @@ import numpy as np
 
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, build_context, build_netlist,
-                     parse_config, serialize_config)
+                     parse_config, validate_config)
 from .signal import NoTransitionError, trace_to_csv
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_INDETERMINATE = 4
 
 
 def _load_config(args) -> RunConfig:
+    """Config file (or defaults), then flag overrides, then --settings."""
     if args.config:
         try:
             text = Path(args.config).read_text()
@@ -48,6 +49,9 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, field_=replace(cfg.field_, mu0_h_t=args.field))
     if args.scale is not None:
         cfg = replace(cfg, geometry=replace(cfg.geometry, scale=args.scale))
+    if args.settings:
+        cfg = apply_calibration_file(cfg, args.settings)
+    validate_config(cfg)
     return cfg
 
 
@@ -128,27 +132,46 @@ def cmd_calibrate(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+# settings-file key -> (microwave field, channel index)
+_SETTINGS_KEYS = {f"microwave.{name}.{ch}": (name, idx)
+                  for name in ("attenuator_db", "phase_rad")
+                  for idx, ch in enumerate(circuit.CHANNELS)}
+
+
 def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
-    """Fold a calibration settings file back into the config."""
-    atten = list(cfg.microwave.attenuator_db)
-    phases = list(cfg.microwave.phase_rad)
+    """Fold a calibration settings file back into the config.
+
+    Same line grammar as the config file.  The keys are the per-channel
+    attenuator and phase settings ``calibrate`` writes; its informational
+    ``residual.*`` lines are skipped.  Unknown keys and values that are
+    not numbers raise ConfigError.
+    """
+    values = {"attenuator_db": list(cfg.microwave.attenuator_db),
+              "phase_rad": list(cfg.microwave.phase_rad)}
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read settings: {err}") from err
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped or "=" not in stripped:
+        if not stripped:
             continue
+        if "=" not in stripped:
+            raise ConfigError(f"settings line {lineno}: expected 'key = value'")
         key, raw = (p.strip() for p in stripped.split("=", 1))
-        # residual.* lines are informational and ignored here
-        for idx, ch in enumerate(circuit.CHANNELS):
-            if key == f"microwave.attenuator_db.{ch}":
-                atten[idx] = float(raw)
-            elif key == f"microwave.phase_rad.{ch}":
-                phases[idx] = float(raw)
-    mw = replace(cfg.microwave, attenuator_db=tuple(atten),
-                 phase_rad=tuple(phases))
+        if key.startswith("residual."):
+            continue
+        if key not in _SETTINGS_KEYS:
+            raise ConfigError(f"settings line {lineno}: unknown key {key!r}")
+        try:
+            value = float(raw)
+        except ValueError as err:
+            raise ConfigError(
+                f"settings line {lineno}: expected a number, got {raw!r}") from err
+        name, idx = _SETTINGS_KEYS[key]
+        values[name][idx] = value
+    mw = replace(cfg.microwave, attenuator_db=tuple(values["attenuator_db"]),
+                 phase_rad=tuple(values["phase_rad"]))
     return replace(cfg, microwave=mw)
 
 
@@ -266,8 +289,6 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.settings:
-            cfg = apply_calibration_file(cfg, args.settings)
         out = _out_dir(args)
         if args.command == "dispersion":
             return cmd_dispersion(cfg, out)

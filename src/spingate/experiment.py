@@ -36,12 +36,6 @@ class CalibrationResult:
     residual_phase_error: float
 
 
-def _channel_gains(nl: circuit.GateNetlist) -> np.ndarray:
-    f_c = nl.settings.f_c
-    return np.array([circuit.channel_transfer(nl, ch, f_c)
-                     for ch in circuit.CHANNELS])
-
-
 def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
     """Level the three single-channel output amplitudes.
 
@@ -50,7 +44,7 @@ def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, 
     closed-form dB ratio.  Returns the adjusted netlist and the resulting
     total attenuator settings.
     """
-    gains = np.abs(_channel_gains(nl))
+    gains = np.abs(nl.carrier_gains)
     for ch, g in zip(circuit.CHANNELS, gains):
         if g == 0.0:
             raise CalibrationError(f"channel {ch} has no transmission")
@@ -96,7 +90,7 @@ def calibrate_phases(nl: circuit.GateNetlist,
     interval tolerance sits far below the 1e-4 rad accuracy target so that
     recalibrating a calibrated gate moves the settings by < 1e-6.
     """
-    gains = _channel_gains(nl)
+    gains = nl.carrier_gains
     if np.any(np.abs(gains) == 0.0):
         raise CalibrationError("dead channel: calibrate amplitudes first")
     g2 = gains[1]
@@ -128,7 +122,7 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
     """Amplitude then phase calibration, with measured residuals."""
     leveled, atten = calibrate_amplitudes(nl)
     aligned, offsets = calibrate_phases(leveled)
-    gains = _channel_gains(aligned)
+    gains = aligned.carrier_gains
     mags = np.abs(gains)
     imbalance = float(mags.max() / mags.min())
     ref = np.angle(gains[1])
@@ -225,7 +219,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     except KeyError:
         raise ValueError("netlist has no switch on i2; build with include_switch")
     s = nl.settings
-    gains = _channel_gains(nl)
+    gains = nl.carrier_gains
     if np.any(np.abs(gains) == 0.0):
         raise CalibrationError("dead channel at the carrier")
 

@@ -114,8 +114,7 @@ def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
     """
     enc = enc or PhaseEncoding()
     s = nl.settings
-    gains = np.array([circuit.channel_transfer(nl, ch, s.f_c)
-                      for ch in circuit.CHANNELS])
+    gains = nl.carrier_gains
     drives = np.array([
         s.drive_amplitude * np.exp(1j * encode(bit, enc))
         for bit in state.bits

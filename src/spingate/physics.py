@@ -181,8 +181,10 @@ def band_limits(ctx: ModeContext) -> tuple[float, float]:
 def solve_k(ctx: ModeContext, f: float) -> float:
     """Unique wavenumber (rad/m) with dispersion_f(k) = f.
 
-    Bracketed bisection on the monotone branch.  Raises BandError for a
-    frequency outside the open band -- that error is the physical stopband.
+    Closed form -log1p(-s)/(2d) on the surface branch; safeguarded Halley
+    iteration on the thickness factor P(kd) on the backward-volume branch.
+    Raises BandError for a frequency outside the open band -- that error
+    is the physical stopband.
     """
     k = kernels.solve_k(np.array([float(f)]), ctx.omega_h, ctx.omega_m,
                         ctx.film.d, ctx.branch)[0]

@@ -4,13 +4,16 @@ These deliberately avoid the package's own inversion and derivative
 paths: the wavenumber oracle is a plain-python bisection on the closed
 form, and the group-velocity oracle is a five-point central difference
 on dispersion_f with a step balancing truncation against the ~eps*f
-cancellation floor.
+cancellation floor.  The channel oracle multiplies the netlist element
+by element, one film segment and one transducer at a time, which is the
+product circuit.channel_transfer folds into a single evaluation.
 """
 
 import math
 
 import numpy as np
 
+from spingate import circuit as ct
 from spingate import physics as ph
 
 
@@ -40,3 +43,27 @@ def fd_group_velocity(ctx, k):
     stencil = (f(ctx, k - 2 * h) - 8.0 * f(ctx, k - h)
                + 8.0 * f(ctx, k + h) - f(ctx, k + 2 * h))
     return 2.0 * math.pi * stencil / (12.0 * h)
+
+
+def chain_product(nl, channel, f, switch_closed=False):
+    """Segment-by-segment gain from one source to the detector input."""
+    f = np.atleast_1d(np.asarray(f, dtype=np.float64))
+    gain = np.ones(f.shape, dtype=np.complex128)
+    for comp in (*nl.chains[channel], *nl.output):
+        p = comp.params
+        if comp.kind in ("attenuator", "bend"):
+            gain = gain * 10.0 ** (-p.get("db", 0.0) / 20.0)
+        elif comp.kind == "phase_shifter":
+            gain = gain * np.exp(1j * p.get("rad", 0.0))
+        elif comp.kind in ("transducer_in", "transducer_out"):
+            coupling = 10.0 ** (p.get("gain_db", 0.0) / 20.0) * np.exp(
+                1j * p.get("rad", 0.0))
+            gain = gain * coupling * ct.transducer_efficiency(nl.ctx,
+                                                               nl.geometry, f)
+        elif comp.kind == "waveguide":
+            gain = gain * ct.waveguide_transfer(nl.ctx, p.get("m", 0.0), f,
+                                                nl.settings.f_c)
+        elif comp.kind == "delay_line" and switch_closed:
+            # the delay line holds its phase at the carrier: tau = rad/w_c
+            gain = gain * np.exp(-1j * p.get("rad", 0.0) * f / nl.settings.f_c)
+    return gain + nl.settings.crosstalk[ct.CHANNELS.index(channel)]

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import chain_product
 from spingate import circuit as ct
 from spingate import physics as ph
 
 FC = 6.035e9
+EPS = np.finfo(np.float64).eps
 
 
 def make_ctx(mu0_ms=0.185, orientation=ph.Orientation.PARALLEL, linewidth=6.2e-5):
@@ -140,6 +144,106 @@ class TestChannelTransfer:
         assert abs(g_direct) == pytest.approx(abs(g_delayed), rel=1e-12)
         diff = np.angle(g_delayed / g_direct)
         assert abs(diff) == pytest.approx(math.pi, abs=1e-9)
+
+
+lengths = st.floats(0.0, 12.0e-3)
+phases = st.floats(-math.pi, math.pi)
+
+
+def triple(values):
+    return st.tuples(values, values, values)
+
+
+@st.composite
+def netlists(draw):
+    """Random gate with extra lossy elements; carrier inside the band."""
+    orientation = draw(st.sampled_from(list(ph.Orientation)))
+    ctx = make_ctx(orientation=orientation,
+                   linewidth=draw(st.floats(0.0, 2.0e-4)))
+    lo, hi = ph.band_limits(ctx)
+    f_c = lo + draw(st.floats(0.2, 0.9)) * (hi - lo)
+    geo = ct.DeviceGeometry(
+        w_a=draw(st.floats(1e-5, 2e-4)),
+        l_in=draw(triple(lengths)),
+        l_skew=draw(st.tuples(lengths, st.just(0.0), lengths)),
+        l_out=draw(lengths),
+        bend_loss_db=draw(st.floats(0.0, 6.0)),
+        scale=draw(st.floats(0.05, 1.0)))
+    settings_ = ct.MicrowaveSettings(
+        f_c=f_c,
+        attenuator_db=draw(triple(st.floats(0.0, 20.0))),
+        phase_rad=draw(triple(phases)),
+        coupling_db=draw(triple(st.floats(-3.0, 3.0))),
+        coupling_phase_rad=draw(triple(phases)),
+        output_coupling_db=draw(st.floats(-3.0, 3.0)),
+        include_switch=draw(st.booleans()),
+        switch_delay_rad=draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)),
+        crosstalk=draw(triple(st.sampled_from([0j, 1e-4 + 0j, -3e-3j]))))
+    nl = ct.build_majority_gate(geo, ctx, settings_)
+    extras = draw(st.lists(st.tuples(
+        st.sampled_from(ct.CHANNELS), st.sampled_from(["attenuator", "bend"]),
+        st.floats(0.0, 10.0)), max_size=3))
+    chains = dict(nl.chains)
+    for channel, kind, db in extras:
+        chain = chains[channel]
+        chains[channel] = chain[:-1] + (ct.Component(kind, {"db": db}), chain[-1])
+    nl = ct.GateNetlist(ctx=ctx, geometry=geo, settings=settings_,
+                        chains=chains, output=nl.output)
+    return nl, lo, hi
+
+
+def rounding_budget(nl, channel, f):
+    """Relative tolerance of the folded product against the element one.
+
+    exp(a) * exp(b) and exp(a + b) round apart by ~eps * |a + b|, so next
+    to a 1e-12 floor the budget grows by 1e-15 per radian of phase and per
+    neper of decay the film path accumulates at f (up to ~1e5 rad where
+    the backward-volume wave crawls near the band bottom).
+    """
+    chain = (*nl.chains[channel], *nl.output)
+    length = sum(c.params["m"] for c in chain if c.kind == "waveguide")
+    k = ph.solve_k_grid(nl.ctx, f)
+    vg = np.abs(ph.group_velocity(nl.ctx, np.where(np.isnan(k), 0.0, k)))
+    k_c = ph.solve_k(nl.ctx, nl.settings.f_c)
+    rate = 2.0 * math.pi * np.abs(f - nl.settings.f_c) + ph.damping_rate(nl.ctx)
+    return 1e-12 + 1e-15 * length * (k_c + rate / vg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=netlists(), channel=st.sampled_from(ct.CHANNELS),
+       switch_closed=st.booleans(), grid=st.booleans(),
+       u=st.floats(0.1, 1.0))
+def test_channel_transfer_matches_element_product(net, channel, switch_closed,
+                                                  grid, u):
+    # the folded product equals the element-by-element one, in the band
+    # and (as exact zeros or the crosstalk constant) in the stopband
+    nl, lo, hi = net
+    if grid:
+        f = np.concatenate([[0.9 * lo], np.linspace(lo + 0.1 * (hi - lo), hi, 64),
+                            [1.1 * hi]])
+    else:
+        f = lo + u * (hi - lo)
+    got = ct.channel_transfer(nl, channel, f, switch_closed=switch_closed)
+    ref = chain_product(nl, channel, f, switch_closed=switch_closed)
+    assert np.ndim(got) == np.ndim(f)
+    # relative to the propagating path, plus the rounding of adding the
+    # crosstalk constant, which can cancel or swamp the path in the sum
+    path = np.abs(ref - nl.settings.crosstalk[ct.CHANNELS.index(channel)])
+    budget = rounding_budget(nl, channel, np.atleast_1d(f))
+    assert np.all(np.abs(got - ref) <= budget * path + 2.0 * EPS * np.abs(ref))
+
+
+def test_carrier_gains_cached_per_netlist():
+    nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
+    gains = nl.carrier_gains
+    assert nl.carrier_gains is gains
+    assert not gains.flags.writeable
+    np.testing.assert_array_equal(
+        gains, [ct.channel_transfer(nl, ch, FC) for ch in ct.CHANNELS])
+    # an edited netlist is a new instance with its own gains
+    nl3 = nl.with_component_params("i1", "attenuator", db=3.0)
+    assert nl3.carrier_gains[0] == pytest.approx(gains[0] * 10 ** (-3.0 / 20.0),
+                                                 rel=1e-12)
 
 
 class TestTransmissionSpectrum:

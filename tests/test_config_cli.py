@@ -209,6 +209,34 @@ class TestCalibrateCommand:
                 assert abs(float(line.split("=")[1])) < 1e-6
 
 
+class TestSettingsFile:
+    @pytest.mark.parametrize("text", [
+        "microwave.attenuatr_db.i1 = 3\n",
+        "microwave.attenuator_db.i1 = abc\n",
+        "microwave.phase_rad.i4 = 0.1\n",
+        "microwave.attenuator_db.i2\n",
+        "microwave.attenuator_db.i3 = -1\n",
+    ])
+    def test_rejects_bad_lines(self, tmp_path, capsys, text):
+        settings = tmp_path / "calibration.txt"
+        settings.write_text(text)
+        code = main(["truthtable", "--no-calibrate", "--settings", str(settings),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_applies_values_and_skips_residuals(self, tmp_path):
+        settings = tmp_path / "calibration.txt"
+        settings.write_text("# calibration settings\n"
+                            "microwave.attenuator_db.i3 = 2.5\n"
+                            "microwave.phase_rad.i1 = -0.25  # trimmed\n"
+                            "residual.amplitude_imbalance = 1.0001\n")
+        cfg = cli.apply_calibration_file(cf.RunConfig(), str(settings))
+        assert cfg.microwave.attenuator_db == (0.0, 0.0, 2.5)
+        assert cfg.microwave.phase_rad == (-0.25, 0.0, 0.0)
+
+
 class TestFullAdderCommand:
     def test_rows_match_arithmetic(self, tmp_path, capsys):
         assert main(["fulladder", "--out", str(tmp_path)]) == 0
@@ -252,6 +280,16 @@ class TestCliPlumbing:
         _, rows = read_csv(tmp_path / "dispersion.csv")
         # weaker field pulls the whole branch down
         assert float(rows[0][1]) < 6.0e9
+
+    @pytest.mark.parametrize("flags", [
+        ["--scale", "-1"], ["--scale", "0"], ["--field", "0"],
+        ["--field", "-0.1"], ["--fc", "-5"],
+    ])
+    def test_bad_flag_override_exit_code(self, tmp_path, capsys, flags):
+        code = main(["calibrate", *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_seedless_flag_accepted(self, tmp_path):
         assert main(["dispersion", "--seedless", "--out", str(tmp_path)]) == 0
