@@ -2,8 +2,9 @@
 
 Lowest-thickness-mode magnetostatic dispersion of an in-plane magnetized
 film, its analytic group velocity, the monotone wavenumber inversion, the
-per-bin waveguide gain and the detector's one-pole low-pass.  All
-functions take flat float64 arrays plus scalar film constants.
+per-bin waveguide gain at solved wavenumbers and the detector's one-pole
+low-pass.  All functions take flat float64 arrays plus scalar film
+constants.
 
 Conventions:
   wh = gamma * mu0*H       (rad/s)
@@ -179,21 +180,21 @@ def lowpass_1pole(x, a, y0):
     return out
 
 
-def waveguide_gain(f, f_c, length, eta, wh, wm, d, branch):
+def waveguide_gain(f, k, f_c, k_c, length, eta, wh, wm, d, branch):
     """Complex per-bin gain of a film segment of the given length.
 
-    Carrier phase -k(f_c)*length, envelope delay length/|vg(f)| applied to
-    the offset from f_c, amplitude decay exp(-eta*length/|vg(f)|).  Bins
-    outside the propagating band return exactly 0; length 0 returns 1 at
-    every bin; an out-of-band carrier kills the whole segment.
+    k holds the solved wavenumbers of f (NaN outside the band) and k_c that
+    of the carrier f_c.  Carrier phase -k_c*length, envelope delay
+    length/|vg(f)| applied to the offset from f_c, amplitude decay
+    exp(-eta*length/|vg(f)|).  Bins outside the propagating band return
+    exactly 0; length 0 returns 1 at every bin; an out-of-band carrier
+    kills the whole segment.
     """
     f = np.asarray(f, dtype=np.float64)
     if length == 0.0:
         return np.ones(f.shape, dtype=np.complex128)
-    k_c = solve_k(np.array([f_c]), wh, wm, d, branch)[0]
     if np.isnan(k_c):
         return np.zeros(f.shape, dtype=np.complex128)
-    k = solve_k(f, wh, wm, d, branch)
     inband = ~np.isnan(k)
     vg = np.abs(group_velocity(np.where(inband, k, 0.0), wh, wm, d, branch))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

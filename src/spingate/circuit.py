@@ -19,6 +19,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
+from .signal import format_table
 
 CHANNELS = ("i1", "i2", "i3")
 
@@ -167,38 +168,34 @@ class GateNetlist:
         return replace(self, chains=chains)
 
 
-def transducer_efficiency(ctx: physics.ModeContext, geometry: DeviceGeometry,
-                          f) -> np.ndarray:
+def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     """Wavenumber-selective coupling of a stripline antenna of width w_a.
 
-    gain = sinc(k(f) * w_a / 2); exactly 0 in the stopband.  The caller
-    multiplies in any per-antenna coupling constant.
+    gain = sinc(k * w_a / 2) at the solved wavenumbers k (rad/m); exactly 0
+    where k is NaN, the stopband.  The caller multiplies in any
+    per-antenna coupling constant.
     """
-    f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    k = physics.solve_k_grid(ctx, f_arr)
+    k = np.asarray(k, dtype=np.float64)
     x = np.where(np.isnan(k), 0.0, k) * (0.5 * geometry.antenna_width())
-    gain = np.where(np.isnan(k), 0.0, np.sinc(x / math.pi))
-    return gain if np.ndim(f) else complex(gain[0])
+    return np.where(np.isnan(k), 0.0, np.sinc(x / math.pi))
 
 
-def waveguide_transfer(ctx: physics.ModeContext, length: float, f, f_c: float,
-                       eta: float | None = None) -> np.ndarray:
+def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
+                       f_c: float, k_c: float) -> np.ndarray:
     """Complex gain of a film segment of the given length.
 
-    Carrier phase -k(f_c)*length; each spectral bin is delayed by
-    length/|vg(f)| relative to the carrier and damped by
-    exp(-eta*length/|vg(f)|).  Stopband frequencies return exactly 0;
-    zero length is an exact unit gain.
+    k are the solved wavenumbers of f and k_c that of the carrier f_c
+    (NaN outside the band).  Carrier phase -k_c*length; each spectral bin
+    is delayed by length/|vg(f)| relative to the carrier and damped by
+    exp(-eta*length/|vg(f)|), eta the film's damping rate.  Stopband
+    frequencies return exactly 0; zero length is an exact unit gain.
     """
     if length < 0:
         raise ValueError("segment length must be nonnegative")
-    if eta is None:
-        eta = physics.damping_rate(ctx)
-    f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    gain = kernels.waveguide_gain(f_arr, float(f_c), float(length), float(eta),
-                                  ctx.omega_h, ctx.omega_m, ctx.film.d,
-                                  ctx.branch)
-    return gain if np.ndim(f) else complex(gain[0])
+    return kernels.waveguide_gain(
+        np.asarray(f, dtype=np.float64), np.asarray(k, dtype=np.float64),
+        float(f_c), float(k_c), float(length), physics.damping_rate(ctx),
+        ctx.omega_h, ctx.omega_m, ctx.film.d, ctx.branch)
 
 
 def channel_transfer(nl: GateNetlist, channel: str, f,
@@ -211,10 +208,11 @@ def channel_transfer(nl: GateNetlist, channel: str, f,
     (the gain of a segment is exponential in its length); both
     transducers share the antenna shape; a closed switch adds the delay
     line's phase ramp.  Sources, splitters, the switch itself, the
-    combiner and the diode are unit gains.  ``switch_closed`` routes the
-    signal through the delay line where a switch is present.  Any
-    electromagnetic crosstalk constant for the channel is added on top of
-    the propagating path.
+    combiner and the diode are unit gains.  k(f) is solved once and shared
+    by the film and the transducers; at the carrier it is k(f_c) too.
+    ``switch_closed`` routes the signal through the delay line where a
+    switch is present.  Any electromagnetic crosstalk constant for the
+    channel is added on top of the propagating path.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -237,13 +235,18 @@ def channel_transfer(nl: GateNetlist, channel: str, f,
             length += params.get("m", 0.0)
         elif kind == "delay_line" and switch_closed:
             delay_rad += params.get("rad", 0.0)
+    f_c = nl.settings.f_c
     f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    gain = const * waveguide_transfer(nl.ctx, length, f_arr, nl.settings.f_c)
+    k = physics.solve_k_grid(nl.ctx, f_arr)
+    if f_arr.size == 1 and f_arr[0] == f_c:
+        k_c = k[0]
+    else:
+        k_c = physics.solve_k_grid(nl.ctx, f_c)[0]
+    gain = const * waveguide_transfer(nl.ctx, length, f_arr, k, f_c, k_c)
     if n_transducers:
-        eff = transducer_efficiency(nl.ctx, nl.geometry, f_arr)
-        gain = gain * eff ** n_transducers
+        gain = gain * transducer_efficiency(nl.geometry, k) ** n_transducers
     if delay_rad:
-        tau = delay_rad / (2.0 * math.pi * nl.settings.f_c)
+        tau = delay_rad / (2.0 * math.pi * f_c)
         gain = gain * np.exp(-1j * 2.0 * math.pi * f_arr * tau)
     xt = nl.settings.crosstalk[CHANNELS.index(channel)]
     if xt != 0:
@@ -336,7 +339,5 @@ def netlist_to_text(nl: GateNetlist) -> str:
 
 
 def spectrum_to_csv(f_grid, db) -> str:
-    lines = ["f_hz,s21_db"]
-    for f, v in zip(f_grid, db):
-        lines.append(f"{f:.12g},{v:.12g}")
-    return "\n".join(lines) + "\n"
+    """CSV text with columns f_hz, s21_db."""
+    return format_table("f_hz,s21_db", f_grid, db)

@@ -22,7 +22,7 @@ import numpy as np
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, build_context, build_netlist,
                      parse_config, validate_config)
-from .signal import NoTransitionError, trace_to_csv
+from .signal import NoTransitionError, format_table, trace_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,11 +89,8 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
         k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
     f = physics.dispersion_f(ctx, k)
     vg = physics.group_velocity(ctx, k)
-    lines = ["k_rad_per_m,f_hz,v_g_m_per_s"]
-    for row in zip(k, f, vg):
-        lines.append(",".join(f"{v:.12g}" for v in row))
     path = out / "dispersion.csv"
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, format_table("k_rad_per_m,f_hz,v_g_m_per_s", k, f, vg))
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
           f"branch={cfg.field_.orientation} -> {path}")
     return EXIT_OK
@@ -310,7 +307,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (physics.BandError, experiment.CalibrationError,
-            NoTransitionError) as err:
+            experiment.RunwayError, NoTransitionError) as err:
         print(f"physics error: {err}", file=sys.stderr)
         return EXIT_PHYSICS
 

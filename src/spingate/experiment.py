@@ -28,6 +28,10 @@ class CalibrationError(RuntimeError):
     """A channel cannot be calibrated (no transmission, flat objective)."""
 
 
+class RunwayError(ValueError):
+    """Transit fill time exceeds the runway before the analysis window."""
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     attenuator_db: tuple[float, float, float]
@@ -141,9 +145,10 @@ class SwitchTiming:
 
     t_toggle None drives a constant state (no transition).  The analysis
     window keeps the rise-time metrology away from the circular-FFT
-    boundaries; the pre-toggle runway must exceed the largest transit fill
-    time in play (~140 ns for a 4 mm effective path) so the fill average
-    never wraps into the window.
+    boundaries.  The runway, from the start of the record to the start of
+    the window (t_toggle - analysis_pre), must exceed the transit fill
+    time (~140 ns for a 4 mm effective path) so the fill average never
+    wraps into the window; run_switching checks this.
     """
 
     dt: float = 1.0e-10
@@ -163,26 +168,29 @@ class SwitchingResult:
     effective_path: float
 
 
-def transit_fill_factor(ctx: physics.ModeContext, length: float,
-                        f_c: float) -> TransferFunction:
+def transit_fill_time(ctx: physics.ModeContext, length: float,
+                      f_c: float) -> float:
+    """Time T = length / |vg(f_c)| the carrier wave takes to fill a path."""
+    if length < 0:
+        raise ValueError("effective path must be nonnegative")
+    if length == 0.0:
+        return 0.0
+    return length / abs(physics.group_velocity(ctx, physics.solve_k(ctx, f_c)))
+
+
+def transit_fill_factor(fill: float, f_c: float) -> TransferFunction:
     """Normalized transit response of an effective film path.
 
     While the wavefront carrying a new input phase sweeps the path, the
     output superposes old- and new-phase wave portions; the detected
-    transition therefore spreads over the fill time
-
-        T = length / |vg(f_c)|.
-
-    Spectrally this is the causal moving average over T, normalized to 1
-    at the carrier so the fitted effective length never touches the
-    calibrated steady-state levels.  Zero length is an exact unit gain.
+    transition therefore spreads over the fill time T of the path (see
+    transit_fill_time).  Spectrally this is the causal moving average
+    over T, normalized to 1 at the carrier so the fitted effective length
+    never touches the calibrated steady-state levels.  Zero fill time is
+    an exact unit gain.
     """
-    if length < 0:
-        raise ValueError("effective path must be nonnegative")
-    if length == 0.0:
+    if fill == 0.0:
         return TransferFunction(lambda f: np.ones_like(f, dtype=np.complex128))
-    k_c = physics.solve_k(ctx, f_c)
-    fill = length / abs(physics.group_velocity(ctx, k_c))
 
     def fn(f):
         df = np.asarray(f, dtype=np.float64) - f_c
@@ -210,7 +218,9 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     effective_path is the i2-to-output length whose transit time spreads
     the transition (see transit_fill_factor); it is a fitted model
     parameter, not a geometric length.  At 0 the transition is
-    switch-limited.
+    switch-limited.  A fill time longer than the runway before the
+    analysis window (see SwitchTiming) raises RunwayError, since
+    the circular fill average would wrap into the window.
     """
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
@@ -234,8 +244,15 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
             timing.duration, timing.dt, s.f_c)
 
     if effective_path > 0.0:
-        factor = transit_fill_factor(nl.ctx, effective_path, s.f_c)
-        out_i2 = apply_transfer(drive_i2, factor)
+        fill = transit_fill_time(nl.ctx, effective_path, s.f_c)
+        if timing.t_toggle is not None:
+            runway = timing.t_toggle - timing.analysis_pre
+            if fill >= runway:
+                raise RunwayError(
+                    f"transit fill time {fill:.4g} s of the "
+                    f"{effective_path:.4g} m effective path exceeds the "
+                    f"{runway:.4g} s runway before the analysis window")
+        out_i2 = apply_transfer(drive_i2, transit_fill_factor(fill, s.f_c))
     else:
         out_i2 = drive_i2
     out_i2 = ComplexEnvelope(s.f_c, timing.dt, out_i2.samples * gains[1])
@@ -276,28 +293,46 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
                        rtol: float = 1e-3, **kwargs) -> float:
     """Effective path length whose switching run hits the target rise time.
 
-    Bisection on the monotone t_rise(length); raises CalibrationError when
-    the target is not bracketed.  The bracket must keep the transit inside
-    the analysis window (the default 4 mm spans rise times up to ~34 ns).
+    Illinois regula falsi on the monotone, nearly linear residual
+    t_rise(length) - target over the bracket [lo, hi]; raises
+    CalibrationError when the target is not bracketed.  Stops once a run
+    lands within rtol/2 of the target or the bracket is at most rtol*hi
+    wide, and returns the evaluated length closest to the target, so
+    re-running it reproduces that rise time exactly.  The bracket must
+    keep the transit inside the runway of the timing (the default 4 mm
+    spans rise times up to ~34 ns).
     """
-    def t_of(length):
-        return run_switching(nl, enc=enc, timing=timing,
-                             effective_path=length, **kwargs).t_rise
+    def residual(length):
+        return run_switching(nl, enc=enc, timing=timing, effective_path=length,
+                             **kwargs).t_rise - target_t_rise
 
-    t_lo, t_hi = t_of(lo), t_of(hi)
-    if not t_lo <= target_t_rise <= t_hi:
+    r_lo, r_hi = residual(lo), residual(hi)
+    if not r_lo <= 0.0 <= r_hi:
         raise CalibrationError(
             f"target rise {target_t_rise:.3g} s not bracketed by "
-            f"[{t_lo:.3g}, {t_hi:.3g}] s")
+            f"[{target_t_rise + r_lo:.3g}, {target_t_rise + r_hi:.3g}] s")
+    best, r_best = (lo, r_lo) if -r_lo <= r_hi else (hi, r_hi)
+    # the regula-falsi weights: halved on the side that is kept twice
+    w_lo, w_hi = r_lo, r_hi
+    side = 0
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if t_of(mid) < target_t_rise:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * hi:
+        if abs(r_best) <= 0.5 * rtol * target_t_rise or hi - lo <= rtol * hi:
             break
-    return 0.5 * (lo + hi)
+        x = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        r = residual(x)
+        if abs(r) < abs(r_best):
+            best, r_best = x, r
+        if r < 0.0:
+            lo, w_lo = x, r
+            if side < 0:
+                w_hi *= 0.5
+            side = -1
+        else:
+            hi, w_hi = x, r
+            if side > 0:
+                w_lo *= 0.5
+            side = 1
+    return best
 
 
 @dataclass(frozen=True)

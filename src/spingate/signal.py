@@ -278,17 +278,27 @@ def phase_estimate(env: ComplexEnvelope, t_start: float, t_stop: float,
     return float(wrap_phase(math.atan2(mean.imag, mean.real)))
 
 
-def envelope_to_csv(env: ComplexEnvelope) -> str:
-    """CSV text with columns time_s, re, im."""
-    lines = ["time_s,re,im"]
-    for t, s in zip(env.times, env.samples):
-        lines.append(f"{t:.12g},{s.real:.12g},{s.imag:.12g}")
-    return "\n".join(lines) + "\n"
+# rows formatted per % operation: one block's argument tuple and text stay
+# a few MB, where formatting a 2^17-row table at once holds all of it
+_TABLE_BLOCK_ROWS = 4096
+
+
+def format_table(header: str, *columns) -> str:
+    """CSV text: the header line, then one row per index of the columns.
+
+    Every value is written as f"{v:.12g}" would write it (nan, inf, -0 and
+    subnormals included): printf-style %.12g of a Python float gives the
+    same bytes, and one % operation formats a whole block of rows.
+    """
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, table.shape[0], _TABLE_BLOCK_ROWS):
+        block = table[start:start + _TABLE_BLOCK_ROWS]
+        parts.append((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def trace_to_csv(trace: DetectedTrace) -> str:
     """CSV text with columns time_s, value."""
-    lines = ["time_s,value"]
-    for t, s in zip(trace.times, trace.samples):
-        lines.append(f"{t:.12g},{s:.12g}")
-    return "\n".join(lines) + "\n"
+    return format_table("time_s,value", trace.times, trace.samples)

@@ -6,7 +6,9 @@ form, and the group-velocity oracle is a five-point central difference
 on dispersion_f with a step balancing truncation against the ~eps*f
 cancellation floor.  The channel oracle multiplies the netlist element
 by element, one film segment and one transducer at a time, which is the
-product circuit.channel_transfer folds into a single evaluation.
+product circuit.channel_transfer folds into a single evaluation.  The CSV
+writer formats one value at a time with an f-string, as the package's
+block formatter must reproduce byte for byte.
 """
 
 import math
@@ -48,6 +50,7 @@ def fd_group_velocity(ctx, k):
 def chain_product(nl, channel, f, switch_closed=False):
     """Segment-by-segment gain from one source to the detector input."""
     f = np.atleast_1d(np.asarray(f, dtype=np.float64))
+    f_c = nl.settings.f_c
     gain = np.ones(f.shape, dtype=np.complex128)
     for comp in (*nl.chains[channel], *nl.output):
         p = comp.params
@@ -58,12 +61,22 @@ def chain_product(nl, channel, f, switch_closed=False):
         elif comp.kind in ("transducer_in", "transducer_out"):
             coupling = 10.0 ** (p.get("gain_db", 0.0) / 20.0) * np.exp(
                 1j * p.get("rad", 0.0))
-            gain = gain * coupling * ct.transducer_efficiency(nl.ctx,
-                                                               nl.geometry, f)
+            k = ph.solve_k_grid(nl.ctx, f)
+            gain = gain * coupling * ct.transducer_efficiency(nl.geometry, k)
         elif comp.kind == "waveguide":
-            gain = gain * ct.waveguide_transfer(nl.ctx, p.get("m", 0.0), f,
-                                                nl.settings.f_c)
+            k = ph.solve_k_grid(nl.ctx, f)
+            k_c = ph.solve_k_grid(nl.ctx, f_c)[0]
+            gain = gain * ct.waveguide_transfer(nl.ctx, p.get("m", 0.0), f, k,
+                                                f_c, k_c)
         elif comp.kind == "delay_line" and switch_closed:
             # the delay line holds its phase at the carrier: tau = rad/w_c
-            gain = gain * np.exp(-1j * p.get("rad", 0.0) * f / nl.settings.f_c)
+            gain = gain * np.exp(-1j * p.get("rad", 0.0) * f / f_c)
     return gain + nl.settings.crosstalk[ct.CHANNELS.index(channel)]
+
+
+def csv_table(header, *columns):
+    """CSV text with each value written by f"{v:.12g}", row by row."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    return "\n".join(lines) + "\n"

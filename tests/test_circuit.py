@@ -21,6 +21,18 @@ def make_ctx(mu0_ms=0.185, orientation=ph.Orientation.PARALLEL, linewidth=6.2e-5
 CTX = make_ctx()
 
 
+def antenna(ctx, geo, f):
+    """Transducer efficiency at the solved wavenumbers of f."""
+    return ct.transducer_efficiency(geo, ph.solve_k_grid(ctx, f))
+
+
+def segment(ctx, length, f, f_c=FC):
+    """Film segment gain at the solved wavenumbers of f and f_c."""
+    f = np.atleast_1d(f)
+    return ct.waveguide_transfer(ctx, length, f, ph.solve_k_grid(ctx, f), f_c,
+                                 ph.solve_k_grid(ctx, f_c)[0])
+
+
 def symmetric_netlist(ctx=CTX, **settings_kwargs):
     geo = ct.DeviceGeometry(l_skew=(0.0, 0.0, 0.0))
     return ct.build_majority_gate(geo, ctx, ct.MicrowaveSettings(**settings_kwargs))
@@ -30,35 +42,35 @@ class TestTransducer:
     def test_small_k_limit(self):
         # just under the band top the wavenumber collapses, sinc -> 1
         f_top = ph.band_limits(CTX)[1]
-        eff = ct.transducer_efficiency(CTX, ct.DeviceGeometry(), f_top * (1 - 1e-9))
+        eff = antenna(CTX, ct.DeviceGeometry(), f_top * (1 - 1e-9))
         assert abs(eff) == pytest.approx(1.0, abs=1e-6)
 
     def test_first_antenna_zero(self):
         geo = ct.DeviceGeometry()
         k_zero = 2.0 * math.pi / geo.w_a
         f = ph.dispersion_f(CTX, k_zero)
-        assert abs(ct.transducer_efficiency(CTX, geo, f)) < 1e-9
+        assert abs(antenna(CTX, geo, f)) < 1e-9
 
     def test_carrier_value(self):
         # sinc(0.213) with the 75 um stripline at the carrier wavenumber
-        eff = ct.transducer_efficiency(CTX, ct.DeviceGeometry(), FC)
+        eff = antenna(CTX, ct.DeviceGeometry(), FC)
         assert eff == pytest.approx(0.9925, abs=2e-4)
 
     def test_stopband_zero(self):
-        assert ct.transducer_efficiency(CTX, ct.DeviceGeometry(), 7.0e9) == 0.0
+        assert antenna(CTX, ct.DeviceGeometry(), 7.0e9) == 0.0
 
 
 class TestWaveguideTransfer:
     def test_zero_length_unity_everywhere(self):
         f = np.array([3.0e9, FC, 7.0e9])
-        np.testing.assert_array_equal(ct.waveguide_transfer(CTX, 0.0, f, FC),
+        np.testing.assert_array_equal(segment(CTX, 0.0, f),
                                       np.ones(3, dtype=complex))
 
     def test_lossless_carrier_phase(self):
         ctx0 = make_ctx(linewidth=0.0)
         k_c = ph.solve_k(ctx0, FC)
         length = 2.0e-3
-        gain = ct.waveguide_transfer(ctx0, length, FC, FC)
+        gain = segment(ctx0, length, FC)
         assert abs(gain) == pytest.approx(1.0, rel=1e-12)
         expect = -k_c * length
         assert np.angle(gain) == pytest.approx(
@@ -66,32 +78,30 @@ class TestWaveguideTransfer:
 
     def test_decay_over_5mm(self):
         # decay length |vg|/eta is about 5.2 mm at the carrier
-        gain = ct.waveguide_transfer(CTX, 5.0e-3, FC, FC)
+        gain = segment(CTX, 5.0e-3, FC)
         assert abs(gain) == pytest.approx(0.3847, abs=2e-3)
         assert abs(gain) == pytest.approx(math.exp(-1.0), rel=0.05)
 
     def test_stopband_zero(self):
         f = np.array([6.2e9, 3.9e9])
         np.testing.assert_array_equal(
-            ct.waveguide_transfer(CTX, 1e-3, f, FC), np.zeros(2, dtype=complex))
+            segment(CTX, 1e-3, f), np.zeros(2, dtype=complex))
 
     def test_out_of_band_carrier_kills_segment(self):
-        gain = ct.waveguide_transfer(CTX, 1e-3, np.array([6.0e9]), 7.0e9)
+        gain = segment(CTX, 1e-3, np.array([6.0e9]), 7.0e9)
         assert gain[0] == 0.0
 
     def test_segment_split_multiplicative(self):
         f = np.linspace(5.95e9, 6.05e9, 7)
-        whole = ct.waveguide_transfer(CTX, 5.0e-3, f, FC)
-        split = (ct.waveguide_transfer(CTX, 2.0e-3, f, FC)
-                 * ct.waveguide_transfer(CTX, 3.0e-3, f, FC))
+        whole = segment(CTX, 5.0e-3, f)
+        split = segment(CTX, 2.0e-3, f) * segment(CTX, 3.0e-3, f)
         np.testing.assert_allclose(split, whole, atol=1e-12)
 
     def test_magnitude_direction_independent(self):
         # pure propagation is reciprocal: |gain| depends only on the length
         f = np.linspace(5.95e9, 6.05e9, 5)
-        a = np.abs(ct.waveguide_transfer(CTX, 4.0e-3, f, FC))
-        b = np.abs(ct.waveguide_transfer(CTX, 2.0e-3, f, FC)
-                   * ct.waveguide_transfer(CTX, 2.0e-3, f, FC))
+        a = np.abs(segment(CTX, 4.0e-3, f))
+        b = np.abs(segment(CTX, 2.0e-3, f) * segment(CTX, 2.0e-3, f))
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 

@@ -1,11 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import csv_table
+from spingate import circuit as ct
 from spingate import cli
 from spingate import config as cf
+from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
 from spingate.cli import main
+
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.txt"
 
 
 def read_csv(path):
@@ -31,9 +38,7 @@ class TestConfigParsing:
         assert cfg1 == cfg2 == cf.RunConfig()
 
     def test_committed_reference_config_is_the_default(self):
-        from pathlib import Path
-        ref = Path(__file__).resolve().parent.parent / "configs" / "reference.txt"
-        assert cf.parse_config(ref.read_text()) == cf.RunConfig()
+        assert cf.parse_config(REFERENCE.read_text()) == cf.RunConfig()
 
     def test_overrides_apply(self):
         cfg = cf.parse_config(
@@ -180,6 +185,16 @@ class TestSwitchCommand:
     def test_out_of_band_carrier_errors(self, tmp_path):
         assert main(["switch", "--fc", "7e9", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("scale", ["8", "20"])
+    def test_fill_longer_than_runway_errors(self, tmp_path, capsys, scale):
+        # the scaled 1.35 mm path fills in ~380 ns (x8) and ~940 ns (x20),
+        # past the 160 ns between the record start and the analysis window
+        code = main(["switch", "--scale", scale, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("physics error: transit fill time")
+        assert "1.6e-07 s runway" in err and err.count("\n") == 1
+
 
 class TestCalibrateCommand:
     def test_settings_file_reusable(self, tmp_path, capsys):
@@ -322,3 +337,41 @@ class TestCliPlumbing:
 
     def test_untuned_mssw_logic_reports_band_error(self, tmp_path):
         assert main(["truthtable", "--mode", "mssw", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("flags", [[], ["--mode", "mssw", "--fc", "6.09e9"]])
+def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
+    # the artifacts equal the one-value-at-a-time writer on the same arrays
+    args = ["--config", str(REFERENCE), "--out", str(tmp_path), *flags]
+    for command in ("dispersion", "transmission", "switch"):
+        assert main([command, *args]) == 0
+    cfg = cli._load_config(cli.make_parser().parse_args(["switch", *args]))
+
+    d = cfg.dispersion
+    if d.log_k:
+        k = np.logspace(np.log10(d.k_start_rad_per_m),
+                        np.log10(d.k_stop_rad_per_m), d.n_points)
+    else:
+        k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
+    ctx = cf.build_context(cfg)
+    expect = csv_table("k_rad_per_m,f_hz,v_g_m_per_s", k,
+                       ph.dispersion_f(ctx, k), ph.group_velocity(ctx, k))
+    assert (tmp_path / "dispersion.csv").read_text() == expect
+
+    sp = cfg.spectrum
+    f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
+    nl = cf.build_netlist(cfg)
+    for ch in ct.CHANNELS:
+        db = ct.transmission_spectrum(nl, ch, f_grid, floor_db=sp.floor_db)
+        expect = csv_table("f_hz,s21_db", f_grid, db)
+        assert (tmp_path / f"transmission_{ch}.csv").read_text() == expect
+
+    nl, _ = ex.calibrate(cf.build_netlist(cfg, include_switch=True))
+    trace = ex.run_switching(
+        nl, enc=cli._enc(cfg), ref_phase=cfg.switching.ref_phase_rad,
+        timing=cli._timing(cfg),
+        effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
+        lp_cutoff=cfg.detector.lp_cutoff_hz,
+        responsivity=cfg.detector.responsivity_v).trace
+    expect = csv_table("time_s,value", trace.times, trace.samples)
+    assert (tmp_path / "switch_trace.csv").read_text() == expect

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingate import circuit as ct
 from spingate import experiment as ex
@@ -135,6 +137,26 @@ class TestCalibrate:
         for a, b in zip(res1.phase_offsets_rad, res2.phase_offsets_rad):
             assert abs(float(sig.wrap_phase(a - b))) < 1e-6
 
+    @settings(max_examples=25, deadline=None)
+    @given(coupling_db=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+           coupling_rad=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+           atten_db=st.tuples(*[st.floats(0.0, 10.0)] * 3),
+           phase_rad=st.tuples(*[st.floats(-math.pi, math.pi)] * 3))
+    def test_idempotent_property(self, coupling_db, coupling_rad, atten_db,
+                                 phase_rad):
+        # a calibrated gate recalibrates onto its own settings and gains
+        nl = build(coupling_db=coupling_db, coupling_phase_rad=coupling_rad,
+                   attenuator_db=atten_db, phase_rad=phase_rad)
+        once, res1 = ex.calibrate(nl)
+        twice, res2 = ex.calibrate(once)
+        np.testing.assert_allclose(res2.attenuator_db, res1.attenuator_db,
+                                   rtol=0.0, atol=1e-6)
+        moved = sig.wrap_phase(np.subtract(res2.phase_offsets_rad,
+                                           res1.phase_offsets_rad))
+        assert np.all(np.abs(moved) < 1e-6)
+        np.testing.assert_allclose(twice.carrier_gains, once.carrier_gains,
+                                   rtol=1e-6)
+
     def test_residuals(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5),
                    coupling_phase_rad=(0.7, -0.1, 2.2))
@@ -156,12 +178,14 @@ class TestCalibrate:
 
 class TestTransitFill:
     def test_zero_length_unity(self):
-        tf = ex.transit_fill_factor(make_ctx(), 0.0, FC)
+        fill = ex.transit_fill_time(make_ctx(), 0.0, FC)
+        tf = ex.transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
-        tf = ex.transit_fill_factor(make_ctx(), 1.5e-3, FC)
+        fill = ex.transit_fill_time(make_ctx(), 1.5e-3, FC)
+        tf = ex.transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
     def test_fill_time_from_group_velocity(self):
@@ -169,7 +193,9 @@ class TestTransitFill:
         length = 2.0e-3
         k = ph.solve_k(ctx, FC)
         fill = length / abs(ph.group_velocity(ctx, k))
-        tf = ex.transit_fill_factor(ctx, length, FC)
+        assert ex.transit_fill_time(ctx, length, FC) == pytest.approx(fill,
+                                                                     rel=1e-15)
+        tf = ex.transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
 
@@ -213,6 +239,22 @@ class TestRunSwitching:
         rises = [ex.run_switching(nl, effective_path=L).t_rise for L in lengths]
         assert all(b >= a for a, b in zip(rises, rises[1:]))
 
+    def test_fill_longer_than_runway_raises(self):
+        # 6 mm fills in ~200 ns; the window opens 160 ns into the record
+        nl = symmetric(include_switch=True)
+        nl, _ = ex.calibrate(nl)
+        timing = ex.SwitchTiming()
+        runway = timing.t_toggle - timing.analysis_pre
+        assert ex.transit_fill_time(nl.ctx, 6.0e-3, FC) > runway
+        with pytest.raises(ex.RunwayError, match="runway"):
+            ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
+        # a later toggle in a longer record lengthens the runway past it
+        later = ex.SwitchTiming(duration=8.192e-7, t_toggle=3.0e-7,
+                                analysis_post=4.0e-7)
+        slow = ex.run_switching(nl, timing=later, effective_path=6.0e-3)
+        fast = ex.run_switching(nl, timing=later, effective_path=3.0e-3)
+        assert slow.t_rise > 1.5 * fast.t_rise
+
     def test_no_toggle_no_transition(self):
         nl = symmetric(include_switch=True)
         nl, _ = ex.calibrate(nl)
@@ -243,6 +285,13 @@ class TestScaling:
         assert shrunk.t_rise - study.ramp_floor < 1.0e-9
         rises = [r.t_rise for r in study.rows]
         assert rises == sorted(rises, reverse=True)
+
+    def test_runway_violation_flags_row(self, calibrated):
+        # x5 turns the 1.35 mm path into a fill longer than the runway
+        study = ex.scaling_study(calibrated, [1.0, 5.0, 0.5], 1.3487e-3)
+        assert [r.flagged for r in study.rows] == [False, True, False]
+        assert math.isnan(study.rows[1].t_rise)
+        assert math.isfinite(study.slope)
 
     def test_lossless_group_delay_linearity(self):
         # group-delay oracle: rise minus floor tracks a line in scale to 5%

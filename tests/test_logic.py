@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spingate import circuit as ct
 from spingate import logic as lg
@@ -122,6 +124,32 @@ class TestTruthTable:
         base = lg.truth_table(nl)
         for a, b in zip(report.rows, base.rows):
             assert a.margin == pytest.approx(b.margin, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coupling_db=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+           coupling_rad=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+           theta=st.floats(-math.pi, math.pi))
+    def test_global_input_phase_leaves_decoding(self, coupling_db,
+                                                coupling_rad, theta):
+        # rotating every input together rotates the all-zero reference too
+        nl = ct.build_majority_gate(ct.DeviceGeometry(), make_ctx(),
+                                    ct.MicrowaveSettings(
+                                        coupling_db=coupling_db,
+                                        coupling_phase_rad=coupling_rad))
+        rotated = nl
+        for ch in ct.CHANNELS:
+            rad = nl.component(ch, "phase_shifter").params["rad"]
+            rotated = rotated.with_component_params(ch, "phase_shifter",
+                                                    rad=rad + theta)
+        base = lg.truth_table(nl)
+        turned = lg.truth_table(rotated)
+        for a, b in zip(base.rows, turned.rows):
+            assert b.out_amplitude == pytest.approx(a.out_amplitude, rel=1e-12)
+            turn = np.angle(np.exp(1j * (b.out_phase - a.out_phase)))
+            assert abs(float(turn)) < 1e-9
+            assert b.margin == pytest.approx(a.margin, abs=1e-9)
+            if abs(a.margin) > 1e-9:
+                assert b.decoded == a.decoded
 
     def test_amplitudes_take_two_exact_levels(self):
         nl = symmetric_netlist()

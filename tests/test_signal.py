@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import csv_table
 from spingate import signal as sig
 
 FC = 6.035e9
@@ -296,8 +299,30 @@ class TestCsvExport:
         assert len(lines) == 4
         assert lines[2].startswith("1e-10,1")
 
-    def test_envelope_csv(self):
-        env = envelope(np.array([1 + 2j, 3 - 4j]))
-        lines = sig.envelope_to_csv(env).strip().split("\n")
-        assert lines[0] == "time_s,re,im"
-        assert lines[1] == "0,1,2"
+
+# every float class %.12g and f"{v:.12g}" could disagree on
+SPECIAL_FLOATS = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                  5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300,
+                  -1e300, 1e-300, -1e-300, 1.7976931348623157e308)
+table_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                   allow_subnormal=True),
+                         st.sampled_from(SPECIAL_FLOATS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(table_values, min_size=1, max_size=64),
+       n_rows=st.sampled_from([1, 4095, 4096, 4097, 9000]),
+       n_cols=st.integers(1, 3))
+def test_format_table_matches_per_value_writer(values, n_rows, n_cols):
+    # the block boundary sits at 4096 rows: one short, exact, one over, two.
+    # The drawn values repeat through the table, so a failure shrinks to a
+    # short list instead of a 9000-row array.
+    columns = np.resize(np.array(values, dtype=np.float64), (n_cols, n_rows))
+    header = ",".join(f"c{i}" for i in range(n_cols))
+    got = sig.format_table(header, *columns).split("\n")
+    want = csv_table(header, *columns).split("\n")
+    # report the first differing line: diffing two whole tables on every
+    # failing call would make shrinking take minutes
+    first = next(((i, a, b) for i, (a, b) in enumerate(zip(got, want))
+                  if a != b), None)
+    assert first is None and len(got) == len(want), first
