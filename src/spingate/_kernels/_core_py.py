@@ -137,21 +137,23 @@ def solve_k(f, wh, wm, d, branch):
     negative ones included, give NaN.
     """
     f = np.asarray(f, dtype=np.float64)
-    w2 = (2.0 * np.pi * f) ** 2
+    # targets that overflow (fields or frequencies beyond any film) come
+    # out inf or NaN and fall outside the band
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = (2.0 * np.pi * f) ** 2
+        if branch == BRANCH_BV:
+            # target thickness factor p in (0, 1); x = k*d
+            target = (w2 - wh * wh) / (wh * wm)
+        else:
+            # target saturation s in (0, 1); x = 2*k*d
+            target = (w2 - wh * (wh + wm)) * 4.0 / (wm * wm)
     out = np.full(f.shape, np.nan)
-
-    if branch == BRANCH_BV:
-        # target thickness factor p in (0, 1); x = k*d
-        p = (w2 - wh * wh) / (wh * wm)
-        inband = (p > 0.0) & (p < 1.0) & (f > 0.0)
-        if np.any(inband):
-            out[inband] = _bv_thickness_root(p[inband]) / d
-    else:
-        # target saturation s in (0, 1); x = 2*k*d
-        s = (w2 - wh * (wh + wm)) * 4.0 / (wm * wm)
-        inband = (s > 0.0) & (s < 1.0) & (f > 0.0)
-        if np.any(inband):
-            out[inband] = -np.log1p(-s[inband]) / (2.0 * d)
+    inband = (target > 0.0) & (target < 1.0) & (f > 0.0)
+    if np.any(inband):
+        if branch == BRANCH_BV:
+            out[inband] = _bv_thickness_root(target[inband]) / d
+        else:
+            out[inband] = -np.log1p(-target[inband]) / (2.0 * d)
     return out
 
 

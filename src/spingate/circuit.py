@@ -121,11 +121,30 @@ class Component:
 
 
 @dataclass(frozen=True)
+class CarrierPropagation:
+    """The part of each channel's carrier gain that only the film sets.
+
+    k is the solved wavenumber of the carrier f_c (NaN in the stopband),
+    shared by the three channels; film[i] and shape[i] are channel i's
+    film gain over its summed segment length and its transducer shape
+    (None without transducers), each a one-element array at f = [f_c].
+    """
+
+    f: np.ndarray
+    k: float
+    film: tuple
+    shape: tuple
+
+
+@dataclass(frozen=True)
 class GateNetlist:
     """Three ordered input chains merging into one output chain.
 
     Frozen: edits build a new instance (``with_component_params``), so
-    quantities derived from the netlist are cached on it.
+    quantities derived from the netlist are cached on it.  The carrier
+    propagation depends only on the film, the geometry, the carrier and
+    the film segments, so an edited copy inherits it unless the edit is
+    to a ``waveguide`` segment.
     """
 
     ctx: physics.ModeContext
@@ -142,6 +161,15 @@ class GateNetlist:
                 raise ValueError(f"chain {name} must run source -> combiner")
 
     @cached_property
+    def carrier_propagation(self) -> CarrierPropagation:
+        """k(f_c), solved once, and each channel's film gain and shape."""
+        f = np.array([self.settings.f_c])
+        k = physics.solve_k_grid(self.ctx, f)
+        film, shape = zip(*(_propagation(self, ch, f, k, k[0])
+                            for ch in CHANNELS))
+        return CarrierPropagation(f=f, k=k[0], film=film, shape=shape)
+
+    @cached_property
     def carrier_gains(self) -> np.ndarray:
         """Read-only complex gains of i1, i2, i3 at the carrier, switch open."""
         gains = np.array([channel_transfer(self, ch, self.settings.f_c)
@@ -156,7 +184,11 @@ class GateNetlist:
         raise KeyError(f"no {kind} in channel {channel}")
 
     def with_component_params(self, channel: str, kind: str, **params) -> "GateNetlist":
-        """Copy of the netlist with one component's parameters replaced."""
+        """Copy of the netlist with one component's parameters replaced.
+
+        The copy keeps an already computed carrier propagation unless the
+        component is a ``waveguide`` segment.
+        """
         chain = list(self.chains[channel])
         for i, comp in enumerate(chain):
             if comp.kind == kind:
@@ -165,7 +197,11 @@ class GateNetlist:
         else:
             raise KeyError(f"no {kind} in channel {channel}")
         chains = {**self.chains, channel: tuple(chain)}
-        return replace(self, chains=chains)
+        out = replace(self, chains=chains)
+        if kind != "waveguide" and "carrier_propagation" in self.__dict__:
+            # cached_property storage: the copy starts with the same value
+            out.__dict__["carrier_propagation"] = self.carrier_propagation
+        return out
 
 
 def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
@@ -198,27 +234,14 @@ def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
         ctx.omega_h, ctx.omega_m, ctx.film.d, ctx.branch)
 
 
-def channel_transfer(nl: GateNetlist, channel: str, f,
-                     switch_closed: bool = False):
-    """Product of all element gains from one source to the detector input.
+def _constant(nl: GateNetlist, channel: str,
+              switch_closed: bool) -> tuple[complex, float]:
+    """Frequency-flat gain of a channel and the phase of its delay line.
 
-    Includes the shared output chain.  The product is folded in one pass:
-    losses, phase settings and transducer couplings make one constant;
-    film segments multiply into one propagation over their summed length
-    (the gain of a segment is exponential in its length); both
-    transducers share the antenna shape; a closed switch adds the delay
-    line's phase ramp.  Sources, splitters, the switch itself, the
-    combiner and the diode are unit gains.  k(f) is solved once and shared
-    by the film and the transducers; at the carrier it is k(f_c) too.
-    ``switch_closed`` routes the signal through the delay line where a
-    switch is present.  Any electromagnetic crosstalk constant for the
-    channel is added on top of the propagating path.
+    Losses, phase settings and transducer couplings fold into one
+    constant; the delay-line phase counts only with the switch closed.
     """
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}")
     const = 1.0 + 0.0j
-    length = 0.0
-    n_transducers = 0
     delay_rad = 0.0
     for comp in (*nl.chains[channel], *nl.output):
         kind, params = comp.kind, comp.params
@@ -230,25 +253,68 @@ def channel_transfer(nl: GateNetlist, channel: str, f,
             # gain convention: positive dB amplifies, unlike the loss elements
             const *= 10.0 ** (params.get("gain_db", 0.0) / 20.0) * cmath.exp(
                 1j * params.get("rad", 0.0))
-            n_transducers += 1
-        elif kind == "waveguide":
-            length += params.get("m", 0.0)
         elif kind == "delay_line" and switch_closed:
             delay_rad += params.get("rad", 0.0)
+    return const, delay_rad
+
+
+def _propagation(nl: GateNetlist, channel: str, f: np.ndarray, k: np.ndarray,
+                 k_c: float):
+    """Film gain over the channel's summed segment length, and its
+    transducer shape (None without transducers), at the solved k of f."""
+    length = 0.0
+    n_transducers = 0
+    for comp in (*nl.chains[channel], *nl.output):
+        if comp.kind == "waveguide":
+            length += comp.params.get("m", 0.0)
+        elif comp.kind in ("transducer_in", "transducer_out"):
+            n_transducers += 1
+    film = waveguide_transfer(nl.ctx, length, f, k, nl.settings.f_c, k_c)
+    shape = (transducer_efficiency(nl.geometry, k) ** n_transducers
+             if n_transducers else None)
+    return film, shape
+
+
+def channel_transfer(nl: GateNetlist, channel: str, f,
+                     switch_closed: bool = False):
+    """Product of all element gains from one source to the detector input.
+
+    Includes the shared output chain.  The product is folded in one pass:
+    losses, phase settings and transducer couplings make one constant;
+    film segments multiply into one propagation over their summed length
+    (the gain of a segment is exponential in its length); both
+    transducers share the antenna shape; a closed switch adds the delay
+    line's phase ramp.  Sources, splitters, the switch itself, the
+    combiner and the diode are unit gains.  k(f) is solved once and shared
+    by the film and the transducers; at the carrier (a scalar f equal to
+    f_c) the propagation is the netlist's cached ``carrier_propagation``.
+    ``switch_closed`` routes the signal through the delay line where a
+    switch is present.  Any electromagnetic crosstalk constant for the
+    channel is added on top of the propagating path.
+    """
+    if channel not in CHANNELS:
+        raise ValueError(f"unknown channel {channel!r}")
+    idx = CHANNELS.index(channel)
+    const, delay_rad = _constant(nl, channel, switch_closed)
     f_c = nl.settings.f_c
-    f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    k = physics.solve_k_grid(nl.ctx, f_arr)
-    if f_arr.size == 1 and f_arr[0] == f_c:
-        k_c = k[0]
+    if np.ndim(f) == 0 and f == f_c:
+        prop = nl.carrier_propagation
+        f_arr, film, shape = prop.f, prop.film[idx], prop.shape[idx]
     else:
-        k_c = physics.solve_k_grid(nl.ctx, f_c)[0]
-    gain = const * waveguide_transfer(nl.ctx, length, f_arr, k, f_c, k_c)
-    if n_transducers:
-        gain = gain * transducer_efficiency(nl.geometry, k) ** n_transducers
+        f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
+        k = physics.solve_k_grid(nl.ctx, f_arr)
+        if f_arr.size == 1 and f_arr[0] == f_c:
+            k_c = k[0]
+        else:
+            k_c = physics.solve_k_grid(nl.ctx, f_c)[0]
+        film, shape = _propagation(nl, channel, f_arr, k, k_c)
+    gain = const * film
+    if shape is not None:
+        gain = gain * shape
     if delay_rad:
         tau = delay_rad / (2.0 * math.pi * f_c)
         gain = gain * np.exp(-1j * 2.0 * math.pi * f_arr * tau)
-    xt = nl.settings.crosstalk[CHANNELS.index(channel)]
+    xt = nl.settings.crosstalk[idx]
     if xt != 0:
         gain = gain + complex(xt)
     return gain if np.ndim(f) else complex(gain[0])

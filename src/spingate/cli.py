@@ -282,8 +282,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: constructing the parser costs more than parsing with it
+PARSER = make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         cfg = _load_config(args)
         out = _out_dir(args)

@@ -178,10 +178,18 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# section -> its default object, keyed by field name
+_DEFAULTS = {name: getattr(RunConfig(), attr) for name, attr in _SECTIONS.items()}
+_FIELDS = {name: {f.name for f in fields(obj)} for name, obj in _DEFAULTS.items()}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document into a validated RunConfig."""
-    cfg = RunConfig()
-    sections = {name: getattr(cfg, attr) for name, attr in _SECTIONS.items()}
+    """Parse a flat key = value document into a validated RunConfig.
+
+    Values are collected per section and each section is built once; a
+    key given twice keeps its last value.
+    """
+    values = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -192,14 +200,13 @@ def parse_config(text: str) -> RunConfig:
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} has no section")
         section, attr = key.split(".", 1)
-        if section not in sections:
+        if section not in values:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
-        target = sections[section]
-        if attr not in {f.name for f in fields(target)}:
+        if attr not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        value = _parse_value(raw, getattr(target, attr))
-        sections[section] = replace(target, **{attr: value})
-    cfg = RunConfig(**{_SECTIONS[name]: sections[name] for name in _SECTIONS})
+        values[section][attr] = _parse_value(raw, getattr(_DEFAULTS[section], attr))
+    cfg = RunConfig(**{attr: replace(_DEFAULTS[name], **values[name])
+                       for name, attr in _SECTIONS.items()})
     validate_config(cfg)
     return cfg
 
@@ -214,7 +221,27 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _non_finite_key(cfg: RunConfig) -> str | None:
+    """First dotted key holding a NaN or infinite number, if any."""
+    for section, attr in _SECTIONS.items():
+        for name, value in vars(getattr(cfg, attr)).items():
+            if isinstance(value, tuple):
+                if not all(map(math.isfinite, value)):
+                    return f"{section}.{name}"
+            elif isinstance(value, float) and not math.isfinite(value):
+                return f"{section}.{name}"
+    return None
+
+
 def validate_config(cfg: RunConfig) -> None:
+    """Raise ConfigError for a config no command can run.
+
+    Every number must be finite (NaN passes every ordering test below);
+    then the per-field ranges apply.
+    """
+    bad = _non_finite_key(cfg)
+    if bad:
+        raise ConfigError(f"{bad} must be finite")
     if cfg.field_.orientation not in ("parallel", "perpendicular"):
         raise ConfigError("field.orientation must be parallel or perpendicular")
     if cfg.film.mu0_ms_t <= 0 or cfg.film.thickness_m <= 0:

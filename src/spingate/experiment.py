@@ -18,8 +18,8 @@ import numpy as np
 from . import circuit, logic, physics
 from .signal import (ComplexEnvelope, DetectedTrace, TransferFunction,
                      apply_transfer, constant_envelope, diode_detect,
-                     make_step_phase_envelope, rise_time, superpose,
-                     wrap_phase)
+                     make_step_phase_envelope, plateau_start, rise_time,
+                     superpose, wrap_phase)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,10 +145,13 @@ class SwitchTiming:
 
     t_toggle None drives a constant state (no transition).  The analysis
     window keeps the rise-time metrology away from the circular-FFT
-    boundaries.  The runway, from the start of the record to the start of
-    the window (t_toggle - analysis_pre), must exceed the transit fill
-    time (~140 ns for a 4 mm effective path) so the fill average never
-    wraps into the window; run_switching checks this.
+    boundaries.  Two preconditions bound the transit fill time (~140 ns
+    for a 4 mm effective path at the reference carrier), and
+    run_switching checks both: the runway, from the start of the record
+    to the start of the window (t_toggle - analysis_pre), must exceed it
+    so the fill average never wraps into the window; and the transition
+    (toggle, ramp and fill) must end before the trailing plateau from
+    which rise_time reads the settled level (347.2 ns at the defaults).
     """
 
     dt: float = 1.0e-10
@@ -169,13 +172,54 @@ class SwitchingResult:
 
 
 def transit_fill_time(ctx: physics.ModeContext, length: float,
-                      f_c: float) -> float:
-    """Time T = length / |vg(f_c)| the carrier wave takes to fill a path."""
+                      k_c: float) -> float:
+    """Time T = length / |vg(k_c)| the carrier wave takes to fill a path.
+
+    k_c is the solved wavenumber of the carrier, as a netlist's
+    ``carrier_propagation.k`` holds it.
+    """
     if length < 0:
         raise ValueError("effective path must be nonnegative")
     if length == 0.0:
         return 0.0
-    return length / abs(physics.group_velocity(ctx, physics.solve_k(ctx, f_c)))
+    return length / abs(physics.group_velocity(ctx, k_c))
+
+
+def _analysis_window(timing: SwitchTiming, n: int) -> tuple[int, int]:
+    """Sample range [lo, hi) of an n-sample record that rise_time reads."""
+    if timing.t_toggle is None:
+        return 0, n
+    lo = max(0, int(round((timing.t_toggle - timing.analysis_pre) / timing.dt)))
+    hi = min(n, int(round((timing.t_toggle + timing.analysis_post) / timing.dt)))
+    return lo, hi
+
+
+def _fill_bounds(timing: SwitchTiming, n: int) -> tuple[float, float]:
+    """Runway before the analysis window of an n-sample record, and the
+    time at which the plateau rise_time averages for v_max starts."""
+    lo, hi = _analysis_window(timing, n)
+    return (timing.t_toggle - timing.analysis_pre,
+            (lo + plateau_start(hi - lo)) * timing.dt)
+
+
+def _fill_violation(path: float, fill: float, timing: SwitchTiming,
+                    n: int) -> str | None:
+    """Why the fill time of a path breaks the timing of an n-sample record.
+
+    None when it fits: shorter than the runway before the analysis
+    window, and ending the transition (toggle, ramp, fill) before the
+    plateau that rise_time averages for the settled level.
+    """
+    runway, plateau = _fill_bounds(timing, n)
+    what = f"transit fill time {fill:.4g} s of the {path:.4g} m effective path"
+    if fill >= runway:
+        return f"{what} exceeds the {runway:.4g} s runway before the analysis window"
+    settled = timing.t_toggle + timing.ramp + fill
+    if settled >= plateau:
+        return (f"{what} ends the transition at {settled:.4g} s, past the "
+                f"start {plateau:.4g} s of the plateau the settled level is "
+                f"read from")
+    return None
 
 
 def transit_fill_factor(fill: float, f_c: float) -> TransferFunction:
@@ -218,9 +262,11 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     effective_path is the i2-to-output length whose transit time spreads
     the transition (see transit_fill_factor); it is a fitted model
     parameter, not a geometric length.  At 0 the transition is
-    switch-limited.  A fill time longer than the runway before the
-    analysis window (see SwitchTiming) raises RunwayError, since
-    the circular fill average would wrap into the window.
+    switch-limited.  A fill time that breaks either precondition of
+    SwitchTiming raises RunwayError: longer than the runway before the
+    analysis window, the circular fill average would wrap into the
+    window; ending the transition inside the trailing plateau, it would
+    pull the settled level down.
     """
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
@@ -243,21 +289,19 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
             s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
             timing.duration, timing.dt, s.f_c)
 
+    n = len(drive_i2)
     if effective_path > 0.0:
-        fill = transit_fill_time(nl.ctx, effective_path, s.f_c)
+        fill = transit_fill_time(nl.ctx, effective_path,
+                                 nl.carrier_propagation.k)
         if timing.t_toggle is not None:
-            runway = timing.t_toggle - timing.analysis_pre
-            if fill >= runway:
-                raise RunwayError(
-                    f"transit fill time {fill:.4g} s of the "
-                    f"{effective_path:.4g} m effective path exceeds the "
-                    f"{runway:.4g} s runway before the analysis window")
+            violation = _fill_violation(effective_path, fill, timing, n)
+            if violation:
+                raise RunwayError(violation)
         out_i2 = apply_transfer(drive_i2, transit_fill_factor(fill, s.f_c))
     else:
         out_i2 = drive_i2
     out_i2 = ComplexEnvelope(s.f_c, timing.dt, out_i2.samples * gains[1])
 
-    n = len(out_i2)
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
     out_static = ComplexEnvelope(s.f_c, timing.dt, np.full(n, static))
@@ -272,11 +316,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     total = superpose([out_i2, out_static, reference])
     detected = diode_detect(total, lp_cutoff=lp_cutoff, responsivity=responsivity)
 
-    if timing.t_toggle is None:
-        lo_idx, hi_idx = 0, n
-    else:
-        lo_idx = max(0, int(round((timing.t_toggle - timing.analysis_pre) / timing.dt)))
-        hi_idx = min(n, int(round((timing.t_toggle + timing.analysis_post) / timing.dt)))
+    lo_idx, hi_idx = _analysis_window(timing, n)
     window = DetectedTrace(timing.dt, detected.samples[lo_idx:hi_idx])
 
     rt = rise_time(window)
@@ -298,10 +338,17 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
     CalibrationError when the target is not bracketed.  Stops once a run
     lands within rtol/2 of the target or the bracket is at most rtol*hi
     wide, and returns the evaluated length closest to the target, so
-    re-running it reproduces that rise time exactly.  The bracket must
-    keep the transit inside the runway of the timing (the default 4 mm
-    spans rise times up to ~34 ns).
+    re-running it reproduces that rise time exactly.  hi is clamped to the
+    longest path whose transit fill time the timing admits (see
+    SwitchTiming); the default 4 mm spans rise times up to ~34 ns.
     """
+    timing = timing or SwitchTiming()
+    if timing.t_toggle is not None:
+        hi = min(hi, _longest_path(nl, timing))
+        if hi <= lo:
+            raise CalibrationError(
+                f"no effective path above {lo:.3g} m fits the switching timing")
+
     def residual(length):
         return run_switching(nl, enc=enc, timing=timing, effective_path=length,
                              **kwargs).t_rise - target_t_rise
@@ -333,6 +380,20 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
                 w_lo *= 0.5
             side = 1
     return best
+
+
+def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
+    """Longest effective path whose fill time passes _fill_violation."""
+    n = int(round(timing.duration / timing.dt))
+    runway, plateau = _fill_bounds(timing, n)
+    limit = min(runway, plateau - timing.t_toggle - timing.ramp)
+    k_c = nl.carrier_propagation.k
+    path = limit * abs(physics.group_velocity(nl.ctx, k_c))
+    # the limit is exclusive and the product rounds: step down to a pass
+    while path > 0.0 and _fill_violation(
+            path, transit_fill_time(nl.ctx, path, k_c), timing, n):
+        path = math.nextafter(path, 0.0)
+    return path
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,8 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
 
     Closed form from wh*(wh + wm) = (2*pi*f)^2.  Raises BandError for a
     target at or below the bare Larmor frequency wh/2pi, where no
-    nonnegative Ms can reach it.
+    nonnegative Ms can reach it, and for one so far above it that the
+    needed Ms overflows.
     """
     wh = ctx.omega_h
     w_t = 2.0 * math.pi * f_target
@@ -143,7 +144,13 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
             f"mu0_h = {ctx.field.mu0_h:.6g} T"
         )
     wm = (w_t * w_t - wh * wh) / wh
-    return wm / (ctx.film.gamma * MU0)
+    ms = wm / (ctx.film.gamma * MU0)
+    if not math.isfinite(ms):
+        raise BandError(
+            f"far-above-Larmor target: {f_target:.6g} Hz needs an infinite "
+            f"magnetization at mu0_h = {ctx.field.mu0_h:.6g} T"
+        )
+    return ms
 
 
 def dispersion_f(ctx: ModeContext, k):

@@ -232,6 +232,11 @@ class RiseTimeResult:
     v_max: float
 
 
+def plateau_start(n: int, plateau_fraction: float = 0.25) -> int:
+    """First sample of the trailing plateau rise_time reads v_max from."""
+    return n - max(1, int(round(plateau_fraction * n)))
+
+
 def rise_time(trace: DetectedTrace, plateau_fraction: float = 0.25) -> RiseTimeResult:
     """1/3 -> 2/3 rise time of a low-to-high transition.
 
@@ -241,9 +246,7 @@ def rise_time(trace: DetectedTrace, plateau_fraction: float = 0.25) -> RiseTimeR
     interpolated between samples; f_clock = 1/t_rise.
     """
     v = trace.samples
-    n = v.size
-    tail = max(1, int(round(plateau_fraction * n)))
-    v_max = float(np.mean(v[n - tail:]))
+    v_max = float(np.mean(v[plateau_start(v.size, plateau_fraction):]))
     if v_max <= 0:
         raise NoTransitionError("no transition: settled level is zero")
     th_lo = v_max / 3.0

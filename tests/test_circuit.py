@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import chain_product
 from spingate import circuit as ct
 from spingate import physics as ph
+from spingate._kernels import kernels
 
 FC = 6.035e9
 EPS = np.finfo(np.float64).eps
@@ -254,6 +255,78 @@ def test_carrier_gains_cached_per_netlist():
     nl3 = nl.with_component_params("i1", "attenuator", db=3.0)
     assert nl3.carrier_gains[0] == pytest.approx(gains[0] * 10 ** (-3.0 / 20.0),
                                                  rel=1e-12)
+
+
+def reference_gate(orientation):
+    """Gate with a switch and crosstalk, its carrier inside the branch's band."""
+    ctx = make_ctx(orientation=orientation)
+    lo, hi = ph.band_limits(ctx)
+    settings_ = ct.MicrowaveSettings(
+        f_c=lo + 0.6 * (hi - lo), include_switch=True,
+        coupling_db=(-0.5, 0.0, -1.2), coupling_phase_rad=(0.35, 0.0, -0.65),
+        crosstalk=(1e-4 + 0j, -3e-3j, 0j))
+    return ct.build_majority_gate(ct.DeviceGeometry(), ctx, settings_)
+
+
+# a parameter edit per component kind; the unit-gain kinds ignore theirs
+EDITS = {
+    "source": {"x": 1.0}, "splitter": {"x": 1.0},
+    "attenuator": {"db": 2.5}, "phase_shifter": {"rad": 0.7},
+    "switch": {"state": 1.0}, "delay_line": {"rad": 1.0},
+    "transducer_in": {"gain_db": -1.0, "rad": 0.3},
+    "waveguide": {"m": 7.0e-3}, "bend": {"db": 4.0}, "combiner": {"x": 1.0},
+}
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = kernels.solve_k
+    monkeypatch.setattr(kernels, "solve_k",
+                        lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+@pytest.mark.parametrize("orientation", list(ph.Orientation))
+def test_derived_netlists_match_fresh_ones(orientation, monkeypatch):
+    # an edited copy inherits the carrier propagation unless the edit is to
+    # a film segment; either way its gains are those of a netlist built
+    # from scratch with the same chains, bit for bit
+    nl = reference_gate(orientation)
+    nl.carrier_gains
+    calls = count_solves(monkeypatch)
+    edited = set()
+    for channel, chain in nl.chains.items():
+        for comp in chain:
+            derived = nl.with_component_params(channel, comp.kind,
+                                               **EDITS[comp.kind])
+            before = len(calls)
+            gains = derived.carrier_gains
+            assert len(calls) - before == (comp.kind == "waveguide")
+            inherited = derived.carrier_propagation is nl.carrier_propagation
+            assert inherited == (comp.kind != "waveguide")
+            fresh = ct.GateNetlist(ctx=derived.ctx, geometry=derived.geometry,
+                                   settings=derived.settings,
+                                   chains=derived.chains, output=derived.output)
+            assert gains.tobytes() == fresh.carrier_gains.tobytes()
+            edited.add(comp.kind)
+    assert edited == set(EDITS)
+
+
+@pytest.mark.parametrize("orientation", list(ph.Orientation))
+@pytest.mark.parametrize("switch_closed", [False, True])
+def test_carrier_propagation_equals_fresh_solve(orientation, switch_closed):
+    # at a scalar carrier frequency channel_transfer reads the cached
+    # propagation; a one-element grid solves k afresh: the same bits
+    nl = reference_gate(orientation)
+    f_c = nl.settings.f_c
+    for idx, ch in enumerate(ct.CHANNELS):
+        cached = ct.channel_transfer(nl, ch, f_c, switch_closed=switch_closed)
+        solved = ct.channel_transfer(nl, ch, np.array([f_c]),
+                                     switch_closed=switch_closed)[0]
+        assert complex(solved) == cached
+        assert np.array([cached]).tobytes() == solved.tobytes()
+        if not switch_closed:
+            assert nl.carrier_gains[idx] == cached
 
 
 class TestTransmissionSpectrum:

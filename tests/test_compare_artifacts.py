@@ -1,0 +1,59 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
+spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+compare_artifacts = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_artifacts)
+
+CALIBRATION = ("# calibration settings\n"
+               "microwave.attenuator_db.i1 = {a}\n"
+               "residual.phase_error_rad = nan\n")
+RUN = ("exit = 0\nstdout:\ncalibrate attenuator_db=[0.700,0.000,1.452] "
+       "-> <out>/calibration.txt\nstderr:\n")
+TRACE = "time_s,value\n0,0\n1e-10,{v}\n"
+
+
+def write_tree(root, a="0.700468911463", v="5.00321e-05", run=RUN):
+    (root / "plain" / "calibrate").mkdir(parents=True)
+    (root / "plain" / "calibrate" / "calibration.txt").write_text(
+        CALIBRATION.format(a=a))
+    (root / "plain" / "calibrate.run").write_text(run)
+    (root / "plain" / "switch").mkdir()
+    (root / "plain" / "switch" / "switch_trace.csv").write_text(TRACE.format(v=v))
+    return root
+
+
+def test_matching_trees(tmp_path):
+    # numbers within 1e-10 relative and NaN against NaN agree
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b", a="0.700468911463000001", v="5.003210000001e-05")
+    assert compare_artifacts.compare_trees(a, b) == []
+    assert compare_artifacts.main(["compare", str(a), str(b)]) == 0
+
+
+@pytest.mark.parametrize("edit, where", [
+    ({"v": "5.00321000500321e-05"}, "switch_trace.csv:3"),
+    ({"a": "0.700468912163"}, "calibration.txt:2"),
+    ({"run": RUN.replace("exit = 0", "exit = 3")}, "calibrate.run:1"),
+    ({"run": RUN.replace("calibrate attenuator_db", "calibrate attenuator")},
+     "calibrate.run:3"),
+])
+def test_differences_found(tmp_path, capsys, edit, where):
+    # a number off by 1e-9 relative, an exit code or a word differs
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b", **edit)
+    diffs = compare_artifacts.compare_trees(a, b)
+    assert len(diffs) == 1 and where in diffs[0]
+    assert compare_artifacts.main(["compare", str(a), str(b)]) == 1
+    assert "1 differences" in capsys.readouterr().out
+
+
+def test_missing_file(tmp_path):
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b")
+    (b / "plain" / "switch" / "switch_trace.csv").unlink()
+    diffs = compare_artifacts.compare_trees(a, b)
+    assert diffs == [f"plain/switch/switch_trace.csv: only in {a}"]

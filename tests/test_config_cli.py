@@ -1,7 +1,15 @@
+import contextlib
+import io
+import math
+import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from oracles import csv_table
 from spingate import circuit as ct
@@ -80,6 +88,24 @@ class TestConfigParsing:
     def test_rejects_invalid_values(self, line):
         with pytest.raises(cf.ConfigError):
             cf.parse_config(line)
+
+    @pytest.mark.parametrize("text, message", [
+        ("film.mu0_ms_t = 0.18\n\nfilm.bogus = 1\n",
+         "line 3: unknown key 'film.bogus'"),
+        ("# c\nbogus.key = 1\n", "line 2: unknown section 'bogus'"),
+        ("field.mu0_h_t = 0.15\nfield.mu0_h_t\n", "line 2: expected 'key = value'"),
+        ("scaling.scales = 1,x\n", "bad list value '1,x'"),
+    ])
+    def test_error_messages_name_the_line(self, text, message):
+        with pytest.raises(cf.ConfigError, match=f"^{re.escape(message)}$"):
+            cf.parse_config(text)
+
+    def test_repeated_key_keeps_last_value(self):
+        cfg = cf.parse_config("scaling.scales = 1, 0.5, 0.2\n"
+                              "scaling.scales = 1, 0.5\n"
+                              "field.mu0_h_t = 0.15\nfield.mu0_h_t = 0.16\n")
+        assert cfg.scaling.scales == (1.0, 0.5)
+        assert cfg.field_.mu0_h_t == 0.16
 
     def test_build_context_orientation(self):
         cfg = cf.parse_config("field.orientation = perpendicular")
@@ -306,17 +332,58 @@ class TestCliPlumbing:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--scale", "nan"], ["--scale", "inf"], ["--fc", "nan"],
+        ["--fc", "inf"], ["--field", "nan"], ["--field", "inf"],
+    ])
+    def test_non_finite_flag_exit_code(self, tmp_path, capsys, flags):
+        # NaN passes every ordering test: calibrate used to exit 0 with
+        # attenuator_db=[nan,nan,nan], and --fc/--field nan with exit 3
+        code = main(["calibrate", *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"config error: {NAMES[flags[0]]} must be finite\n"
+
+    @pytest.mark.parametrize("line, key", [
+        ("microwave.f_c_hz = nan", "microwave.f_c_hz"),
+        ("geometry.scale = inf", "geometry.scale"),
+        ("geometry.l_in_m = 0.01, -inf, 0.01", "geometry.l_in_m"),
+        ("scaling.scales = 1, nan", "scaling.scales"),
+        ("switching.effective_path_m = nan", "switching.effective_path_m"),
+    ])
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, line, key):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code = main(["calibrate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {key} must be finite\n"
+
+    @pytest.mark.parametrize("line, key", [
+        ("microwave.attenuator_db.i1 = nan", "microwave.attenuator_db"),
+        ("microwave.phase_rad.i3 = -inf", "microwave.phase_rad"),
+    ])
+    def test_non_finite_settings_exit_code(self, tmp_path, capsys, line, key):
+        settings = tmp_path / "calibration.txt"
+        settings.write_text(line + "\n")
+        code = main(["truthtable", "--no-calibrate", "--settings", str(settings),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {key} must be finite\n"
+
     def test_seedless_flag_accepted(self, tmp_path):
         assert main(["dispersion", "--seedless", "--out", str(tmp_path)]) == 0
 
     def test_determinism_byte_identical(self, tmp_path):
+        # repeated calls in one process share the parser and nothing else
         a, b = tmp_path / "a", tmp_path / "b"
-        main(["truthtable", "--out", str(a)])
-        main(["truthtable", "--out", str(b)])
-        assert (a / "truthtable.csv").read_bytes() == (b / "truthtable.csv").read_bytes()
-        main(["switch", "--out", str(a)])
-        main(["switch", "--out", str(b)])
-        assert (a / "switch_trace.csv").read_bytes() == (b / "switch_trace.csv").read_bytes()
+        for command in ("calibrate", "truthtable", "fulladder", "switch"):
+            assert main([command, "--out", str(a)]) == 0
+            assert main([command, "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert len(names) == 4
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_mssw_truthtable_at_retuned_carrier(self, tmp_path):
         # the surface-wave band sits above the k = 0 line: retune and run
@@ -337,6 +404,62 @@ class TestCliPlumbing:
 
     def test_untuned_mssw_logic_reports_band_error(self, tmp_path):
         assert main(["truthtable", "--mode", "mssw", "--out", str(tmp_path)]) == 3
+
+
+NAMES = {"--scale": "geometry.scale", "--fc": "microwave.f_c_hz",
+         "--field": "field.mu0_h_t"}
+EXTREMES = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e300, -1e300,
+            1e-300, -1e-300]
+# per flag, the range in which a command can succeed
+WORKING = {"--scale": (0.05, 2.0), "--fc": (5.9e9, 6.2e9), "--field": (0.13, 0.16)}
+SETTINGS_KEYS = [f"microwave.{name}.{ch}" for name in ("attenuator_db", "phase_rad")
+                 for ch in ct.CHANNELS]
+number_text = st.one_of(
+    st.sampled_from(EXTREMES).map(repr), st.floats().map(repr),
+    st.floats(0.0, 10.0).map(repr),
+    st.sampled_from(["1e999", "-1e999", "NaN", "abc", "", "1,2"]))
+settings_lines = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(SETTINGS_KEYS), number_text),
+    st.builds("residual.{} = {}".format, st.sampled_from(["amplitude_imbalance", "x"]),
+              number_text),
+    st.sampled_from(["", "# comment", "microwave.attenuatr_db.i1 = 3",
+                     "microwave.phase_rad.i4 = 0", "no equals sign", "= 1"]))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(command=st.sampled_from(["calibrate", "truthtable", "switch"]),
+       values=st.fixed_dictionaries(
+           {}, optional={flag: st.one_of(st.sampled_from(EXTREMES), st.floats(),
+                                         st.floats(*WORKING[flag]))
+                         for flag in NAMES}),
+       mode=st.sampled_from([None, "bvmsw", "mssw"]),
+       lines=st.one_of(st.none(), st.lists(settings_lines, max_size=6)))
+def test_flag_fuzz_exits_with_documented_code(command, values, mode, lines):
+    # every input ends in exit 0, 2, 3 or 4 with at most one stderr line,
+    # no exception and no warning; "--flag=value" keeps argparse from
+    # taking a value such as -1e300 for an option
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--out", tmp]
+        argv += [f"{flag}={value!r}" for flag, value in values.items()]
+        if mode:
+            argv.append(f"--mode={mode}")
+        if lines is not None:
+            settings_path = Path(tmp) / "settings.txt"
+            settings_path.write_text("\n".join(lines) + "\n")
+            argv.append(f"--settings={settings_path}")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert err.startswith(("config error: ", "physics error: "))
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "mssw", "--fc", "6.09e9"]])

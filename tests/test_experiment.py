@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spingate import circuit as ct
+from spingate import config as cf
 from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
+from spingate._kernels import kernels
 
 FC = 6.035e9
 
@@ -176,15 +179,31 @@ class TestCalibrate:
         assert all(r.margin > math.pi / 4 for r in report.rows)
 
 
+def test_calibration_and_switching_solve_the_carrier_once(monkeypatch):
+    # one k(f_c) solve serves the calibration's edited copies and the
+    # switching run's transit fill time
+    nl = build(include_switch=True)
+    calls = []
+    solve = kernels.solve_k
+    monkeypatch.setattr(kernels, "solve_k",
+                        lambda *args: calls.append(args) or solve(*args))
+    cal, _ = ex.calibrate(nl)
+    assert len(calls) == 1
+    ex.run_switching(cal, effective_path=1.3e-3)
+    assert len(calls) == 1
+
+
 class TestTransitFill:
     def test_zero_length_unity(self):
-        fill = ex.transit_fill_time(make_ctx(), 0.0, FC)
+        ctx = make_ctx()
+        fill = ex.transit_fill_time(ctx, 0.0, ph.solve_k(ctx, FC))
         tf = ex.transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
-        fill = ex.transit_fill_time(make_ctx(), 1.5e-3, FC)
+        ctx = make_ctx()
+        fill = ex.transit_fill_time(ctx, 1.5e-3, ph.solve_k(ctx, FC))
         tf = ex.transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
@@ -193,8 +212,8 @@ class TestTransitFill:
         length = 2.0e-3
         k = ph.solve_k(ctx, FC)
         fill = length / abs(ph.group_velocity(ctx, k))
-        assert ex.transit_fill_time(ctx, length, FC) == pytest.approx(fill,
-                                                                     rel=1e-15)
+        assert ex.transit_fill_time(ctx, length, k) == pytest.approx(fill,
+                                                                    rel=1e-15)
         tf = ex.transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
@@ -245,7 +264,8 @@ class TestRunSwitching:
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
         runway = timing.t_toggle - timing.analysis_pre
-        assert ex.transit_fill_time(nl.ctx, 6.0e-3, FC) > runway
+        k_c = nl.carrier_propagation.k
+        assert ex.transit_fill_time(nl.ctx, 6.0e-3, k_c) > runway
         with pytest.raises(ex.RunwayError, match="runway"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
         # a later toggle in a longer record lengthens the runway past it
@@ -254,6 +274,37 @@ class TestRunSwitching:
         slow = ex.run_switching(nl, timing=later, effective_path=6.0e-3)
         fast = ex.run_switching(nl, timing=later, effective_path=3.0e-3)
         assert slow.t_rise > 1.5 * fast.t_rise
+
+    def test_transition_into_plateau_raises(self):
+        # at the reference point 4.4 mm fills in 154 ns: toggle, ramp and
+        # fill end at 356 ns, inside the plateau from 347.2 ns that sets
+        # v_max, although the fill fits the 160 ns runway
+        nl, _ = ex.calibrate(cf.build_netlist(cf.RunConfig(), include_switch=True))
+        with pytest.raises(ex.RunwayError, match=r"3\.561e-07 s.*3\.472e-07 s.*plateau"):
+            ex.run_switching(nl, effective_path=4.4e-3)
+        # 4.0 mm ends at 342 ns and reads what a doubled record reads
+        doubled = ex.SwitchTiming(duration=8.192e-7, analysis_post=4.8e-7)
+        res = ex.run_switching(nl, effective_path=4.0e-3)
+        ref = ex.run_switching(nl, effective_path=4.0e-3, timing=doubled)
+        assert res.t_rise == pytest.approx(ref.t_rise, rel=1e-7)
+
+    def test_fit_bracket_clamped_to_timing(self):
+        # at 5.9 GHz the default 4 mm bracket end fills in 153 ns, into the
+        # plateau; the fit searches below the longest path that passes
+        cfg = cf.RunConfig()
+        cfg = replace(cfg, microwave=replace(cfg.microwave, f_c_hz=5.9e9))
+        nl, _ = ex.calibrate(cf.build_netlist(cfg, include_switch=True))
+        with pytest.raises(ex.RunwayError, match="plateau"):
+            ex.run_switching(nl, effective_path=4.0e-3)
+        length = ex.fit_effective_path(nl, 34.0e-9)
+        assert length < 4.0e-3
+        res = ex.run_switching(nl, effective_path=length)
+        assert res.t_rise == pytest.approx(34.0e-9, rel=1e-3)
+        # a window so short that its plateau starts before the ramp ends
+        # leaves no path to search
+        short = ex.SwitchTiming(analysis_post=1.0e-8)
+        with pytest.raises(ex.CalibrationError, match="fits the switching timing"):
+            ex.fit_effective_path(nl, 11.3e-9, timing=short)
 
     def test_no_toggle_no_transition(self):
         nl = symmetric(include_switch=True)

@@ -98,9 +98,13 @@ def test_solve_k_nan_outside_open_band(film, t, below, branch):
 
 
 def test_solve_k_nonfinite_and_nonpositive_inputs():
-    f = np.array([0.0, -6.0e9, np.inf, -np.inf, np.nan])
-    for branch in (BRANCH_BV, BRANCH_S):
-        assert np.all(np.isnan(kernels.solve_k(f, WH, WM, D, branch)))
+    # frequencies, or a film, whose band targets overflow are out of band
+    # without a floating-point warning
+    f = np.array([0.0, -6.0e9, np.inf, -np.inf, np.nan, 1e300, -1e300])
+    with np.errstate(all="raise"):
+        for branch in (BRANCH_BV, BRANCH_S):
+            assert np.all(np.isnan(kernels.solve_k(f, WH, WM, D, branch)))
+            assert np.all(np.isnan(kernels.solve_k(f, 3e-172, 4.8e192, D, branch)))
 
 
 def test_solve_k_grid_equals_scalar_solves():

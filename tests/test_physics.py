@@ -59,6 +59,11 @@ class TestCalibrateMs:
         with pytest.raises(ph.BandError, match="below-Larmor"):
             ph.calibrate_ms(CTX_LIT, 3.0e9)
 
+    def test_overflowing_ms_rejected(self):
+        # a field near zero would need Ms beyond the float range
+        with pytest.raises(ph.BandError, match="infinite magnetization"):
+            ph.calibrate_ms(ctx(mu0_h=1e-300), 6.06e9)
+
 
 class TestDispersion:
     def test_k_zero_is_fmr_both_branches(self):

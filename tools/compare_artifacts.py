@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Run every CLI command of a source tree, or compare two such runs.
+
+    python3 tools/compare_artifacts.py run SRC_TREE OUT_DIR
+    python3 tools/compare_artifacts.py compare OUT_A OUT_B
+
+``run`` executes the seven commands of the ``spingate`` package found in
+SRC_TREE/src on SRC_TREE/configs/reference.txt, once per flag set (see
+FLAG_SETS), each in a fresh interpreter.  OUT_DIR/<flag set>/<command>/
+receives the artifacts and OUT_DIR/<flag set>/<command>.run the exit
+code, stdout and stderr, with the output directory written as <out>.
+
+``compare`` walks two such trees.  They must hold the same files; in
+each pair of files the text between numbers must match exactly and the
+numbers must agree to RTOL relative (NaN equals NaN).  Exit status 0
+when the trees agree, 1 otherwise, with the differences listed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+RTOL = 1e-10
+COMMANDS = ("dispersion", "transmission", "calibrate", "truthtable", "switch",
+            "fulladder", "scale")
+FLAG_SETS = {
+    "plain": [],
+    "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
+    "fc6.0e9": ["--fc", "6.0e9"],
+    "scale8": ["--scale", "8"],
+}
+# separators are compared as text; the tokens between them as numbers
+# when both sides parse as one
+_SEPARATORS = re.compile(r"([\s,=\[\]()]+)")
+MAX_LISTED = 20
+
+
+def run_tree(src: Path, out: Path) -> None:
+    """Every command under every flag set, artifacts and records to out."""
+    src, out = src.resolve(), out.resolve()
+    config = src / "configs" / "reference.txt"
+    env = {**os.environ, "PYTHONPATH": str(src / "src")}
+    for name, flags in FLAG_SETS.items():
+        for command in COMMANDS:
+            job_out = out / name / command
+            job_out.mkdir(parents=True, exist_ok=True)
+            proc = subprocess.run(
+                [sys.executable, "-m", "spingate.cli", command,
+                 "--config", str(config), "--out", str(job_out), *flags],
+                capture_output=True, text=True, env=env, check=False)
+            record = (f"exit = {proc.returncode}\n"
+                      f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
+            (out / name / f"{command}.run").write_text(
+                record.replace(str(job_out), "<out>"))
+
+
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _tokens_agree(a: str, b: str) -> bool:
+    if a == b:
+        return True
+    x, y = _number(a), _number(b)
+    if x is None or y is None:
+        return False
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return abs(x - y) <= RTOL * max(abs(x), abs(y))
+
+
+def compare_text(a: str, b: str, where: str) -> list[str]:
+    """Differences between two texts, line by line."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return [f"{where}: {len(lines_a)} lines against {len(lines_b)}"]
+    diffs = []
+    for lineno, (la, lb) in enumerate(zip(lines_a, lines_b), start=1):
+        ta, tb = _SEPARATORS.split(la), _SEPARATORS.split(lb)
+        if len(ta) != len(tb) or not all(
+                _tokens_agree(x, y) if i % 2 == 0 else x == y
+                for i, (x, y) in enumerate(zip(ta, tb))):
+            diffs.append(f"{where}:{lineno}: {la!r} != {lb!r}")
+    return diffs
+
+
+def compare_trees(a: Path, b: Path) -> list[str]:
+    """Every difference between two output trees written by run_tree."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = [f"{p}: only in {a}" for p in sorted(files_a - files_b)]
+    diffs += [f"{p}: only in {b}" for p in sorted(files_b - files_a)]
+    for rel in sorted(files_a & files_b):
+        diffs += compare_text((a / rel).read_text(), (b / rel).read_text(),
+                              str(rel))
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="action", required=True)
+    run = sub.add_parser("run", help="run every command of a source tree")
+    run.add_argument("src", type=Path, help="source tree (holds src/ and configs/)")
+    run.add_argument("out", type=Path, help="output tree to write")
+    cmp_ = sub.add_parser("compare", help="compare two output trees")
+    cmp_.add_argument("a", type=Path)
+    cmp_.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.action == "run":
+        run_tree(args.src, args.out)
+        return 0
+    diffs = compare_trees(args.a, args.b)
+    for line in diffs[:MAX_LISTED]:
+        print(line)
+    n_files = sum(1 for p in args.a.rglob("*") if p.is_file())
+    print(f"{len(diffs)} differences over {n_files} files (rtol {RTOL:g})")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
