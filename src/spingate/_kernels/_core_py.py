@@ -48,8 +48,12 @@ def _thin_film_factor_deriv(x):
     x = np.asarray(x, dtype=np.float64)
     small = x < _P_DERIV_SERIES_X
     safe = np.where(small, 1.0, x)
-    series = -0.5 + x * (1.0 / 3.0 - x * (0.125 - x / 30.0))
-    return np.where(small, series, (np.exp(-safe) * (1.0 + safe) - 1.0) / safe**2)
+    # the series only for small x: the cubic overflows for x above ~1e102
+    xs = np.where(small, x, 0.0)
+    series = -0.5 + xs * (1.0 / 3.0 - xs * (0.125 - xs / 30.0))
+    # x**2 overflows above ~1e154, where -1/x**2 -> -0 is the right limit
+    with np.errstate(over="ignore"):
+        return np.where(small, series, (np.exp(-safe) * (1.0 + safe) - 1.0) / safe**2)
 
 
 def dispersion_f(k, wh, wm, d, branch):
@@ -137,9 +141,10 @@ def solve_k(f, wh, wm, d, branch):
     negative ones included, give NaN.
     """
     f = np.asarray(f, dtype=np.float64)
-    # targets that overflow (fields or frequencies beyond any film) come
-    # out inf or NaN and fall outside the band
-    with np.errstate(over="ignore", invalid="ignore"):
+    # targets that overflow (fields or frequencies beyond any film) or
+    # divide by an underflowed wh*wm or wm^2 come out inf or NaN and fall
+    # outside the band
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w2 = (2.0 * np.pi * f) ** 2
         if branch == BRANCH_BV:
             # target thickness factor p in (0, 1); x = k*d
@@ -150,10 +155,14 @@ def solve_k(f, wh, wm, d, branch):
     out = np.full(f.shape, np.nan)
     inband = (target > 0.0) & (target < 1.0) & (f > 0.0)
     if np.any(inband):
-        if branch == BRANCH_BV:
-            out[inband] = _bv_thickness_root(target[inband]) / d
-        else:
-            out[inband] = -np.log1p(-target[inband]) / (2.0 * d)
+        # a wavenumber past the float range (a subnormal film thickness)
+        # is out of band as well
+        with np.errstate(over="ignore"):
+            if branch == BRANCH_BV:
+                k = _bv_thickness_root(target[inband]) / d
+            else:
+                k = -np.log1p(-target[inband]) / (2.0 * d)
+        out[inband] = np.where(np.isinf(k), np.nan, k)
     return out
 
 

@@ -244,6 +244,13 @@ def cmd_scale(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors main reports as one config line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
@@ -258,7 +265,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="assert the seed-free pure mode (always on; "
                              "the pipeline has no random state)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spingate",
         description="Phase-encoded spin-wave majority-gate simulator.",
     )
@@ -287,8 +294,8 @@ PARSER = make_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         cfg = _load_config(args)
         out = _out_dir(args)
         if args.command == "dispersion":

@@ -16,6 +16,14 @@ from dataclasses import dataclass, field, fields, replace
 from . import circuit, physics
 
 
+# ceilings of the drive amplitude, the detector responsivity and each
+# coupling gain: every other element of a channel attenuates, so the
+# summed envelope stays below 1e31 and the detected power,
+# responsivity * |drive * sum of gains|^2, below 1e73, far from overflow
+MAX_LEVEL = 1.0e10
+MAX_GAIN_DB = 200.0
+
+
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
@@ -248,18 +256,45 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("film constants must be positive")
     if cfg.film.linewidth_t < 0 or cfg.film.fit_fmr_hz < 0:
         raise ConfigError("film.linewidth_t and film.fit_fmr_hz must be nonnegative")
+    if cfg.film.gamma_rad_per_s_t <= 0:
+        raise ConfigError("film.gamma_rad_per_s_t must be positive")
     if cfg.field_.mu0_h_t <= 0:
         raise ConfigError("field.mu0_h_t must be positive")
-    if cfg.geometry.scale <= 0:
-        raise ConfigError("geometry.scale must be positive")
-    if any(db < 0 for db in cfg.microwave.attenuator_db):
+    g = cfg.geometry
+    for name in ("w_g_m", "w_a_m", "scale"):
+        if getattr(g, name) <= 0:
+            raise ConfigError(f"geometry.{name} must be positive")
+    least = {"l_in_m": min(g.l_in_m), "l_skew_m": min(g.l_skew_m),
+             "l_out_m": g.l_out_m, "bend_loss_db": g.bend_loss_db}
+    for name, value in least.items():
+        if value < 0:
+            raise ConfigError(f"geometry.{name} must be nonnegative")
+    m = cfg.microwave
+    if any(db < 0 for db in m.attenuator_db):
         raise ConfigError("microwave.attenuator_db entries must be nonnegative")
-    if cfg.microwave.f_c_hz <= 0:
+    if m.f_c_hz <= 0:
         raise ConfigError("microwave.f_c_hz must be positive")
+    if not 0 < m.drive_amplitude <= MAX_LEVEL:
+        raise ConfigError(f"microwave.drive_amplitude must lie in (0, {MAX_LEVEL:g}]")
+    if max(m.coupling_db) > MAX_GAIN_DB:
+        raise ConfigError(f"microwave.coupling_db entries must not exceed {MAX_GAIN_DB:g} dB")
+    if m.output_coupling_db > MAX_GAIN_DB:
+        raise ConfigError(f"microwave.output_coupling_db must not exceed {MAX_GAIN_DB:g} dB")
+    if not 0 < cfg.detector.responsivity_v <= MAX_LEVEL:
+        raise ConfigError(f"detector.responsivity_v must lie in (0, {MAX_LEVEL:g}]")
     if not 0 < cfg.encoding.guard_rad <= 0.5 * math.pi:
         raise ConfigError("encoding.guard_rad must lie in (0, pi/2]")
-    if cfg.switching.dt_s <= 0 or cfg.switching.duration_s <= cfg.switching.dt_s:
+    sw = cfg.switching
+    if sw.dt_s <= 0 or sw.duration_s <= sw.dt_s:
         raise ConfigError("switching grid is degenerate")
+    if not 0 < sw.ramp_s <= sw.duration_s:
+        raise ConfigError("switching.ramp_s must lie in (0, switching.duration_s]")
+    if sw.toggle and not 0 < sw.t_toggle_s < sw.duration_s:
+        raise ConfigError("switching.t_toggle_s must lie in (0, switching.duration_s)")
+    if sw.effective_path_m < 0:
+        raise ConfigError("switching.effective_path_m must be nonnegative")
+    if not 0 < cfg.detector.lp_cutoff_hz < 0.5 / sw.dt_s:
+        raise ConfigError("detector.lp_cutoff_hz must lie in (0, 1/(2*switching.dt_s))")
     if cfg.spectrum.n_points < 2 or cfg.spectrum.f_stop_hz <= cfg.spectrum.f_start_hz:
         raise ConfigError("spectrum grid is degenerate")
     if cfg.dispersion.n_points < 2 or cfg.dispersion.k_stop_rad_per_m <= cfg.dispersion.k_start_rad_per_m:

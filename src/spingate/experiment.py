@@ -11,17 +11,16 @@ adjusted copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import circuit, logic, physics
-from .signal import (ComplexEnvelope, DetectedTrace, TransferFunction,
-                     apply_transfer, constant_envelope, diode_detect,
+from .signal import (ComplexEnvelope, DetectedTrace, apply_transfer,
+                     constant_envelope, diode_detect,
                      make_step_phase_envelope, plateau_start, rise_time,
                      superpose, wrap_phase)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CalibrationError(RuntimeError):
@@ -64,35 +63,19 @@ def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, 
     return out, tuple(settings)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer on [lo, hi]; deterministic, derivative-free."""
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def calibrate_phases(nl: circuit.GateNetlist,
-                     tol: float = 1e-9) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
+def calibrate_phases(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
     """Align each outer channel's phase shifter with the reference channel.
 
     With i2 held at its current setting, each of i1 and i3 in turn is
-    driven together with i2 and its phase shifter scanned over a 64-point
-    grid of (-pi, pi]; a golden-section refinement around the coarse
-    maximum of the two-channel output amplitude defines the channel's
-    logic-0 offset.  Amplitudes should be leveled first.  The default
-    interval tolerance sits far below the 1e-4 rad accuracy target so that
-    recalibrating a calibrated gate moves the settings by < 1e-6.
+    driven together with i2, and its shifter is set where the two-channel
+    output amplitude |g2 + g*e^(i*theta)| peaks: theta = arg(g2) - arg(g),
+    in closed form, with the whole carrier gain g rotated (crosstalk
+    included).  That setting is the channel's logic-0 offset; on a gate
+    without crosstalk the residual phase error is at rounding level, so
+    recalibrating a calibrated gate leaves the settings in place.  A dead
+    channel, or an objective that swings by 2*min(|g|, |g2|) <= 1e-12 of
+    its peak |g| + |g2|, raises CalibrationError.  Amplitudes should be
+    leveled first.
     """
     gains = nl.carrier_gains
     if np.any(np.abs(gains) == 0.0):
@@ -103,18 +86,9 @@ def calibrate_phases(nl: circuit.GateNetlist,
     for idx, ch in ((0, "i1"), (2, "i3")):
         base = nl.component(ch, "phase_shifter").params.get("rad", 0.0)
         g = gains[idx]
-
-        def objective(theta, g=g):
-            return abs(g2 + g * complex(math.cos(theta), math.sin(theta)))
-
-        grid = -math.pi + 2.0 * math.pi * (np.arange(1, 65) / 64.0)
-        values = [objective(t) for t in grid]
-        if max(values) - min(values) <= 1e-12 * max(values):
+        if 2.0 * min(abs(g), abs(g2)) <= 1e-12 * (abs(g) + abs(g2)):
             raise CalibrationError(f"flat calibration objective on {ch}")
-        best = int(np.argmax(values))
-        step = 2.0 * math.pi / 64.0
-        theta = _golden_max(objective, grid[best] - step, grid[best] + step, tol)
-        total = float(wrap_phase(base + theta))
+        total = float(wrap_phase(base + np.angle(g2 / g)))
         out = out.with_component_params(ch, "phase_shifter", rad=total)
         offsets[idx] = total
     ref_setting = nl.component("i2", "phase_shifter").params.get("rad", 0.0)
@@ -222,7 +196,7 @@ def _fill_violation(path: float, fill: float, timing: SwitchTiming,
     return None
 
 
-def transit_fill_factor(fill: float, f_c: float) -> TransferFunction:
+def transit_fill_factor(fill: float, f_c: float) -> Callable[[np.ndarray], np.ndarray]:
     """Normalized transit response of an effective film path.
 
     While the wavefront carrying a new input phase sweeps the path, the
@@ -230,17 +204,15 @@ def transit_fill_factor(fill: float, f_c: float) -> TransferFunction:
     transition therefore spreads over the fill time T of the path (see
     transit_fill_time).  Spectrally this is the causal moving average
     over T, normalized to 1 at the carrier so the fitted effective length
-    never touches the calibrated steady-state levels.  Zero fill time is
-    an exact unit gain.
+    never touches the calibrated steady-state levels.  Returns the gain as
+    a function of absolute frequency; zero fill time is an exact unit
+    gain, since sinc(0)*exp(0) is exactly 1.
     """
-    if fill == 0.0:
-        return TransferFunction(lambda f: np.ones_like(f, dtype=np.complex128))
-
-    def fn(f):
+    def gain(f):
         df = np.asarray(f, dtype=np.float64) - f_c
         return np.sinc(df * fill) * np.exp(-1j * math.pi * df * fill)
 
-    return TransferFunction(fn, band=None)
+    return gain
 
 
 def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = None,

@@ -143,7 +143,8 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
             f"below-Larmor target: {f_target:.6g} Hz is unreachable at "
             f"mu0_h = {ctx.field.mu0_h:.6g} T"
         )
-    wm = (w_t * w_t - wh * wh) / wh
+    # wh underflows to 0 for a subnormal gamma * mu0_h: no finite Ms then
+    wm = (w_t * w_t - wh * wh) / wh if wh > 0 else math.inf
     ms = wm / (ctx.film.gamma * MU0)
     if not math.isfinite(ms):
         raise BandError(

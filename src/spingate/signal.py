@@ -18,16 +18,8 @@ from ._kernels import kernels
 TWO_PI = 2.0 * math.pi
 
 
-class BandOverflowError(ValueError):
-    """Envelope spectrum exceeds a validity-limited transfer function."""
-
-
 class NoTransitionError(ValueError):
     """Trace never crosses the rise-time thresholds."""
-
-
-class IndeterminatePhaseError(ValueError):
-    """Windowed amplitude too small to carry a phase."""
 
 
 def wrap_phase(x):
@@ -65,14 +57,6 @@ class ComplexEnvelope:
         return self.samples.size
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
-
-    @property
     def nyquist(self) -> float:
         return 0.5 / self.dt
 
@@ -101,43 +85,6 @@ class DetectedTrace:
         return np.arange(self.samples.size) * self.dt
 
 
-@dataclass(frozen=True)
-class TransferFunction:
-    """Map absolute frequency (Hz) -> complex gain, vectorized.
-
-    ``band`` declares the support; with ``stopband=True`` the gain is
-    forced to exactly 0 outside it (a physical stopband).  With
-    ``stopband=False`` the band is a validity limit and apply_transfer
-    refuses envelopes whose Nyquist span sticks out of it.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    band: tuple[float, float] | None = None
-    stopband: bool = True
-
-    def __call__(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        g = np.asarray(self.fn(f), dtype=np.complex128)
-        g = np.broadcast_to(g, f.shape)
-        if self.band is not None and self.stopband:
-            lo, hi = self.band
-            g = np.where((f < lo) | (f > hi), 0.0 + 0.0j, g)
-        return np.array(g, dtype=np.complex128)
-
-
-def identity_transfer() -> TransferFunction:
-    return TransferFunction(lambda f: np.ones_like(f, dtype=np.complex128))
-
-
-def constant_transfer(gain: complex) -> TransferFunction:
-    return TransferFunction(lambda f, g=complex(gain): np.full(f.shape, g, dtype=np.complex128))
-
-
-def delay_transfer(tau: float) -> TransferFunction:
-    """Ideal delay: gain exp(-i*2*pi*f*tau) at absolute frequency f."""
-    return TransferFunction(lambda f: np.exp(-1j * TWO_PI * f * tau))
-
-
 def constant_envelope(amplitude: float, phase: float, duration: float, dt: float,
                       f_carrier: float) -> ComplexEnvelope:
     n = int(round(duration / dt))
@@ -164,32 +111,25 @@ def make_step_phase_envelope(amplitude: float, phase_a: float, phase_b: float,
     return ComplexEnvelope(f_carrier, dt, amplitude * np.exp(1j * phase))
 
 
-def apply_transfer(env: ComplexEnvelope, tf: TransferFunction,
+def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
                    pad_time: float = 0.0) -> ComplexEnvelope:
     """Apply a transfer function spectrally; returns an envelope of equal length.
 
-    The sample vector is zero-padded to a power of two (plus at least
-    pad_time of guard, for suppressing wrap-around of long group delays),
-    transformed, multiplied bin-wise by tf(f_carrier + offset) and
-    transformed back.  Linear in the envelope.  With no padding on a
-    power-of-two grid, an ideal delay of m samples is an exact circular
-    shift.
+    tf maps absolute frequency (Hz, an array) to complex gain.  The sample
+    vector is zero-padded to a power of two (plus at least pad_time of
+    guard, for suppressing wrap-around of long group delays), transformed,
+    multiplied bin-wise by tf(f_carrier + offset) and transformed back.
+    Linear in the envelope.  With no padding on a power-of-two grid, an
+    ideal delay of m samples is an exact circular shift.
     """
     n = len(env)
-    if tf.band is not None and not tf.stopband:
-        lo, hi = tf.band
-        if env.f_carrier - env.nyquist < lo or env.f_carrier + env.nyquist > hi:
-            raise BandOverflowError(
-                f"envelope spans {env.f_carrier - env.nyquist:.6g} .. "
-                f"{env.f_carrier + env.nyquist:.6g} Hz, outside the transfer "
-                f"band {lo:.6g} .. {hi:.6g} Hz"
-            )
     n_fft = _next_pow2(n + max(0, int(math.ceil(pad_time / env.dt))))
     x = np.zeros(n_fft, dtype=np.complex128)
     x[:n] = env.samples
     spectrum = np.fft.fft(x)
     f_abs = env.f_carrier + np.fft.fftfreq(n_fft, env.dt)
-    out = np.fft.ifft(spectrum * tf(f_abs))[:n]
+    gain = np.asarray(tf(f_abs), dtype=np.complex128)
+    out = np.fft.ifft(spectrum * gain)[:n]
     return ComplexEnvelope(env.f_carrier, env.dt, out)
 
 
@@ -266,19 +206,6 @@ def rise_time(trace: DetectedTrace, plateau_fraction: float = 0.25) -> RiseTimeR
     t_hi = (j - 1 + (th_hi - v[j - 1]) / (v[j] - v[j - 1])) * trace.dt
     t_rise_val = t_hi - t_lo
     return RiseTimeResult(t_rise=t_rise_val, f_clock=1.0 / t_rise_val, v_max=v_max)
-
-
-def phase_estimate(env: ComplexEnvelope, t_start: float, t_stop: float,
-                   floor: float = 1e-12) -> float:
-    """Phase (rad, in (-pi, pi]) of the mean complex amplitude in a window."""
-    if not 0.0 <= t_start < t_stop <= env.duration + env.dt:
-        raise ValueError("window must lie inside the envelope")
-    i0 = int(round(t_start / env.dt))
-    i1 = max(i0 + 1, int(round(t_stop / env.dt)))
-    mean = complex(np.mean(env.samples[i0:i1]))
-    if abs(mean) <= floor:
-        raise IndeterminatePhaseError("indeterminate phase: amplitude below floor")
-    return float(wrap_phase(math.atan2(mean.imag, mean.real)))
 
 
 # rows formatted per % operation: one block's argument tuple and text stay

@@ -8,7 +8,8 @@ cancellation floor.  The channel oracle multiplies the netlist element
 by element, one film segment and one transducer at a time, which is the
 product circuit.channel_transfer folds into a single evaluation.  The CSV
 writer formats one value at a time with an f-string, as the package's
-block formatter must reproduce byte for byte.
+block formatter must reproduce byte for byte.  The ideal delay is the
+transfer function whose spectral application must equal a time shift.
 """
 
 import math
@@ -72,6 +73,11 @@ def chain_product(nl, channel, f, switch_closed=False):
             # the delay line holds its phase at the carrier: tau = rad/w_c
             gain = gain * np.exp(-1j * p.get("rad", 0.0) * f / f_c)
     return gain + nl.settings.crosstalk[ct.CHANNELS.index(channel)]
+
+
+def delay(tau):
+    """Ideal delay: gain exp(-i*2*pi*f*tau) at absolute frequency f."""
+    return lambda f: np.exp(-2j * math.pi * f * tau)
 
 
 def csv_table(header, *columns):

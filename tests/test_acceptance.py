@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import fd_group_velocity
+from oracles import delay, fd_group_velocity
 from spingate import circuit as ct
 from spingate import config as cf
 from spingate import experiment as ex
@@ -190,7 +190,7 @@ def test_c9_spectral_method_oracle():
         dt = float(rng.choice([5e-11, 1e-10, 2e-10]))
         env = sig.ComplexEnvelope(FC, dt, samples)
         m = int(rng.integers(1, n // 2))
-        out = sig.apply_transfer(env, sig.delay_transfer(m * dt))
+        out = sig.apply_transfer(env, delay(m * dt))
         expect = np.roll(samples, m) * np.exp(-1j * 2 * math.pi * FC * m * dt)
         worst = max(worst, float(np.abs(out.samples - expect).max()))
     elapsed = time.perf_counter() - t0

@@ -359,6 +359,66 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == f"config error: {key} must be finite\n"
 
     @pytest.mark.parametrize("line, key", [
+        ("geometry.w_g_m = 0", "geometry.w_g_m"),
+        ("geometry.w_a_m = -7.5e-5", "geometry.w_a_m"),
+        ("geometry.l_in_m = 0.01, -0.001, 0.01", "geometry.l_in_m"),
+        ("geometry.l_skew_m = -0.006, 0, 0.006", "geometry.l_skew_m"),
+        ("geometry.l_out_m = -0.01", "geometry.l_out_m"),
+        ("geometry.bend_loss_db = -3", "geometry.bend_loss_db"),
+        ("film.gamma_rad_per_s_t = 0", "film.gamma_rad_per_s_t"),
+        ("switching.ramp_s = 0", "switching.ramp_s"),
+        ("switching.ramp_s = 1e-6", "switching.ramp_s"),
+        ("switching.t_toggle_s = 0", "switching.t_toggle_s"),
+        ("switching.t_toggle_s = 4.096e-7", "switching.t_toggle_s"),
+        ("detector.lp_cutoff_hz = 0", "detector.lp_cutoff_hz"),
+        ("detector.lp_cutoff_hz = -1", "detector.lp_cutoff_hz"),
+        ("detector.lp_cutoff_hz = 5e9", "detector.lp_cutoff_hz"),
+        ("switching.effective_path_m = -0.001", "switching.effective_path_m"),
+        ("microwave.drive_amplitude = 0", "microwave.drive_amplitude"),
+        ("microwave.drive_amplitude = -1e300", "microwave.drive_amplitude"),
+        ("microwave.coupling_db = 0, 0, 201", "microwave.coupling_db"),
+        ("microwave.output_coupling_db = 5e16", "microwave.output_coupling_db"),
+        ("detector.responsivity_v = -2", "detector.responsivity_v"),
+    ])
+    def test_out_of_range_config_exit_code(self, tmp_path, capsys, line, key):
+        # each used to end in a ValueError/OverflowError traceback (exit 1),
+        # exit 3, or, for a negative path, a run that echoed it back
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code = main(["switch", "--config", str(config), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: {key} ") and err.count("\n") == 1
+
+    def test_toggle_time_free_without_toggle(self):
+        # a constant drive never reads the toggle instant
+        cfg = cf.parse_config("switching.toggle = false\nswitching.t_toggle_s = 0\n")
+        assert cfg.switching.t_toggle_s == 0.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--fc"], "argument --fc: expected one argument"),
+        (["calibrate", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+        (["calibrate", "--mode", "foo"], "argument --mode: invalid choice: 'foo'"),
+        (["calibrate", "--fc", "abc"], "argument --fc: invalid float value: 'abc'"),
+        # argparse reads -1e300 as an option, not as the value of --fc
+        (["calibrate", "--fc", "-1e300"], "argument --fc: expected one argument"),
+    ])
+    def test_usage_error_one_line(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spingate calibrate") and err == ""
+
+    @pytest.mark.parametrize("line, key", [
         ("microwave.attenuator_db.i1 = nan", "microwave.attenuator_db"),
         ("microwave.phase_rad.i3 = -inf", "microwave.phase_rad"),
     ])
@@ -432,15 +492,19 @@ settings_lines = st.one_of(
            {}, optional={flag: st.one_of(st.sampled_from(EXTREMES), st.floats(),
                                          st.floats(*WORKING[flag]))
                          for flag in NAMES}),
+       spaced=st.booleans(),
        mode=st.sampled_from([None, "bvmsw", "mssw"]),
        lines=st.one_of(st.none(), st.lists(settings_lines, max_size=6)))
-def test_flag_fuzz_exits_with_documented_code(command, values, mode, lines):
+def test_flag_fuzz_exits_with_documented_code(command, values, spaced, mode,
+                                              lines):
     # every input ends in exit 0, 2, 3 or 4 with at most one stderr line,
-    # no exception and no warning; "--flag=value" keeps argparse from
-    # taking a value such as -1e300 for an option
+    # no exception and no warning; "--flag=value" reaches the config
+    # validation with any value, "--flag value" also the usage errors
+    # (argparse takes a value such as -1e300 for an option)
     with tempfile.TemporaryDirectory() as tmp:
         argv = [command, "--out", tmp]
-        argv += [f"{flag}={value!r}" for flag, value in values.items()]
+        for flag, value in values.items():
+            argv += [flag, repr(value)] if spaced else [f"{flag}={value!r}"]
         if mode:
             argv.append(f"--mode={mode}")
         if lines is not None:
@@ -452,6 +516,60 @@ def test_flag_fuzz_exits_with_documented_code(command, values, mode, lines):
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
             code = main(argv)
+    err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert err.startswith(("config error: ", "physics error: "))
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+
+
+# config-file keys the fuzz draws: every field of these sections but the
+# switching grid, whose dt_s and duration_s set allocation sizes
+FUZZ_SECTIONS = {"geometry": cf.GeometryConfig(), "film": cf.FilmConfig(),
+                 "switching": cf.SwitchingConfig(), "detector": cf.DetectorConfig(),
+                 "microwave": cf.MicrowaveConfig()}
+FUZZ_KEYS = [(section, name) for section, obj in FUZZ_SECTIONS.items()
+             for name in vars(obj) if name not in ("dt_s", "duration_s")]
+
+
+def config_number(default):
+    # extremes, any float, or the default rescaled by either sign
+    return st.one_of(st.sampled_from(EXTREMES), st.floats(),
+                     st.floats(0.5, 2.0).map(lambda r: default * r),
+                     st.floats(-2.0, -0.5).map(lambda r: default * r))
+
+
+@st.composite
+def config_lines(draw):
+    section, name = draw(st.sampled_from(FUZZ_KEYS))
+    default = getattr(FUZZ_SECTIONS[section], name)
+    if isinstance(default, bool):
+        value = draw(st.sampled_from(["true", "false"]))
+    elif isinstance(default, tuple):
+        value = ",".join(repr(draw(config_number(d or 1e-3))) for d in default)
+    else:
+        value = repr(draw(config_number(default or 1e-3)))
+    return f"{section}.{name} = {value}"
+
+
+@settings(max_examples=100, deadline=2000)
+@given(command=st.sampled_from(["calibrate", "truthtable", "switch"]),
+       lines=st.lists(config_lines(), max_size=4))
+def test_config_fuzz_exits_with_documented_code(command, lines):
+    # random values (0, -0, negatives, 1e+-300, nan, +-inf, rescaled
+    # defaults) for a few keys of a config file: the same contract as the
+    # flag fuzz
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.txt"
+        config.write_text("\n".join(lines) + "\n")
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command, "--config", str(config), "--out", tmp])
     err = err.getvalue()
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)

@@ -105,6 +105,23 @@ def test_solve_k_nonfinite_and_nonpositive_inputs():
         for branch in (BRANCH_BV, BRANCH_S):
             assert np.all(np.isnan(kernels.solve_k(f, WH, WM, D, branch)))
             assert np.all(np.isnan(kernels.solve_k(f, 3e-172, 4.8e192, D, branch)))
+    # in-band targets over an underflowed wm^2 or wh*wm, or whose
+    # wavenumber passes the float range (a subnormal thickness); numpy
+    # ignores underflow by default, and so do these checks
+    with np.errstate(all="raise", under="ignore"):
+        for branch in (BRANCH_BV, BRANCH_S):
+            mid = np.array([np.mean(edges(WH, WM, branch))])
+            assert np.isnan(kernels.solve_k(mid, WH, WM, 5e-324, branch)[0])
+            tiny = np.array([np.mean(edges(1e-170, 1e-170, branch))])
+            assert np.isnan(kernels.solve_k(tiny, 1e-170, 1e-170, D, branch)[0])
+
+
+def test_group_velocity_far_beyond_the_band_edge():
+    # k*d of 1e103 and 1e160 overflowed the thickness-factor derivative
+    k = np.array([1e108, 1e165])
+    with np.errstate(all="raise", under="ignore"):
+        vg = kernels.group_velocity(k, WH, WM, D, BRANCH_BV)
+    assert np.all(vg <= 0.0) and np.all(np.isfinite(vg))
 
 
 def test_solve_k_grid_equals_scalar_solves():
