@@ -1,10 +1,10 @@
 """Phase-encoded spin-wave majority-gate simulator.
 
 Subpackages: ``physics`` (film dispersion and damping), ``signal``
-(complex envelopes, detection, rise-time metrology), ``circuit``
-(microwave/waveguide netlist), ``logic`` (phase encoding and majority
-logic), ``experiment`` (calibration, switching and scaling procedures),
-``cli`` (command-line front end).
+(complex envelopes, detection, rise-time metrology), ``circuit`` (the
+gate record: microwave conditioning and film waveguides), ``logic``
+(phase encoding and majority logic), ``experiment`` (calibration,
+switching and scaling procedures), ``cli`` (command-line front end).
 """
 
 from ._kernels import backend_name

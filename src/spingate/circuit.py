@@ -1,18 +1,19 @@
-"""Two-port netlist of the microwave chain and the film waveguide network.
+"""The gate record: microwave conditioning and the film waveguide network.
 
-Three input chains (source, attenuator, phase shifter, optional switch
-plus delay line, excitation transducer, film segments, bend) merge in a
-combiner into one output chain (film segment, detection transducer,
-diode).  Chain evaluation multiplies the complex gains of all elements
-at a given absolute frequency; the combiner itself is an ideal lossless
-adder, so channel superposition happens at the amplitude level.
+Three input arms (attenuator, phase shifter, excitation transducer,
+film segments, a bend on the skewed arms) merge in a combiner into one
+output arm (film segment, detection transducer, diode).  A channel's
+gain at an absolute frequency is a frequency-flat constant times the
+film gain over its summed length times the antenna shape; the combiner
+is an ideal lossless adder, so channel superposition happens at the
+amplitude level.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -87,9 +88,6 @@ class MicrowaveSettings:
     coupling_db: tuple[float, float, float] = (0.0, 0.0, 0.0)
     coupling_phase_rad: tuple[float, float, float] = (0.0, 0.0, 0.0)
     output_coupling_db: float = 0.0
-    include_switch: bool = False
-    switch_delay_rad: float = math.pi
-    crosstalk: tuple[complex, complex, complex] = (0j, 0j, 0j)
 
     def __post_init__(self):
         if self.f_c <= 0:
@@ -99,108 +97,101 @@ class MicrowaveSettings:
 
 
 @dataclass(frozen=True)
-class Component:
-    """One two-port element; ``params`` is a flat str->float mapping."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    KINDS = (
-        "source", "splitter", "attenuator", "phase_shifter", "switch",
-        "delay_line", "transducer_in", "waveguide", "bend", "combiner",
-        "transducer_out", "diode",
-    )
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.kind in ("attenuator", "bend") and self.params.get("db", 0.0) < 0:
-            raise ValueError(f"{self.kind} loss must be nonnegative")
-        if self.kind == "waveguide" and self.params.get("m", 0.0) < 0:
-            raise ValueError("segment length must be nonnegative")
-
-
-@dataclass(frozen=True)
 class CarrierPropagation:
     """The part of each channel's carrier gain that only the film sets.
 
     k is the solved wavenumber of the carrier f_c (NaN in the stopband),
-    shared by the three channels; film[i] and shape[i] are channel i's
-    film gain over its summed segment length and its transducer shape
-    (None without transducers), each a one-element array at f = [f_c].
+    shared by the three channels; film[i] is channel i's film gain over
+    its summed length and shape the antenna shape of both transducers,
+    each a one-element array at f = [f_c].
     """
 
-    f: np.ndarray
     k: float
     film: tuple
-    shape: tuple
+    shape: np.ndarray
 
 
 @dataclass(frozen=True)
 class GateNetlist:
-    """Three ordered input chains merging into one output chain.
+    """The three-input gate: three input arms merging into one output arm.
 
-    Frozen: edits build a new instance (``with_component_params``), so
-    quantities derived from the netlist are cached on it.  The carrier
-    propagation depends only on the film, the geometry, the carrier and
-    the film segments, so an edited copy inherits it unless the edit is
-    to a ``waveguide`` segment.
+    Arm i runs attenuator, phase shifter and excitation antenna into its
+    input film segment and, where its skew length is nonzero, a bend plus
+    the skew segment; an ideal lossless combiner adds the arms into the
+    output segment, the detection antenna and the diode.  Every
+    per-channel quantity derives from the geometry and the settings.
+    Frozen, so derived quantities are cached on the instance; the only
+    edit is ``with_controls``.
     """
 
     ctx: physics.ModeContext
     geometry: DeviceGeometry
     settings: MicrowaveSettings
-    chains: dict
-    output: tuple
 
-    def __post_init__(self):
-        if set(self.chains) != set(CHANNELS):
-            raise ValueError("netlist needs exactly the channels i1, i2, i3")
-        for name, chain in self.chains.items():
-            if chain[0].kind != "source" or chain[-1].kind != "combiner":
-                raise ValueError(f"chain {name} must run source -> combiner")
+    @cached_property
+    def lengths(self) -> tuple[float, float, float]:
+        """Summed film length of each channel: input, skew, output."""
+        g = self.geometry
+        return tuple(((0.0 + g.length_in(i)) + g.length_skew(i)) + g.length_out()
+                     for i in range(len(CHANNELS)))
+
+    @cached_property
+    def constants(self) -> tuple[complex, complex, complex]:
+        """Frequency-flat gain of each channel.
+
+        Attenuator, phase shifter, input coupling, the bend loss where the
+        skew is nonzero and the output coupling, multiplied in chain
+        order.  Couplings are gains (positive dB amplifies), unlike the
+        losses.
+        """
+        s, g = self.settings, self.geometry
+        out_coupling = complex(10.0 ** (s.output_coupling_db / 20.0))
+        constants = []
+        for i in range(len(CHANNELS)):
+            const = 1.0 + 0.0j
+            const *= _loss_amp(s.attenuator_db[i])
+            const *= cmath.exp(1j * s.phase_rad[i])
+            const *= 10.0 ** (s.coupling_db[i] / 20.0) * cmath.exp(
+                1j * s.coupling_phase_rad[i])
+            if g.length_skew(i) > 0.0:
+                const *= _loss_amp(g.bend_loss_db)
+            const *= out_coupling
+            constants.append(const)
+        return tuple(constants)
 
     @cached_property
     def carrier_propagation(self) -> CarrierPropagation:
-        """k(f_c), solved once, and each channel's film gain and shape."""
+        """k(f_c), solved once, each channel's film gain and the shape."""
         f = np.array([self.settings.f_c])
         k = physics.solve_k_grid(self.ctx, f)
-        film, shape = zip(*(_propagation(self, ch, f, k, k[0])
-                            for ch in CHANNELS))
-        return CarrierPropagation(f=f, k=k[0], film=film, shape=shape)
+        film = tuple(waveguide_transfer(self.ctx, length, f, k,
+                                        self.settings.f_c, k[0])
+                     for length in self.lengths)
+        return CarrierPropagation(k=k[0], film=film,
+                                  shape=transducer_efficiency(self.geometry, k) ** 2)
 
     @cached_property
     def carrier_gains(self) -> np.ndarray:
-        """Read-only complex gains of i1, i2, i3 at the carrier, switch open."""
+        """Read-only complex gains of i1, i2, i3 at the carrier."""
         gains = np.array([channel_transfer(self, ch, self.settings.f_c)
                           for ch in CHANNELS])
         gains.flags.writeable = False
         return gains
 
-    def component(self, channel: str, kind: str) -> Component:
-        for comp in self.chains[channel]:
-            if comp.kind == kind:
-                return comp
-        raise KeyError(f"no {kind} in channel {channel}")
+    def with_controls(self, *, attenuator_db=None, phase_rad=None) -> "GateNetlist":
+        """Copy with new attenuator and/or phase shifter settings.
 
-    def with_component_params(self, channel: str, kind: str, **params) -> "GateNetlist":
-        """Copy of the netlist with one component's parameters replaced.
-
-        The copy keeps an already computed carrier propagation unless the
-        component is a ``waveguide`` segment.
+        Lengths, the carrier and the film stay, so the copy inherits the
+        carrier propagation (solving it here if it is not yet).
         """
-        chain = list(self.chains[channel])
-        for i, comp in enumerate(chain):
-            if comp.kind == kind:
-                chain[i] = Component(kind, {**comp.params, **params})
-                break
-        else:
-            raise KeyError(f"no {kind} in channel {channel}")
-        chains = {**self.chains, channel: tuple(chain)}
-        out = replace(self, chains=chains)
-        if kind != "waveguide" and "carrier_propagation" in self.__dict__:
-            # cached_property storage: the copy starts with the same value
-            out.__dict__["carrier_propagation"] = self.carrier_propagation
+        settings = self.settings
+        if attenuator_db is not None:
+            settings = replace(settings, attenuator_db=tuple(attenuator_db))
+        if phase_rad is not None:
+            settings = replace(settings, phase_rad=tuple(phase_rad))
+        out = replace(self, settings=settings)
+        # cached_property storage: the copy starts with the same value
+        out.__dict__["carrier_propagation"] = self.carrier_propagation
         return out
 
 
@@ -234,174 +225,61 @@ def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
         ctx.omega_h, ctx.omega_m, ctx.film.d, ctx.branch)
 
 
-def _constant(nl: GateNetlist, channel: str,
-              switch_closed: bool) -> tuple[complex, float]:
-    """Frequency-flat gain of a channel and the phase of its delay line.
+def channel_transfer(nl: GateNetlist, channel: str, f, k=None):
+    """Complex gain from one source to the detector input.
 
-    Losses, phase settings and transducer couplings fold into one
-    constant; the delay-line phase counts only with the switch closed.
-    """
-    const = 1.0 + 0.0j
-    delay_rad = 0.0
-    for comp in (*nl.chains[channel], *nl.output):
-        kind, params = comp.kind, comp.params
-        if kind in ("attenuator", "bend"):
-            const *= _loss_amp(params.get("db", 0.0))
-        elif kind == "phase_shifter":
-            const *= cmath.exp(1j * params.get("rad", 0.0))
-        elif kind in ("transducer_in", "transducer_out"):
-            # gain convention: positive dB amplifies, unlike the loss elements
-            const *= 10.0 ** (params.get("gain_db", 0.0) / 20.0) * cmath.exp(
-                1j * params.get("rad", 0.0))
-        elif kind == "delay_line" and switch_closed:
-            delay_rad += params.get("rad", 0.0)
-    return const, delay_rad
-
-
-def _propagation(nl: GateNetlist, channel: str, f: np.ndarray, k: np.ndarray,
-                 k_c: float):
-    """Film gain over the channel's summed segment length, and its
-    transducer shape (None without transducers), at the solved k of f."""
-    length = 0.0
-    n_transducers = 0
-    for comp in (*nl.chains[channel], *nl.output):
-        if comp.kind == "waveguide":
-            length += comp.params.get("m", 0.0)
-        elif comp.kind in ("transducer_in", "transducer_out"):
-            n_transducers += 1
-    film = waveguide_transfer(nl.ctx, length, f, k, nl.settings.f_c, k_c)
-    shape = (transducer_efficiency(nl.geometry, k) ** n_transducers
-             if n_transducers else None)
-    return film, shape
-
-
-def channel_transfer(nl: GateNetlist, channel: str, f,
-                     switch_closed: bool = False):
-    """Product of all element gains from one source to the detector input.
-
-    Includes the shared output chain.  The product is folded in one pass:
-    losses, phase settings and transducer couplings make one constant;
-    film segments multiply into one propagation over their summed length
-    (the gain of a segment is exponential in its length); both
-    transducers share the antenna shape; a closed switch adds the delay
-    line's phase ramp.  Sources, splitters, the switch itself, the
-    combiner and the diode are unit gains.  k(f) is solved once and shared
-    by the film and the transducers; at the carrier (a scalar f equal to
-    f_c) the propagation is the netlist's cached ``carrier_propagation``.
-    ``switch_closed`` routes the signal through the delay line where a
-    switch is present.  Any electromagnetic crosstalk constant for the
-    channel is added on top of the propagating path.
+    The channel's constant times the film gain over its summed length
+    (the gain of a segment is exponential in its length) times the
+    antenna shape of both transducers; k(f) is shared by the film and the
+    transducers.  At the carrier (a scalar f equal to f_c) the
+    propagation is the netlist's cached ``carrier_propagation``; elsewhere
+    k are the solved wavenumbers of f, solved here unless given, which
+    lets the channels of one grid share one solve.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     idx = CHANNELS.index(channel)
-    const, delay_rad = _constant(nl, channel, switch_closed)
     f_c = nl.settings.f_c
     if np.ndim(f) == 0 and f == f_c:
         prop = nl.carrier_propagation
-        f_arr, film, shape = prop.f, prop.film[idx], prop.shape[idx]
+        film, shape = prop.film[idx], prop.shape
     else:
         f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-        k = physics.solve_k_grid(nl.ctx, f_arr)
-        if f_arr.size == 1 and f_arr[0] == f_c:
-            k_c = k[0]
-        else:
-            k_c = physics.solve_k_grid(nl.ctx, f_c)[0]
-        film, shape = _propagation(nl, channel, f_arr, k, k_c)
-    gain = const * film
-    if shape is not None:
-        gain = gain * shape
-    if delay_rad:
-        tau = delay_rad / (2.0 * math.pi * f_c)
-        gain = gain * np.exp(-1j * 2.0 * math.pi * f_arr * tau)
-    xt = nl.settings.crosstalk[idx]
-    if xt != 0:
-        gain = gain + complex(xt)
+        if k is None:
+            k = physics.solve_k_grid(nl.ctx, f_arr)
+        film = waveguide_transfer(nl.ctx, nl.lengths[idx], f_arr, k, f_c,
+                                  nl.carrier_propagation.k)
+        shape = transducer_efficiency(nl.geometry, k) ** 2
+    gain = nl.constants[idx] * film * shape
     return gain if np.ndim(f) else complex(gain[0])
 
 
-def transmission_spectrum(nl: GateNetlist, channel: str, f_grid,
-                          floor_db: float = -80.0) -> np.ndarray:
-    """|S21| in dB over a frequency grid, floored at floor_db.
+def transmission_spectrum(nl: GateNetlist, f_grid,
+                          floor_db: float = -80.0) -> tuple[np.ndarray, ...]:
+    """|S21| in dB of i1, i2 and i3 over a frequency grid, floored at floor_db.
 
-    The floor replaces exact stopband zeros and clips any deeper physical
-    decay, mimicking a finite instrument noise floor.
+    k(f) is solved once for the three channels, which are evaluated one
+    at a time.  The floor replaces exact stopband zeros and clips any
+    deeper physical decay, mimicking a finite instrument noise floor.
     """
     f_grid = np.asarray(f_grid, dtype=np.float64)
     if f_grid.size > 1 and np.any(np.diff(f_grid) <= 0):
         raise ValueError("frequency grid must be ascending")
-    gain = np.abs(channel_transfer(nl, channel, f_grid))
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(gain)
-    return np.maximum(db, floor_db)
+    k = physics.solve_k_grid(nl.ctx, f_grid)
+    spectra = []
+    for ch in CHANNELS:
+        gain = np.abs(channel_transfer(nl, ch, f_grid, k))
+        with np.errstate(divide="ignore"):
+            db = 20.0 * np.log10(gain)
+        spectra.append(np.maximum(db, floor_db))
+    return tuple(spectra)
 
 
 def build_majority_gate(geometry: DeviceGeometry, ctx: physics.ModeContext,
                         settings: MicrowaveSettings | None = None) -> GateNetlist:
-    """Assemble the three-input one-output gate netlist.
-
-    Each input chain: source, splitter, attenuator, phase shifter,
-    (switch + delay line on i2 when requested), excitation transducer,
-    input segment, bend + skew segment where the skew length is nonzero,
-    combiner.  Output chain: output segment, detection transducer, diode.
-    """
-    settings = settings or MicrowaveSettings()
-    chains = {}
-    for idx, name in enumerate(CHANNELS):
-        chain = [
-            Component("source"),
-            Component("splitter"),
-            Component("attenuator", {"db": settings.attenuator_db[idx]}),
-            Component("phase_shifter", {"rad": settings.phase_rad[idx]}),
-        ]
-        if settings.include_switch and name == "i2":
-            chain.append(Component("switch", {"state": 0.0}))
-            chain.append(Component("delay_line", {"rad": settings.switch_delay_rad}))
-        chain.append(Component("transducer_in", {
-            "gain_db": settings.coupling_db[idx],
-            "rad": settings.coupling_phase_rad[idx],
-        }))
-        chain.append(Component("waveguide", {"m": geometry.length_in(idx)}))
-        if geometry.length_skew(idx) > 0.0:
-            chain.append(Component("bend", {"db": geometry.bend_loss_db}))
-            chain.append(Component("waveguide", {"m": geometry.length_skew(idx)}))
-        chain.append(Component("combiner"))
-        chains[name] = tuple(chain)
-    output = (
-        Component("waveguide", {"m": geometry.length_out()}),
-        Component("transducer_out", {"gain_db": settings.output_coupling_db}),
-        Component("diode"),
-    )
-    return GateNetlist(ctx=ctx, geometry=geometry, settings=settings,
-                       chains=chains, output=output)
-
-
-def netlist_to_text(nl: GateNetlist) -> str:
-    """Flat key-value dump of the netlist structure and parameters."""
-    lines = []
-    geo = nl.geometry
-    lines.append(f"geometry.w_g_m = {geo.w_g:.12g}")
-    lines.append(f"geometry.w_a_m = {geo.w_a:.12g}")
-    for i, name in enumerate(CHANNELS):
-        lines.append(f"geometry.l_in_m.{name} = {geo.l_in[i]:.12g}")
-    for i, name in enumerate(CHANNELS):
-        lines.append(f"geometry.l_skew_m.{name} = {geo.l_skew[i]:.12g}")
-    lines.append(f"geometry.l_out_m = {geo.l_out:.12g}")
-    lines.append(f"geometry.bend_loss_db = {geo.bend_loss_db:.12g}")
-    lines.append(f"geometry.scale = {geo.scale:.12g}")
-    lines.append(f"microwave.f_c_hz = {nl.settings.f_c:.12g}")
-    for name in CHANNELS:
-        for j, comp in enumerate(nl.chains[name]):
-            prefix = f"channel.{name}.component[{j}]"
-            lines.append(f"{prefix}.kind = {comp.kind}")
-            for key in sorted(comp.params):
-                lines.append(f"{prefix}.params.{key} = {comp.params[key]:.12g}")
-    for j, comp in enumerate(nl.output):
-        prefix = f"output.component[{j}]"
-        lines.append(f"{prefix}.kind = {comp.kind}")
-        for key in sorted(comp.params):
-            lines.append(f"{prefix}.params.{key} = {comp.params[key]:.12g}")
-    return "\n".join(lines) + "\n"
+    """The three-input one-output gate of a geometry, film and settings."""
+    return GateNetlist(ctx=ctx, geometry=geometry,
+                       settings=settings or MicrowaveSettings())
 
 
 def spectrum_to_csv(f_grid, db) -> str:

@@ -101,8 +101,8 @@ def cmd_transmission(cfg: RunConfig, out: Path) -> int:
     sp = cfg.spectrum
     f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
     summary = []
-    for ch in circuit.CHANNELS:
-        db = circuit.transmission_spectrum(nl, ch, f_grid, floor_db=sp.floor_db)
+    spectra = circuit.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
+    for ch, db in zip(circuit.CHANNELS, spectra):
         path = out / f"transmission_{ch}.csv"
         _write(path, circuit.spectrum_to_csv(f_grid, db))
         summary.append(f"{ch}_peak_db={db.max():.4g}")
@@ -189,7 +189,7 @@ def cmd_truthtable(cfg: RunConfig, out: Path, auto_calibrate: bool = True) -> in
 
 
 def cmd_switch(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg, include_switch=True)
+    nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
     result = experiment.run_switching(
         nl, enc=_enc(cfg), ref_phase=cfg.switching.ref_phase_rad,
@@ -228,7 +228,7 @@ def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_scale(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg, include_switch=True)
+    nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
     study = experiment.scaling_study(
         nl, cfg.scaling.scales,
@@ -261,9 +261,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", type=float, help="applied field override (T)")
     common.add_argument("--scale", type=float, help="geometry scale override")
     common.add_argument("--settings", help="calibration settings file to apply")
-    common.add_argument("--seedless", action="store_true",
-                        help="assert the seed-free pure mode (always on; "
-                             "the pipeline has no random state)")
 
     parser = _Parser(
         prog="spingate",

@@ -66,7 +66,6 @@ class MicrowaveConfig:
     coupling_db: tuple[float, float, float] = (-0.5, 0.0, -1.2)
     coupling_phase_rad: tuple[float, float, float] = (0.35, 0.0, -0.65)
     output_coupling_db: float = 0.0
-    include_switch: bool = False
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def build_geometry(cfg: RunConfig) -> circuit.DeviceGeometry:
     )
 
 
-def build_settings(cfg: RunConfig, include_switch: bool | None = None) -> circuit.MicrowaveSettings:
+def build_settings(cfg: RunConfig) -> circuit.MicrowaveSettings:
     m = cfg.microwave
     return circuit.MicrowaveSettings(
         f_c=m.f_c_hz,
@@ -342,12 +341,10 @@ def build_settings(cfg: RunConfig, include_switch: bool | None = None) -> circui
         coupling_db=m.coupling_db,
         coupling_phase_rad=m.coupling_phase_rad,
         output_coupling_db=m.output_coupling_db,
-        include_switch=m.include_switch if include_switch is None else include_switch,
     )
 
 
+# include_switch is ignored; perfbench/run.py (_fit) still passes it
 def build_netlist(cfg: RunConfig, include_switch: bool | None = None) -> circuit.GateNetlist:
     return circuit.build_majority_gate(
-        build_geometry(cfg), build_context(cfg),
-        build_settings(cfg, include_switch=include_switch),
-    )
+        build_geometry(cfg), build_context(cfg), build_settings(cfg))

@@ -52,15 +52,9 @@ def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, 
         if g == 0.0:
             raise CalibrationError(f"channel {ch} has no transmission")
     weakest = gains.min()
-    out = nl
-    settings = []
-    for idx, ch in enumerate(circuit.CHANNELS):
-        extra = 20.0 * math.log10(gains[idx] / weakest)
-        current = nl.component(ch, "attenuator").params.get("db", 0.0)
-        total = current + extra
-        out = out.with_component_params(ch, "attenuator", db=total)
-        settings.append(total)
-    return out, tuple(settings)
+    atten = tuple(current + 20.0 * math.log10(g / weakest)
+                  for current, g in zip(nl.settings.attenuator_db, gains))
+    return nl.with_controls(attenuator_db=atten), atten
 
 
 def calibrate_phases(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
@@ -69,31 +63,27 @@ def calibrate_phases(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tupl
     With i2 held at its current setting, each of i1 and i3 in turn is
     driven together with i2, and its shifter is set where the two-channel
     output amplitude |g2 + g*e^(i*theta)| peaks: theta = arg(g2) - arg(g),
-    in closed form, with the whole carrier gain g rotated (crosstalk
-    included).  That setting is the channel's logic-0 offset; on a gate
-    without crosstalk the residual phase error is at rounding level, so
-    recalibrating a calibrated gate leaves the settings in place.  A dead
-    channel, or an objective that swings by 2*min(|g|, |g2|) <= 1e-12 of
-    its peak |g| + |g2|, raises CalibrationError.  Amplitudes should be
-    leveled first.
+    in closed form, with the whole carrier gain g rotated.  That setting
+    is the channel's logic-0 offset; the residual phase error is at
+    rounding level, so recalibrating a calibrated gate leaves the
+    settings in place.  A dead channel, or an objective that swings by
+    2*min(|g|, |g2|) <= 1e-12 of its peak |g| + |g2|, raises
+    CalibrationError naming the weaker of the two channels.  Amplitudes
+    should be leveled first.
     """
     gains = nl.carrier_gains
     if np.any(np.abs(gains) == 0.0):
         raise CalibrationError("dead channel: calibrate amplitudes first")
     g2 = gains[1]
-    out = nl
-    offsets = [0.0, 0.0, 0.0]
+    phases = list(nl.settings.phase_rad)
     for idx, ch in ((0, "i1"), (2, "i3")):
-        base = nl.component(ch, "phase_shifter").params.get("rad", 0.0)
         g = gains[idx]
         if 2.0 * min(abs(g), abs(g2)) <= 1e-12 * (abs(g) + abs(g2)):
-            raise CalibrationError(f"flat calibration objective on {ch}")
-        total = float(wrap_phase(base + np.angle(g2 / g)))
-        out = out.with_component_params(ch, "phase_shifter", rad=total)
-        offsets[idx] = total
-    ref_setting = nl.component("i2", "phase_shifter").params.get("rad", 0.0)
-    offsets[1] = float(wrap_phase(ref_setting))
-    return out, tuple(offsets)
+            weaker = ch if abs(g) <= abs(g2) else "i2"
+            raise CalibrationError(f"flat calibration objective on {weaker}")
+        phases[idx] = float(wrap_phase(phases[idx] + np.angle(g2 / g)))
+    offsets = (phases[0], float(wrap_phase(phases[1])), phases[2])
+    return nl.with_controls(phase_rad=phases), offsets
 
 
 def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, CalibrationResult]:
@@ -149,8 +139,9 @@ def transit_fill_time(ctx: physics.ModeContext, length: float,
                       k_c: float) -> float:
     """Time T = length / |vg(k_c)| the carrier wave takes to fill a path.
 
-    k_c is the solved wavenumber of the carrier, as a netlist's
-    ``carrier_propagation.k`` holds it.
+    k_c is the solved wavenumber of the carrier, as the gate record's
+    ``carrier_propagation.k`` holds it; the fill time is the group delay
+    of the path at the carrier.
     """
     if length < 0:
         raise ValueError("effective path must be nonnegative")
@@ -224,10 +215,9 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     """Toggle i2 between logic 0 and 1 and time the detected transition.
 
     The drive rides states 100 -> 110: i1 fixed at logic 1, i3 at logic 0,
-    i2 ramped from 0 to 1 through the raised-cosine switch (the netlist
-    must carry the switch and delay line; the toggle itself acts on the
-    drive envelope, with the switch left on the direct path for the
-    steady gains).  The summed output is interfered with a reference
+    i2 ramped from 0 to 1 through the raised-cosine switch, which acts on
+    the drive envelope; the gate's carrier gains stay the steady gains of
+    every channel.  The summed output is interfered with a reference
     carrier of equal amplitude offset by ref_phase from the pre-toggle
     output, then diode-detected.
 
@@ -242,10 +232,6 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     """
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
-    try:
-        nl.component("i2", "switch")
-    except KeyError:
-        raise ValueError("netlist has no switch on i2; build with include_switch")
     s = nl.settings
     gains = nl.carrier_gains
     if np.any(np.abs(gains) == 0.0):
@@ -407,16 +393,16 @@ def scaling_study(nl: circuit.GateNetlist, scales,
                   base_effective_path: float,
                   enc: logic.PhaseEncoding | None = None,
                   timing: SwitchTiming | None = None,
-                  recalibrate: bool = True,
                   **kwargs) -> ScalingStudy:
     """Rerun the switching transient with every length scaled down.
 
     Geometry lengths and the effective transit path shrink together;
     the film physics is untouched, so the carrier wavenumber is re-solved
-    on the same dispersion.  Each scaled netlist is rebuilt from the
-    original microwave settings and recalibrated before the run (losses
-    change with the lengths).  Rows that fail (band violation, no
-    transition) are flagged rather than fatal.  The ramp floor is the
+    on the same dispersion.  Each scaled gate is rebuilt from the
+    netlist's settings (its calibrated controls, when it was calibrated)
+    and calibrated again before the run, since the losses change with
+    the lengths.  Rows that fail (band violation, no transition) are
+    flagged rather than fatal.  The ramp floor is the
     zero-length rise time of the same pipeline.
     """
     scales = [float(s) for s in scales]
@@ -427,10 +413,8 @@ def scaling_study(nl: circuit.GateNetlist, scales,
     rows = []
     for s in scales:
         try:
-            scaled = circuit.build_majority_gate(
-                nl.geometry.rescaled(s), nl.ctx, nl.settings)
-            if recalibrate:
-                scaled, _ = calibrate(scaled)
+            scaled, _ = calibrate(circuit.build_majority_gate(
+                nl.geometry.rescaled(s), nl.ctx, nl.settings))
             res = run_switching(scaled, enc=enc, timing=timing,
                                 effective_path=base_effective_path * s,
                                 **kwargs)

@@ -4,8 +4,8 @@ These deliberately avoid the package's own inversion and derivative
 paths: the wavenumber oracle is a plain-python bisection on the closed
 form, and the group-velocity oracle is a five-point central difference
 on dispersion_f with a step balancing truncation against the ~eps*f
-cancellation floor.  The channel oracle multiplies the netlist element
-by element, one film segment and one transducer at a time, which is the
+cancellation floor.  The channel oracle multiplies the gate element by
+element, one film segment and one transducer at a time, which is the
 product circuit.channel_transfer folds into a single evaluation.  The CSV
 writer formats one value at a time with an f-string, as the package's
 block formatter must reproduce byte for byte.  The ideal delay is the
@@ -48,31 +48,42 @@ def fd_group_velocity(ctx, k):
     return 2.0 * math.pi * stencil / (12.0 * h)
 
 
-def chain_product(nl, channel, f, switch_closed=False):
-    """Segment-by-segment gain from one source to the detector input."""
+def chain_product(nl, channel, f):
+    """Element-by-element gain from one source to the detector input.
+
+    The arm is rebuilt from the geometry and the settings, not from the
+    record's summed lengths or constants: attenuator, phase shifter,
+    excitation antenna, input segment, bend and skew segment where the
+    skew is nonzero, output segment and detection antenna, each film
+    segment and each antenna multiplied in on its own.
+    """
     f = np.atleast_1d(np.asarray(f, dtype=np.float64))
-    f_c = nl.settings.f_c
+    i = ct.CHANNELS.index(channel)
+    geo, s = nl.geometry, nl.settings
+    k = ph.solve_k_grid(nl.ctx, f)
+    k_c = ph.solve_k_grid(nl.ctx, s.f_c)[0]
+
+    def loss(db):
+        return 10.0 ** (-db / 20.0)
+
+    def antenna(gain_db, rad):
+        return (10.0 ** (gain_db / 20.0) * np.exp(1j * rad)
+                * ct.transducer_efficiency(geo, k))
+
+    def segment(length):
+        return ct.waveguide_transfer(nl.ctx, length, f, k, s.f_c, k_c)
+
+    elements = [loss(s.attenuator_db[i]), np.exp(1j * s.phase_rad[i]),
+                antenna(s.coupling_db[i], s.coupling_phase_rad[i]),
+                segment(geo.l_in[i] * geo.scale)]
+    if geo.l_skew[i] * geo.scale > 0.0:
+        elements += [loss(geo.bend_loss_db), segment(geo.l_skew[i] * geo.scale)]
+    elements += [segment(geo.l_out * geo.scale),
+                 antenna(s.output_coupling_db, 0.0)]
     gain = np.ones(f.shape, dtype=np.complex128)
-    for comp in (*nl.chains[channel], *nl.output):
-        p = comp.params
-        if comp.kind in ("attenuator", "bend"):
-            gain = gain * 10.0 ** (-p.get("db", 0.0) / 20.0)
-        elif comp.kind == "phase_shifter":
-            gain = gain * np.exp(1j * p.get("rad", 0.0))
-        elif comp.kind in ("transducer_in", "transducer_out"):
-            coupling = 10.0 ** (p.get("gain_db", 0.0) / 20.0) * np.exp(
-                1j * p.get("rad", 0.0))
-            k = ph.solve_k_grid(nl.ctx, f)
-            gain = gain * coupling * ct.transducer_efficiency(nl.geometry, k)
-        elif comp.kind == "waveguide":
-            k = ph.solve_k_grid(nl.ctx, f)
-            k_c = ph.solve_k_grid(nl.ctx, f_c)[0]
-            gain = gain * ct.waveguide_transfer(nl.ctx, p.get("m", 0.0), f, k,
-                                                f_c, k_c)
-        elif comp.kind == "delay_line" and switch_closed:
-            # the delay line holds its phase at the carrier: tau = rad/w_c
-            gain = gain * np.exp(-1j * p.get("rad", 0.0) * f / f_c)
-    return gain + nl.settings.crosstalk[ct.CHANNELS.index(channel)]
+    for element in elements:
+        gain = gain * element
+    return gain
 
 
 def delay(tau):

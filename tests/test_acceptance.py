@@ -33,7 +33,7 @@ def default_cfg():
 
 @pytest.fixture(scope="module")
 def calibrated_switch_netlist(default_cfg):
-    nl = cf.build_netlist(default_cfg, include_switch=True)
+    nl = cf.build_netlist(default_cfg)
     return ex.calibrate(nl)[0]
 
 

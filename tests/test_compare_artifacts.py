@@ -57,3 +57,19 @@ def test_missing_file(tmp_path):
     (b / "plain" / "switch" / "switch_trace.csv").unlink()
     diffs = compare_artifacts.compare_trees(a, b)
     assert diffs == [f"plain/switch/switch_trace.csv: only in {a}"]
+
+
+def test_jobs_cover_the_settings_paths(tmp_path):
+    # every command runs, and truthtable also without calibration and on
+    # the settings file written by the same flag set's calibrate job
+    jobs = compare_artifacts.JOBS
+    assert {argv[0] for argv in jobs.values()} == {
+        "dispersion", "transmission", "calibrate", "truthtable", "switch",
+        "fulladder", "scale"}
+    assert jobs["truthtable-no-calibrate"] == ["truthtable", "--no-calibrate"]
+    order = list(jobs)
+    assert order.index("calibrate") < order.index("truthtable-settings")
+    set_dir = tmp_path / "plain"
+    assert compare_artifacts.job_argv("truthtable-settings", set_dir) == [
+        "truthtable", "--settings",
+        str(set_dir / "calibrate" / "calibration.txt")]

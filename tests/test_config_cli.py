@@ -71,7 +71,7 @@ class TestConfigParsing:
         "justakey = 1",
         "geometry.l_in_m = 1,2",
         "spectrum.n_points = 2.5",
-        "microwave.include_switch = maybe",
+        "switching.toggle = maybe",
     ])
     def test_rejects_malformed(self, line):
         with pytest.raises(cf.ConfigError):
@@ -95,6 +95,8 @@ class TestConfigParsing:
         ("# c\nbogus.key = 1\n", "line 2: unknown section 'bogus'"),
         ("field.mu0_h_t = 0.15\nfield.mu0_h_t\n", "line 2: expected 'key = value'"),
         ("scaling.scales = 1,x\n", "bad list value '1,x'"),
+        ("microwave.include_switch = false\n",
+         "line 1: unknown key 'microwave.include_switch'"),
     ])
     def test_error_messages_name_the_line(self, text, message):
         with pytest.raises(cf.ConfigError, match=f"^{re.escape(message)}$"):
@@ -106,6 +108,11 @@ class TestConfigParsing:
                               "field.mu0_h_t = 0.15\nfield.mu0_h_t = 0.16\n")
         assert cfg.scaling.scales == (1.0, 0.5)
         assert cfg.field_.mu0_h_t == 0.16
+
+    def test_build_netlist_ignores_include_switch(self):
+        cfg = cf.RunConfig()
+        gains = cf.build_netlist(cfg, include_switch=True).carrier_gains
+        assert gains.tobytes() == cf.build_netlist(cfg).carrier_gains.tobytes()
 
     def test_build_context_orientation(self):
         cfg = cf.parse_config("field.orientation = perpendicular")
@@ -430,8 +437,11 @@ class TestCliPlumbing:
         assert code == 2
         assert capsys.readouterr().err == f"config error: {key} must be finite\n"
 
-    def test_seedless_flag_accepted(self, tmp_path):
-        assert main(["dispersion", "--seedless", "--out", str(tmp_path)]) == 0
+    def test_seedless_flag_rejected(self, tmp_path, capsys):
+        # the flag is gone; argparse's error is one config error line
+        assert main(["dispersion", "--seedless", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         # repeated calls in one process share the parser and nothing else
@@ -602,12 +612,12 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
     sp = cfg.spectrum
     f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
     nl = cf.build_netlist(cfg)
-    for ch in ct.CHANNELS:
-        db = ct.transmission_spectrum(nl, ch, f_grid, floor_db=sp.floor_db)
+    spectra = ct.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
+    for ch, db in zip(ct.CHANNELS, spectra):
         expect = csv_table("f_hz,s21_db", f_grid, db)
         assert (tmp_path / f"transmission_{ch}.csv").read_text() == expect
 
-    nl, _ = ex.calibrate(cf.build_netlist(cfg, include_switch=True))
+    nl, _ = ex.calibrate(cf.build_netlist(cfg))
     trace = ex.run_switching(
         nl, enc=cli._enc(cfg), ref_phase=cfg.switching.ref_phase_rad,
         timing=cli._timing(cfg),

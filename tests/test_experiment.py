@@ -73,9 +73,10 @@ class TestCalibrateAmplitudes:
 
     def test_returns_copy(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5))
-        before = nl.chains["i1"][2].params["db"]
+        before = nl.settings
         ex.calibrate_amplitudes(nl)
-        assert nl.chains["i1"][2].params["db"] == before
+        assert nl.settings is before
+        assert nl.settings.attenuator_db == (0.0, 0.0, 0.0)
 
 
 class TestCalibratePhases:
@@ -122,14 +123,14 @@ class TestCalibratePhases:
         assert two_channel(offsets[0] + math.pi) == pytest.approx(0.0, abs=1e-6)
 
     def test_flat_objective_rejected(self):
-        nl = symmetric(drive_amplitude=1.0)
-        # kill one channel: turning a shifter against it changes nothing,
-        # and a dead reference i2 leaves the first outer channel flat
-        for dead_ch, flat_ch in (("i1", "i1"), ("i3", "i3"), ("i2", "i1")):
-            dead = nl.with_component_params(dead_ch, "transducer_in",
-                                            gain_db=-2000.0)
+        # kill one channel: turning a shifter against it, or against a
+        # dead reference i2, changes nothing; the dead channel is named
+        for dead_ch in ct.CHANNELS:
+            coupling = tuple(-2000.0 if ch == dead_ch else 0.0
+                             for ch in ct.CHANNELS)
+            dead = symmetric(drive_amplitude=1.0, coupling_db=coupling)
             with pytest.raises(ex.CalibrationError,
-                               match=f"flat calibration objective on {flat_ch}"):
+                               match=f"flat calibration objective on {dead_ch}"):
                 ex.calibrate_phases(dead)
 
 
@@ -188,7 +189,7 @@ class TestCalibrate:
 def test_calibration_and_switching_solve_the_carrier_once(monkeypatch):
     # one k(f_c) solve serves the calibration's edited copies and the
     # switching run's transit fill time
-    nl = build(include_switch=True)
+    nl = build()
     calls = []
     solve = kernels.solve_k
     monkeypatch.setattr(kernels, "solve_k",
@@ -226,20 +227,16 @@ class TestTransitFill:
 
 
 class TestRunSwitching:
-    def test_requires_switch(self):
-        with pytest.raises(ValueError, match="switch"):
-            ex.run_switching(symmetric())
-
     def test_zero_length_ramp_floor(self):
         # lossless zero-length device: the switch ramp alone sets the rise
-        nl = symmetric(include_switch=True)
+        nl = symmetric()
         nl, _ = ex.calibrate(nl)
         res = ex.run_switching(nl, effective_path=0.0, lp_cutoff=None)
         expect = analytic_ramp_rise(ex.SwitchTiming().ramp)
         assert res.t_rise == pytest.approx(expect, abs=1.0e-10)
 
     def test_reference_contrast(self):
-        nl = symmetric(include_switch=True)
+        nl = symmetric()
         nl, _ = ex.calibrate(nl)
         res = ex.run_switching(nl, effective_path=0.0)
         v_low, v_max = res.levels
@@ -250,7 +247,7 @@ class TestRunSwitching:
         assert v_max == pytest.approx((2 * out) ** 2, rel=1e-2)
 
     def test_fitted_path_hits_measured_transition(self):
-        nl = build(include_switch=True)
+        nl = build()
         nl, _ = ex.calibrate(nl)
         length = ex.fit_effective_path(nl, 11.3e-9)
         res = ex.run_switching(nl, effective_path=length)
@@ -258,7 +255,7 @@ class TestRunSwitching:
         assert res.f_clock == pytest.approx(88.5e6, rel=0.01)
 
     def test_monotone_in_path_length(self):
-        nl = symmetric(include_switch=True)
+        nl = symmetric()
         nl, _ = ex.calibrate(nl)
         lengths = [0.0, 3.0e-4, 7.0e-4, 1.35e-3, 2.7e-3]
         rises = [ex.run_switching(nl, effective_path=L).t_rise for L in lengths]
@@ -266,7 +263,7 @@ class TestRunSwitching:
 
     def test_fill_longer_than_runway_raises(self):
         # 6 mm fills in ~200 ns; the window opens 160 ns into the record
-        nl = symmetric(include_switch=True)
+        nl = symmetric()
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
         runway = timing.t_toggle - timing.analysis_pre
@@ -285,7 +282,7 @@ class TestRunSwitching:
         # at the reference point 4.4 mm fills in 154 ns: toggle, ramp and
         # fill end at 356 ns, inside the plateau from 347.2 ns that sets
         # v_max, although the fill fits the 160 ns runway
-        nl, _ = ex.calibrate(cf.build_netlist(cf.RunConfig(), include_switch=True))
+        nl, _ = ex.calibrate(cf.build_netlist(cf.RunConfig()))
         with pytest.raises(ex.RunwayError, match=r"3\.561e-07 s.*3\.472e-07 s.*plateau"):
             ex.run_switching(nl, effective_path=4.4e-3)
         # 4.0 mm ends at 342 ns and reads what a doubled record reads
@@ -299,7 +296,7 @@ class TestRunSwitching:
         # plateau; the fit searches below the longest path that passes
         cfg = cf.RunConfig()
         cfg = replace(cfg, microwave=replace(cfg.microwave, f_c_hz=5.9e9))
-        nl, _ = ex.calibrate(cf.build_netlist(cfg, include_switch=True))
+        nl, _ = ex.calibrate(cf.build_netlist(cfg))
         with pytest.raises(ex.RunwayError, match="plateau"):
             ex.run_switching(nl, effective_path=4.0e-3)
         length = ex.fit_effective_path(nl, 34.0e-9)
@@ -313,7 +310,7 @@ class TestRunSwitching:
             ex.fit_effective_path(nl, 11.3e-9, timing=short)
 
     def test_no_toggle_no_transition(self):
-        nl = symmetric(include_switch=True)
+        nl = symmetric()
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming(t_toggle=None)
         with pytest.raises(sig.NoTransitionError):
@@ -322,7 +319,7 @@ class TestRunSwitching:
 
 @pytest.fixture(scope="module")
 def calibrated():
-    nl = build(include_switch=True)
+    nl = build()
     return ex.calibrate(nl)[0]
 
 
@@ -343,6 +340,17 @@ class TestScaling:
         rises = [r.t_rise for r in study.rows]
         assert rises == sorted(rises, reverse=True)
 
+    def test_rows_independent_of_starting_controls(self, calibrated):
+        # each scaled gate is calibrated from the settings it starts with;
+        # the level it ends at cancels in the 1/3 -> 2/3 rise time
+        raw = build()
+        assert raw.settings != calibrated.settings
+        scales = [1.0, 0.2]
+        a = ex.scaling_study(calibrated, scales, 1.3487e-3)
+        b = ex.scaling_study(raw, scales, 1.3487e-3)
+        for ra, rb in zip(a.rows, b.rows):
+            assert ra.t_rise == pytest.approx(rb.t_rise, rel=1e-12)
+
     def test_runway_violation_flags_row(self, calibrated):
         # x5 turns the 1.35 mm path into a fill longer than the runway
         study = ex.scaling_study(calibrated, [1.0, 5.0, 0.5], 1.3487e-3)
@@ -352,7 +360,7 @@ class TestScaling:
 
     def test_lossless_group_delay_linearity(self):
         # group-delay oracle: rise minus floor tracks a line in scale to 5%
-        nl = build(ctx=make_ctx(linewidth=0.0), include_switch=True)
+        nl = build(ctx=make_ctx(linewidth=0.0))
         nl, _ = ex.calibrate(nl)
         scales = [1.0, 0.5, 0.2, 0.1]
         study = ex.scaling_study(nl, scales, 1.3487e-3)

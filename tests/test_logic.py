@@ -136,11 +136,8 @@ class TestTruthTable:
                                     ct.MicrowaveSettings(
                                         coupling_db=coupling_db,
                                         coupling_phase_rad=coupling_rad))
-        rotated = nl
-        for ch in ct.CHANNELS:
-            rad = nl.component(ch, "phase_shifter").params["rad"]
-            rotated = rotated.with_component_params(ch, "phase_shifter",
-                                                    rad=rad + theta)
+        rotated = nl.with_controls(
+            phase_rad=[rad + theta for rad in nl.settings.phase_rad])
         base = lg.truth_table(nl)
         turned = lg.truth_table(rotated)
         for a, b in zip(base.rows, turned.rows):

@@ -4,11 +4,14 @@
     python3 tools/compare_artifacts.py run SRC_TREE OUT_DIR
     python3 tools/compare_artifacts.py compare OUT_A OUT_B
 
-``run`` executes the seven commands of the ``spingate`` package found in
-SRC_TREE/src on SRC_TREE/configs/reference.txt, once per flag set (see
-FLAG_SETS), each in a fresh interpreter.  OUT_DIR/<flag set>/<command>/
-receives the artifacts and OUT_DIR/<flag set>/<command>.run the exit
-code, stdout and stderr, with the output directory written as <out>.
+``run`` executes the jobs in JOBS -- the seven commands of the
+``spingate`` package found in SRC_TREE/src, plus ``truthtable`` without
+calibration and with the settings file the flag set's own ``calibrate``
+job wrote -- on SRC_TREE/configs/reference.txt, once per flag set (see
+FLAG_SETS), each in a fresh interpreter.  OUT_DIR/<flag set>/<job>/
+receives the artifacts and OUT_DIR/<flag set>/<job>.run the exit code,
+stdout and stderr, with the job's output directory written as <out> and
+OUT_DIR as <root>.
 
 ``compare`` walks two such trees.  They must hold the same files; in
 each pair of files the text between numbers must match exactly and the
@@ -27,8 +30,19 @@ import sys
 from pathlib import Path
 
 RTOL = 1e-10
-COMMANDS = ("dispersion", "transmission", "calibrate", "truthtable", "switch",
-            "fulladder", "scale")
+# job -> command line after the program name, in run order; {calibration}
+# is the settings file written by the calibrate job of the same flag set
+JOBS = {
+    "dispersion": ["dispersion"],
+    "transmission": ["transmission"],
+    "calibrate": ["calibrate"],
+    "truthtable": ["truthtable"],
+    "truthtable-no-calibrate": ["truthtable", "--no-calibrate"],
+    "truthtable-settings": ["truthtable", "--settings", "{calibration}"],
+    "switch": ["switch"],
+    "fulladder": ["fulladder"],
+    "scale": ["scale"],
+}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
@@ -41,23 +55,30 @@ _SEPARATORS = re.compile(r"([\s,=\[\]()]+)")
 MAX_LISTED = 20
 
 
+def job_argv(job: str, set_dir: Path) -> list[str]:
+    """Command line of one job whose flag set writes into set_dir."""
+    calibration = str(set_dir / "calibrate" / "calibration.txt")
+    return [arg.format(calibration=calibration) for arg in JOBS[job]]
+
+
 def run_tree(src: Path, out: Path) -> None:
-    """Every command under every flag set, artifacts and records to out."""
+    """Every job under every flag set, artifacts and records to out."""
     src, out = src.resolve(), out.resolve()
     config = src / "configs" / "reference.txt"
     env = {**os.environ, "PYTHONPATH": str(src / "src")}
     for name, flags in FLAG_SETS.items():
-        for command in COMMANDS:
-            job_out = out / name / command
+        for job in JOBS:
+            job_out = out / name / job
             job_out.mkdir(parents=True, exist_ok=True)
             proc = subprocess.run(
-                [sys.executable, "-m", "spingate.cli", command,
+                [sys.executable, "-m", "spingate.cli",
+                 *job_argv(job, out / name),
                  "--config", str(config), "--out", str(job_out), *flags],
                 capture_output=True, text=True, env=env, check=False)
             record = (f"exit = {proc.returncode}\n"
                       f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
-            (out / name / f"{command}.run").write_text(
-                record.replace(str(job_out), "<out>"))
+            (out / name / f"{job}.run").write_text(
+                record.replace(str(job_out), "<out>").replace(str(out), "<root>"))
 
 
 def _number(token: str) -> float | None:
