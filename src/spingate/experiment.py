@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import circuit, logic, physics
-from .signal import (ComplexEnvelope, DetectedTrace, apply_transfer,
-                     constant_envelope, diode_detect,
-                     make_step_phase_envelope, plateau_start, rise_time,
-                     superpose, wrap_phase)
+from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
+                     plateau_start, rise_time, step_phase_drive, wrap_phase)
 
 
 class CalibrationError(RuntimeError):
@@ -28,7 +25,7 @@ class CalibrationError(RuntimeError):
 
 
 class RunwayError(ValueError):
-    """Transit fill time exceeds the runway before the analysis window."""
+    """Transit fill time ends the transition inside the settled plateau."""
 
 
 @dataclass(frozen=True)
@@ -107,15 +104,15 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
 class SwitchTiming:
     """Grid and toggle layout of the switching transient.
 
-    t_toggle None drives a constant state (no transition).  The analysis
-    window keeps the rise-time metrology away from the circular-FFT
-    boundaries.  Two preconditions bound the transit fill time (~140 ns
-    for a 4 mm effective path at the reference carrier), and
-    run_switching checks both: the runway, from the start of the record
-    to the start of the window (t_toggle - analysis_pre), must exceed it
-    so the fill average never wraps into the window; and the transition
-    (toggle, ramp and fill) must end before the trailing plateau from
-    which rise_time reads the settled level (347.2 ns at the defaults).
+    t_toggle None drives a constant state (no transition).  The record
+    holds round(duration/dt) samples; run_switching computes only those of
+    the analysis window, from analysis_pre before the toggle to
+    analysis_post after it, which rise_time reads.  One precondition
+    bounds the transit fill time (~140 ns for a 4 mm effective path at
+    the reference carrier), and run_switching checks it: the transition
+    (toggle, ramp and fill) must end before the trailing plateau of the
+    window from which rise_time reads the settled level (347.2 ns at the
+    defaults).
     """
 
     dt: float = 1.0e-10
@@ -159,51 +156,28 @@ def _analysis_window(timing: SwitchTiming, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _fill_bounds(timing: SwitchTiming, n: int) -> tuple[float, float]:
-    """Runway before the analysis window of an n-sample record, and the
-    time at which the plateau rise_time averages for v_max starts."""
+def _plateau_time(timing: SwitchTiming, n: int) -> float:
+    """Time at which the plateau rise_time averages for v_max starts, in
+    the analysis window of an n-sample record."""
     lo, hi = _analysis_window(timing, n)
-    return (timing.t_toggle - timing.analysis_pre,
-            (lo + plateau_start(hi - lo)) * timing.dt)
+    return (lo + plateau_start(hi - lo)) * timing.dt
 
 
 def _fill_violation(path: float, fill: float, timing: SwitchTiming,
                     n: int) -> str | None:
     """Why the fill time of a path breaks the timing of an n-sample record.
 
-    None when it fits: shorter than the runway before the analysis
-    window, and ending the transition (toggle, ramp, fill) before the
-    plateau that rise_time averages for the settled level.
+    None when it fits: the transition (toggle, ramp, fill) ends before
+    the plateau that rise_time averages for the settled level.
     """
-    runway, plateau = _fill_bounds(timing, n)
-    what = f"transit fill time {fill:.4g} s of the {path:.4g} m effective path"
-    if fill >= runway:
-        return f"{what} exceeds the {runway:.4g} s runway before the analysis window"
+    plateau = _plateau_time(timing, n)
     settled = timing.t_toggle + timing.ramp + fill
     if settled >= plateau:
-        return (f"{what} ends the transition at {settled:.4g} s, past the "
-                f"start {plateau:.4g} s of the plateau the settled level is "
-                f"read from")
+        return (f"transit fill time {fill:.4g} s of the {path:.4g} m "
+                f"effective path ends the transition at {settled:.4g} s, "
+                f"past the start {plateau:.4g} s of the plateau the settled "
+                f"level is read from")
     return None
-
-
-def transit_fill_factor(fill: float, f_c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalized transit response of an effective film path.
-
-    While the wavefront carrying a new input phase sweeps the path, the
-    output superposes old- and new-phase wave portions; the detected
-    transition therefore spreads over the fill time T of the path (see
-    transit_fill_time).  Spectrally this is the causal moving average
-    over T, normalized to 1 at the carrier so the fitted effective length
-    never touches the calibrated steady-state levels.  Returns the gain as
-    a function of absolute frequency; zero fill time is an exact unit
-    gain, since sinc(0)*exp(0) is exactly 1.
-    """
-    def gain(f):
-        df = np.asarray(f, dtype=np.float64) - f_c
-        return np.sinc(df * fill) * np.exp(-1j * math.pi * df * fill)
-
-    return gain
 
 
 def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = None,
@@ -221,14 +195,19 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     carrier of equal amplitude offset by ref_phase from the pre-toggle
     output, then diode-detected.
 
-    effective_path is the i2-to-output length whose transit time spreads
-    the transition (see transit_fill_factor); it is a fitted model
-    parameter, not a geometric length.  At 0 the transition is
-    switch-limited.  A fill time that breaks either precondition of
-    SwitchTiming raises RunwayError: longer than the runway before the
-    analysis window, the circular fill average would wrap into the
-    window; ending the transition inside the trailing plateau, it would
-    pull the settled level down.
+    Only the samples of the analysis window are computed (see
+    SwitchTiming).  effective_path is the i2-to-output length whose
+    transit spreads the transition: the i2 drive is replaced by its
+    causal box average over the fill time (see transit_fill_time and
+    signal.step_phase_drive), which holds the pre-toggle drive before the
+    record begins and so never wraps.  It is a fitted model parameter,
+    not a geometric length; at 0 the transition is switch-limited.  The
+    steady i1 and i3 outputs and the reference are one complex constant,
+    and the detector's low-pass is pre-charged at the window's first
+    sample, where the input is still steady since the window opens before
+    the toggle.  A fill time that ends the transition inside the trailing
+    plateau, where it would pull the settled level down, raises
+    RunwayError.
     """
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
@@ -239,43 +218,34 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
-    if timing.t_toggle is None:
-        drive_i2 = constant_envelope(s.drive_amplitude, phase0, timing.duration,
-                                     timing.dt, s.f_c)
-    else:
-        drive_i2 = make_step_phase_envelope(
-            s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
-            timing.duration, timing.dt, s.f_c)
-
-    n = len(drive_i2)
+    n = int(round(timing.duration / timing.dt))
+    lo, hi = _analysis_window(timing, n)
+    fill = 0.0
     if effective_path > 0.0:
         fill = transit_fill_time(nl.ctx, effective_path,
                                  nl.carrier_propagation.k)
-        if timing.t_toggle is not None:
+    if timing.t_toggle is None:
+        drive_i2 = np.full(hi - lo, s.drive_amplitude * np.exp(1j * phase0))
+    else:
+        drive_i2 = step_phase_drive(
+            s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
+            timing.duration, timing.dt, fill=fill, window=(lo, hi))
+        if fill > 0.0:
             violation = _fill_violation(effective_path, fill, timing, n)
             if violation:
                 raise RunwayError(violation)
-        out_i2 = apply_transfer(drive_i2, transit_fill_factor(fill, s.f_c))
-    else:
-        out_i2 = drive_i2
-    out_i2 = ComplexEnvelope(s.f_c, timing.dt, out_i2.samples * gains[1])
 
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
-    out_static = ComplexEnvelope(s.f_c, timing.dt, np.full(n, static))
-
     # pre-toggle (state 100) output fixes the reference phase; its
     # amplitude equals the post-toggle one on a leveled gate
     out_100 = static + s.drive_amplitude * np.exp(1j * phase0) * gains[1]
     out_110 = static + s.drive_amplitude * np.exp(1j * phase1) * gains[1]
     ref_value = abs(out_110) * np.exp(1j * (np.angle(out_100) + ref_phase))
-    reference = ComplexEnvelope(s.f_c, timing.dt, np.full(n, ref_value))
 
-    total = superpose([out_i2, out_static, reference])
-    detected = diode_detect(total, lp_cutoff=lp_cutoff, responsivity=responsivity)
-
-    lo_idx, hi_idx = _analysis_window(timing, n)
-    window = DetectedTrace(timing.dt, detected.samples[lo_idx:hi_idx])
+    total = ComplexEnvelope(s.f_c, timing.dt,
+                            drive_i2 * gains[1] + (static + ref_value))
+    window = diode_detect(total, lp_cutoff=lp_cutoff, responsivity=responsivity)
 
     rt = rise_time(window)
     v_low = float(np.mean(window.samples[:max(1, int(0.1 * len(window.samples)))]))
@@ -343,8 +313,7 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
     """Longest effective path whose fill time passes _fill_violation."""
     n = int(round(timing.duration / timing.dt))
-    runway, plateau = _fill_bounds(timing, n)
-    limit = min(runway, plateau - timing.t_toggle - timing.ramp)
+    limit = _plateau_time(timing, n) - timing.t_toggle - timing.ramp
     k_c = nl.carrier_propagation.k
     path = limit * abs(physics.group_velocity(nl.ctx, k_c))
     # the limit is exclusive and the product rounds: step down to a pass

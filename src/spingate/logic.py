@@ -9,7 +9,7 @@ phase and reporting the margin to the decision boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,28 +104,32 @@ def _readout(out: complex, ref_phase: float, enc: PhaseEncoding,
 
 def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
                     enc: PhaseEncoding | None = None,
-                    amplitude_floor: float = 1e-12) -> GateReadout:
+                    rel_floor: float = 1e-12) -> GateReadout:
     """Drive one input state through the netlist and decode the output.
 
     Each channel is driven with the common amplitude at its encoded
     phase; the complex channel gains at the carrier do the rest.  The
     output phase is referenced to the all-zero drive of the same netlist,
-    which is how the read-out is anchored after calibration.
+    which is how the read-out is anchored after calibration.  The model is
+    linear in the drive, so the output is decoded per unit drive and only
+    the amplitude scales with it: every decoded bit and margin is the same
+    at any nonzero drive.  A zero drive, or an output at or below
+    rel_floor times the gate's unanimity amplitude sum(|g_i|) per unit
+    drive, is indeterminate.
     """
     enc = enc or PhaseEncoding()
-    s = nl.settings
+    drive = abs(nl.settings.drive_amplitude)
     gains = nl.carrier_gains
-    drives = np.array([
-        s.drive_amplitude * np.exp(1j * encode(bit, enc))
-        for bit in state.bits
-    ])
-    zeros = np.full(3, s.drive_amplitude * np.exp(1j * encode(0, enc)))
-    out = complex(np.dot(drives, gains))
+    phasors = np.exp(1j * np.array([encode(bit, enc) for bit in state.bits]))
+    zeros = np.full(3, np.exp(1j * encode(0, enc)))
+    out = complex(np.dot(phasors, gains))
     out_ref = complex(np.dot(zeros, gains))
-    if abs(out_ref) <= amplitude_floor:
-        return GateReadout(amplitude=abs(out), phase=0.0, decoded_bit=None,
-                           margin=0.0)
-    return _readout(out, float(np.angle(out_ref)), enc, amplitude_floor)
+    floor = rel_floor * float(np.abs(gains).sum())
+    if drive == 0.0 or abs(out_ref) <= floor:
+        return GateReadout(amplitude=drive * abs(out), phase=0.0,
+                           decoded_bit=None, margin=0.0)
+    ro = _readout(out, float(np.angle(out_ref)), enc, floor)
+    return replace(ro, amplitude=drive * ro.amplitude)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Complex baseband envelopes and the detection chain.
 
 An envelope holds samples of the slowly varying complex amplitude about a
-carrier; transfer functions act on it spectrally; the diode detector
-squares, low-passes and hands a real trace to the rise-time metrology.
+carrier; transfer functions act on it spectrally; the step-phase drive of
+the switching transient and its causal box average are computed sample
+by sample; the diode detector squares, low-passes and hands a real trace
+to the rise-time metrology.
 """
 
 from __future__ import annotations
@@ -85,30 +87,58 @@ class DetectedTrace:
         return np.arange(self.samples.size) * self.dt
 
 
-def constant_envelope(amplitude: float, phase: float, duration: float, dt: float,
-                      f_carrier: float) -> ComplexEnvelope:
-    n = int(round(duration / dt))
-    value = amplitude * complex(math.cos(phase), math.sin(phase))
-    return ComplexEnvelope(f_carrier, dt, np.full(n, value, dtype=np.complex128))
+# trapezoid nodes per record sample over the ramp: the error of the
+# cumulative integral falls as the node spacing squared, and at 8 it sits
+# far below that of the spectral moving average on the record's samples
+_RAMP_NODES_PER_SAMPLE = 8
 
 
-def make_step_phase_envelope(amplitude: float, phase_a: float, phase_b: float,
-                             t_toggle: float, t_switch_rise: float,
-                             duration: float, dt: float,
-                             f_carrier: float) -> ComplexEnvelope:
-    """Constant-amplitude envelope whose phase ramps from phase_a to phase_b.
+def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
+                     t_toggle: float, ramp: float, duration: float, dt: float,
+                     fill: float = 0.0,
+                     window: tuple[int, int] | None = None) -> np.ndarray:
+    """Window of a drive record whose phase ramps from phase_a to phase_b.
 
-    The ramp is a raised cosine of width t_switch_rise starting at
-    t_toggle, so the trajectory is phase-continuous at constant modulus.
+    The record holds round(duration/dt) samples at t = j*dt; window=(lo,
+    hi) picks the samples returned (default: all).  The drive has constant
+    modulus and a raised-cosine phase ramp of width ramp starting at
+    t_toggle, so its trajectory is phase-continuous.  A positive fill
+    returns instead the causal box average over the last fill seconds,
+    y(t) = a0 + (C(t) - C(t - fill))/fill, where a0 is the pre-toggle
+    value and C the integral of drive - a0: zero before the toggle, the
+    trapezoid rule on the ramp (_RAMP_NODES_PER_SAMPLE nodes per sample,
+    both ends included) read by linear interpolation, and linear after
+    the ramp.  The drive is held at a0 before the toggle, also before the
+    record begins, so the average never wraps, and only the requested
+    samples are computed.
     """
-    if t_switch_rise <= 0 or t_switch_rise > duration:
+    if ramp <= 0 or ramp > duration:
         raise ValueError("switch rise must be positive and fit in the envelope")
     if not 0.0 < t_toggle < duration:
         raise ValueError("toggle instant must lie inside the envelope")
-    t = np.arange(int(round(duration / dt))) * dt
-    u = np.clip((t - t_toggle) / t_switch_rise, 0.0, 1.0)
-    phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
-    return ComplexEnvelope(f_carrier, dt, amplitude * np.exp(1j * phase))
+    lo, hi = window or (0, int(round(duration / dt)))
+    t = np.arange(lo, hi) * dt
+
+    def drive(u):
+        phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
+        return amplitude * np.exp(1j * phase)
+
+    if fill <= 0.0:
+        return drive(np.clip((t - t_toggle) / ramp, 0.0, 1.0))
+    a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
+    a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
+    u = np.linspace(0.0, 1.0, _RAMP_NODES_PER_SAMPLE * math.ceil(ramp / dt) + 1)
+    nodes = t_toggle + ramp * u
+    excess = drive(u) - a0
+    ramp_integral = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (excess[1:] + excess[:-1]) * np.diff(nodes))))
+    # C(t) - C(t - fill): the ramp part by interpolation (0 before the
+    # toggle, its total after the ramp), the linear part after the ramp
+    # clipped in one step so it does not cancel
+    swept = (np.interp(t, nodes, ramp_integral)
+             - np.interp(t - fill, nodes, ramp_integral)
+             + (a1 - a0) * np.clip(t - nodes[-1], 0.0, fill))
+    return a0 + swept / fill
 
 
 def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
@@ -131,19 +161,6 @@ def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
     gain = np.asarray(tf(f_abs), dtype=np.complex128)
     out = np.fft.ifft(spectrum * gain)[:n]
     return ComplexEnvelope(env.f_carrier, env.dt, out)
-
-
-def superpose(envs: list[ComplexEnvelope]) -> ComplexEnvelope:
-    """Sample-wise complex sum of envelopes on an identical grid."""
-    if not envs:
-        raise ValueError("nothing to superpose")
-    first = envs[0]
-    for e in envs[1:]:
-        if (e.f_carrier != first.f_carrier or e.dt != first.dt
-                or len(e) != len(first)):
-            raise ValueError("envelopes must share carrier, dt and length")
-    total = np.sum([e.samples for e in envs], axis=0)
-    return ComplexEnvelope(first.f_carrier, first.dt, total)
 
 
 def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,

@@ -10,11 +10,15 @@ product circuit.channel_transfer folds into a single evaluation.  The CSV
 writer formats one value at a time with an f-string, as the package's
 block formatter must reproduce byte for byte.  The ideal delay is the
 transfer function whose spectral application must equal a time shift.
+The transit fill has two oracles: its spectral form, applied by FFT, and
+the continuous moving average of the analytic step-phase drive with the
+ramp integrated by adaptive quadrature.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from spingate import circuit as ct
 from spingate import physics as ph
@@ -97,3 +101,48 @@ def csv_table(header, *columns):
     for row in zip(*columns):
         lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def transit_fill_factor(fill, f_c):
+    """Spectral form of the transit fill: the causal moving average over
+    fill seconds, sinc(df*fill)*exp(-i*pi*df*fill) at offset df from the
+    carrier, exactly 1 at the carrier and for zero fill."""
+    def gain(f):
+        df = np.asarray(f, dtype=np.float64) - f_c
+        return np.sinc(df * fill) * np.exp(-1j * math.pi * df * fill)
+
+    return gain
+
+
+def step_phase_moving_average(amplitude, phase_a, phase_b, t_toggle, ramp,
+                              fill, t):
+    """(1/fill) * integral over [t - fill, t] of the continuous drive.
+
+    The drive is amplitude*exp(i*phi) with phi ramping from phase_a to
+    phase_b along a raised cosine over [t_toggle, t_toggle + ramp] and
+    constant on either side, also before t = 0.  The constant pieces are
+    integrated exactly; the ramp by scipy's quad from its start to each
+    point where some [t - fill, t] starts or ends inside it (from the
+    start, so that no interval shrinks to a few ulps).
+    """
+    t = np.asarray(t, dtype=np.float64)
+
+    def drive(u):
+        phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - math.cos(math.pi * u))
+        return amplitude * complex(math.cos(phase), math.sin(phase))
+
+    a0, a1 = drive(0.0), drive(1.0)
+    # ramp fraction of every interval end, and the ramp integral up to each
+    u = np.unique(np.clip(np.concatenate([t, t - fill]) - t_toggle, 0.0, ramp) / ramp)
+    ramp_integral = ramp * np.array([
+        quad(drive, 0.0, end, complex_func=True, epsabs=1e-12 * abs(amplitude),
+             epsrel=1e-12)[0]
+        for end in u])
+
+    def integral(s):
+        # integral of drive - a0 from before the toggle up to s
+        inside = np.clip(s - t_toggle, 0.0, ramp)
+        ramp_part = ramp_integral[np.searchsorted(u, inside / ramp)] - a0 * inside
+        return ramp_part + (a1 - a0) * np.maximum(s - t_toggle - ramp, 0.0)
+
+    return a0 + (integral(t) - integral(t - fill)) / fill

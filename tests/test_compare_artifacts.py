@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,12 @@ def test_differences_found(tmp_path, capsys, edit, where):
     diffs = compare_artifacts.compare_trees(a, b)
     assert len(diffs) == 1 and where in diffs[0]
     assert compare_artifacts.main(["compare", str(a), str(b)]) == 1
-    assert "1 differences" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "1 differences" in out
+    # one line per differing file names its largest relative difference
+    worst = [line for line in out.splitlines()
+             if "largest relative difference" in line]
+    assert len(worst) == 1 and where.split(":")[0] in worst[0]
 
 
 def test_missing_file(tmp_path):
@@ -73,3 +79,27 @@ def test_jobs_cover_the_settings_paths(tmp_path):
     assert compare_artifacts.job_argv("truthtable-settings", set_dir) == [
         "truthtable", "--settings",
         str(set_dir / "calibrate" / "calibration.txt")]
+
+
+def test_worst_difference_per_file(tmp_path, capsys):
+    # the largest |x - y| / max(|x|, |y|) over the numbers of each file
+    # that differs, after the listed differences; agreeing files get none
+    a = write_tree(tmp_path / "a")
+    b = write_tree(tmp_path / "b", a="0.700468911463000001",
+                   v="5.0032e-05", run=RUN.replace("exit = 0", "exit = nan"))
+    (b / "plain" / "switch" / "switch_trace.csv").write_text(
+        "time_s,value\n0,1e-300\n1e-10,5.0032e-05\n")
+    worst = compare_artifacts.worst_differences(a, b)
+    assert list(worst) == ["plain/calibrate.run", "plain/switch/switch_trace.csv"]
+    assert worst["plain/calibrate.run"] == math.inf
+    assert worst["plain/switch/switch_trace.csv"] == 1.0
+    assert compare_artifacts.worst_relative_difference(
+        "x=4,2.5e-05\n", "x=4,2.5e-05\n") == 0.0
+    assert compare_artifacts.worst_relative_difference(
+        "x=4,2.0\n", "x=5,2.5\ny\n") == pytest.approx(0.2)
+    assert compare_artifacts.main(["compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "plain/calibrate.run: largest relative difference inf",
+        "plain/switch/switch_trace.csv: largest relative difference 1",
+        "3 differences over 3 files (rtol 1e-10)"]

@@ -191,6 +191,16 @@ class TestTruthTableCommand:
                      "--out", str(tmp_path)])
         assert code == 4
 
+    @pytest.mark.parametrize("flags", [["--scale", "8"], ["--config", "tiny"]])
+    def test_weak_output_still_decodes(self, tmp_path, capsys, flags):
+        # the decode floor scales with the drive and the gains: a 1e-10
+        # drive, or the x8 gate whose gains are about 1e-18, decodes as the
+        # reference does
+        (tmp_path / "tiny").write_text("microwave.drive_amplitude = 1e-10\n")
+        flags = [str(tmp_path / f) if f == "tiny" else f for f in flags]
+        assert main(["truthtable", *flags, "--out", str(tmp_path)]) == 0
+        assert "decoded=00001111" in capsys.readouterr().out
+
 
 class TestSwitchCommand:
     def test_reference_transition(self, tmp_path, capsys):
@@ -221,12 +231,14 @@ class TestSwitchCommand:
     @pytest.mark.parametrize("scale", ["8", "20"])
     def test_fill_longer_than_runway_errors(self, tmp_path, capsys, scale):
         # the scaled 1.35 mm path fills in ~380 ns (x8) and ~940 ns (x20),
-        # past the 160 ns between the record start and the analysis window
+        # longer than the 160 ns before the analysis window; the causal
+        # average cannot wrap, but the transition ends past the start of
+        # the plateau the settled level is read from
         code = main(["switch", "--scale", scale, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("physics error: transit fill time")
-        assert "1.6e-07 s runway" in err and err.count("\n") == 1
+        assert "3.472e-07 s of the plateau" in err and err.count("\n") == 1
 
 
 class TestCalibrateCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import transit_fill_factor
 from spingate import circuit as ct
 from spingate import config as cf
 from spingate import experiment as ex
@@ -204,14 +205,14 @@ class TestTransitFill:
     def test_zero_length_unity(self):
         ctx = make_ctx()
         fill = ex.transit_fill_time(ctx, 0.0, ph.solve_k(ctx, FC))
-        tf = ex.transit_fill_factor(fill, FC)
+        tf = transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
         ctx = make_ctx()
         fill = ex.transit_fill_time(ctx, 1.5e-3, ph.solve_k(ctx, FC))
-        tf = ex.transit_fill_factor(fill, FC)
+        tf = transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
     def test_fill_time_from_group_velocity(self):
@@ -221,7 +222,7 @@ class TestTransitFill:
         fill = length / abs(ph.group_velocity(ctx, k))
         assert ex.transit_fill_time(ctx, length, k) == pytest.approx(fill,
                                                                     rel=1e-15)
-        tf = ex.transit_fill_factor(fill, FC)
+        tf = transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
 
@@ -262,16 +263,18 @@ class TestRunSwitching:
         assert all(b >= a for a, b in zip(rises, rises[1:]))
 
     def test_fill_longer_than_runway_raises(self):
-        # 6 mm fills in ~200 ns; the window opens 160 ns into the record
+        # 6 mm fills in ~200 ns, longer than the 160 ns before the window:
+        # the causal average cannot wrap, but the transition then ends
+        # inside the plateau from 347.2 ns that sets the settled level
         nl = symmetric()
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
         runway = timing.t_toggle - timing.analysis_pre
         k_c = nl.carrier_propagation.k
         assert ex.transit_fill_time(nl.ctx, 6.0e-3, k_c) > runway
-        with pytest.raises(ex.RunwayError, match="runway"):
+        with pytest.raises(ex.RunwayError, match=r"3\.472e-07 s of the plateau"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
-        # a later toggle in a longer record lengthens the runway past it
+        # a later toggle in a longer record moves the plateau past it
         later = ex.SwitchTiming(duration=8.192e-7, t_toggle=3.0e-7,
                                 analysis_post=4.0e-7)
         slow = ex.run_switching(nl, timing=later, effective_path=6.0e-3)
@@ -308,6 +311,22 @@ class TestRunSwitching:
         short = ex.SwitchTiming(analysis_post=1.0e-8)
         with pytest.raises(ex.CalibrationError, match="fits the switching timing"):
             ex.fit_effective_path(nl, 11.3e-9, timing=short)
+
+    def test_window_independent_of_record_before_it(self):
+        # the causal average holds the pre-toggle drive before the record
+        # begins, so a longer lead-in changes nothing in the window
+        nl, _ = ex.calibrate(cf.build_netlist(cf.RunConfig()))
+        base = ex.SwitchTiming()
+        for lead in (0.0, 64 * base.dt, 1024 * base.dt):
+            timing = ex.SwitchTiming(t_toggle=base.t_toggle + lead,
+                                     duration=base.duration + lead)
+            for path in (1.34872e-3, 3.9e-3):
+                a = ex.run_switching(nl, effective_path=path)
+                b = ex.run_switching(nl, timing=timing, effective_path=path)
+                np.testing.assert_allclose(
+                    b.trace.samples, a.trace.samples, rtol=1e-12,
+                    atol=1e-12 * a.trace.samples.max())
+                assert b.t_rise == pytest.approx(a.t_rise, rel=1e-12)
 
     def test_no_toggle_no_transition(self):
         nl = symmetric()
@@ -352,7 +371,8 @@ class TestScaling:
             assert ra.t_rise == pytest.approx(rb.t_rise, rel=1e-12)
 
     def test_runway_violation_flags_row(self, calibrated):
-        # x5 turns the 1.35 mm path into a fill longer than the runway
+        # x5 turns the 1.35 mm path into a fill that ends the transition
+        # inside the plateau
         study = ex.scaling_study(calibrated, [1.0, 5.0, 0.5], 1.3487e-3)
         assert [r.flagged for r in study.rows] == [False, True, False]
         assert math.isnan(study.rows[1].t_rise)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spingate import circuit as ct
+from spingate import config as cf
+from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
 
@@ -103,6 +106,34 @@ class TestRunLogicState:
         ro = lg.run_logic_state(nl, lg.LogicState((1, 0, 1)))
         assert ro.decoded_bit is None
         assert ro.margin == 0.0
+
+
+@pytest.fixture(scope="module")
+def reference_gates():
+    # the calibrated reference gate, and the x8 one whose carrier gains
+    # are about 1e-18
+    cfg = cf.RunConfig()
+    return [ex.calibrate(cf.build_netlist(replace(
+        cfg, geometry=replace(cfg.geometry, scale=scale))))[0]
+        for scale in (1.0, 8.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-323, 10), gate=st.integers(0, 1),
+       phi0=st.floats(-math.pi, math.pi))
+def test_decoding_independent_of_drive(reference_gates, k, gate, phi0):
+    # the model is linear in the drive: at 10^k over the accepted range
+    # (0, 1e10] every decoded bit, margin and phase is the one at drive 1
+    nl = reference_gates[gate]
+    enc = lg.PhaseEncoding(phi0=phi0)
+    scaled = ct.build_majority_gate(nl.geometry, nl.ctx, replace(
+        nl.settings, drive_amplitude=10.0 ** k))
+    base = lg.truth_table(nl, enc)
+    report = lg.truth_table(scaled, enc)
+    assert base.matches_majority and not base.any_indeterminate
+    assert [r.decoded for r in report.rows] == [r.decoded for r in base.rows]
+    assert [r.margin for r in report.rows] == [r.margin for r in base.rows]
+    assert [r.out_phase for r in report.rows] == [r.out_phase for r in base.rows]
 
 
 class TestTruthTable:

@@ -16,7 +16,9 @@ OUT_DIR as <root>.
 ``compare`` walks two such trees.  They must hold the same files; in
 each pair of files the text between numbers must match exactly and the
 numbers must agree to RTOL relative (NaN equals NaN).  Exit status 0
-when the trees agree, 1 otherwise, with the differences listed.
+when the trees agree, 1 otherwise, with the differences listed and then
+one line per differing file giving the largest relative difference
+|x - y| / max(|x|, |y|) of its numbers (inf for NaN against a number).
 """
 
 from __future__ import annotations
@@ -88,15 +90,39 @@ def _number(token: str) -> float | None:
         return None
 
 
+def _relative_difference(x: float, y: float) -> float:
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
+    if x == y:
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def _tokens_agree(a: str, b: str) -> bool:
     if a == b:
         return True
     x, y = _number(a), _number(b)
     if x is None or y is None:
         return False
-    if math.isnan(x) or math.isnan(y):
-        return math.isnan(x) and math.isnan(y)
-    return abs(x - y) <= RTOL * max(abs(x), abs(y))
+    return _relative_difference(x, y) <= RTOL
+
+
+def worst_relative_difference(a: str, b: str) -> float:
+    """Largest relative difference between the numbers of two texts.
+
+    Numbers pair up token by token on lines (of the common leading lines)
+    whose token counts match; 0 when no such pair differs.
+    """
+    worst = 0.0
+    for la, lb in zip(a.splitlines(), b.splitlines()):
+        ta, tb = _SEPARATORS.split(la)[::2], _SEPARATORS.split(lb)[::2]
+        if len(ta) != len(tb):
+            continue
+        for x, y in zip(ta, tb):
+            nx, ny = _number(x), _number(y)
+            if x != y and nx is not None and ny is not None:
+                worst = max(worst, _relative_difference(nx, ny))
+    return worst
 
 
 def compare_text(a: str, b: str, where: str) -> list[str]:
@@ -114,16 +140,30 @@ def compare_text(a: str, b: str, where: str) -> list[str]:
     return diffs
 
 
+def _files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
 def compare_trees(a: Path, b: Path) -> list[str]:
     """Every difference between two output trees written by run_tree."""
-    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    files_a, files_b = _files(a), _files(b)
     diffs = [f"{p}: only in {a}" for p in sorted(files_a - files_b)]
     diffs += [f"{p}: only in {b}" for p in sorted(files_b - files_a)]
     for rel in sorted(files_a & files_b):
         diffs += compare_text((a / rel).read_text(), (b / rel).read_text(),
                               str(rel))
     return diffs
+
+
+def worst_differences(a: Path, b: Path) -> dict[str, float]:
+    """Largest relative difference of the numbers of each file that is in
+    both trees and differs between them."""
+    worst = {}
+    for rel in sorted(_files(a) & _files(b)):
+        text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
+        if compare_text(text_a, text_b, str(rel)):
+            worst[str(rel)] = worst_relative_difference(text_a, text_b)
+    return worst
 
 
 def main(argv=None) -> int:
@@ -142,6 +182,8 @@ def main(argv=None) -> int:
     diffs = compare_trees(args.a, args.b)
     for line in diffs[:MAX_LISTED]:
         print(line)
+    for rel, worst in worst_differences(args.a, args.b).items():
+        print(f"{rel}: largest relative difference {worst:.3g}")
     n_files = sum(1 for p in args.a.rglob("*") if p.is_file())
     print(f"{len(diffs)} differences over {n_files} files (rtol {RTOL:g})")
     return 1 if diffs else 0
