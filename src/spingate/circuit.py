@@ -20,9 +20,12 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import format_table
+from .signal import MAX_LEVEL, format_table
 
 CHANNELS = ("i1", "i2", "i3")
+# ceiling of each coupling gain, the one element of a channel that
+# amplifies: with the drive capped too, the envelope stays below 1e31
+MAX_GAIN_DB = 200.0
 
 
 def _loss_amp(db: float) -> float:
@@ -49,12 +52,14 @@ class DeviceGeometry:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.w_g <= 0 or self.w_a <= 0 or self.l_out < 0:
-            raise ValueError("widths must be positive, lengths nonnegative")
-        if any(v < 0 for v in self.l_in) or any(v < 0 for v in self.l_skew):
-            raise ValueError("segment lengths must be nonnegative")
+        for name in ("w_g", "w_a", "scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name, values in (("l_in", self.l_in), ("l_skew", self.l_skew),
+                             ("l_out", (self.l_out,)),
+                             ("bend_loss_db", (self.bend_loss_db,))):
+            if not all(v >= 0 for v in values):
+                raise ValueError(f"{name} must be nonnegative")
 
     def antenna_width(self) -> float:
         return self.w_a * self.scale
@@ -90,10 +95,16 @@ class MicrowaveSettings:
     output_coupling_db: float = 0.0
 
     def __post_init__(self):
-        if self.f_c <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if any(db < 0 for db in self.attenuator_db):
-            raise ValueError("attenuation must be nonnegative")
+        if not self.f_c > 0:
+            raise ValueError("f_c must be positive")
+        if not 0 < self.drive_amplitude <= MAX_LEVEL:
+            raise ValueError(f"drive_amplitude must lie in (0, {MAX_LEVEL:g}]")
+        if not all(db >= 0 for db in self.attenuator_db):
+            raise ValueError("attenuator_db entries must be nonnegative")
+        for name, values in (("coupling_db", self.coupling_db),
+                             ("output_coupling_db", (self.output_coupling_db,))):
+            if not all(db <= MAX_GAIN_DB for db in values):
+                raise ValueError(f"{name} must not exceed {MAX_GAIN_DB:g} dB")
 
 
 @dataclass(frozen=True)
@@ -199,12 +210,14 @@ def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     """Wavenumber-selective coupling of a stripline antenna of width w_a.
 
     gain = sinc(k * w_a / 2) at the solved wavenumbers k (rad/m); exactly 0
-    where k is NaN, the stopband.  The caller multiplies in any
-    per-antenna coupling constant.
+    where k is NaN, the stopband, and where k * w_a / 2 overflows, the
+    limit of the sinc.  The caller multiplies in any per-antenna coupling
+    constant.
     """
-    k = np.asarray(k, dtype=np.float64)
-    x = np.where(np.isnan(k), 0.0, k) * (0.5 * geometry.antenna_width())
-    return np.where(np.isnan(k), 0.0, np.sinc(x / math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.asarray(k, dtype=np.float64) * (0.5 * geometry.antenna_width())
+    inside = np.isfinite(x)
+    return np.where(inside, np.sinc(np.where(inside, x, 0.0) / math.pi), 0.0)
 
 
 def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
@@ -217,8 +230,6 @@ def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
     exp(-eta*length/|vg(f)|), eta the film's damping rate.  Stopband
     frequencies return exactly 0; zero length is an exact unit gain.
     """
-    if length < 0:
-        raise ValueError("segment length must be nonnegative")
     return kernels.waveguide_gain(
         np.asarray(f, dtype=np.float64), np.asarray(k, dtype=np.float64),
         float(f_c), float(k_c), float(length), physics.damping_rate(ctx),

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, experiment, logic, physics
-from .config import (ConfigError, RunConfig, build_context, build_netlist,
-                     parse_config, validate_config)
+from .config import (ConfigError, RunConfig, build_context, build_encoding,
+                     build_netlist, build_timing, parse_config,
+                     validate_config)
 from .signal import NoTransitionError, format_table, trace_to_csv
 
 EXIT_OK = 0
@@ -63,20 +64,6 @@ def _out_dir(args) -> Path:
 
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
-
-
-def _enc(cfg: RunConfig) -> logic.PhaseEncoding:
-    return logic.PhaseEncoding(phi0=cfg.encoding.phi0_rad,
-                               guard=cfg.encoding.guard_rad)
-
-
-def _timing(cfg: RunConfig) -> experiment.SwitchTiming:
-    sw = cfg.switching
-    return experiment.SwitchTiming(
-        dt=sw.dt_s, duration=sw.duration_s,
-        t_toggle=sw.t_toggle_s if sw.toggle else None,
-        ramp=sw.ramp_s,
-    )
 
 
 def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
@@ -176,7 +163,7 @@ def cmd_truthtable(cfg: RunConfig, out: Path, auto_calibrate: bool = True) -> in
     nl = build_netlist(cfg)
     if auto_calibrate:
         nl, _ = experiment.calibrate(nl)
-    report = logic.truth_table(nl, _enc(cfg))
+    report = logic.truth_table(nl, build_encoding(cfg))
     path = out / "truthtable.csv"
     _write(path, report.to_csv())
     decoded = "".join("x" if r.decoded is None else str(r.decoded)
@@ -192,8 +179,8 @@ def cmd_switch(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
     result = experiment.run_switching(
-        nl, enc=_enc(cfg), ref_phase=cfg.switching.ref_phase_rad,
-        timing=_timing(cfg),
+        nl, enc=build_encoding(cfg), ref_phase=cfg.switching.ref_phase_rad,
+        timing=build_timing(cfg),
         effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
         lp_cutoff=cfg.detector.lp_cutoff_hz,
         responsivity=cfg.detector.responsivity_v,
@@ -209,7 +196,7 @@ def cmd_switch(cfg: RunConfig, out: Path) -> int:
 def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
-    enc = _enc(cfg)
+    enc = build_encoding(cfg)
     lines = ["a,b,cin,sum,cout,gate_amp"]
     readouts = []
     for a in (0, 1):
@@ -233,7 +220,7 @@ def cmd_scale(cfg: RunConfig, out: Path) -> int:
     study = experiment.scaling_study(
         nl, cfg.scaling.scales,
         base_effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
-        enc=_enc(cfg), timing=_timing(cfg),
+        enc=build_encoding(cfg), timing=build_timing(cfg),
         lp_cutoff=cfg.detector.lp_cutoff_hz,
         responsivity=cfg.detector.responsivity_v,
     )

@@ -20,6 +20,11 @@ from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
                      plateau_start, rise_time, step_phase_drive, wrap_phase)
 
 
+# ceiling of the analysis window in samples: run_switching allocates the
+# window, and 8 trapezoid nodes per sample of a ramp that ends inside it
+MAX_SAMPLES = 2 ** 20
+
+
 class CalibrationError(RuntimeError):
     """A channel cannot be calibrated (no transmission, flat objective)."""
 
@@ -42,15 +47,19 @@ def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, 
     Each channel is measured alone (the others muted) and attenuated down
     to the weakest one; in the linear model the needed attenuation is the
     closed-form dB ratio.  Returns the adjusted netlist and the resulting
-    total attenuator settings.
+    total attenuator settings.  A gain below the smallest normal float
+    has lost its precision (and dividing by it overflows): no transmission.
     """
     gains = np.abs(nl.carrier_gains)
     for ch, g in zip(circuit.CHANNELS, gains):
-        if g == 0.0:
+        if g < np.finfo(np.float64).tiny:
             raise CalibrationError(f"channel {ch} has no transmission")
-    weakest = gains.min()
-    atten = tuple(current + 20.0 * math.log10(g / weakest)
-                  for current, g in zip(nl.settings.attenuator_db, gains))
+    with np.errstate(over="ignore"):
+        ratios = gains / gains.min()
+    if not np.all(np.isfinite(ratios)):
+        raise CalibrationError("channel gains lie too far apart to level")
+    atten = tuple(current + 20.0 * math.log10(r)
+                  for current, r in zip(nl.settings.attenuator_db, ratios))
     return nl.with_controls(attenuator_db=atten), atten
 
 
@@ -107,12 +116,13 @@ class SwitchTiming:
     t_toggle None drives a constant state (no transition).  The record
     holds round(duration/dt) samples; run_switching computes only those of
     the analysis window, from analysis_pre before the toggle to
-    analysis_post after it, which rise_time reads.  One precondition
-    bounds the transit fill time (~140 ns for a 4 mm effective path at
-    the reference carrier), and run_switching checks it: the transition
-    (toggle, ramp and fill) must end before the trailing plateau of the
-    window from which rise_time reads the settled level (347.2 ns at the
-    defaults).
+    analysis_post after it, which rise_time reads; construction checks
+    every range, and that the window holds 2 to MAX_SAMPLES samples.
+    run_switching checks one more precondition, on the transit fill time
+    (~140 ns for a 4 mm effective path at the reference carrier): the
+    transition (toggle, ramp and fill) must end before the trailing
+    plateau of the window from which rise_time reads the settled level
+    (347.2 ns at the defaults).
     """
 
     dt: float = 1.0e-10
@@ -121,6 +131,38 @@ class SwitchTiming:
     ramp: float = 2.0e-9
     analysis_pre: float = 4.0e-8
     analysis_post: float = 2.4e-7
+
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+        if not self.duration > self.dt:
+            raise ValueError("duration must exceed dt")
+        if not 0 < self.ramp <= self.duration:
+            raise ValueError("ramp must lie in (0, duration]")
+        if self.t_toggle is not None and not 0 < self.t_toggle < self.duration:
+            raise ValueError("t_toggle must lie in (0, duration)")
+        for name in ("analysis_pre", "analysis_post"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        lo, hi = self._bounds()
+        if not (hi - lo <= MAX_SAMPLES and round(hi) - round(lo) >= 2):
+            raise ValueError(
+                f"dt must leave 2 to {MAX_SAMPLES} samples in the analysis window")
+
+    def _bounds(self) -> tuple[float, float]:
+        """The window's bounds in samples, clamped to the record, unrounded
+        (a bound past the float range is infinite)."""
+        n = self.duration / self.dt
+        if self.t_toggle is None:
+            return 0.0, n
+        return (max(0.0, (self.t_toggle - self.analysis_pre) / self.dt),
+                min(n, (self.t_toggle + self.analysis_post) / self.dt))
+
+    @property
+    def window(self) -> tuple[int, int]:
+        """Sample range [lo, hi) of the record that rise_time reads."""
+        lo, hi = self._bounds()
+        return round(lo), round(hi)
 
 
 @dataclass(frozen=True)
@@ -140,37 +182,33 @@ def transit_fill_time(ctx: physics.ModeContext, length: float,
     ``carrier_propagation.k`` holds it; the fill time is the group delay
     of the path at the carrier.
     """
-    if length < 0:
-        raise ValueError("effective path must be nonnegative")
     if length == 0.0:
         return 0.0
     return length / abs(physics.group_velocity(ctx, k_c))
 
 
-def _analysis_window(timing: SwitchTiming, n: int) -> tuple[int, int]:
-    """Sample range [lo, hi) of an n-sample record that rise_time reads."""
-    if timing.t_toggle is None:
-        return 0, n
-    lo = max(0, int(round((timing.t_toggle - timing.analysis_pre) / timing.dt)))
-    hi = min(n, int(round((timing.t_toggle + timing.analysis_post) / timing.dt)))
-    return lo, hi
+def check_effective_path(effective_path: float) -> None:
+    """Raise ValueError, naming the argument, for a path run_switching
+    cannot take."""
+    if not effective_path >= 0:
+        raise ValueError("effective_path must be nonnegative")
 
 
-def _plateau_time(timing: SwitchTiming, n: int) -> float:
+def _plateau_time(timing: SwitchTiming) -> float:
     """Time at which the plateau rise_time averages for v_max starts, in
-    the analysis window of an n-sample record."""
-    lo, hi = _analysis_window(timing, n)
+    the analysis window."""
+    lo, hi = timing.window
     return (lo + plateau_start(hi - lo)) * timing.dt
 
 
-def _fill_violation(path: float, fill: float, timing: SwitchTiming,
-                    n: int) -> str | None:
-    """Why the fill time of a path breaks the timing of an n-sample record.
+def _fill_violation(path: float, fill: float,
+                    timing: SwitchTiming) -> str | None:
+    """Why the fill time of a path breaks the timing.
 
     None when it fits: the transition (toggle, ramp, fill) ends before
     the plateau that rise_time averages for the settled level.
     """
-    plateau = _plateau_time(timing, n)
+    plateau = _plateau_time(timing)
     settled = timing.t_toggle + timing.ramp + fill
     if settled >= plateau:
         return (f"transit fill time {fill:.4g} s of the {path:.4g} m "
@@ -209,6 +247,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     plateau, where it would pull the settled level down, raises
     RunwayError.
     """
+    check_effective_path(effective_path)
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
     s = nl.settings
@@ -218,22 +257,17 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
-    n = int(round(timing.duration / timing.dt))
-    lo, hi = _analysis_window(timing, n)
-    fill = 0.0
-    if effective_path > 0.0:
-        fill = transit_fill_time(nl.ctx, effective_path,
-                                 nl.carrier_propagation.k)
+    lo, hi = timing.window
+    fill = transit_fill_time(nl.ctx, effective_path, nl.carrier_propagation.k)
     if timing.t_toggle is None:
         drive_i2 = np.full(hi - lo, s.drive_amplitude * np.exp(1j * phase0))
     else:
+        violation = fill > 0.0 and _fill_violation(effective_path, fill, timing)
+        if violation:
+            raise RunwayError(violation)
         drive_i2 = step_phase_drive(
             s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
             timing.duration, timing.dt, fill=fill, window=(lo, hi))
-        if fill > 0.0:
-            violation = _fill_violation(effective_path, fill, timing, n)
-            if violation:
-                raise RunwayError(violation)
 
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
@@ -312,13 +346,12 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
     """Longest effective path whose fill time passes _fill_violation."""
-    n = int(round(timing.duration / timing.dt))
-    limit = _plateau_time(timing, n) - timing.t_toggle - timing.ramp
+    limit = _plateau_time(timing) - timing.t_toggle - timing.ramp
     k_c = nl.carrier_propagation.k
     path = limit * abs(physics.group_velocity(nl.ctx, k_c))
     # the limit is exclusive and the product rounds: step down to a pass
     while path > 0.0 and _fill_violation(
-            path, transit_fill_time(nl.ctx, path, k_c), timing, n):
+            path, transit_fill_time(nl.ctx, path, k_c), timing):
         path = math.nextafter(path, 0.0)
     return path
 
@@ -348,14 +381,31 @@ class ScalingStudy:
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
-    """Least-squares line y = slope*x + intercept and its R^2."""
+    """Least-squares line y = slope*x + intercept and its R^2.
+
+    Fitted against x / max|x|, whose squares cannot underflow; NaN when
+    the x values do not fix a line (repeats) or the slope overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    top = float(np.abs(x).max())
+    u = x / top
+    (slope, intercept), _, rank, _ = np.linalg.lstsq(
+        np.column_stack([u, np.ones_like(u)]), y, rcond=None)
+    resid = y - (slope * u + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    slope = float(slope) / top
+    if rank < 2 or not math.isfinite(slope):
+        return math.nan, math.nan, math.nan
+    return slope, float(intercept), r2
+
+
+def check_scales(scales) -> None:
+    """Raise ValueError, naming the argument, for scales scaling_study
+    cannot sweep."""
+    if not all(s > 0 for s in scales):
+        raise ValueError("scales must be positive")
 
 
 def scaling_study(nl: circuit.GateNetlist, scales,
@@ -375,8 +425,7 @@ def scaling_study(nl: circuit.GateNetlist, scales,
     zero-length rise time of the same pipeline.
     """
     scales = [float(s) for s in scales]
-    if any(s <= 0 for s in scales):
-        raise ValueError("scales must be positive")
+    check_scales(scales)
     floor = run_switching(nl, enc=enc, timing=timing, effective_path=0.0,
                           **kwargs).t_rise
     rows = []

@@ -20,6 +20,9 @@ TABLE_ROW_ORDER = (
     (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
     (1, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1),
 )
+# an output at or below this share of the gate's unanimity amplitude
+# sum(|g_i|) per unit drive is indeterminate
+REL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,7 @@ def _readout(out: complex, ref_phase: float, enc: PhaseEncoding,
 
 
 def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
-                    enc: PhaseEncoding | None = None,
-                    rel_floor: float = 1e-12) -> GateReadout:
+                    enc: PhaseEncoding | None = None) -> GateReadout:
     """Drive one input state through the netlist and decode the output.
 
     Each channel is driven with the common amplitude at its encoded
@@ -113,19 +115,18 @@ def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
     which is how the read-out is anchored after calibration.  The model is
     linear in the drive, so the output is decoded per unit drive and only
     the amplitude scales with it: every decoded bit and margin is the same
-    at any nonzero drive.  A zero drive, or an output at or below
-    rel_floor times the gate's unanimity amplitude sum(|g_i|) per unit
-    drive, is indeterminate.
+    at any drive.  An output at or below REL_FLOOR times the gate's
+    unanimity amplitude sum(|g_i|) per unit drive is indeterminate.
     """
     enc = enc or PhaseEncoding()
-    drive = abs(nl.settings.drive_amplitude)
+    drive = nl.settings.drive_amplitude
     gains = nl.carrier_gains
     phasors = np.exp(1j * np.array([encode(bit, enc) for bit in state.bits]))
     zeros = np.full(3, np.exp(1j * encode(0, enc)))
     out = complex(np.dot(phasors, gains))
     out_ref = complex(np.dot(zeros, gains))
-    floor = rel_floor * float(np.abs(gains).sum())
-    if drive == 0.0 or abs(out_ref) <= floor:
+    floor = REL_FLOOR * float(np.abs(gains).sum())
+    if abs(out_ref) <= floor:
         return GateReadout(amplitude=drive * abs(out), phase=0.0,
                            decoded_bit=None, margin=0.0)
     ro = _readout(out, float(np.angle(out_ref)), enc, floor)
@@ -159,16 +160,6 @@ class TruthTableReport:
         amps = [r.out_amplitude for r in self.rows]
         lo = min(amps)
         return math.inf if lo == 0 else max(amps) / lo
-
-    @property
-    def miscalibrated(self) -> bool:
-        """Flag rows whose amplitude collapses below the ideal-gate minimum.
-
-        An evenly driven gate never drops below one third of its unanimity
-        amplitude; a row far under that points at channel imbalance.
-        """
-        amps = [r.out_amplitude for r in self.rows]
-        return min(amps) < 0.25 * max(amps)
 
     def to_csv(self) -> str:
         lines = ["in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,state,"

@@ -63,13 +63,13 @@ class FilmParams:
     d: float
     gamma: float = GAMMA_DEFAULT
     mu0_dh0: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
-        if self.Ms <= 0 or self.d <= 0 or self.gamma <= 0:
-            raise ValueError("Ms, d and gamma must be positive")
-        if self.mu0_dh0 < 0:
-            raise ValueError("linewidth must be nonnegative")
+        for name in ("Ms", "d", "gamma"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.mu0_dh0 >= 0:
+            raise ValueError("mu0_dh0 must be nonnegative")
 
     @classmethod
     def yig(cls, mu0_ms: float = 0.176, d: float = 5.4e-6,
@@ -80,8 +80,7 @@ class FilmParams:
         measured uniform-precession frequency with :func:`calibrate_ms` when
         one is available.
         """
-        return cls(Ms=mu0_ms / MU0, d=d, gamma=gamma, mu0_dh0=mu0_dh0,
-                   label="YIG-5.4um")
+        return cls(Ms=mu0_ms / MU0, d=d, gamma=gamma, mu0_dh0=mu0_dh0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class BiasField:
     orientation: Orientation = Orientation.PARALLEL
 
     def __post_init__(self):
-        if self.mu0_h <= 0:
+        if not self.mu0_h > 0:
             raise ValueError("mu0_h must be positive")
 
 
@@ -154,13 +153,18 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
     return ms
 
 
-def dispersion_f(ctx: ModeContext, k):
-    """Mode frequency (Hz) at wavenumber k (rad/m, scalar or array)."""
+def _wavenumbers(k) -> np.ndarray:
+    """k (rad/m, scalar or array) as a flat array; none may be negative."""
     k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
     if np.any(k_arr < 0):
-        raise ValueError("wavenumber must be nonnegative")
-    f = kernels.dispersion_f(k_arr, ctx.omega_h, ctx.omega_m, ctx.film.d,
-                             ctx.branch)
+        raise ValueError("k must be nonnegative")
+    return k_arr
+
+
+def dispersion_f(ctx: ModeContext, k):
+    """Mode frequency (Hz) at wavenumber k (rad/m, scalar or array)."""
+    f = kernels.dispersion_f(_wavenumbers(k), ctx.omega_h, ctx.omega_m,
+                             ctx.film.d, ctx.branch)
     return float(f[0]) if np.isscalar(k) else f
 
 
@@ -171,11 +175,8 @@ def group_velocity(ctx: ModeContext, k):
     one-sided analytic limit -wh*wm*d/(4*w_fmr) (parallel) or
     +wm^2*d/(4*w_fmr) (perpendicular).
     """
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if np.any(k_arr < 0):
-        raise ValueError("wavenumber must be nonnegative")
-    v = kernels.group_velocity(k_arr, ctx.omega_h, ctx.omega_m, ctx.film.d,
-                               ctx.branch)
+    v = kernels.group_velocity(_wavenumbers(k), ctx.omega_h, ctx.omega_m,
+                               ctx.film.d, ctx.branch)
     return float(v[0]) if np.isscalar(k) else v
 
 

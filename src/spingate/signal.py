@@ -19,6 +19,12 @@ from ._kernels import kernels
 
 TWO_PI = 2.0 * math.pi
 
+# ceiling of the drive and the responsivity: with the couplings capped
+# (circuit.MAX_GAIN_DB), the detected power stays below 1e73, far from overflow
+MAX_LEVEL = 1.0e10
+# share of a trace, at its end, that rise_time averages for the settled level
+PLATEAU_FRACTION = 0.25
+
 
 class NoTransitionError(ValueError):
     """Trace never crosses the rise-time thresholds."""
@@ -58,10 +64,6 @@ class ComplexEnvelope:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def nyquist(self) -> float:
-        return 0.5 / self.dt
-
 
 @dataclass(frozen=True)
 class DetectedTrace:
@@ -91,6 +93,9 @@ class DetectedTrace:
 # cumulative integral falls as the node spacing squared, and at 8 it sits
 # far below that of the spectral moving average on the record's samples
 _RAMP_NODES_PER_SAMPLE = 8
+# a fill below this share of a sample is none: the average is the drive to
+# within rounding there, and dividing by a subnormal fill overflows
+_NEGLIGIBLE_FILL = 1e-9
 
 
 def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
@@ -102,20 +107,16 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
     The record holds round(duration/dt) samples at t = j*dt; window=(lo,
     hi) picks the samples returned (default: all).  The drive has constant
     modulus and a raised-cosine phase ramp of width ramp starting at
-    t_toggle, so its trajectory is phase-continuous.  A positive fill
-    returns instead the causal box average over the last fill seconds,
-    y(t) = a0 + (C(t) - C(t - fill))/fill, where a0 is the pre-toggle
-    value and C the integral of drive - a0: zero before the toggle, the
-    trapezoid rule on the ramp (_RAMP_NODES_PER_SAMPLE nodes per sample,
-    both ends included) read by linear interpolation, and linear after
-    the ramp.  The drive is held at a0 before the toggle, also before the
-    record begins, so the average never wraps, and only the requested
-    samples are computed.
+    t_toggle, so its trajectory is phase-continuous.  A fill above
+    _NEGLIGIBLE_FILL * dt returns instead the causal box average over the
+    last fill seconds, y(t) = a0 + (C(t) - C(t - fill))/fill, where a0 is
+    the pre-toggle value and C the integral of drive - a0: zero before
+    the toggle, the trapezoid rule on the ramp (_RAMP_NODES_PER_SAMPLE
+    nodes per sample, both ends included) read by linear interpolation,
+    and linear after the ramp.  The drive is held at a0 before the
+    toggle, also before the record begins, so the average never wraps,
+    and only the requested samples are computed.
     """
-    if ramp <= 0 or ramp > duration:
-        raise ValueError("switch rise must be positive and fit in the envelope")
-    if not 0.0 < t_toggle < duration:
-        raise ValueError("toggle instant must lie inside the envelope")
     lo, hi = window or (0, int(round(duration / dt)))
     t = np.arange(lo, hi) * dt
 
@@ -123,7 +124,7 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
         phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
         return amplitude * np.exp(1j * phase)
 
-    if fill <= 0.0:
+    if fill <= _NEGLIGIBLE_FILL * dt:
         return drive(np.clip((t - t_toggle) / ramp, 0.0, 1.0))
     a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
     a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
@@ -163,6 +164,16 @@ def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
     return ComplexEnvelope(env.f_carrier, env.dt, out)
 
 
+def check_detection(lp_cutoff: float | None, responsivity: float,
+                    dt: float) -> None:
+    """Raise ValueError, naming the argument, for a detector diode_detect
+    cannot run on samples dt apart."""
+    if lp_cutoff is not None and not 0 < lp_cutoff < 0.5 / dt:
+        raise ValueError("lp_cutoff must lie in (0, 1/(2*dt))")
+    if not 0 < responsivity <= MAX_LEVEL:
+        raise ValueError(f"responsivity must lie in (0, {MAX_LEVEL:g}]")
+
+
 def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
                  responsivity: float = 1.0) -> DetectedTrace:
     """Square-law detection of the envelope.
@@ -171,11 +182,10 @@ def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
     then a single-pole low-pass at lp_cutoff; pass None to skip the
     filter.
     """
+    check_detection(lp_cutoff, responsivity, env.dt)
     power = responsivity * np.abs(env.samples) ** 2
     if lp_cutoff is None:
         return DetectedTrace(env.dt, power)
-    if lp_cutoff >= env.nyquist:
-        raise ValueError("low-pass cutoff must sit below Nyquist")
     a = math.exp(-TWO_PI * lp_cutoff * env.dt)
     # pre-charged at the first sample so a constant input stays constant
     out = kernels.lowpass_1pole(power, a, float(power[0]))
@@ -189,21 +199,21 @@ class RiseTimeResult:
     v_max: float
 
 
-def plateau_start(n: int, plateau_fraction: float = 0.25) -> int:
+def plateau_start(n: int) -> int:
     """First sample of the trailing plateau rise_time reads v_max from."""
-    return n - max(1, int(round(plateau_fraction * n)))
+    return n - max(1, int(round(PLATEAU_FRACTION * n)))
 
 
-def rise_time(trace: DetectedTrace, plateau_fraction: float = 0.25) -> RiseTimeResult:
+def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     """1/3 -> 2/3 rise time of a low-to-high transition.
 
     v_max is the settled level, estimated as the mean of the trailing
-    plateau_fraction of the trace.  The crossing pair is the last
+    PLATEAU_FRACTION of the trace.  The crossing pair is the last
     1/3*v_max crossing before the first 2/3*v_max crossing, both linearly
     interpolated between samples; f_clock = 1/t_rise.
     """
     v = trace.samples
-    v_max = float(np.mean(v[plateau_start(v.size, plateau_fraction):]))
+    v_max = float(np.mean(v[plateau_start(v.size):]))
     if v_max <= 0:
         raise NoTransitionError("no transition: settled level is zero")
     th_lo = v_max / 3.0

@@ -371,6 +371,11 @@ class TestBuildMajorityGate:
         with pytest.raises(ValueError):
             ct.MicrowaveSettings(attenuator_db=(-1.0, 0.0, 0.0))
 
+    def test_output_coupling_ceiling(self):
+        # 5e16 dB used to reach carrier_gains and raise a bare OverflowError
+        with pytest.raises(ValueError, match="^output_coupling_db must not"):
+            ct.MicrowaveSettings(output_coupling_db=5e16)
+
 
 class TestSerialization:
     def test_spectrum_csv(self):

@@ -398,10 +398,36 @@ class TestCliPlumbing:
         ("microwave.coupling_db = 0, 0, 201", "microwave.coupling_db"),
         ("microwave.output_coupling_db = 5e16", "microwave.output_coupling_db"),
         ("detector.responsivity_v = -2", "detector.responsivity_v"),
+        ("film.mu0_ms_t = 0", "film.mu0_ms_t"),
+        ("film.thickness_m = -5.4e-6", "film.thickness_m"),
+        ("film.linewidth_t = -1e-5", "film.linewidth_t"),
+        ("film.fit_fmr_hz = -6e9", "film.fit_fmr_hz"),
+        ("field.mu0_h_t = 0", "field.mu0_h_t"),
+        ("field.orientation = diagonal", "field.orientation"),
+        ("geometry.scale = -1", "geometry.scale"),
+        ("microwave.f_c_hz = 0", "microwave.f_c_hz"),
+        ("microwave.attenuator_db = 0, -1, 0", "microwave.attenuator_db"),
+        ("encoding.guard_rad = 0", "encoding.guard_rad"),
+        ("encoding.guard_rad = 1.6", "encoding.guard_rad"),
+        ("switching.dt_s = 0", "switching.dt_s"),
+        # one sample of 200 ns in the 280 ns analysis window
+        ("switching.dt_s = 2e-7", "switching.dt_s"),
+        ("switching.duration_s = 1e-10", "switching.duration_s"),
+        # 2.8e9 samples in the analysis window: used to allocate them
+        ("switching.dt_s = 1e-16", "switching.dt_s"),
+        ("spectrum.n_points = 1", "spectrum.n_points"),
+        ("spectrum.f_stop_hz = 5e9", "spectrum.f_stop_hz"),
+        # the message names the pair, stop first
+        ("spectrum.f_start_hz = 7e9", "spectrum.f_stop_hz"),
+        ("dispersion.n_points = 0", "dispersion.n_points"),
+        ("dispersion.k_start_rad_per_m = -50", "dispersion.k_start_rad_per_m"),
+        ("dispersion.k_stop_rad_per_m = 10", "dispersion.k_stop_rad_per_m"),
+        ("scaling.scales = 1, 0, 0.5", "scaling.scales"),
     ])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, line, key):
         # each used to end in a ValueError/OverflowError traceback (exit 1),
-        # exit 3, or, for a negative path, a run that echoed it back
+        # exit 3, a message naming no key, or, for a negative path, a run
+        # that echoed it back
         config = tmp_path / "cfg.txt"
         config.write_text(line + "\n")
         code = main(["switch", "--config", str(config), "--out", str(tmp_path)])
@@ -631,8 +657,8 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
 
     nl, _ = ex.calibrate(cf.build_netlist(cfg))
     trace = ex.run_switching(
-        nl, enc=cli._enc(cfg), ref_phase=cfg.switching.ref_phase_rad,
-        timing=cli._timing(cfg),
+        nl, enc=cf.build_encoding(cfg), ref_phase=cfg.switching.ref_phase_rad,
+        timing=cf.build_timing(cfg),
         effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
         lp_cutoff=cfg.detector.lp_cutoff_hz,
         responsivity=cfg.detector.responsivity_v).trace

@@ -227,7 +227,41 @@ class TestTransitFill:
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
 
 
+class TestSwitchTiming:
+    def test_rejects_bad_timing(self):
+        # a ramp longer than the record, a toggle past its end, the other
+        # ranges, and a grid too coarse for the analysis window: each
+        # message starts with the field it names
+        cases = [({"ramp": 300e-9, "duration": 200e-9}, "ramp"),
+                 ({"t_toggle": 250e-9, "duration": 200e-9}, "t_toggle"),
+                 ({"t_toggle": 0.0}, "t_toggle"), ({"dt": 0.0}, "dt"),
+                 ({"duration": 1e-10}, "duration"), ({"ramp": 0.0}, "ramp"),
+                 ({"dt": 1e-16}, "dt"), ({"dt": 1e-300}, "dt"),
+                 ({"t_toggle": None, "duration": 1e-3}, "dt"),
+                 ({"analysis_pre": 0.0}, "analysis_pre"),
+                 ({"analysis_post": -1e-9}, "analysis_post"),
+                 ({"dt": 2e-7}, "dt"), ({"dt": math.nan}, "dt")]
+        for kwargs, name in cases:
+            with pytest.raises(ValueError, match=f"^{name} "):
+                ex.SwitchTiming(**kwargs)
+
+    def test_constant_drive_reads_the_whole_record(self):
+        timing = ex.SwitchTiming(t_toggle=None)
+        assert timing.window == (0, 4096)
+
+
 class TestRunSwitching:
+    def test_rejects_negative_responsivity(self, calibrated):
+        # used to fail inside DetectedTrace: "detected trace must be
+        # nonnegative"
+        with pytest.raises(ValueError, match="^responsivity must lie in"):
+            ex.run_switching(calibrated, responsivity=-1.0)
+
+    def test_rejects_negative_effective_path(self, calibrated):
+        # used to run and echo the path back as -0.001
+        with pytest.raises(ValueError, match="^effective_path must be"):
+            ex.run_switching(calibrated, effective_path=-1e-3)
+
     def test_zero_length_ramp_floor(self):
         # lossless zero-length device: the switch ramp alone sets the rise
         nl = symmetric()

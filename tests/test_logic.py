@@ -102,7 +102,9 @@ class TestRunLogicState:
         assert amp_unanimous / amp_majority == pytest.approx(3.0, abs=1e-9)
 
     def test_dead_gate_indeterminate(self):
-        nl = symmetric_netlist(drive_amplitude=0.0)
+        # a carrier above the band: every carrier gain is exactly 0
+        nl = symmetric_netlist(f_c=7.0e9)
+        assert not np.any(nl.carrier_gains)
         ro = lg.run_logic_state(nl, lg.LogicState((1, 0, 1)))
         assert ro.decoded_bit is None
         assert ro.margin == 0.0
@@ -144,7 +146,6 @@ class TestTruthTable:
         assert report.matches_majority
         assert not report.any_indeterminate
         assert report.amplitude_spread == pytest.approx(3.0, abs=1e-9)
-        assert not report.miscalibrated
 
     @pytest.mark.parametrize("delta", [math.pi, 0.7, -1.3])
     def test_common_phase_offset_covariance(self, delta):
@@ -193,7 +194,10 @@ class TestTruthTable:
         # 20 dB down on i3: ties fall to the weak channel at tiny amplitude
         nl = symmetric_netlist(coupling_db=(0.0, 0.0, -20.0))
         report = lg.truth_table(nl)
-        assert report.miscalibrated
+        # an evenly driven gate never drops below a third of its unanimity
+        # amplitude; the imbalance collapses some rows far under that
+        amps = [r.out_amplitude for r in report.rows]
+        assert min(amps) < 0.25 * max(amps)
         # two-wave behavior: agreeing strong pair wins, else the remainder
         for row in report.rows:
             b1, b2, b3 = row.state.bits

@@ -36,7 +36,6 @@ class TestEnvelopeType:
     def test_grid_properties(self):
         env = envelope(np.ones(16))
         assert len(env) == 16
-        assert env.nyquist == pytest.approx(0.5 / DT)
 
 
 class TestStepPhaseEnvelope:
@@ -65,12 +64,6 @@ class TestStepPhaseEnvelope:
         i_after = int((t_tog + 2e-9) / DT) + 1
         assert np.angle(drive[i_before]) == pytest.approx(0.0, abs=1e-12)
         assert abs(np.angle(drive[i_after])) == pytest.approx(math.pi, abs=1e-9)
-
-    def test_rejects_bad_timing(self):
-        with pytest.raises(ValueError):
-            sig.step_phase_drive(1, 0, 1, 50e-9, 300e-9, 200e-9, DT)
-        with pytest.raises(ValueError):
-            sig.step_phase_drive(1, 0, 1, 250e-9, 2e-9, 200e-9, DT)
 
     @pytest.mark.parametrize("fill", [0.0, 3.3e-9, 60e-9])
     def test_window_is_a_slice_of_the_record(self, fill):
