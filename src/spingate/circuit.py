@@ -20,7 +20,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import MAX_LEVEL, format_table
+from .signal import MAX_LEVEL, write_table
 
 CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
@@ -293,6 +293,7 @@ def build_majority_gate(geometry: DeviceGeometry, ctx: physics.ModeContext,
                        settings=settings or MicrowaveSettings())
 
 
-def spectrum_to_csv(f_grid, db) -> str:
-    """CSV text with columns f_hz, s21_db."""
-    return format_table("f_hz,s21_db", f_grid, db)
+def spectrum_to_csv(f_grid, db, path) -> None:
+    """Write a spectrum to path as CSV with columns f_hz, s21_db."""
+    with open(path, "wb") as file:
+        write_table(file, "f_hz,s21_db", f_grid, db)

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, build_context, build_encoding,
-                     build_netlist, build_timing, parse_config,
+                     build_netlist, build_timing, read_config,
                      validate_config)
-from .signal import NoTransitionError, format_table, trace_to_csv
+from .signal import NoTransitionError, trace_to_csv, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,13 +32,15 @@ EXIT_INDETERMINATE = 4
 
 
 def _load_config(args) -> RunConfig:
-    """Config file (or defaults), then flag overrides, then --settings."""
+    """Config file (or defaults), then flag overrides, then --settings,
+    validated once at the end: a file value a flag overrides is never
+    checked."""
     if args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
-        cfg = parse_config(text)
+        cfg = read_config(text)
     else:
         cfg = RunConfig()
     if args.mode:
@@ -77,7 +79,8 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
     f = physics.dispersion_f(ctx, k)
     vg = physics.group_velocity(ctx, k)
     path = out / "dispersion.csv"
-    _write(path, format_table("k_rad_per_m,f_hz,v_g_m_per_s", k, f, vg))
+    with path.open("wb") as file:
+        write_table(file, "k_rad_per_m,f_hz,v_g_m_per_s", k, f, vg)
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
           f"branch={cfg.field_.orientation} -> {path}")
     return EXIT_OK
@@ -91,7 +94,7 @@ def cmd_transmission(cfg: RunConfig, out: Path) -> int:
     spectra = circuit.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
     for ch, db in zip(circuit.CHANNELS, spectra):
         path = out / f"transmission_{ch}.csv"
-        _write(path, circuit.spectrum_to_csv(f_grid, db))
+        circuit.spectrum_to_csv(f_grid, db, path)
         summary.append(f"{ch}_peak_db={db.max():.4g}")
     print(f"transmission n={sp.n_points} {' '.join(summary)} -> {out}")
     return EXIT_OK
@@ -186,7 +189,7 @@ def cmd_switch(cfg: RunConfig, out: Path) -> int:
         responsivity=cfg.detector.responsivity_v,
     )
     path = out / "switch_trace.csv"
-    _write(path, trace_to_csv(result.trace))
+    trace_to_csv(result.trace, path)
     print(f"switch t_rise_s={result.t_rise:.6g} f_clock_hz={result.f_clock:.6g} "
           f"v_max={result.levels[1]:.6g} "
           f"effective_path_m={result.effective_path:.6g} -> {path}")

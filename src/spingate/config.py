@@ -175,11 +175,12 @@ _DEFAULTS = {name: getattr(RunConfig(), attr) for name, attr in _SECTIONS.items(
 _FIELDS = {name: {f.name for f in fields(obj)} for name, obj in _DEFAULTS.items()}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document into a validated RunConfig.
+def read_config(text: str) -> RunConfig:
+    """Parse a flat key = value document into a RunConfig, unvalidated.
 
     Values are collected per section and each section is built once; a
-    key given twice keeps its last value.
+    key given twice keeps its last value.  Only the syntax, the keys and
+    the value types are checked here; see parse_config.
     """
     values = {name: {} for name in _SECTIONS}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -197,8 +198,13 @@ def parse_config(text: str) -> RunConfig:
         if attr not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[section][attr] = _parse_value(raw, getattr(_DEFAULTS[section], attr))
-    cfg = RunConfig(**{attr: replace(_DEFAULTS[name], **values[name])
-                       for name, attr in _SECTIONS.items()})
+    return RunConfig(**{attr: replace(_DEFAULTS[name], **values[name])
+                        for name, attr in _SECTIONS.items()})
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a flat key = value document into a validated RunConfig."""
+    cfg = read_config(text)
     validate_config(cfg)
     return cfg
 

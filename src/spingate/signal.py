@@ -235,27 +235,151 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     return RiseTimeResult(t_rise=t_rise_val, f_clock=1.0 / t_rise_val, v_max=v_max)
 
 
-# rows formatted per % operation: one block's argument tuple and text stay
-# a few MB, where formatting a 2^17-row table at once holds all of it
-_TABLE_BLOCK_ROWS = 4096
+# -- the %.12g table writer ---------------------------------------------
+
+# rows per written block: the fastest of 1024-8192 on both benchmark
+# workloads' tables, whose slots and temporaries stay within the cache
+# where a whole 2^17-row table at once would hold several MB
+_BLOCK_ROWS = 2048
+# the vectorized path takes |x| in this range, where the scaling by a
+# power of ten neither overflows nor leaves the normal floats
+_FAST_RANGE = (1e-280, 1e280)
+# ... and a scaled value y at least this far from a rounding tie: y is
+# |x| times a power of ten within an ulp of exact (numpy's power), then
+# rounded, so |error| < 1e12 * 3 * 2**-53 ~ 3.3e-4
+_TIE_MARGIN = 1e-3
 
 
-def format_table(header: str, *columns) -> str:
-    """CSV text: the header line, then one row per index of the columns.
+def _words(chars) -> np.ndarray:
+    """Rows of at most 8 byte values, each packed into a little-endian
+    uint64 (the first value in the lowest byte)."""
+    chars = np.asarray(chars)
+    out = np.zeros((chars.shape[0], 8), np.uint8)
+    out[:, :chars.shape[1]] = chars
+    return out.view("<u8").ravel()
 
-    Every value is written as f"{v:.12g}" would write it (nan, inf, -0 and
-    subnormals included): printf-style %.12g of a Python float gives the
-    same bytes, and one % operation formats a whole block of rows.
+
+# the four decimal digits of each n < 10^4, as ASCII, and how many of
+# them are trailing zeros
+_QUAD = np.indices((10,) * 4).reshape(4, -1).T
+_QUAD_TEXT = _words(48 + _QUAD)
+_QUAD_ZEROS = (_QUAD[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
+# per decimal exponent X (index X + _X0): the power 10^X, the digits
+# before the point, the "0.00" prefix of -4 <= X < 0 and the "e+dd" suffix
+# of the exponent form (X < -4 or X >= 12), with its length
+_X0 = 300
+_X = np.arange(-_X0, _X0 + 1)
+_POW10 = 10.0 ** _X.astype(np.float64)
+_SMALL = (_X >= -4) & (_X < 0)
+_SCI = (_X < -4) | (_X >= 12)
+_INT_DIGITS = np.where(_SCI, 1, np.where(_SMALL, 0, _X + 1))
+_PREFIX = _words(np.where(_SMALL[:, None] & (np.arange(5) < 1 - _X[:, None]),
+                          np.where(np.arange(5) == 1, ord("."), ord("0")), 0))
+_ABS_X = np.abs(_X)
+_EXP_CHARS = np.where(_ABS_X >= 100, 5, 4)
+_EXP_DIGITS = 48 + _ABS_X[:, None] // np.array([100, 10, 1]) % 10
+_EXPONENT = _words(_SCI[:, None] * np.column_stack([
+    np.full(_X.size, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
+    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 0], _EXP_DIGITS[:, 1]),
+    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 1], _EXP_DIGITS[:, 2]),
+    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 2], 0)]))
+_EXP_BITS = (8 * _SCI * _EXP_CHARS).astype(np.uint64)
+# per count k <= 13: the low k bytes of a 16-byte digit field, and a point
+# at byte k, each as its (low, high) word pair
+_K = np.arange(14)[:, None]
+_MASK_LOW, _MASK_HIGH = np.where(np.arange(16) < _K, 255, 0).astype(
+    np.uint8).view("<u8").T.copy()
+_POINT_LOW, _POINT_HIGH = np.where(np.arange(16) == _K, ord("."), 0).astype(
+    np.uint8).view("<u8").T.copy()
+_MINUS, _BYTE, _TOP_BYTE = np.uint64(ord("-")), np.uint64(8), np.uint64(56)
+
+
+def _format_block(x: np.ndarray, n_cols: int) -> np.ndarray:
+    """ASCII bytes of the rows of values x (row-major, n_cols per row).
+
+    Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
+    prefix | the digits with the point (two words) | exponent and the
+    separator, zero-padded.  Its 12 digits come from y = |x| * 10^(11-X)
+    rounded to an integer; a value the fast path cannot certify (0, nan,
+    inf, outside _FAST_RANGE, or y within _TIE_MARGIN of a tie) is
+    written into its slot by '%.12g' % instead.  The zero padding is
+    squeezed out at the end.
     """
-    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    parts = [header + "\n"]
-    for start in range(0, table.shape[0], _TABLE_BLOCK_ROWS):
-        block = table[start:start + _TABLE_BLOCK_ROWS]
-        parts.append((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    n = x.size
+    mag = np.abs(x)
+    fast = (mag >= _FAST_RANGE[0]) & (mag <= _FAST_RANGE[1])
+    mag = np.where(fast, mag, 1.0)
+    # X from log10, one off at some powers of ten: corrected so that y
+    # lands in [1e11, 1e12), then y scaled once more from |x|
+    exp10 = np.floor(np.log10(mag)).astype(np.intp)
+    y = mag * _POW10[_X0 + 11 - exp10]
+    exp10 += y >= 1e12
+    exp10 -= y < 1e11
+    y = mag * _POW10[_X0 + 11 - exp10]
+    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN)
+    y = np.where(fast, np.rint(y), 1e11)
+    carry = y == 1e12  # rounded up to 13 digits: one more decade
+    y[carry] = 1e11
+    exp10 += carry + _X0
+    # the 12 digits in three groups of four; exact in float64
+    hi = np.floor(y / 1e8)
+    rest = y - hi * 1e8
+    mid = np.floor(rest / 1e4)
+    lo = (rest - mid * 1e4).astype(np.intp)
+    hi, mid = hi.astype(np.intp), mid.astype(np.intp)
+    zeros = _QUAD_ZEROS[lo]
+    zeros_mid = _QUAD_ZEROS[mid]
+    zeros += (zeros == 4) * (zeros_mid + (zeros_mid == 4) * _QUAD_ZEROS[hi])
+    n_digits = 12 - zeros
+    # digits kept: the significant ones, and every one before the point
+    int_digits = _INT_DIGITS[exp10]
+    keep = np.maximum(n_digits, int_digits)
+    low = (_QUAD_TEXT[hi] | _QUAD_TEXT[mid] << np.uint64(32)) & _MASK_LOW[keep]
+    high = _QUAD_TEXT[lo] & _MASK_HIGH[keep]
+    # the point after the integer digits, where a fraction digit follows
+    # (the prefix holds it for -4 <= X < 0): the bytes from there on move
+    # up one
+    point = ((n_digits > int_digits) & (int_digits > 0)).astype(np.uint64)
+    low_int, high_int = _MASK_LOW[int_digits], _MASK_HIGH[int_digits]
+    low_frac = low & ~low_int
+    shift = point * _BYTE
+    neg = (x < 0).astype(np.uint64)
+    sep = np.full(n, ord(","), np.uint64)
+    sep[n_cols - 1::n_cols] = ord("\n")
+    slots = np.empty((n, 4), "<u8")
+    slots[:, 0] = _PREFIX[exp10] << neg * _BYTE | neg * _MINUS
+    slots[:, 1] = low & low_int | low_frac << shift | _POINT_LOW[int_digits] * point
+    slots[:, 2] = (high & high_int | (high & ~high_int) << shift
+                   | (low_frac >> _TOP_BYTE) * point | _POINT_HIGH[int_digits] * point)
+    slots[:, 3] = _EXPONENT[exp10] | sep << _EXP_BITS[exp10]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ("%-24.12g" * slow.size) % tuple(x[slow].tolist())
+        slots[slow, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                        "<u8").reshape(-1, 3)
+        slots[slow, 3] = sep[slow]
+    flat = slots.view(np.uint8).ravel()
+    return flat[flat != 0]
 
 
-def trace_to_csv(trace: DetectedTrace) -> str:
-    """CSV text with columns time_s, value."""
-    return format_table("time_s,value", trace.times, trace.samples)
+def write_table(file, header: str, *columns) -> None:
+    """Write a CSV table to a binary file: the header line, then one row
+    per index of the equal-length 1-D columns.
+
+    Every value is written as '%.12g' % v (and f"{v:.12g}") would write
+    it, byte for byte.  Blocks of _BLOCK_ROWS rows are formatted by
+    _format_block and written as they are made.
+    """
+    cols = [np.asarray(c, dtype=np.float64) for c in columns]
+    if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ValueError("columns must be 1-D arrays of one length")
+    file.write(header.encode() + b"\n")
+    for start in range(0, cols[0].size, _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+        file.write(_format_block(block.ravel(), len(cols)))
+
+
+def trace_to_csv(trace: DetectedTrace, path) -> None:
+    """Write the trace to path as CSV with columns time_s, value."""
+    with open(path, "wb") as file:
+        write_table(file, "time_s,value", trace.times, trace.samples)

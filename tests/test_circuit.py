@@ -378,6 +378,7 @@ class TestBuildMajorityGate:
 
 
 class TestSerialization:
-    def test_spectrum_csv(self):
-        lines = ct.spectrum_to_csv([6.0e9], [-33.25]).strip().split("\n")
+    def test_spectrum_csv(self, tmp_path):
+        ct.spectrum_to_csv([6.0e9], [-33.25], tmp_path / "s21.csv")
+        lines = (tmp_path / "s21.csv").read_text().strip().split("\n")
         assert lines == ["f_hz,s21_db", "6000000000,-33.25"]

@@ -27,12 +27,17 @@ def write_tree(root, a="0.700468911463", v="5.00321e-05", run=RUN):
     return root
 
 
-def test_matching_trees(tmp_path):
+def test_matching_trees(tmp_path, capsys):
     # numbers within 1e-10 relative and NaN against NaN agree
     a = write_tree(tmp_path / "a")
     b = write_tree(tmp_path / "b", a="0.700468911463000001", v="5.003210000001e-05")
     assert compare_artifacts.compare_trees(a, b) == []
     assert compare_artifacts.main(["compare", str(a), str(b)]) == 0
+    # the run record is the one file whose bytes are the same
+    assert compare_artifacts.main(["compare", str(a), str(a)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["0 differences over 3 files (rtol 1e-10), 1 byte-identical",
+                   "0 differences over 3 files (rtol 1e-10), 3 byte-identical"]
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -102,4 +107,4 @@ def test_worst_difference_per_file(tmp_path, capsys):
     assert lines[-3:] == [
         "plain/calibrate.run: largest relative difference inf",
         "plain/switch/switch_trace.csv: largest relative difference 1",
-        "3 differences over 3 files (rtol 1e-10)"]
+        "3 differences over 3 files (rtol 1e-10), 0 byte-identical"]

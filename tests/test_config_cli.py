@@ -351,6 +351,26 @@ class TestCliPlumbing:
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_flag_replaces_a_bad_file_value(self, tmp_path, capsys):
+        # flags win, and the config is validated once, after them: a file
+        # value a flag replaces is never checked, so this used to exit 2
+        config = tmp_path / "cfg.txt"
+        config.write_text("microwave.f_c_hz = -1\n")
+        args = ["calibrate", "--config", str(config), "--out", str(tmp_path)]
+        assert main([*args, "--fc", "6e9"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bad_file_value_no_flag_replaces(self, tmp_path, capsys):
+        # still exit 2, with the line the validated reader gives
+        config = tmp_path / "cfg.txt"
+        config.write_text("microwave.f_c_hz = -1\ngeometry.w_g_m = 0\n")
+        with pytest.raises(cf.ConfigError) as info:
+            cf.parse_config("geometry.w_g_m = 0\n")
+        assert str(info.value).startswith("geometry.w_g_m ")
+        assert main(["calibrate", "--config", str(config), "--fc", "6e9",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
+
     @pytest.mark.parametrize("flags", [
         ["--scale", "nan"], ["--scale", "inf"], ["--fc", "nan"],
         ["--fc", "inf"], ["--field", "nan"], ["--field", "inf"],

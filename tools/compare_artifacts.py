@@ -19,6 +19,8 @@ numbers must agree to RTOL relative (NaN equals NaN).  Exit status 0
 when the trees agree, 1 otherwise, with the differences listed and then
 one line per differing file giving the largest relative difference
 |x - y| / max(|x|, |y|) of its numbers (inf for NaN against a number).
+The last line counts the differences, the files of OUT_A and the files
+whose bytes are the same in both trees.
 """
 
 from __future__ import annotations
@@ -184,8 +186,11 @@ def main(argv=None) -> int:
         print(line)
     for rel, worst in worst_differences(args.a, args.b).items():
         print(f"{rel}: largest relative difference {worst:.3g}")
-    n_files = sum(1 for p in args.a.rglob("*") if p.is_file())
-    print(f"{len(diffs)} differences over {n_files} files (rtol {RTOL:g})")
+    files = _files(args.a)
+    identical = sum((args.a / rel).read_bytes() == (args.b / rel).read_bytes()
+                    for rel in files & _files(args.b))
+    print(f"{len(diffs)} differences over {len(files)} files (rtol {RTOL:g}), "
+          f"{identical} byte-identical")
     return 1 if diffs else 0
 
 
