@@ -191,27 +191,35 @@ def lowpass_1pole(x, a, y0):
     return out
 
 
-def waveguide_gain(f, k, f_c, k_c, length, eta, wh, wm, d, branch):
+def waveguide_gain(f, speed, f_c, k_c, length, eta):
     """Complex per-bin gain of a film segment of the given length.
 
-    k holds the solved wavenumbers of f (NaN outside the band) and k_c that
-    of the carrier f_c.  Carrier phase -k_c*length, envelope delay
-    length/|vg(f)| applied to the offset from f_c, amplitude decay
-    exp(-eta*length/|vg(f)|).  Bins outside the propagating band return
-    exactly 0; length 0 returns 1 at every bin; an out-of-band carrier
-    kills the whole segment.
+    speed holds the group speed |v_g| at each bin of f (NaN outside the
+    band) and k_c the solved wavenumber of the carrier f_c.  Carrier phase
+    -k_c*length, envelope delay length/speed applied to the offset from
+    f_c, amplitude decay exp(-eta*length/speed).  Bins outside the
+    propagating band return exactly 0; length 0 returns 1 at every bin; an
+    out-of-band carrier kills the whole segment.  Works in place on one
+    complex and two real arrays of the grid's size, each operation with
+    the operands of the formula in its order: numpy's complex multiply is
+    not bitwise commutative.
     """
     f = np.asarray(f, dtype=np.float64)
     if length == 0.0:
         return np.ones(f.shape, dtype=np.complex128)
     if np.isnan(k_c):
         return np.zeros(f.shape, dtype=np.complex128)
-    inband = ~np.isnan(k)
-    vg = np.abs(group_velocity(np.where(inband, k, 0.0), wh, wm, d, branch))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tau = length / vg
-        phase = -(k_c * length) - 2.0 * np.pi * (f - f_c) * tau
-        mag = np.exp(-eta * tau)
-        gain = mag * (np.cos(phase) + 1j * np.sin(phase))
-    gain = np.where(inband & np.isfinite(gain), gain, 0.0)
-    return gain.astype(np.complex128)
+        tau = length / speed
+        # phase = -(k_c * length) - 2.0 * np.pi * (f - f_c) * tau
+        phase = np.subtract(f, f_c)
+        np.multiply(2.0 * np.pi, phase, out=phase)
+        np.multiply(phase, tau, out=phase)
+        np.subtract(-(k_c * length), phase, out=phase)
+        # gain = exp(-eta * tau) * (cos(phase) + 1j * sin(phase))
+        gain = 1j * np.sin(phase)
+        np.add(np.cos(phase, out=phase), gain, out=gain)
+        np.exp(np.multiply(-eta, tau, out=tau), out=tau)
+        np.multiply(tau, gain, out=gain)
+    gain[~np.isfinite(gain)] = 0.0
+    return gain

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import MAX_LEVEL, write_table
+from .signal import MAX_LEVEL, write_tables
 
 CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
@@ -108,6 +109,20 @@ class MicrowaveSettings:
 
 
 @dataclass(frozen=True)
+class Propagation:
+    """What the film and the antennas set on a frequency grid, the same
+    for the three channels.
+
+    speed is the group speed |v_g| at the solved wavenumbers (NaN in the
+    stopband) and shape the squared antenna shape of both transducers (0
+    there), one entry per frequency.
+    """
+
+    speed: np.ndarray
+    shape: np.ndarray
+
+
+@dataclass(frozen=True)
 class CarrierPropagation:
     """The part of each channel's carrier gain that only the film sets.
 
@@ -175,11 +190,11 @@ class GateNetlist:
         """k(f_c), solved once, each channel's film gain and the shape."""
         f = np.array([self.settings.f_c])
         k = physics.solve_k_grid(self.ctx, f)
-        film = tuple(waveguide_transfer(self.ctx, length, f, k,
+        prop = propagation(self, k)
+        film = tuple(waveguide_transfer(self.ctx, length, f, prop.speed,
                                         self.settings.f_c, k[0])
                      for length in self.lengths)
-        return CarrierPropagation(k=k[0], film=film,
-                                  shape=transducer_efficiency(self.geometry, k) ** 2)
+        return CarrierPropagation(k=k[0], film=film, shape=prop.shape)
 
     @cached_property
     def carrier_gains(self) -> np.ndarray:
@@ -220,32 +235,44 @@ def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     return np.where(inside, np.sinc(np.where(inside, x, 0.0) / math.pi), 0.0)
 
 
-def waveguide_transfer(ctx: physics.ModeContext, length: float, f, k,
+def propagation(nl: GateNetlist, k) -> Propagation:
+    """The propagation of a netlist's film and antennas at the solved
+    wavenumbers k (rad/m, NaN outside the band); the group velocity is
+    evaluated in the band only."""
+    inband = ~np.isnan(k)
+    speed = np.full(k.shape, np.nan)
+    speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
+    return Propagation(speed=speed,
+                       shape=transducer_efficiency(nl.geometry, k) ** 2)
+
+
+def waveguide_transfer(ctx: physics.ModeContext, length: float, f, speed,
                        f_c: float, k_c: float) -> np.ndarray:
     """Complex gain of a film segment of the given length.
 
-    k are the solved wavenumbers of f and k_c that of the carrier f_c
-    (NaN outside the band).  Carrier phase -k_c*length; each spectral bin
-    is delayed by length/|vg(f)| relative to the carrier and damped by
+    speed is the group speed |vg| at each frequency of f (NaN outside the
+    band, see ``propagation``) and k_c the solved wavenumber of the
+    carrier f_c.  Carrier phase -k_c*length; each spectral bin is delayed
+    by length/|vg(f)| relative to the carrier and damped by
     exp(-eta*length/|vg(f)|), eta the film's damping rate.  Stopband
     frequencies return exactly 0; zero length is an exact unit gain.
     """
     return kernels.waveguide_gain(
-        np.asarray(f, dtype=np.float64), np.asarray(k, dtype=np.float64),
-        float(f_c), float(k_c), float(length), physics.damping_rate(ctx),
-        ctx.omega_h, ctx.omega_m, ctx.film.d, ctx.branch)
+        np.asarray(f, dtype=np.float64), np.asarray(speed, dtype=np.float64),
+        float(f_c), float(k_c), float(length), physics.damping_rate(ctx))
 
 
-def channel_transfer(nl: GateNetlist, channel: str, f, k=None):
+def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
     """Complex gain from one source to the detector input.
 
     The channel's constant times the film gain over its summed length
     (the gain of a segment is exponential in its length) times the
-    antenna shape of both transducers; k(f) is shared by the film and the
-    transducers.  At the carrier (a scalar f equal to f_c) the
-    propagation is the netlist's cached ``carrier_propagation``; elsewhere
-    k are the solved wavenumbers of f, solved here unless given, which
-    lets the channels of one grid share one solve.
+    antenna shape of both transducers, both set by k(f).  At the carrier
+    (a scalar f equal to f_c) the propagation is the netlist's cached
+    ``carrier_propagation``; elsewhere prop is the ``propagation`` at the
+    solved wavenumbers of f, computed here unless given, which lets the
+    channels of one grid share one solve, one group speed and one antenna
+    shape.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
@@ -256,11 +283,11 @@ def channel_transfer(nl: GateNetlist, channel: str, f, k=None):
         film, shape = prop.film[idx], prop.shape
     else:
         f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
-        if k is None:
-            k = physics.solve_k_grid(nl.ctx, f_arr)
-        film = waveguide_transfer(nl.ctx, nl.lengths[idx], f_arr, k, f_c,
-                                  nl.carrier_propagation.k)
-        shape = transducer_efficiency(nl.geometry, k) ** 2
+        if prop is None:
+            prop = propagation(nl, physics.solve_k_grid(nl.ctx, f_arr))
+        film = waveguide_transfer(nl.ctx, nl.lengths[idx], f_arr, prop.speed,
+                                  f_c, nl.carrier_propagation.k)
+        shape = prop.shape
     gain = nl.constants[idx] * film * shape
     return gain if np.ndim(f) else complex(gain[0])
 
@@ -269,20 +296,24 @@ def transmission_spectrum(nl: GateNetlist, f_grid,
                           floor_db: float = -80.0) -> tuple[np.ndarray, ...]:
     """|S21| in dB of i1, i2 and i3 over a frequency grid, floored at floor_db.
 
-    k(f) is solved once for the three channels, which are evaluated one
-    at a time.  The floor replaces exact stopband zeros and clips any
+    k(f), the group speed and the antenna shape are computed once for the
+    three channels, which are evaluated one at a time, each spectrum in
+    place in the array of its |gain|: curve i is
+    max(20*log10|channel_transfer(nl, CHANNELS[i], f_grid)|, floor_db),
+    bit for bit.  The floor replaces exact stopband zeros and clips any
     deeper physical decay, mimicking a finite instrument noise floor.
     """
     f_grid = np.asarray(f_grid, dtype=np.float64)
     if f_grid.size > 1 and np.any(np.diff(f_grid) <= 0):
         raise ValueError("frequency grid must be ascending")
-    k = physics.solve_k_grid(nl.ctx, f_grid)
+    prop = propagation(nl, physics.solve_k_grid(nl.ctx, f_grid))
     spectra = []
     for ch in CHANNELS:
-        gain = np.abs(channel_transfer(nl, ch, f_grid, k))
+        db = np.abs(channel_transfer(nl, ch, f_grid, prop))
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(gain)
-        spectra.append(np.maximum(db, floor_db))
+            np.log10(db, out=db)
+        np.multiply(20.0, db, out=db)
+        spectra.append(np.maximum(db, floor_db, out=db))
     return tuple(spectra)
 
 
@@ -293,7 +324,10 @@ def build_majority_gate(geometry: DeviceGeometry, ctx: physics.ModeContext,
                        settings=settings or MicrowaveSettings())
 
 
-def spectrum_to_csv(f_grid, db, path) -> None:
-    """Write a spectrum to path as CSV with columns f_hz, s21_db."""
-    with open(path, "wb") as file:
-        write_table(file, "f_hz,s21_db", f_grid, db)
+def spectrum_to_csv(f_grid, spectra, paths) -> None:
+    """Write each spectrum in dB to its path as CSV with columns f_hz,
+    s21_db; the shared f_hz column is formatted once for all of them."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        write_tables(files, ["f_hz,s21_db"] * len(files), [f_grid],
+                     [[db] for db in spectra])

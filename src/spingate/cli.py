@@ -90,12 +90,11 @@ def cmd_transmission(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     sp = cfg.spectrum
     f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
-    summary = []
     spectra = circuit.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
-    for ch, db in zip(circuit.CHANNELS, spectra):
-        path = out / f"transmission_{ch}.csv"
-        circuit.spectrum_to_csv(f_grid, db, path)
-        summary.append(f"{ch}_peak_db={db.max():.4g}")
+    circuit.spectrum_to_csv(f_grid, spectra, [out / f"transmission_{ch}.csv"
+                                              for ch in circuit.CHANNELS])
+    summary = [f"{ch}_peak_db={db.max():.4g}"
+               for ch, db in zip(circuit.CHANNELS, spectra)]
     print(f"transmission n={sp.n_points} {' '.join(summary)} -> {out}")
     return EXIT_OK
 

@@ -269,10 +269,11 @@ def validate_config(cfg: RunConfig) -> None:
 
     Every number must be finite, and the fields no record reads in
     range (the Ms fit target, the orientation, the spectrum and
-    dispersion grids).  Then one pass builds each record (the film
-    without the Ms fit, the only source of BandError) and calls each
-    precondition; every record field or argument name in a ValueError
-    they raise becomes its dotted config key.
+    dispersion grids, of 2 to experiment.MAX_SAMPLES points).  Then one
+    pass builds each record (the film without the Ms fit, the only
+    source of BandError) and calls each precondition; every record field
+    or argument name in a ValueError they raise becomes its dotted config
+    key.
     """
     bad = _non_finite_key(cfg)
     if bad:
@@ -283,8 +284,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("film.fit_fmr_hz must be nonnegative")
     sp, disp = cfg.spectrum, cfg.dispersion
     for section, grid in (("spectrum", sp), ("dispersion", disp)):
-        if grid.n_points < 2:
-            raise ConfigError(f"{section}.n_points must be at least 2")
+        if not 2 <= grid.n_points <= experiment.MAX_SAMPLES:
+            raise ConfigError(f"{section}.n_points must lie in "
+                              f"[2, {experiment.MAX_SAMPLES}]")
     if sp.f_stop_hz <= sp.f_start_hz:
         raise ConfigError("spectrum.f_stop_hz must exceed spectrum.f_start_hz")
     if disp.k_start_rad_per_m <= 0:

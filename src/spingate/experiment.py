@@ -21,7 +21,8 @@ from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
 
 
 # ceiling of the analysis window in samples: run_switching allocates the
-# window, and 8 trapezoid nodes per sample of a ramp that ends inside it
+# window, and 8 trapezoid nodes per sample of a ramp that ends inside it;
+# config.validate_config bounds the spectrum and dispersion grids by it too
 MAX_SAMPLES = 2 ** 20
 
 

@@ -294,18 +294,17 @@ _POINT_LOW, _POINT_HIGH = np.where(np.arange(16) == _K, ord("."), 0).astype(
 _MINUS, _BYTE, _TOP_BYTE = np.uint64(ord("-")), np.uint64(8), np.uint64(56)
 
 
-def _format_block(x: np.ndarray, n_cols: int) -> np.ndarray:
-    """ASCII bytes of the rows of values x (row-major, n_cols per row).
+def _digits(x: np.ndarray):
+    """The fast-path mask of the values x, and per value the index of its
+    decimal exponent X in the per-X tables, its digits before the point,
+    its significant digits and its digit text as a (low, high) word pair:
+    the significant digits and every one before the point.
 
-    Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
-    prefix | the digits with the point (two words) | exponent and the
-    separator, zero-padded.  Its 12 digits come from y = |x| * 10^(11-X)
-    rounded to an integer; a value the fast path cannot certify (0, nan,
-    inf, outside _FAST_RANGE, or y within _TIE_MARGIN of a tie) is
-    written into its slot by '%.12g' % instead.  The zero padding is
-    squeezed out at the end.
+    The 12 digits come from y = |x| * 10^(11-X) rounded to an integer; a
+    value the fast path cannot certify (0, nan, inf, outside _FAST_RANGE,
+    or y within _TIE_MARGIN of a tie) is left out of the mask.  Its own
+    function, so that its temporaries are freed before the slots are made.
     """
-    n = x.size
     mag = np.abs(x)
     fast = (mag >= _FAST_RANGE[0]) & (mag <= _FAST_RANGE[1])
     mag = np.where(fast, mag, 1.0)
@@ -336,6 +335,21 @@ def _format_block(x: np.ndarray, n_cols: int) -> np.ndarray:
     keep = np.maximum(n_digits, int_digits)
     low = (_QUAD_TEXT[hi] | _QUAD_TEXT[mid] << np.uint64(32)) & _MASK_LOW[keep]
     high = _QUAD_TEXT[lo] & _MASK_HIGH[keep]
+    return fast, exp10, int_digits, n_digits, low, high
+
+
+def _format_block(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """Slots of the ASCII bytes of the rows of values x (row-major, one
+    column per separator byte in seps, which follows the column's values).
+
+    Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
+    prefix | the digits with the point (two words) | exponent and the
+    separator, zero-padded; the slots come back as a (rows, columns, 4)
+    array, for _squeeze.  The digits come from _digits; a value off its
+    fast path is written into its slot by '%.12g' % instead.
+    """
+    n = x.size
+    fast, exp10, int_digits, n_digits, low, high = _digits(x)
     # the point after the integer digits, where a fraction digit follows
     # (the prefix holds it for -4 <= X < 0): the bytes from there on move
     # up one
@@ -344,8 +358,7 @@ def _format_block(x: np.ndarray, n_cols: int) -> np.ndarray:
     low_frac = low & ~low_int
     shift = point * _BYTE
     neg = (x < 0).astype(np.uint64)
-    sep = np.full(n, ord(","), np.uint64)
-    sep[n_cols - 1::n_cols] = ord("\n")
+    sep = np.tile(seps, n // seps.size)
     slots = np.empty((n, 4), "<u8")
     slots[:, 0] = _PREFIX[exp10] << neg * _BYTE | neg * _MINUS
     slots[:, 1] = low & low_int | low_frac << shift | _POINT_LOW[int_digits] * point
@@ -358,25 +371,55 @@ def _format_block(x: np.ndarray, n_cols: int) -> np.ndarray:
         slots[slow, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
                                         "<u8").reshape(-1, 3)
         slots[slow, 3] = sep[slow]
-    flat = slots.view(np.uint8).ravel()
-    return flat[flat != 0]
+    return slots.reshape(-1, seps.size, 4)
+
+
+def _squeeze(slots: np.ndarray) -> bytes:
+    """The bytes of slots with the zero padding squeezed out (by bytes'
+    own deletion, which beats a numpy boolean mask over bytes)."""
+    return slots.tobytes().translate(None, b"\0")
+
+
+def write_tables(files, headers, shared, own) -> None:
+    """Write one CSV table to each binary file: its header line, then one
+    row per index of the equal-length 1-D columns, the shared columns
+    first and then the file's own (at least one per file).
+
+    Every value is written as '%.12g' % v (and f"{v:.12g}") would write
+    it, byte for byte.  Blocks of _BLOCK_ROWS rows of every column are
+    formatted by one _format_block call, so a shared column is formatted
+    once for all the files, and each file's rows of the block are
+    squeezed and written as they are made.
+    """
+    own = [list(group) for group in own]
+    if not (own and all(own) and len(own) == len(files) == len(headers)):
+        raise ValueError("need files, each with a header and its own columns")
+    cols = [np.asarray(c, dtype=np.float64)
+            for c in [*shared, *(c for group in own for c in group)]]
+    if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ValueError("columns must be 1-D arrays of one length")
+    # the separator after each column, and the columns of each file's rows
+    n_shared = len(shared)
+    seps, picks = [ord(",")] * n_shared, []
+    for group in own:
+        picks.append(np.r_[:n_shared, len(seps):len(seps) + len(group)])
+        seps += [ord(",")] * (len(group) - 1) + [ord("\n")]
+    if len(files) == 1:
+        picks = [slice(None)]
+    seps = np.array(seps, np.uint64)
+    for file, header in zip(files, headers):
+        file.write(header.encode() + b"\n")
+    for start in range(0, cols[0].size, _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+        slots = _format_block(block.ravel(), seps)
+        for file, pick in zip(files, picks):
+            file.write(_squeeze(slots[:, pick]))
 
 
 def write_table(file, header: str, *columns) -> None:
     """Write a CSV table to a binary file: the header line, then one row
-    per index of the equal-length 1-D columns.
-
-    Every value is written as '%.12g' % v (and f"{v:.12g}") would write
-    it, byte for byte.  Blocks of _BLOCK_ROWS rows are formatted by
-    _format_block and written as they are made.
-    """
-    cols = [np.asarray(c, dtype=np.float64) for c in columns]
-    if not cols or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
-        raise ValueError("columns must be 1-D arrays of one length")
-    file.write(header.encode() + b"\n")
-    for start in range(0, cols[0].size, _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
-        file.write(_format_block(block.ravel(), len(cols)))
+    per index of the equal-length 1-D columns; see write_tables."""
+    write_tables([file], [header], (), [columns])
 
 
 def trace_to_csv(trace: DetectedTrace, path) -> None:

@@ -52,6 +52,13 @@ def fd_group_velocity(ctx, k):
     return 2.0 * math.pi * stencil / (12.0 * h)
 
 
+def group_speed(ctx, k):
+    """|v_g| at the solved wavenumbers k, NaN where k is (the stopband)."""
+    k = np.asarray(k, dtype=np.float64)
+    return np.where(np.isnan(k), np.nan,
+                    np.abs(ph.group_velocity(ctx, np.nan_to_num(k))))
+
+
 def chain_product(nl, channel, f):
     """Element-by-element gain from one source to the detector input.
 
@@ -66,6 +73,7 @@ def chain_product(nl, channel, f):
     geo, s = nl.geometry, nl.settings
     k = ph.solve_k_grid(nl.ctx, f)
     k_c = ph.solve_k_grid(nl.ctx, s.f_c)[0]
+    speed = group_speed(nl.ctx, k)
 
     def loss(db):
         return 10.0 ** (-db / 20.0)
@@ -75,7 +83,7 @@ def chain_product(nl, channel, f):
                 * ct.transducer_efficiency(geo, k))
 
     def segment(length):
-        return ct.waveguide_transfer(nl.ctx, length, f, k, s.f_c, k_c)
+        return ct.waveguide_transfer(nl.ctx, length, f, speed, s.f_c, k_c)
 
     elements = [loss(s.attenuator_db[i]), np.exp(1j * s.phase_rad[i]),
                 antenna(s.coupling_db[i], s.coupling_phase_rad[i]),

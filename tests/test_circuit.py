@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_product
+from oracles import chain_product, group_speed
 from spingate import circuit as ct
 from spingate import physics as ph
 from spingate._kernels import kernels
@@ -31,7 +32,8 @@ def antenna(ctx, geo, f):
 def segment(ctx, length, f, f_c=FC):
     """Film segment gain at the solved wavenumbers of f and f_c."""
     f = np.atleast_1d(f)
-    return ct.waveguide_transfer(ctx, length, f, ph.solve_k_grid(ctx, f), f_c,
+    return ct.waveguide_transfer(ctx, length, f,
+                                 group_speed(ctx, ph.solve_k_grid(ctx, f)), f_c,
                                  ph.solve_k_grid(ctx, f_c)[0])
 
 
@@ -317,6 +319,45 @@ class TestTransmissionSpectrum:
         with pytest.raises(ValueError):
             ct.transmission_spectrum(nl, np.array([6.0e9, 5.9e9]))
 
+    def test_memory_of_a_large_grid(self):
+        # one propagation for the three channels and the spectra made in
+        # place: at most 12 float64 arrays of the grid at the peak.  On the
+        # surface branch, whose k-solve is closed form, the peak is the
+        # spectra's own
+        ctx = make_ctx(orientation=ph.Orientation.PERPENDICULAR)
+        lo, hi = ph.band_limits(ctx)
+        nl = ct.build_majority_gate(ct.DeviceGeometry(), ctx,
+                                    ct.MicrowaveSettings(f_c=0.5 * (lo + hi)))
+        nl.carrier_propagation
+        n = 2 ** 15
+        f = np.linspace(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), n)
+        tracemalloc.start()
+        try:
+            ct.transmission_spectrum(nl, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=netlists(), below=st.floats(1e-3, 0.3), above=st.floats(1e-3, 0.3),
+       n=st.integers(2, 400), floor_db=st.sampled_from([-80.0, -1000.0]))
+def test_spectrum_is_each_channel_bit_for_bit(net, below, above, n, floor_db):
+    # grids across both band edges, on both branches: NaN k in the
+    # stopband and v_g -> 0 at the edges, where the shared propagation must
+    # still give each channel's own evaluation byte for byte
+    nl, lo, hi = net
+    edges = [lo, hi, *(np.nextafter(x, y) for x, y in ((lo, hi), (hi, lo))),
+             *(lo + (hi - lo) * np.array([1e-12, 1e-9, 1 - 1e-9, 1 - 1e-12]))]
+    f = np.unique(np.r_[np.linspace(lo - below * (hi - lo),
+                                    hi + above * (hi - lo), n), edges])
+    curves = ct.transmission_spectrum(nl, f, floor_db=floor_db)
+    for ch, db in zip(ct.CHANNELS, curves):
+        with np.errstate(divide="ignore"):
+            own = 20.0 * np.log10(np.abs(ct.channel_transfer(nl, ch, f)))
+        assert db.tobytes() == np.maximum(own, floor_db).tobytes()
+
 
 def test_transmission_solves_each_grid_once(tmp_path, monkeypatch):
     # one grid solve for the three channels plus the carrier's
@@ -379,6 +420,7 @@ class TestBuildMajorityGate:
 
 class TestSerialization:
     def test_spectrum_csv(self, tmp_path):
-        ct.spectrum_to_csv([6.0e9], [-33.25], tmp_path / "s21.csv")
+        ct.spectrum_to_csv([6.0e9], [[-33.25]], [tmp_path / "s21.csv"])
         lines = (tmp_path / "s21.csv").read_text().strip().split("\n")
         assert lines == ["f_hz,s21_db", "6000000000,-33.25"]
+

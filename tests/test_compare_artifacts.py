@@ -1,8 +1,13 @@
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from spingate import config as cf
+from spingate import physics as ph
+from spingate import signal as sig
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
 spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
@@ -84,6 +89,23 @@ def test_jobs_cover_the_settings_paths(tmp_path):
     assert compare_artifacts.job_argv("truthtable-settings", set_dir) == [
         "truthtable", "--settings",
         str(set_dir / "calibrate" / "calibration.txt")]
+
+
+def test_dense_jobs_span_blocks_and_band_edges():
+    # the dense jobs write more than two blocks of the CSV writer on both
+    # grids, and their spectrum spans both band edges of either branch
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-dense")} == {
+        "dispersion-dense": ["dispersion"],
+        "transmission-dense": ["transmission"]}
+    reference = TOOL.parent.parent / "configs" / "reference.txt"
+    cfg = cf.parse_config(reference.read_text()
+                          + "\n".join(compare_artifacts.DENSE))
+    assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * sig._BLOCK_ROWS
+    for orientation in ("parallel", "perpendicular"):
+        field = replace(cfg.field_, orientation=orientation)
+        lo, hi = ph.band_limits(cf.build_context(replace(cfg, field_=field)))
+        assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
 def test_worst_difference_per_file(tmp_path, capsys):

@@ -440,6 +440,12 @@ class TestCliPlumbing:
         # the message names the pair, stop first
         ("spectrum.f_start_hz = 7e9", "spectrum.f_stop_hz"),
         ("dispersion.n_points = 0", "dispersion.n_points"),
+        # grids beyond 2^20 points: used to end in a numpy traceback (or to
+        # allocate them); rejected before anything is allocated
+        ("spectrum.n_points = 1048577", "spectrum.n_points"),
+        ("spectrum.n_points = 100000000000000000000", "spectrum.n_points"),
+        ("dispersion.n_points = 1048577", "dispersion.n_points"),
+        ("dispersion.n_points = 100000000000000000000", "dispersion.n_points"),
         ("dispersion.k_start_rad_per_m = -50", "dispersion.k_start_rad_per_m"),
         ("dispersion.k_stop_rad_per_m = 10", "dispersion.k_stop_rad_per_m"),
         ("scaling.scales = 1, 0, 0.5", "scaling.scales"),

@@ -152,7 +152,6 @@ def test_numpy_lowpass_against_direct_recurrence():
 def test_numpy_waveguide_gain_zero_length():
     f = np.array([1.0e9, FC, 9.0e9])
     np.testing.assert_array_equal(
-        _core_py.waveguide_gain(f, kernels.solve_k(f, WH, WM, D, 0), FC,
-                                solve_one(FC, WH, WM, D, 0), 0.0, ETA, WH, WM,
-                                D, 0),
+        _core_py.waveguide_gain(f, np.array([np.nan, 3.0e4, np.nan]), FC,
+                                solve_one(FC, WH, WM, D, 0), 0.0, ETA),
         np.ones(3, dtype=complex))

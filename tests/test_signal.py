@@ -362,3 +362,42 @@ def test_powers_of_ten_within_an_ulp():
 def test_write_table_rejects_ragged_columns():
     with pytest.raises(ValueError, match="one length"):
         sig.write_table(io.BytesIO(), "a,b", [1.0, 2.0], [1.0])
+
+
+# values the writer formats by '%.12g' % instead: zeros, nan, infinities
+# and near-ties in the 12th digit with their neighbouring floats
+FALLBACKS = (0.0, -0.0, math.nan, math.inf, -math.inf,
+             *neighbours(1234567890.125), *neighbours(-9.876543210125e-7))
+
+
+@pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("n_shared", [0, 1, 2])
+def test_shared_columns_match_one_table_per_file(n_rows, n_shared):
+    # three files of one, two and one own columns after the shared ones:
+    # the bytes of each equal write_table's on that file's columns, with
+    # the fallback values in every column, at the block boundary too
+    rng = np.random.default_rng(n_rows + n_shared)
+
+    def column():
+        values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-30, 30, n_rows)
+        rows = np.r_[rng.integers(0, n_rows, 2 * len(FALLBACKS)),
+                     n_rows - 1, min(BLOCK, n_rows - 1)]
+        values[rows] = rng.choice(FALLBACKS, rows.size)
+        return values
+
+    shared = [column() for _ in range(n_shared)]
+    own = [[column()], [column(), column()], [column()]]
+    files = [io.BytesIO() for _ in own]
+    headers = [f"h{i}" for i in range(len(own))]
+    sig.write_tables(files, headers, shared, own)
+    for file, header, columns in zip(files, headers, own):
+        one = io.BytesIO()
+        sig.write_table(one, header, *shared, *columns)
+        assert file.getvalue() == one.getvalue()
+    assert_table_matches([*shared, *own[1]])
+
+
+def test_write_tables_needs_own_columns():
+    for headers, own in ((["a"], [[]]), (["a", "b"], [[[1.0]]]), ([], [])):
+        with pytest.raises(ValueError, match="own columns"):
+            sig.write_tables([io.BytesIO()] * len(own), headers, [[1.0]], own)

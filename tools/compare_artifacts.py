@@ -8,7 +8,9 @@
 ``spingate`` package found in SRC_TREE/src, plus ``truthtable`` without
 calibration and with the settings file the flag set's own ``calibrate``
 job wrote -- on SRC_TREE/configs/reference.txt, once per flag set (see
-FLAG_SETS), each in a fresh interpreter.  OUT_DIR/<flag set>/<job>/
+FLAG_SETS), each in a fresh interpreter.  The ``*-dense`` jobs run
+``dispersion`` and ``transmission`` on that config with the DENSE lines
+appended, grids that span several blocks of the CSV writer.  OUT_DIR/<flag set>/<job>/
 receives the artifacts and OUT_DIR/<flag set>/<job>.run the exit code,
 stdout and stderr, with the job's output directory written as <out> and
 OUT_DIR as <root>.
@@ -31,6 +33,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RTOL = 1e-10
@@ -46,7 +49,16 @@ JOBS = {
     "switch": ["switch"],
     "fulladder": ["fulladder"],
     "scale": ["scale"],
+    "dispersion-dense": ["dispersion"],
+    "transmission-dense": ["transmission"],
 }
+# appended to the reference config for the *-dense jobs: more than two
+# blocks of the CSV writer (2048 rows) on both grids, and a spectrum that
+# spans both band edges of either branch, with a floor low enough that the
+# 8x longer arms of the scale8 flag set still show their passband
+DENSE = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 7.5e9",
+         "spectrum.n_points = 5001", "spectrum.floor_db = -1000",
+         "dispersion.n_points = 5001")
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
@@ -70,19 +82,25 @@ def run_tree(src: Path, out: Path) -> None:
     src, out = src.resolve(), out.resolve()
     config = src / "configs" / "reference.txt"
     env = {**os.environ, "PYTHONPATH": str(src / "src")}
-    for name, flags in FLAG_SETS.items():
-        for job in JOBS:
-            job_out = out / name / job
-            job_out.mkdir(parents=True, exist_ok=True)
-            proc = subprocess.run(
-                [sys.executable, "-m", "spingate.cli",
-                 *job_argv(job, out / name),
-                 "--config", str(config), "--out", str(job_out), *flags],
-                capture_output=True, text=True, env=env, check=False)
-            record = (f"exit = {proc.returncode}\n"
-                      f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
-            (out / name / f"{job}.run").write_text(
-                record.replace(str(job_out), "<out>").replace(str(out), "<root>"))
+    with tempfile.TemporaryDirectory() as tmp:
+        dense = Path(tmp) / "dense.txt"
+        dense.write_text(config.read_text() + "\n".join(DENSE) + "\n")
+        for name, flags in FLAG_SETS.items():
+            for job in JOBS:
+                job_out = out / name / job
+                job_out.mkdir(parents=True, exist_ok=True)
+                job_config = dense if job.endswith("-dense") else config
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spingate.cli",
+                     *job_argv(job, out / name),
+                     "--config", str(job_config), "--out", str(job_out),
+                     *flags],
+                    capture_output=True, text=True, env=env, check=False)
+                record = (f"exit = {proc.returncode}\n"
+                          f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}")
+                (out / name / f"{job}.run").write_text(
+                    record.replace(str(job_out), "<out>")
+                    .replace(str(out), "<root>"))
 
 
 def _number(token: str) -> float | None:
