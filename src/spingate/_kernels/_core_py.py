@@ -191,35 +191,37 @@ def lowpass_1pole(x, a, y0):
     return out
 
 
-def waveguide_gain(f, speed, f_c, k_c, length, eta):
+def waveguide_gain(k, speed, k_c, length, eta, branch):
     """Complex per-bin gain of a film segment of the given length.
 
-    speed holds the group speed |v_g| at each bin of f (NaN outside the
-    band) and k_c the solved wavenumber of the carrier f_c.  Carrier phase
-    -k_c*length, envelope delay length/speed applied to the offset from
-    f_c, amplitude decay exp(-eta*length/speed).  Bins outside the
-    propagating band return exactly 0; length 0 returns 1 at every bin; an
-    out-of-band carrier kills the whole segment.  Works in place on one
-    complex and two real arrays of the grid's size, each operation with
-    the operands of the formula in its order: numpy's complex multiply is
-    not bitwise commutative.
+    k and speed hold the solved wavenumber and the group speed |v_g| of
+    each bin (NaN outside the band), k_c the carrier's wavenumber.  Phase
+    -k_c*length + s*(k - k_c)*length, s = +1 on the backward-volume branch
+    and -1 on the surface branch, whose group delay -dphase/domega is
+    length/|v_g| on both; amplitude decay exp(-eta*length/speed).  Bins
+    outside the propagating band return exactly 0; length 0 returns 1 at
+    every bin; an out-of-band carrier kills the whole segment.  Works in
+    place on one complex and one real array of the grid's size, each
+    operation with the operands of the formula in its order: numpy's
+    complex multiply is not bitwise commutative.
     """
-    f = np.asarray(f, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
     if length == 0.0:
-        return np.ones(f.shape, dtype=np.complex128)
+        return np.ones(k.shape, dtype=np.complex128)
     if np.isnan(k_c):
-        return np.zeros(f.shape, dtype=np.complex128)
+        return np.zeros(k.shape, dtype=np.complex128)
+    gain = np.empty(k.shape, dtype=np.complex128)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tau = length / speed
-        # phase = -(k_c * length) - 2.0 * np.pi * (f - f_c) * tau
-        phase = np.subtract(f, f_c)
-        np.multiply(2.0 * np.pi, phase, out=phase)
-        np.multiply(phase, tau, out=phase)
-        np.subtract(-(k_c * length), phase, out=phase)
-        # gain = exp(-eta * tau) * (cos(phase) + 1j * sin(phase))
-        gain = 1j * np.sin(phase)
-        np.add(np.cos(phase, out=phase), gain, out=gain)
-        np.exp(np.multiply(-eta, tau, out=tau), out=tau)
-        np.multiply(tau, gain, out=gain)
+        # phase = -(k_c * length) + s * (k - k_c) * length
+        work = (np.subtract(k, k_c) if branch == BRANCH_BV
+                else np.subtract(k_c, k))
+        np.multiply(work, length, out=work)
+        np.add(-(k_c * length), work, out=work)
+        # gain = exp(-eta * (length / speed)) * (cos(phase) + 1j * sin(phase))
+        np.cos(work, out=gain.real)
+        np.sin(work, out=gain.imag)
+        np.divide(length, speed, out=work)
+        np.exp(np.multiply(-eta, work, out=work), out=work)
+        np.multiply(work, gain, out=gain)
     gain[~np.isfinite(gain)] = 0.0
     return gain

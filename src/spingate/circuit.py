@@ -36,15 +36,14 @@ def _loss_amp(db: float) -> float:
 
 @dataclass(frozen=True)
 class DeviceGeometry:
-    """Widths and per-segment path lengths of the three-arm gate.
+    """Antenna width and per-segment path lengths of the three-arm gate.
 
     Lengths are the as-built values in metres; ``scale`` multiplies every
-    length and width on evaluation, which is how the miniaturization study
-    shrinks the device.  The default segment lengths are read off the
+    length and the width on evaluation, which is how the miniaturization
+    study shrinks the device.  The default segment lengths are read off the
     device photograph and are config, not measurement.
     """
 
-    w_g: float = 1.5e-3
     w_a: float = 7.5e-5
     l_in: tuple[float, float, float] = (10.0e-3, 10.0e-3, 10.0e-3)
     l_skew: tuple[float, float, float] = (6.0e-3, 0.0, 6.0e-3)
@@ -53,7 +52,7 @@ class DeviceGeometry:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name in ("w_g", "w_a", "scale"):
+        for name in ("w_a", "scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name, values in (("l_in", self.l_in), ("l_skew", self.l_skew),
@@ -113,11 +112,12 @@ class Propagation:
     """What the film and the antennas set on a frequency grid, the same
     for the three channels.
 
-    speed is the group speed |v_g| at the solved wavenumbers (NaN in the
-    stopband) and shape the squared antenna shape of both transducers (0
-    there), one entry per frequency.
+    k holds the solved wavenumbers and speed the group speed |v_g| there
+    (both NaN in the stopband), shape the squared antenna shape of both
+    transducers (0 there), one entry per frequency.
     """
 
+    k: np.ndarray
     speed: np.ndarray
     shape: np.ndarray
 
@@ -126,13 +126,15 @@ class Propagation:
 class CarrierPropagation:
     """The part of each channel's carrier gain that only the film sets.
 
-    k is the solved wavenumber of the carrier f_c (NaN in the stopband),
-    shared by the three channels; film[i] is channel i's film gain over
-    its summed length and shape the antenna shape of both transducers,
-    each a one-element array at f = [f_c].
+    k is the solved wavenumber of the carrier f_c and speed the group
+    speed |v_g| there (both NaN in the stopband), shared by the three
+    channels; film[i] is channel i's film gain over its summed length and
+    shape the antenna shape of both transducers, each a one-element array
+    at f = [f_c].
     """
 
     k: float
+    speed: float
     film: tuple
     shape: np.ndarray
 
@@ -187,14 +189,14 @@ class GateNetlist:
 
     @cached_property
     def carrier_propagation(self) -> CarrierPropagation:
-        """k(f_c), solved once, each channel's film gain and the shape."""
-        f = np.array([self.settings.f_c])
-        k = physics.solve_k_grid(self.ctx, f)
-        prop = propagation(self, k)
-        film = tuple(waveguide_transfer(self.ctx, length, f, prop.speed,
-                                        self.settings.f_c, k[0])
-                     for length in self.lengths)
-        return CarrierPropagation(k=k[0], film=film, shape=prop.shape)
+        """k(f_c) and |v_g| there, solved once, each channel's film gain
+        and the shape."""
+        prop = propagation(self, physics.solve_k_grid(self.ctx,
+                                                      self.settings.f_c))
+        film = tuple(waveguide_transfer(self.ctx, length, prop.k, prop.speed,
+                                        prop.k[0]) for length in self.lengths)
+        return CarrierPropagation(k=prop.k[0], speed=float(prop.speed[0]),
+                                  film=film, shape=prop.shape)
 
     @cached_property
     def carrier_gains(self) -> np.ndarray:
@@ -242,24 +244,24 @@ def propagation(nl: GateNetlist, k) -> Propagation:
     inband = ~np.isnan(k)
     speed = np.full(k.shape, np.nan)
     speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
-    return Propagation(speed=speed,
+    return Propagation(k=k, speed=speed,
                        shape=transducer_efficiency(nl.geometry, k) ** 2)
 
 
-def waveguide_transfer(ctx: physics.ModeContext, length: float, f, speed,
-                       f_c: float, k_c: float) -> np.ndarray:
+def waveguide_transfer(ctx: physics.ModeContext, length: float, k, speed,
+                       k_c: float) -> np.ndarray:
     """Complex gain of a film segment of the given length.
 
-    speed is the group speed |vg| at each frequency of f (NaN outside the
-    band, see ``propagation``) and k_c the solved wavenumber of the
-    carrier f_c.  Carrier phase -k_c*length; each spectral bin is delayed
-    by length/|vg(f)| relative to the carrier and damped by
-    exp(-eta*length/|vg(f)|), eta the film's damping rate.  Stopband
-    frequencies return exactly 0; zero length is an exact unit gain.
+    k and speed hold the solved wavenumbers and group speeds |vg| of the
+    frequencies (NaN outside the band, see ``propagation``), k_c the
+    carrier's wavenumber.  Carrier phase -k_c*length; every bin is delayed
+    by length/|vg(f)| and damped by exp(-eta*length/|vg(f)|), eta the
+    film's damping rate.  Stopband frequencies return exactly 0; zero
+    length is an exact unit gain.
     """
     return kernels.waveguide_gain(
-        np.asarray(f, dtype=np.float64), np.asarray(speed, dtype=np.float64),
-        float(f_c), float(k_c), float(length), physics.damping_rate(ctx))
+        np.asarray(k, dtype=np.float64), np.asarray(speed, dtype=np.float64),
+        float(k_c), float(length), physics.damping_rate(ctx), ctx.branch)
 
 
 def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
@@ -277,16 +279,14 @@ def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     idx = CHANNELS.index(channel)
-    f_c = nl.settings.f_c
-    if np.ndim(f) == 0 and f == f_c:
+    if np.ndim(f) == 0 and f == nl.settings.f_c:
         prop = nl.carrier_propagation
         film, shape = prop.film[idx], prop.shape
     else:
-        f_arr = np.atleast_1d(np.asarray(f, dtype=np.float64))
         if prop is None:
-            prop = propagation(nl, physics.solve_k_grid(nl.ctx, f_arr))
-        film = waveguide_transfer(nl.ctx, nl.lengths[idx], f_arr, prop.speed,
-                                  f_c, nl.carrier_propagation.k)
+            prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
+        film = waveguide_transfer(nl.ctx, nl.lengths[idx], prop.k, prop.speed,
+                                  nl.carrier_propagation.k)
         shape = prop.shape
     gain = nl.constants[idx] * film * shape
     return gain if np.ndim(f) else complex(gain[0])

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, build_context, build_encoding,
-                     build_netlist, build_timing, read_config,
-                     validate_config)
+                     build_netlist, build_switching, read_assignments,
+                     read_config, validate_config)
 from .signal import NoTransitionError, trace_to_csv, write_table
 
 EXIT_OK = 0
@@ -138,13 +138,7 @@ def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read settings: {err}") from err
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"settings line {lineno}: expected 'key = value'")
-        key, raw = (p.strip() for p in stripped.split("=", 1))
+    for lineno, key, raw in read_assignments(text, "settings line"):
         if key.startswith("residual."):
             continue
         if key not in _SETTINGS_KEYS:
@@ -181,12 +175,8 @@ def cmd_switch(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
     result = experiment.run_switching(
-        nl, enc=build_encoding(cfg), ref_phase=cfg.switching.ref_phase_rad,
-        timing=build_timing(cfg),
-        effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
-        lp_cutoff=cfg.detector.lp_cutoff_hz,
-        responsivity=cfg.detector.responsivity_v,
-    )
+        nl, effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
+        **build_switching(cfg))
     path = out / "switch_trace.csv"
     trace_to_csv(result.trace, path)
     print(f"switch t_rise_s={result.t_rise:.6g} f_clock_hz={result.f_clock:.6g} "
@@ -222,10 +212,7 @@ def cmd_scale(cfg: RunConfig, out: Path) -> int:
     study = experiment.scaling_study(
         nl, cfg.scaling.scales,
         base_effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
-        enc=build_encoding(cfg), timing=build_timing(cfg),
-        lp_cutoff=cfg.detector.lp_cutoff_hz,
-        responsivity=cfg.detector.responsivity_v,
-    )
+        **build_switching(cfg))
     path = out / "scaling.csv"
     _write(path, study.to_csv())
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "

@@ -41,7 +41,6 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    w_g_m: float = 1.5e-3
     w_a_m: float = 7.5e-5
     l_in_m: tuple[float, float, float] = (10.0e-3, 10.0e-3, 10.0e-3)
     l_skew_m: tuple[float, float, float] = (6.0e-3, 0.0, 6.0e-3)
@@ -85,7 +84,6 @@ class SwitchingConfig:
     # effective transit path fitted so the reference device reproduces the
     # measured 11.3 ns transition; see experiment.fit_effective_path
     effective_path_m: float = 1.34872e-3
-    toggle: bool = True
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,22 @@ _DEFAULTS = {name: getattr(RunConfig(), attr) for name, attr in _SECTIONS.items(
 _FIELDS = {name: {f.name for f in fields(obj)} for name, obj in _DEFAULTS.items()}
 
 
+def read_assignments(text: str, where: str = "line"):
+    """Yield (lineno, key, raw value) for each ``key = value`` line.
+
+    ``#`` starts a comment and blank lines are skipped; a line without
+    ``=`` raises ConfigError, naming it as ``{where} {lineno}``.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{where} {lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        yield lineno, key, raw
+
+
 def read_config(text: str) -> RunConfig:
     """Parse a flat key = value document into a RunConfig, unvalidated.
 
@@ -183,13 +197,7 @@ def read_config(text: str) -> RunConfig:
     the value types are checked here; see parse_config.
     """
     values = {name: {} for name in _SECTIONS}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+    for lineno, key, raw in read_assignments(text):
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} has no section")
         section, attr = key.split(".", 1)
@@ -236,9 +244,9 @@ def _non_finite_key(cfg: RunConfig) -> str | None:
 _FILM = {"mu0_ms_t": "Ms", "thickness_m": "d", "gamma_rad_per_s_t": "gamma",
          "linewidth_t": "mu0_dh0"}
 _FIELD = {"mu0_h_t": "mu0_h", "orientation": "orientation"}
-_GEOMETRY = {"w_g_m": "w_g", "w_a_m": "w_a", "l_in_m": "l_in",
-             "l_skew_m": "l_skew", "l_out_m": "l_out",
-             "bend_loss_db": "bend_loss_db", "scale": "scale"}
+_GEOMETRY = {"w_a_m": "w_a", "l_in_m": "l_in", "l_skew_m": "l_skew",
+             "l_out_m": "l_out", "bend_loss_db": "bend_loss_db",
+             "scale": "scale"}
 _MICROWAVE = {"f_c_hz": "f_c", "drive_amplitude": "drive_amplitude",
               "attenuator_db": "attenuator_db", "phase_rad": "phase_rad",
               "coupling_db": "coupling_db",
@@ -247,12 +255,12 @@ _MICROWAVE = {"f_c_hz": "f_c", "drive_amplitude": "drive_amplitude",
 _ENCODING = {"phi0_rad": "phi0", "guard_rad": "guard"}
 _SWITCHING = {"dt_s": "dt", "duration_s": "duration", "t_toggle_s": "t_toggle",
               "ramp_s": "ramp"}
+_DETECTOR = {"lp_cutoff_hz": "lp_cutoff", "responsivity_v": "responsivity"}
 # record field or procedure argument -> the dotted key that sets it
 _KEYS = {arg: f"{section}.{name}" for section, table in (
     ("film", _FILM), ("field", _FIELD), ("geometry", _GEOMETRY),
     ("microwave", _MICROWAVE), ("encoding", _ENCODING),
-    ("switching", _SWITCHING),
-    ("detector", {"lp_cutoff_hz": "lp_cutoff", "responsivity_v": "responsivity"}),
+    ("switching", _SWITCHING), ("detector", _DETECTOR),
     ("switching", {"effective_path_m": "effective_path"}),
     ("scaling", {"scales": "scales"})) for name, arg in table.items()}
 _WORD = re.compile(r"\w+")
@@ -296,7 +304,7 @@ def validate_config(cfg: RunConfig) -> None:
                           "dispersion.k_start_rad_per_m")
     try:
         for build in (build_film, build_field, build_geometry, build_settings,
-                      build_encoding, build_timing):
+                      build_switching):
             build(cfg)
         signal.check_detection(cfg.detector.lp_cutoff_hz,
                                cfg.detector.responsivity_v, cfg.switching.dt_s)
@@ -339,10 +347,15 @@ def build_encoding(cfg: RunConfig) -> logic.PhaseEncoding:
 
 
 def build_timing(cfg: RunConfig) -> experiment.SwitchTiming:
-    """Switching timing; a drive without toggle has no toggle instant."""
-    sw = cfg.switching
-    return _build(experiment.SwitchTiming, sw, _SWITCHING,
-                  t_toggle=sw.t_toggle_s if sw.toggle else None)
+    return _build(experiment.SwitchTiming, cfg.switching, _SWITCHING)
+
+
+def build_switching(cfg: RunConfig) -> dict:
+    """The keywords of experiment.run_switching but the effective path,
+    which ``switch`` and ``scale`` set each in their own way."""
+    return _build(dict, cfg.detector, _DETECTOR, enc=build_encoding(cfg),
+                  timing=build_timing(cfg),
+                  ref_phase=cfg.switching.ref_phase_rad)
 
 
 # include_switch is ignored; perfbench/run.py (_fit) still passes it

@@ -114,10 +114,9 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
 class SwitchTiming:
     """Grid and toggle layout of the switching transient.
 
-    t_toggle None drives a constant state (no transition).  The record
-    holds round(duration/dt) samples; run_switching computes only those of
-    the analysis window, from analysis_pre before the toggle to
-    analysis_post after it, which rise_time reads; construction checks
+    The record holds round(duration/dt) samples; run_switching computes
+    only those of the analysis window, from analysis_pre before the toggle
+    to analysis_post after it, which rise_time reads; construction checks
     every range, and that the window holds 2 to MAX_SAMPLES samples.
     run_switching checks one more precondition, on the transit fill time
     (~140 ns for a 4 mm effective path at the reference carrier): the
@@ -128,7 +127,7 @@ class SwitchTiming:
 
     dt: float = 1.0e-10
     duration: float = 4.096e-7
-    t_toggle: float | None = 2.0e-7
+    t_toggle: float = 2.0e-7
     ramp: float = 2.0e-9
     analysis_pre: float = 4.0e-8
     analysis_post: float = 2.4e-7
@@ -140,7 +139,7 @@ class SwitchTiming:
             raise ValueError("duration must exceed dt")
         if not 0 < self.ramp <= self.duration:
             raise ValueError("ramp must lie in (0, duration]")
-        if self.t_toggle is not None and not 0 < self.t_toggle < self.duration:
+        if not 0 < self.t_toggle < self.duration:
             raise ValueError("t_toggle must lie in (0, duration)")
         for name in ("analysis_pre", "analysis_post"):
             if not getattr(self, name) > 0:
@@ -153,11 +152,9 @@ class SwitchTiming:
     def _bounds(self) -> tuple[float, float]:
         """The window's bounds in samples, clamped to the record, unrounded
         (a bound past the float range is infinite)."""
-        n = self.duration / self.dt
-        if self.t_toggle is None:
-            return 0.0, n
         return (max(0.0, (self.t_toggle - self.analysis_pre) / self.dt),
-                min(n, (self.t_toggle + self.analysis_post) / self.dt))
+                min(self.duration / self.dt,
+                    (self.t_toggle + self.analysis_post) / self.dt))
 
     @property
     def window(self) -> tuple[int, int]:
@@ -175,17 +172,16 @@ class SwitchingResult:
     effective_path: float
 
 
-def transit_fill_time(ctx: physics.ModeContext, length: float,
-                      k_c: float) -> float:
+def transit_fill_time(length: float, speed: float) -> float:
     """Time T = length / |vg(k_c)| the carrier wave takes to fill a path.
 
-    k_c is the solved wavenumber of the carrier, as the gate record's
-    ``carrier_propagation.k`` holds it; the fill time is the group delay
-    of the path at the carrier.
+    speed is the group speed |vg| of the carrier, as the gate record's
+    ``carrier_propagation.speed`` holds it; the fill time is the group
+    delay of the path at the carrier.
     """
     if length == 0.0:
         return 0.0
-    return length / abs(physics.group_velocity(ctx, k_c))
+    return length / speed
 
 
 def check_effective_path(effective_path: float) -> None:
@@ -259,16 +255,13 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
     lo, hi = timing.window
-    fill = transit_fill_time(nl.ctx, effective_path, nl.carrier_propagation.k)
-    if timing.t_toggle is None:
-        drive_i2 = np.full(hi - lo, s.drive_amplitude * np.exp(1j * phase0))
-    else:
-        violation = fill > 0.0 and _fill_violation(effective_path, fill, timing)
-        if violation:
-            raise RunwayError(violation)
-        drive_i2 = step_phase_drive(
-            s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
-            timing.duration, timing.dt, fill=fill, window=(lo, hi))
+    fill = transit_fill_time(effective_path, nl.carrier_propagation.speed)
+    violation = fill > 0.0 and _fill_violation(effective_path, fill, timing)
+    if violation:
+        raise RunwayError(violation)
+    drive_i2 = step_phase_drive(
+        s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
+        timing.duration, timing.dt, fill=fill, window=(lo, hi))
 
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
@@ -306,11 +299,10 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
     SwitchTiming); the default 4 mm spans rise times up to ~34 ns.
     """
     timing = timing or SwitchTiming()
-    if timing.t_toggle is not None:
-        hi = min(hi, _longest_path(nl, timing))
-        if hi <= lo:
-            raise CalibrationError(
-                f"no effective path above {lo:.3g} m fits the switching timing")
+    hi = min(hi, _longest_path(nl, timing))
+    if hi <= lo:
+        raise CalibrationError(
+            f"no effective path above {lo:.3g} m fits the switching timing")
 
     def residual(length):
         return run_switching(nl, enc=enc, timing=timing, effective_path=length,
@@ -348,11 +340,11 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
     """Longest effective path whose fill time passes _fill_violation."""
     limit = _plateau_time(timing) - timing.t_toggle - timing.ramp
-    k_c = nl.carrier_propagation.k
-    path = limit * abs(physics.group_velocity(nl.ctx, k_c))
+    speed = nl.carrier_propagation.speed
+    path = limit * speed
     # the limit is exclusive and the product rounds: step down to a pass
     while path > 0.0 and _fill_violation(
-            path, transit_fill_time(nl.ctx, path, k_c), timing):
+            path, transit_fill_time(path, speed), timing):
         path = math.nextafter(path, 0.0)
     return path
 

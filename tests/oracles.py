@@ -6,7 +6,8 @@ form, and the group-velocity oracle is a five-point central difference
 on dispersion_f with a step balancing truncation against the ~eps*f
 cancellation floor.  The channel oracle multiplies the gate element by
 element, one film segment and one transducer at a time, which is the
-product circuit.channel_transfer folds into a single evaluation.  The CSV
+product circuit.channel_transfer folds into a single evaluation; each
+segment is written out from k, the group velocity and the damping rate.  The CSV
 writer formats one value at a time with an f-string, as the package's
 block formatter must reproduce byte for byte.  The ideal delay is the
 transfer function whose spectral application must equal a time shift.
@@ -73,7 +74,9 @@ def chain_product(nl, channel, f):
     geo, s = nl.geometry, nl.settings
     k = ph.solve_k_grid(nl.ctx, f)
     k_c = ph.solve_k_grid(nl.ctx, s.f_c)[0]
-    speed = group_speed(nl.ctx, k)
+    velocity = ph.group_velocity(nl.ctx, np.nan_to_num(k))
+    film = nl.ctx.film
+    eta = 0.5 * film.gamma * film.mu0_dh0
 
     def loss(db):
         return 10.0 ** (-db / 20.0)
@@ -83,7 +86,13 @@ def chain_product(nl, channel, f):
                 * ct.transducer_efficiency(geo, k))
 
     def segment(length):
-        return ct.waveguide_transfer(nl.ctx, length, f, speed, s.f_c, k_c)
+        # phase -k_c*L off the carrier by -sign(v_g)*(k - k_c)*L, whose
+        # -dphase/domega is the group delay L/|v_g|; decay over that delay
+        if length == 0.0:
+            return np.ones(f.shape)
+        phase = -k_c * length - np.sign(velocity) * (k - k_c) * length
+        gain = np.exp(-eta * length / np.abs(velocity) + 1j * phase)
+        return np.where(np.isnan(k) | np.isnan(k_c), 0.0, gain)
 
     elements = [loss(s.attenuator_db[i]), np.exp(1j * s.phase_rad[i]),
                 antenna(s.coupling_db[i], s.coupling_phase_rad[i]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_product, group_speed
+from oracles import chain_product, fd_group_velocity, group_speed
 from spingate import circuit as ct
 from spingate import physics as ph
 from spingate._kernels import kernels
@@ -31,9 +31,8 @@ def antenna(ctx, geo, f):
 
 def segment(ctx, length, f, f_c=FC):
     """Film segment gain at the solved wavenumbers of f and f_c."""
-    f = np.atleast_1d(f)
-    return ct.waveguide_transfer(ctx, length, f,
-                                 group_speed(ctx, ph.solve_k_grid(ctx, f)), f_c,
+    k = ph.solve_k_grid(ctx, f)
+    return ct.waveguide_transfer(ctx, length, k, group_speed(ctx, k),
                                  ph.solve_k_grid(ctx, f_c)[0])
 
 
@@ -109,6 +108,24 @@ class TestWaveguideTransfer:
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
+@pytest.mark.parametrize("orientation, f_c, offset", [
+    (ph.Orientation.PARALLEL, FC, -40e6), (ph.Orientation.PARALLEL, FC, 20e6),
+    (ph.Orientation.PERPENDICULAR, 6.12e9, -40e6),
+    (ph.Orientation.PERPENDICULAR, 6.12e9, 40e6)])
+def test_group_delay_off_the_carrier(orientation, f_c, offset):
+    # -dphase/domega of a channel, by central difference, is its film path
+    # over |v_g(f)| off the carrier too, on either branch; the constants and
+    # the antenna shape add no delay
+    ctx = make_ctx(orientation=orientation)
+    nl = ct.build_majority_gate(ct.DeviceGeometry(), ctx,
+                                ct.MicrowaveSettings(f_c=f_c))
+    f, h = f_c + offset, 1.0e4
+    gain = ct.channel_transfer(nl, "i2", np.array([f - h, f + h]))
+    delay = -np.angle(gain[1] / gain[0]) / (2.0 * math.pi * 2.0 * h)
+    expect = nl.lengths[1] / abs(fd_group_velocity(ctx, ph.solve_k(ctx, f)))
+    assert delay == pytest.approx(expect, rel=1e-6)
+
+
 class TestChannelTransfer:
     def test_near_identity_chain(self):
         # vanishing antenna width and zero lengths leave only unit elements
@@ -180,17 +197,18 @@ def rounding_budget(nl, channel, f):
     """Relative tolerance of the folded product against the element one.
 
     exp(a) * exp(b) and exp(a + b) round apart by ~eps * |a + b|, so next
-    to a 1e-12 floor the budget grows by 1e-15 per radian of phase and per
-    neper of decay the film path accumulates at f (up to ~1e5 rad where
-    the backward-volume wave crawls near the band bottom).
+    to a 1e-12 floor the budget grows by 1e-15 per radian of phase,
+    k_c*L + |k - k_c|*L, and per neper of decay the film path accumulates
+    at f (up to ~1e5 where the backward-volume wave crawls near the band
+    bottom).
     """
     geo, i = nl.geometry, ct.CHANNELS.index(channel)
     length = (geo.l_in[i] + geo.l_skew[i] + geo.l_out) * geo.scale
-    k = ph.solve_k_grid(nl.ctx, f)
-    vg = np.abs(ph.group_velocity(nl.ctx, np.where(np.isnan(k), 0.0, k)))
+    k = np.nan_to_num(ph.solve_k_grid(nl.ctx, f))
+    vg = np.abs(ph.group_velocity(nl.ctx, k))
     k_c = ph.solve_k(nl.ctx, nl.settings.f_c)
-    rate = 2.0 * math.pi * np.abs(f - nl.settings.f_c) + ph.damping_rate(nl.ctx)
-    return 1e-12 + 1e-15 * length * (k_c + rate / vg)
+    return 1e-12 + 1e-15 * length * (k_c + np.abs(k - k_c)
+                                     + ph.damping_rate(nl.ctx) / vg)
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,7 +414,7 @@ class TestBuildMajorityGate:
         # the gain of a scaled gate equals the gain built from scaled lengths
         nl_a = ct.build_majority_gate(scaled, CTX)
         manual = ct.DeviceGeometry(
-            w_a=geo.w_a * 0.05, w_g=geo.w_g * 0.05,
+            w_a=geo.w_a * 0.05,
             l_in=tuple(v * 0.05 for v in geo.l_in),
             l_skew=tuple(v * 0.05 for v in geo.l_skew),
             l_out=geo.l_out * 0.05)

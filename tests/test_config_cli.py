@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import math
 import re
@@ -53,12 +54,12 @@ class TestConfigParsing:
             "field.mu0_h_t = 0.15\n"
             "microwave.f_c_hz = 6.2e9\n"
             "geometry.l_skew_m = 0.004, 0, 0.004\n"
-            "switching.toggle = false\n"
+            "dispersion.log_k = false\n"
         )
         assert cfg.field_.mu0_h_t == 0.15
         assert cfg.microwave.f_c_hz == 6.2e9
         assert cfg.geometry.l_skew_m == (0.004, 0.0, 0.004)
-        assert cfg.switching.toggle is False
+        assert cfg.dispersion.log_k is False
 
     def test_comments_and_blanks(self):
         cfg = cf.parse_config("# comment\n\nfilm.mu0_ms_t = 0.18 # inline\n")
@@ -71,7 +72,7 @@ class TestConfigParsing:
         "justakey = 1",
         "geometry.l_in_m = 1,2",
         "spectrum.n_points = 2.5",
-        "switching.toggle = maybe",
+        "dispersion.log_k = maybe",
     ])
     def test_rejects_malformed(self, line):
         with pytest.raises(cf.ConfigError):
@@ -97,6 +98,9 @@ class TestConfigParsing:
         ("scaling.scales = 1,x\n", "bad list value '1,x'"),
         ("microwave.include_switch = false\n",
          "line 1: unknown key 'microwave.include_switch'"),
+        ("geometry.w_g_m = 0.0015\n", "line 1: unknown key 'geometry.w_g_m'"),
+        ("# c\nswitching.toggle = true\n",
+         "line 2: unknown key 'switching.toggle'"),
     ])
     def test_error_messages_name_the_line(self, text, message):
         with pytest.raises(cf.ConfigError, match=f"^{re.escape(message)}$"):
@@ -219,12 +223,6 @@ class TestSwitchCommand:
         t_rise = float(capsys.readouterr().out.split("t_rise_s=")[1].split()[0])
         assert t_rise < 1.0e-9
 
-    def test_no_toggle_errors(self, tmp_path):
-        config = tmp_path / "cfg.txt"
-        config.write_text("switching.toggle = false\n")
-        code = main(["switch", "--config", str(config), "--out", str(tmp_path)])
-        assert code == 3
-
     def test_out_of_band_carrier_errors(self, tmp_path):
         assert main(["switch", "--fc", "7e9", "--out", str(tmp_path)]) == 3
 
@@ -319,6 +317,21 @@ class TestScaleCommand:
         assert len(rows) == 5
         assert all(r[3] == "false" for r in rows)
 
+    def test_ref_phase_reaches_the_sweep(self, tmp_path, capsys):
+        # scale used to run at pi whatever the config said: its scale-1
+        # row read the default 11.3 ns while switch read 12.2 ns.  (At 2.0
+        # switch reads 17.2 ns, but the sweep's zero-path floor run never
+        # dips below 1/3 of the settled level there, so scale exits 3.)
+        config = tmp_path / "cfg.txt"
+        config.write_text("switching.ref_phase_rad = 2.5\n")
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        assert main(["switch", *args]) == 0
+        t_rise = float(capsys.readouterr().out.split("t_rise_s=")[1].split()[0])
+        assert t_rise == pytest.approx(12.2e-9, rel=0.01)
+        assert main(["scale", *args]) == 0
+        _, rows = read_csv(tmp_path / "scaling.csv")
+        assert float(rows[0][1]) == pytest.approx(t_rise, rel=1e-6)
+
 
 class TestCliPlumbing:
     def test_bad_config_exit_code(self, tmp_path):
@@ -326,6 +339,17 @@ class TestCliPlumbing:
         config.write_text("film.bogus = 1\n")
         assert main(["dispersion", "--config", str(config),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["geometry.w_g_m", "switching.toggle"])
+    def test_removed_key_exit_code(self, tmp_path, capsys, key):
+        # the waveguide width acted nowhere, and a drive without toggle
+        # could only exit 3: both are unknown keys now
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{key} = 1\n")
+        code = main(["switch", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 1: unknown key {key!r}\n")
 
     def test_missing_config_file(self, tmp_path):
         assert main(["dispersion", "--config", str(tmp_path / "nope.txt"),
@@ -363,10 +387,10 @@ class TestCliPlumbing:
     def test_bad_file_value_no_flag_replaces(self, tmp_path, capsys):
         # still exit 2, with the line the validated reader gives
         config = tmp_path / "cfg.txt"
-        config.write_text("microwave.f_c_hz = -1\ngeometry.w_g_m = 0\n")
+        config.write_text("microwave.f_c_hz = -1\ngeometry.w_a_m = 0\n")
         with pytest.raises(cf.ConfigError) as info:
-            cf.parse_config("geometry.w_g_m = 0\n")
-        assert str(info.value).startswith("geometry.w_g_m ")
+            cf.parse_config("geometry.w_a_m = 0\n")
+        assert str(info.value).startswith("geometry.w_a_m ")
         assert main(["calibrate", "--config", str(config), "--fc", "6e9",
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {info.value}\n"
@@ -398,7 +422,7 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == f"config error: {key} must be finite\n"
 
     @pytest.mark.parametrize("line, key", [
-        ("geometry.w_g_m = 0", "geometry.w_g_m"),
+        ("geometry.w_a_m = 0", "geometry.w_a_m"),
         ("geometry.w_a_m = -7.5e-5", "geometry.w_a_m"),
         ("geometry.l_in_m = 0.01, -0.001, 0.01", "geometry.l_in_m"),
         ("geometry.l_skew_m = -0.006, 0, 0.006", "geometry.l_skew_m"),
@@ -460,11 +484,6 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"config error: {key} ") and err.count("\n") == 1
-
-    def test_toggle_time_free_without_toggle(self):
-        # a constant drive never reads the toggle instant
-        cfg = cf.parse_config("switching.toggle = false\nswitching.t_toggle_s = 0\n")
-        assert cfg.switching.t_toggle_s == 0.0
 
     @pytest.mark.parametrize("argv, message", [
         (["calibrate", "--fc"], "argument --fc: expected one argument"),
@@ -620,9 +639,7 @@ def config_number(default):
 def config_lines(draw):
     section, name = draw(st.sampled_from(FUZZ_KEYS))
     default = getattr(FUZZ_SECTIONS[section], name)
-    if isinstance(default, bool):
-        value = draw(st.sampled_from(["true", "false"]))
-    elif isinstance(default, tuple):
+    if isinstance(default, tuple):
         value = ",".join(repr(draw(config_number(d or 1e-3))) for d in default)
     else:
         value = repr(draw(config_number(default or 1e-3)))
@@ -690,3 +707,79 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
         responsivity=cfg.detector.responsivity_v).trace
     expect = csv_table("time_s,value", trace.times, trace.samples)
     assert (tmp_path / "switch_trace.csv").read_text() == expect
+
+
+# per config key: a changed value and the command whose artifacts, summary
+# line or exit code then differ from the default run's
+ACTING = [
+    ("film.mu0_ms_t", "0.18", "dispersion"),
+    ("film.thickness_m", "6e-6", "dispersion"),
+    ("film.gamma_rad_per_s_t", "1.8e11", "dispersion"),
+    ("film.linewidth_t", "1e-4", "transmission"),
+    ("film.fit_fmr_hz", "6.05e9", "dispersion"),
+    ("field.mu0_h_t", "0.145", "dispersion"),
+    ("field.orientation", "perpendicular", "dispersion"),
+    ("geometry.w_a_m", "1e-4", "transmission"),
+    ("geometry.l_in_m", "0.012, 0.01, 0.01", "transmission"),
+    ("geometry.l_skew_m", "0.004, 0, 0.006", "transmission"),
+    ("geometry.l_out_m", "0.012", "transmission"),
+    ("geometry.bend_loss_db", "4", "transmission"),
+    ("geometry.scale", "0.5", "transmission"),
+    ("microwave.f_c_hz", "6.03e9", "calibrate"),
+    ("microwave.drive_amplitude", "2", "switch"),
+    ("microwave.attenuator_db", "1, 0, 0", "transmission"),
+    ("microwave.phase_rad", "0.1, 0, 0", "truthtable --no-calibrate"),
+    ("microwave.coupling_db", "-1, 0, -1.2", "transmission"),
+    ("microwave.coupling_phase_rad", "0.3, 0, -0.65", "calibrate"),
+    ("microwave.output_coupling_db", "1", "transmission"),
+    ("detector.responsivity_v", "2", "switch"),
+    ("detector.lp_cutoff_hz", "2e8", "switch"),
+    ("encoding.phi0_rad", "0.1", "truthtable"),
+    ("encoding.guard_rad", "0.1", "truthtable --no-calibrate"),
+    ("switching.dt_s", "5e-11", "switch"),
+    ("switching.duration_s", "8.192e-7", "switch"),
+    ("switching.t_toggle_s", "1.9e-7", "switch"),
+    ("switching.ramp_s", "3e-9", "switch"),
+    ("switching.ref_phase_rad", "2.5", "scale"),
+    ("switching.effective_path_m", "1.2e-3", "switch"),
+    ("spectrum.f_start_hz", "5.95e9", "transmission"),
+    ("spectrum.f_stop_hz", "6.1e9", "transmission"),
+    ("spectrum.n_points", "201", "transmission"),
+    ("spectrum.floor_db", "-60", "transmission"),
+    ("dispersion.k_start_rad_per_m", "100", "dispersion"),
+    ("dispersion.k_stop_rad_per_m", "1e5", "dispersion"),
+    ("dispersion.n_points", "300", "dispersion"),
+    ("dispersion.log_k", "false", "dispersion"),
+    ("scaling.scales", "1, 0.5", "scale"),
+]
+# lines both runs of a key share: the fit sets Ms whatever mu0_ms_t says
+ACTING_BASE = {"film.mu0_ms_t": "film.fit_fmr_hz = 0\n"}
+
+
+@functools.cache
+def outcome(command, text):
+    """Exit code, stdout, stderr and artifacts of one run of a config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.txt"
+        config.write_text(text)
+        out_dir = Path(tmp) / "out"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command.split(), "--config", str(config),
+                         "--out", str(out_dir)])
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, out.getvalue().replace(tmp, ""), err.getvalue(), files
+
+
+def test_acting_table_holds_every_key():
+    keys = [line.split(" = ")[0]
+            for line in cf.serialize_config(cf.RunConfig()).splitlines()]
+    assert sorted(keys) == sorted(key for key, _, _ in ACTING)
+
+
+@pytest.mark.parametrize("key, value, command", ACTING,
+                         ids=[key for key, _, _ in ACTING])
+def test_every_key_acts(key, value, command):
+    # geometry.w_g_m acted nowhere, and scale dropped switching.ref_phase_rad
+    base = ACTING_BASE.get(key, "")
+    assert outcome(command, f"{base}{key} = {value}\n") != outcome(command, base)

@@ -188,40 +188,42 @@ class TestCalibrate:
 
 
 def test_calibration_and_switching_solve_the_carrier_once(monkeypatch):
-    # one k(f_c) solve serves the calibration's edited copies and the
-    # switching run's transit fill time
+    # one k(f_c) solve and one |v_g(k_c)| serve the calibration's edited
+    # copies, the switching run's transit fill time and the path fit
     nl = build()
     calls = []
-    solve = kernels.solve_k
-    monkeypatch.setattr(kernels, "solve_k",
-                        lambda *args: calls.append(args) or solve(*args))
+    for name in ("solve_k", "group_velocity"):
+        kernel = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args, kernel=kernel:
+                            calls.append(kernel.__name__) or kernel(*args))
     cal, _ = ex.calibrate(nl)
-    assert len(calls) == 1
+    assert calls == ["solve_k", "group_velocity"]
     ex.run_switching(cal, effective_path=1.3e-3)
-    assert len(calls) == 1
+    ex.fit_effective_path(cal, 11.3e-9)
+    assert calls == ["solve_k", "group_velocity"]
 
 
 class TestTransitFill:
     def test_zero_length_unity(self):
-        ctx = make_ctx()
-        fill = ex.transit_fill_time(ctx, 0.0, ph.solve_k(ctx, FC))
+        fill = ex.transit_fill_time(0.0, build().carrier_propagation.speed)
         tf = transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
-        ctx = make_ctx()
-        fill = ex.transit_fill_time(ctx, 1.5e-3, ph.solve_k(ctx, FC))
+        fill = ex.transit_fill_time(1.5e-3, build().carrier_propagation.speed)
         tf = transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
     def test_fill_time_from_group_velocity(self):
+        # the carrier record's speed is |v_g| at the solved carrier k
         ctx = make_ctx()
         length = 2.0e-3
         k = ph.solve_k(ctx, FC)
         fill = length / abs(ph.group_velocity(ctx, k))
-        assert ex.transit_fill_time(ctx, length, k) == pytest.approx(fill,
-                                                                    rel=1e-15)
+        speed = build(ctx=ctx).carrier_propagation.speed
+        assert ex.transit_fill_time(length, speed) == pytest.approx(fill,
+                                                                   rel=1e-15)
         tf = transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
@@ -237,17 +239,13 @@ class TestSwitchTiming:
                  ({"t_toggle": 0.0}, "t_toggle"), ({"dt": 0.0}, "dt"),
                  ({"duration": 1e-10}, "duration"), ({"ramp": 0.0}, "ramp"),
                  ({"dt": 1e-16}, "dt"), ({"dt": 1e-300}, "dt"),
-                 ({"t_toggle": None, "duration": 1e-3}, "dt"),
+                 ({"duration": 1e-3, "analysis_post": 5e-4}, "dt"),
                  ({"analysis_pre": 0.0}, "analysis_pre"),
                  ({"analysis_post": -1e-9}, "analysis_post"),
                  ({"dt": 2e-7}, "dt"), ({"dt": math.nan}, "dt")]
         for kwargs, name in cases:
             with pytest.raises(ValueError, match=f"^{name} "):
                 ex.SwitchTiming(**kwargs)
-
-    def test_constant_drive_reads_the_whole_record(self):
-        timing = ex.SwitchTiming(t_toggle=None)
-        assert timing.window == (0, 4096)
 
 
 class TestRunSwitching:
@@ -304,8 +302,8 @@ class TestRunSwitching:
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
         runway = timing.t_toggle - timing.analysis_pre
-        k_c = nl.carrier_propagation.k
-        assert ex.transit_fill_time(nl.ctx, 6.0e-3, k_c) > runway
+        speed = nl.carrier_propagation.speed
+        assert ex.transit_fill_time(6.0e-3, speed) > runway
         with pytest.raises(ex.RunwayError, match=r"3\.472e-07 s of the plateau"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
         # a later toggle in a longer record moves the plateau past it
@@ -361,13 +359,6 @@ class TestRunSwitching:
                     b.trace.samples, a.trace.samples, rtol=1e-12,
                     atol=1e-12 * a.trace.samples.max())
                 assert b.t_rise == pytest.approx(a.t_rise, rel=1e-12)
-
-    def test_no_toggle_no_transition(self):
-        nl = symmetric()
-        nl, _ = ex.calibrate(nl)
-        timing = ex.SwitchTiming(t_toggle=None)
-        with pytest.raises(sig.NoTransitionError):
-            ex.run_switching(nl, timing=timing, effective_path=1e-3)
 
 
 @pytest.fixture(scope="module")

@@ -150,8 +150,8 @@ def test_numpy_lowpass_against_direct_recurrence():
 
 
 def test_numpy_waveguide_gain_zero_length():
-    f = np.array([1.0e9, FC, 9.0e9])
+    k = kernels.solve_k(np.array([1.0e9, FC, 9.0e9]), WH, WM, D, BRANCH_BV)
     np.testing.assert_array_equal(
-        _core_py.waveguide_gain(f, np.array([np.nan, 3.0e4, np.nan]), FC,
-                                solve_one(FC, WH, WM, D, 0), 0.0, ETA),
+        _core_py.waveguide_gain(k, np.array([np.nan, 3.0e4, np.nan]),
+                                solve_one(FC, WH, WM, D, 0), 0.0, ETA, BRANCH_BV),
         np.ones(3, dtype=complex))

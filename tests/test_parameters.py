@@ -96,7 +96,7 @@ def test_api_fuzz_rejects_by_name_or_runs_finite(data):
                 (ph.Orientation.PERPENDICULAR, 6.09e9)]))
             bias = ph.BiasField(v("mu0_h", 0.1429), orientation)
             geometry = ct.DeviceGeometry(
-                w_g=v("w_g", 1.5e-3), w_a=v("w_a", 7.5e-5),
+                w_a=v("w_a", 7.5e-5),
                 l_in=v.triple("l_in", (10e-3, 10e-3, 10e-3)),
                 l_skew=v.triple("l_skew", (6e-3, 0.0, 6e-3)),
                 l_out=v("l_out", 10e-3), bend_loss_db=v("bend_loss_db", 3.0),
@@ -114,7 +114,7 @@ def test_api_fuzz_rejects_by_name_or_runs_finite(data):
             dt = v("dt", 1e-10)
             timing = ex.SwitchTiming(
                 dt=dt, duration=v.span("duration", dt, 4096.0),
-                t_toggle=v.optional("t_toggle", v.span("t_toggle", dt, 2000.0)),
+                t_toggle=v.span("t_toggle", dt, 2000.0),
                 ramp=v.span("ramp", dt, 20.0),
                 analysis_pre=v.span("analysis_pre", dt, 400.0),
                 analysis_post=v.span("analysis_post", dt, 2400.0))
