@@ -174,9 +174,7 @@ def cmd_truthtable(cfg: RunConfig, out: Path, auto_calibrate: bool = True) -> in
 def cmd_switch(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
-    result = experiment.run_switching(
-        nl, effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
-        **build_switching(cfg))
+    result = experiment.run_switching(nl, **build_switching(cfg))
     path = out / "switch_trace.csv"
     trace_to_csv(result.trace, path)
     print(f"switch t_rise_s={result.t_rise:.6g} f_clock_hz={result.f_clock:.6g} "
@@ -209,10 +207,8 @@ def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
 def cmd_scale(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
-    study = experiment.scaling_study(
-        nl, cfg.scaling.scales,
-        base_effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
-        **build_switching(cfg))
+    study = experiment.scaling_study(nl, cfg.scaling.scales,
+                                     **build_switching(cfg))
     path = out / "scaling.csv"
     _write(path, study.to_csv())
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "

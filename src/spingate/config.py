@@ -351,11 +351,14 @@ def build_timing(cfg: RunConfig) -> experiment.SwitchTiming:
 
 
 def build_switching(cfg: RunConfig) -> dict:
-    """The keywords of experiment.run_switching but the effective path,
-    which ``switch`` and ``scale`` set each in their own way."""
+    """The keywords of experiment.run_switching, which
+    experiment.scaling_study takes too; the effective path scales with
+    the geometry."""
     return _build(dict, cfg.detector, _DETECTOR, enc=build_encoding(cfg),
                   timing=build_timing(cfg),
-                  ref_phase=cfg.switching.ref_phase_rad)
+                  ref_phase=cfg.switching.ref_phase_rad,
+                  effective_path=cfg.switching.effective_path_m
+                  * cfg.geometry.scale)
 
 
 # include_switch is ignored; perfbench/run.py (_fit) still passes it

@@ -110,27 +110,30 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
     )
 
 
+# the analysis window opens WINDOW_LEAD before the toggle and closes
+# WINDOW_TAIL after it, or at the record's end if that comes first
+WINDOW_LEAD = 4.0e-8
+WINDOW_TAIL = 2.4e-7
+
+
 @dataclass(frozen=True)
 class SwitchTiming:
     """Grid and toggle layout of the switching transient.
 
     The record holds round(duration/dt) samples; run_switching computes
-    only those of the analysis window, from analysis_pre before the toggle
-    to analysis_post after it, which rise_time reads; construction checks
+    only those of the analysis window, from WINDOW_LEAD before the toggle
+    to WINDOW_TAIL after it, which rise_time reads; construction checks
     every range, and that the window holds 2 to MAX_SAMPLES samples.
-    run_switching checks one more precondition, on the transit fill time
-    (~140 ns for a 4 mm effective path at the reference carrier): the
-    transition (toggle, ramp and fill) must end before the trailing
-    plateau of the window from which rise_time reads the settled level
-    (347.2 ns at the defaults).
+    The transit fill time of run_switching must end the transition
+    before the plateau from which rise_time reads the settled level (see
+    admits): at most 145.2 ns at the defaults, and 168 ns at a 2 ns ramp
+    in a record that outlasts the window.
     """
 
     dt: float = 1.0e-10
     duration: float = 4.096e-7
     t_toggle: float = 2.0e-7
     ramp: float = 2.0e-9
-    analysis_pre: float = 4.0e-8
-    analysis_post: float = 2.4e-7
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -141,9 +144,6 @@ class SwitchTiming:
             raise ValueError("ramp must lie in (0, duration]")
         if not 0 < self.t_toggle < self.duration:
             raise ValueError("t_toggle must lie in (0, duration)")
-        for name in ("analysis_pre", "analysis_post"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
         lo, hi = self._bounds()
         if not (hi - lo <= MAX_SAMPLES and round(hi) - round(lo) >= 2):
             raise ValueError(
@@ -152,15 +152,27 @@ class SwitchTiming:
     def _bounds(self) -> tuple[float, float]:
         """The window's bounds in samples, clamped to the record, unrounded
         (a bound past the float range is infinite)."""
-        return (max(0.0, (self.t_toggle - self.analysis_pre) / self.dt),
+        return (max(0.0, (self.t_toggle - WINDOW_LEAD) / self.dt),
                 min(self.duration / self.dt,
-                    (self.t_toggle + self.analysis_post) / self.dt))
+                    (self.t_toggle + WINDOW_TAIL) / self.dt))
 
     @property
     def window(self) -> tuple[int, int]:
         """Sample range [lo, hi) of the record that rise_time reads."""
         lo, hi = self._bounds()
         return round(lo), round(hi)
+
+    @property
+    def plateau(self) -> float:
+        """Time at which the plateau rise_time averages for the settled
+        level starts (347.2 ns at the defaults)."""
+        lo, hi = self.window
+        return (lo + plateau_start(hi - lo)) * self.dt
+
+    def admits(self, fill: float) -> bool:
+        """Whether a transit fill time ends the transition (toggle, ramp,
+        fill) before the plateau; no fill always passes."""
+        return fill == 0.0 or self.t_toggle + self.ramp + fill < self.plateau
 
 
 @dataclass(frozen=True)
@@ -172,47 +184,11 @@ class SwitchingResult:
     effective_path: float
 
 
-def transit_fill_time(length: float, speed: float) -> float:
-    """Time T = length / |vg(k_c)| the carrier wave takes to fill a path.
-
-    speed is the group speed |vg| of the carrier, as the gate record's
-    ``carrier_propagation.speed`` holds it; the fill time is the group
-    delay of the path at the carrier.
-    """
-    if length == 0.0:
-        return 0.0
-    return length / speed
-
-
 def check_effective_path(effective_path: float) -> None:
     """Raise ValueError, naming the argument, for a path run_switching
     cannot take."""
     if not effective_path >= 0:
         raise ValueError("effective_path must be nonnegative")
-
-
-def _plateau_time(timing: SwitchTiming) -> float:
-    """Time at which the plateau rise_time averages for v_max starts, in
-    the analysis window."""
-    lo, hi = timing.window
-    return (lo + plateau_start(hi - lo)) * timing.dt
-
-
-def _fill_violation(path: float, fill: float,
-                    timing: SwitchTiming) -> str | None:
-    """Why the fill time of a path breaks the timing.
-
-    None when it fits: the transition (toggle, ramp, fill) ends before
-    the plateau that rise_time averages for the settled level.
-    """
-    plateau = _plateau_time(timing)
-    settled = timing.t_toggle + timing.ramp + fill
-    if settled >= plateau:
-        return (f"transit fill time {fill:.4g} s of the {path:.4g} m "
-                f"effective path ends the transition at {settled:.4g} s, "
-                f"past the start {plateau:.4g} s of the plateau the settled "
-                f"level is read from")
-    return None
 
 
 def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = None,
@@ -233,16 +209,17 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     Only the samples of the analysis window are computed (see
     SwitchTiming).  effective_path is the i2-to-output length whose
     transit spreads the transition: the i2 drive is replaced by its
-    causal box average over the fill time (see transit_fill_time and
-    signal.step_phase_drive), which holds the pre-toggle drive before the
-    record begins and so never wraps.  It is a fitted model parameter,
-    not a geometric length; at 0 the transition is switch-limited.  The
+    causal box average over the fill time, its group delay
+    effective_path/|vg(k_c)| (see signal.step_phase_drive), which holds
+    the pre-toggle drive before the record begins and so never wraps.  It
+    is a fitted model parameter, not a geometric length; at 0 the
+    transition is switch-limited.  The
     steady i1 and i3 outputs and the reference are one complex constant,
     and the detector's low-pass is pre-charged at the window's first
     sample, where the input is still steady since the window opens before
-    the toggle.  A fill time that ends the transition inside the trailing
-    plateau, where it would pull the settled level down, raises
-    RunwayError.
+    the toggle.  A fill time the timing does not admit, which would end
+    the transition inside the trailing plateau and pull the settled level
+    down, raises RunwayError.
     """
     check_effective_path(effective_path)
     enc = enc or logic.PhaseEncoding()
@@ -254,14 +231,17 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
-    lo, hi = timing.window
-    fill = transit_fill_time(effective_path, nl.carrier_propagation.speed)
-    violation = fill > 0.0 and _fill_violation(effective_path, fill, timing)
-    if violation:
-        raise RunwayError(violation)
+    fill = effective_path / nl.carrier_propagation.speed
+    if not timing.admits(fill):
+        raise RunwayError(
+            f"transit fill time {fill:.4g} s of the {effective_path:.4g} m "
+            f"effective path ends the transition at "
+            f"{timing.t_toggle + timing.ramp + fill:.4g} s, past the start "
+            f"{timing.plateau:.4g} s of the plateau the settled level is "
+            f"read from")
     drive_i2 = step_phase_drive(
         s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
-        timing.duration, timing.dt, fill=fill, window=(lo, hi))
+        timing.dt, timing.window, fill=fill)
 
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
@@ -282,24 +262,30 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
                            effective_path=effective_path)
 
 
+# bracket of effective paths fit_effective_path searches; the top, which
+# spans rise times up to ~34 ns at the reference point, is clamped to the
+# longest path the timing admits
+FIT_PATH_MIN = 1.0e-5
+FIT_PATH_MAX = 4.0e-3
+
+
 def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
                        enc: logic.PhaseEncoding | None = None,
                        timing: SwitchTiming | None = None,
-                       lo: float = 1.0e-5, hi: float = 4.0e-3,
                        rtol: float = 1e-3, **kwargs) -> float:
     """Effective path length whose switching run hits the target rise time.
 
     Illinois regula falsi on the monotone, nearly linear residual
-    t_rise(length) - target over the bracket [lo, hi]; raises
-    CalibrationError when the target is not bracketed.  Stops once a run
-    lands within rtol/2 of the target or the bracket is at most rtol*hi
-    wide, and returns the evaluated length closest to the target, so
-    re-running it reproduces that rise time exactly.  hi is clamped to the
-    longest path whose transit fill time the timing admits (see
-    SwitchTiming); the default 4 mm spans rise times up to ~34 ns.
+    t_rise(length) - target over the bracket [FIT_PATH_MIN, FIT_PATH_MAX],
+    its top clamped to the longest path whose transit fill time the
+    timing admits; raises CalibrationError when the target is not
+    bracketed.  Stops once a run lands within rtol/2 of the target or
+    the bracket is at most rtol*hi wide, and returns the evaluated length
+    closest to the target, so re-running it reproduces that rise time
+    exactly.
     """
     timing = timing or SwitchTiming()
-    hi = min(hi, _longest_path(nl, timing))
+    lo, hi = FIT_PATH_MIN, min(FIT_PATH_MAX, _longest_path(nl, timing))
     if hi <= lo:
         raise CalibrationError(
             f"no effective path above {lo:.3g} m fits the switching timing")
@@ -338,14 +324,18 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 
 
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
-    """Longest effective path whose fill time passes _fill_violation."""
-    limit = _plateau_time(timing) - timing.t_toggle - timing.ramp
+    """Longest effective path whose fill time the timing admits; at most
+    0 when only the zero path is."""
     speed = nl.carrier_propagation.speed
-    path = limit * speed
-    # the limit is exclusive and the product rounds: step down to a pass
-    while path > 0.0 and _fill_violation(
-            path, transit_fill_time(path, speed), timing):
+    path = (timing.plateau - timing.t_toggle - timing.ramp) * speed
+    if path <= 0.0:
+        return path
+    # the product and the fill round either way: walk to the last float
+    # that passes
+    while not timing.admits(path / speed):
         path = math.nextafter(path, 0.0)
+    while timing.admits(math.nextafter(path, math.inf) / speed):
+        path = math.nextafter(path, math.inf)
     return path
 
 
@@ -401,8 +391,7 @@ def check_scales(scales) -> None:
         raise ValueError("scales must be positive")
 
 
-def scaling_study(nl: circuit.GateNetlist, scales,
-                  base_effective_path: float,
+def scaling_study(nl: circuit.GateNetlist, scales, effective_path: float,
                   enc: logic.PhaseEncoding | None = None,
                   timing: SwitchTiming | None = None,
                   **kwargs) -> ScalingStudy:
@@ -413,9 +402,12 @@ def scaling_study(nl: circuit.GateNetlist, scales,
     on the same dispersion.  Each scaled gate is rebuilt from the
     netlist's settings (its calibrated controls, when it was calibrated)
     and calibrated again before the run, since the losses change with
-    the lengths.  Rows that fail (band violation, no transition) are
-    flagged rather than fatal.  The ramp floor is the
-    zero-length rise time of the same pipeline.
+    the lengths.  Rows that fail (band violation, no transition, a fill
+    the timing does not admit) are flagged rather than fatal.  The ramp
+    floor, the zero-length rise time of the same pipeline, is what every
+    row is measured against, so its failure is fatal, as it is to a
+    ``switch`` run (at a reference phase of 2.0 both raise
+    NoTransitionError).
     """
     scales = [float(s) for s in scales]
     check_scales(scales)
@@ -427,7 +419,7 @@ def scaling_study(nl: circuit.GateNetlist, scales,
             scaled, _ = calibrate(circuit.build_majority_gate(
                 nl.geometry.rescaled(s), nl.ctx, nl.settings))
             res = run_switching(scaled, enc=enc, timing=timing,
-                                effective_path=base_effective_path * s,
+                                effective_path=effective_path * s,
                                 **kwargs)
             rows.append(ScalingRow(scale=s, t_rise=res.t_rise,
                                    f_clock=res.f_clock, flagged=False))

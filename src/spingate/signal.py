@@ -99,13 +99,13 @@ _NEGLIGIBLE_FILL = 1e-9
 
 
 def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
-                     t_toggle: float, ramp: float, duration: float, dt: float,
-                     fill: float = 0.0,
-                     window: tuple[int, int] | None = None) -> np.ndarray:
+                     t_toggle: float, ramp: float, dt: float,
+                     window: tuple[int, int],
+                     fill: float = 0.0) -> np.ndarray:
     """Window of a drive record whose phase ramps from phase_a to phase_b.
 
-    The record holds round(duration/dt) samples at t = j*dt; window=(lo,
-    hi) picks the samples returned (default: all).  The drive has constant
+    The record is sampled at t = j*dt; window=(lo, hi) picks the samples
+    j in [lo, hi) that are computed and returned.  The drive has constant
     modulus and a raised-cosine phase ramp of width ramp starting at
     t_toggle, so its trajectory is phase-continuous.  A fill above
     _NEGLIGIBLE_FILL * dt returns instead the causal box average over the
@@ -117,8 +117,7 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
     toggle, also before the record begins, so the average never wraps,
     and only the requested samples are computed.
     """
-    lo, hi = window or (0, int(round(duration / dt)))
-    t = np.arange(lo, hi) * dt
+    t = np.arange(*window) * dt
 
     def drive(u):
         phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
@@ -210,7 +209,9 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     v_max is the settled level, estimated as the mean of the trailing
     PLATEAU_FRACTION of the trace.  The crossing pair is the last
     1/3*v_max crossing before the first 2/3*v_max crossing, both linearly
-    interpolated between samples; f_clock = 1/t_rise.
+    interpolated between samples; f_clock = 1/t_rise.  The trace must
+    start at or below 1/3*v_max: one that starts above it has no low
+    level to rise from, and a dip below 1/3 is no transition.
     """
     v = trace.samples
     v_max = float(np.mean(v[plateau_start(v.size):]))
@@ -223,11 +224,9 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     if above_hi.size == 0 or above_hi[0] == 0:
         raise NoTransitionError("no transition: 2/3 level never crossed")
     j = int(above_hi[0])
-
-    below_lo = np.nonzero(v[:j] <= th_lo)[0]
-    if below_lo.size == 0:
-        raise NoTransitionError("no transition: trace never sits below 1/3 level")
-    i = int(below_lo[-1])
+    if v[0] > th_lo:
+        raise NoTransitionError("no transition: trace starts above 1/3 level")
+    i = int(np.nonzero(v[:j] <= th_lo)[0][-1])
 
     t_lo = (i + (th_lo - v[i]) / (v[i + 1] - v[i])) * trace.dt
     t_hi = (j - 1 + (th_hi - v[j - 1]) / (v[j] - v[j - 1])) * trace.dt

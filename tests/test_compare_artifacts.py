@@ -6,10 +6,12 @@ from pathlib import Path
 import pytest
 
 from spingate import config as cf
+from spingate import experiment as ex
 from spingate import physics as ph
 from spingate import signal as sig
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
+REFERENCE = TOOL.parent.parent / "configs" / "reference.txt"
 spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
 compare_artifacts = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_artifacts)
@@ -98,14 +100,32 @@ def test_dense_jobs_span_blocks_and_band_edges():
     assert {job: jobs[job] for job in jobs if job.endswith("-dense")} == {
         "dispersion-dense": ["dispersion"],
         "transmission-dense": ["transmission"]}
-    reference = TOOL.parent.parent / "configs" / "reference.txt"
-    cfg = cf.parse_config(reference.read_text()
+    cfg = cf.parse_config(REFERENCE.read_text()
                           + "\n".join(compare_artifacts.DENSE))
     assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * sig._BLOCK_ROWS
     for orientation in ("parallel", "perpendicular"):
         field = replace(cfg.field_, orientation=orientation)
         lo, hi = ph.band_limits(cf.build_context(replace(cfg, field_=field)))
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
+
+
+def test_long_jobs_reach_the_window_tail():
+    # the long jobs run switch and scale on a record whose analysis window
+    # closes WINDOW_TAIL after the toggle, before the record's end; on the
+    # reference config it closes at the record's end
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-long")} == {
+        "switch-long": ["switch"], "scale-long": ["scale"]}
+    reference = cf.parse_config(REFERENCE.read_text())
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.LONG))
+    timing = cf.build_timing(cfg)
+    assert timing.window[1] == round((timing.t_toggle + ex.WINDOW_TAIL)
+                                     / timing.dt)
+    assert timing.window[1] * timing.dt < timing.duration
+    base = cf.build_timing(reference)
+    assert base.window[1] == round(base.duration / base.dt)
+    assert base.t_toggle + ex.WINDOW_TAIL > base.duration
 
 
 def test_worst_difference_per_file(tmp_path, capsys):

@@ -319,9 +319,7 @@ class TestScaleCommand:
 
     def test_ref_phase_reaches_the_sweep(self, tmp_path, capsys):
         # scale used to run at pi whatever the config said: its scale-1
-        # row read the default 11.3 ns while switch read 12.2 ns.  (At 2.0
-        # switch reads 17.2 ns, but the sweep's zero-path floor run never
-        # dips below 1/3 of the settled level there, so scale exits 3.)
+        # row read the default 11.3 ns while switch read 12.2 ns
         config = tmp_path / "cfg.txt"
         config.write_text("switching.ref_phase_rad = 2.5\n")
         args = ["--config", str(config), "--out", str(tmp_path)]
@@ -331,6 +329,22 @@ class TestScaleCommand:
         assert main(["scale", *args]) == 0
         _, rows = read_csv(tmp_path / "scaling.csv")
         assert float(rows[0][1]) == pytest.approx(t_rise, rel=1e-6)
+
+    def test_pre_toggle_level_above_a_third_exits_3(self, tmp_path, capsys):
+        # at 2.0 the level before the toggle is 0.41 of the settled one:
+        # switch used to time the fill's dip below 1/3 (17.2 ns) while
+        # the sweep's zero-path floor run exited 3.  Both now exit 3 with
+        # the same line, and the sweep's floor run stays fatal
+        config = tmp_path / "cfg.txt"
+        config.write_text("switching.ref_phase_rad = 2.0\n")
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        for command in ("switch", "scale"):
+            assert main([command, *args]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("physics error: no transition: trace "
+                                    "starts above 1/3 level\n")
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestCliPlumbing:

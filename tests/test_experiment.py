@@ -204,14 +204,17 @@ def test_calibration_and_switching_solve_the_carrier_once(monkeypatch):
 
 
 class TestTransitFill:
+    # the fill time of a path is its group delay at the carrier, the path
+    # over the carrier record's speed
     def test_zero_length_unity(self):
-        fill = ex.transit_fill_time(0.0, build().carrier_propagation.speed)
+        fill = 0.0 / build().carrier_propagation.speed
+        assert fill == 0.0
         tf = transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
-        fill = ex.transit_fill_time(1.5e-3, build().carrier_propagation.speed)
+        fill = 1.5e-3 / build().carrier_propagation.speed
         tf = transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
@@ -222,8 +225,7 @@ class TestTransitFill:
         k = ph.solve_k(ctx, FC)
         fill = length / abs(ph.group_velocity(ctx, k))
         speed = build(ctx=ctx).carrier_propagation.speed
-        assert ex.transit_fill_time(length, speed) == pytest.approx(fill,
-                                                                   rel=1e-15)
+        assert length / speed == pytest.approx(fill, rel=1e-15)
         tf = transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
         assert abs(tf(np.array([FC + 1.0 / fill]))[0]) < 1e-9
@@ -232,20 +234,35 @@ class TestTransitFill:
 class TestSwitchTiming:
     def test_rejects_bad_timing(self):
         # a ramp longer than the record, a toggle past its end, the other
-        # ranges, and a grid too coarse for the analysis window: each
-        # message starts with the field it names
+        # ranges, and a grid too fine or too coarse for the analysis
+        # window: each message starts with the field it names
         cases = [({"ramp": 300e-9, "duration": 200e-9}, "ramp"),
                  ({"t_toggle": 250e-9, "duration": 200e-9}, "t_toggle"),
                  ({"t_toggle": 0.0}, "t_toggle"), ({"dt": 0.0}, "dt"),
                  ({"duration": 1e-10}, "duration"), ({"ramp": 0.0}, "ramp"),
                  ({"dt": 1e-16}, "dt"), ({"dt": 1e-300}, "dt"),
-                 ({"duration": 1e-3, "analysis_post": 5e-4}, "dt"),
-                 ({"analysis_pre": 0.0}, "analysis_pre"),
-                 ({"analysis_post": -1e-9}, "analysis_post"),
+                 ({"dt": 2.5e-13, "duration": 8.192e-7}, "dt"),
                  ({"dt": 2e-7}, "dt"), ({"dt": math.nan}, "dt")]
         for kwargs, name in cases:
             with pytest.raises(ValueError, match=f"^{name} "):
                 ex.SwitchTiming(**kwargs)
+        # a window of WINDOW_LEAD + WINDOW_TAIL = 280 ns holds 1.12e6
+        # samples at 0.25 ps (above) and 1.04e6 <= 2^20 at 0.27 ps
+        fine = ex.SwitchTiming(dt=2.7e-13, duration=8.192e-7)
+        assert fine.window == (592593, 1629630)
+
+    def test_window_and_plateau(self):
+        # the window closes at the record's end on the defaults and
+        # WINDOW_TAIL after the toggle in a longer record; the plateau is
+        # its trailing quarter
+        assert ex.SwitchTiming().window == (1600, 4096)
+        assert ex.SwitchTiming().plateau == pytest.approx(347.2e-9)
+        longer = ex.SwitchTiming(duration=8.192e-7)
+        assert longer.window == (1600, 4400)
+        assert longer.plateau == pytest.approx(370e-9)
+        # toggle and ramp end at 202 ns: 168 ns of fill reach the plateau
+        assert longer.admits(0.0) and longer.admits(167.9e-9)
+        assert not longer.admits(168.1e-9)
 
 
 class TestRunSwitching:
@@ -295,21 +312,23 @@ class TestRunSwitching:
         assert all(b >= a for a, b in zip(rises, rises[1:]))
 
     def test_fill_longer_than_runway_raises(self):
-        # 6 mm fills in ~200 ns, longer than the 160 ns before the window:
+        # 6 mm fills in 210 ns, longer than the 160 ns before the window:
         # the causal average cannot wrap, but the transition then ends
         # inside the plateau from 347.2 ns that sets the settled level
         nl = symmetric()
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
-        runway = timing.t_toggle - timing.analysis_pre
         speed = nl.carrier_propagation.speed
-        assert ex.transit_fill_time(6.0e-3, speed) > runway
+        assert 6.0e-3 / speed > timing.t_toggle - ex.WINDOW_LEAD
         with pytest.raises(ex.RunwayError, match=r"3\.472e-07 s of the plateau"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
-        # a later toggle in a longer record moves the plateau past it
-        later = ex.SwitchTiming(duration=8.192e-7, t_toggle=3.0e-7,
-                                analysis_post=4.0e-7)
-        slow = ex.run_switching(nl, timing=later, effective_path=6.0e-3)
+        # the window closes WINDOW_TAIL after the toggle: a later toggle in
+        # a longer record admits 168 ns of fill, still short of 6 mm ...
+        later = ex.SwitchTiming(duration=8.192e-7, t_toggle=3.0e-7)
+        with pytest.raises(ex.RunwayError, match=r"4\.7e-07 s of the plateau"):
+            ex.run_switching(nl, timing=later, effective_path=6.0e-3)
+        # ... but enough for the 165 ns of 4.7 mm
+        slow = ex.run_switching(nl, timing=later, effective_path=4.7e-3)
         fast = ex.run_switching(nl, timing=later, effective_path=3.0e-3)
         assert slow.t_rise > 1.5 * fast.t_rise
 
@@ -320,10 +339,11 @@ class TestRunSwitching:
         nl, _ = ex.calibrate(cf.build_netlist(cf.RunConfig()))
         with pytest.raises(ex.RunwayError, match=r"3\.561e-07 s.*3\.472e-07 s.*plateau"):
             ex.run_switching(nl, effective_path=4.4e-3)
-        # 4.0 mm ends at 342 ns and reads what a doubled record reads
-        doubled = ex.SwitchTiming(duration=8.192e-7, analysis_post=4.8e-7)
+        # 4.0 mm ends at 342 ns and reads what a record reads whose
+        # window runs on to WINDOW_TAIL after the toggle
+        longer = ex.SwitchTiming(duration=8.192e-7)
         res = ex.run_switching(nl, effective_path=4.0e-3)
-        ref = ex.run_switching(nl, effective_path=4.0e-3, timing=doubled)
+        ref = ex.run_switching(nl, effective_path=4.0e-3, timing=longer)
         assert res.t_rise == pytest.approx(ref.t_rise, rel=1e-7)
 
     def test_fit_bracket_clamped_to_timing(self):
@@ -338,11 +358,30 @@ class TestRunSwitching:
         assert length < 4.0e-3
         res = ex.run_switching(nl, effective_path=length)
         assert res.t_rise == pytest.approx(34.0e-9, rel=1e-3)
-        # a window so short that its plateau starts before the ramp ends
-        # leaves no path to search
-        short = ex.SwitchTiming(analysis_post=1.0e-8)
+        # a record so short that the plateau of its window (160-210 ns)
+        # starts before the ramp ends leaves no path to search
+        short = ex.SwitchTiming(duration=2.1e-7)
         with pytest.raises(ex.CalibrationError, match="fits the switching timing"):
             ex.fit_effective_path(nl, 11.3e-9, timing=short)
+
+    @pytest.mark.parametrize("orientation, f_c", [("parallel", 6.035e9),
+                                                  ("perpendicular", 6.14e9)])
+    @pytest.mark.parametrize("duration", [4.096e-7, 3.2e-7])
+    def test_run_and_fit_share_the_runway(self, orientation, f_c, duration):
+        # the longest path the fit may search runs, and the next float
+        # above it is refused: both procedures ask SwitchTiming.admits
+        cfg = cf.RunConfig()
+        cfg = replace(cfg, field_=replace(cfg.field_, orientation=orientation),
+                      microwave=replace(cfg.microwave, f_c_hz=f_c))
+        nl, _ = ex.calibrate(cf.build_netlist(cfg))
+        timing = ex.SwitchTiming(duration=duration)
+        path = ex._longest_path(nl, timing)
+        assert path > 0.0
+        res = ex.run_switching(nl, timing=timing, effective_path=path)
+        assert math.isfinite(res.t_rise)
+        with pytest.raises(ex.RunwayError, match="plateau"):
+            ex.run_switching(nl, timing=timing,
+                             effective_path=math.nextafter(path, math.inf))
 
     def test_window_independent_of_record_before_it(self):
         # the causal average holds the pre-toggle drive before the record

@@ -115,9 +115,7 @@ def test_api_fuzz_rejects_by_name_or_runs_finite(data):
             timing = ex.SwitchTiming(
                 dt=dt, duration=v.span("duration", dt, 4096.0),
                 t_toggle=v.span("t_toggle", dt, 2000.0),
-                ramp=v.span("ramp", dt, 20.0),
-                analysis_pre=v.span("analysis_pre", dt, 400.0),
-                analysis_post=v.span("analysis_post", dt, 2400.0))
+                ramp=v.span("ramp", dt, 20.0))
         except ValueError as err:
             event("record rejected")
             assert named(err, FIELDS), err

@@ -39,17 +39,24 @@ class TestEnvelopeType:
         assert len(env) == 16
 
 
+def record(duration, dt=DT):
+    """Window of the whole record of a duration: samples 0 to
+    round(duration/dt)."""
+    return 0, round(duration / dt)
+
+
 class TestStepPhaseEnvelope:
     def test_equal_phases_constant(self):
         # with or without the fill average, no phase step leaves the drive
         for fill in (0.0, 7e-9):
-            drive = sig.step_phase_drive(2.0, 0.3, 0.3, 50e-9, 2e-9, 200e-9,
-                                         DT, fill=fill)
+            drive = sig.step_phase_drive(2.0, 0.3, 0.3, 50e-9, 2e-9, DT,
+                                         record(200e-9), fill=fill)
             np.testing.assert_allclose(drive, 2.0 * np.exp(1j * 0.3),
                                        rtol=1e-12)
 
     def test_amplitude_constant_phase_continuous(self):
-        drive = sig.step_phase_drive(1.5, 0.0, math.pi, 50e-9, 2e-9, 200e-9, DT)
+        drive = sig.step_phase_drive(1.5, 0.0, math.pi, 50e-9, 2e-9, DT,
+                                     record(200e-9))
         np.testing.assert_allclose(np.abs(drive), 1.5, rtol=1e-12)
         phase = np.unwrap(np.angle(drive))
         # raised cosine: largest per-sample step is pi/2 * dt/t_rise * pi
@@ -59,8 +66,8 @@ class TestStepPhaseEnvelope:
 
     def test_toggle_layout(self):
         t_tog = 50e-9
-        drive = sig.step_phase_drive(1.0, 0.0, math.pi, t_tog, 2e-9, 200e-9,
-                                     DT)
+        drive = sig.step_phase_drive(1.0, 0.0, math.pi, t_tog, 2e-9, DT,
+                                     record(200e-9))
         i_before = int(t_tog / DT) - 1
         i_after = int((t_tog + 2e-9) / DT) + 1
         assert np.angle(drive[i_before]) == pytest.approx(0.0, abs=1e-12)
@@ -70,17 +77,17 @@ class TestStepPhaseEnvelope:
     def test_window_is_a_slice_of_the_record(self, fill):
         # every sample is computed on its own: a window of the record is
         # the same slice of the whole record, bit for bit
-        args = (1.2, 0.4, 0.4 + math.pi, 80e-9, 2e-9, 409.6e-9, DT)
-        whole = sig.step_phase_drive(*args, fill=fill)
-        part = sig.step_phase_drive(*args, fill=fill, window=(700, 1900))
+        args = (1.2, 0.4, 0.4 + math.pi, 80e-9, 2e-9, DT)
+        whole = sig.step_phase_drive(*args, record(409.6e-9), fill=fill)
+        part = sig.step_phase_drive(*args, (700, 1900), fill=fill)
         np.testing.assert_array_equal(part, whole[700:1900])
 
     def test_fill_settles_after_the_fill_time(self):
         # the average reaches the new drive value once the fill time has
         # passed the end of the ramp, and holds the old one before the toggle
         fill = 25e-9
-        drive = sig.step_phase_drive(1.0, 0.0, 2.0, 50e-9, 2e-9, 200e-9, DT,
-                                     fill=fill)
+        drive = sig.step_phase_drive(1.0, 0.0, 2.0, 50e-9, 2e-9, DT,
+                                     record(200e-9), fill=fill)
         t = np.arange(drive.size) * DT
         np.testing.assert_allclose(drive[t <= 50e-9], 1.0, rtol=1e-15)
         np.testing.assert_allclose(drive[t >= 50e-9 + 2e-9 + fill + 1e-12],
@@ -101,13 +108,13 @@ def test_fill_against_continuous_moving_average(fill, dt, phase_a, phase_b,
     t_toggle, ramp, duration = 200e-9, 2e-9, 409.6e-9
     n = int(round(duration / dt))
     lo, hi = int(round(160e-9 / dt)), min(n, int(round(440e-9 / dt)))
-    args = (amplitude, phase_a, phase_b, t_toggle, ramp, duration, dt)
+    args = (amplitude, phase_a, phase_b, t_toggle, ramp, dt)
     t = np.arange(lo, hi) * dt
     exact = step_phase_moving_average(amplitude, phase_a, phase_b, t_toggle,
                                       ramp, fill, t)
-    direct = sig.step_phase_drive(*args, fill=fill, window=(lo, hi))
-    record = envelope(sig.step_phase_drive(*args), dt=dt)
-    spectral = sig.apply_transfer(record, transit_fill_factor(fill, FC),
+    direct = sig.step_phase_drive(*args, (lo, hi), fill=fill)
+    whole = envelope(sig.step_phase_drive(*args, (0, n)), dt=dt)
+    spectral = sig.apply_transfer(whole, transit_fill_factor(fill, FC),
                                   pad_time=fill).samples[lo:hi]
     err_direct = np.abs(direct - exact).max()
     err_spectral = np.abs(spectral - exact).max()
@@ -203,7 +210,8 @@ class TestDiodeDetect:
 
     def test_interference_step_against_two_wave_oracle(self):
         # |e^{i phi(t)} + e^{i pi}|^2 = 2 - 2 cos(phi) from the analytic form
-        step = sig.step_phase_drive(1.0, 0.0, math.pi, 100e-9, 2e-9, 400e-9, DT)
+        step = sig.step_phase_drive(1.0, 0.0, math.pi, 100e-9, 2e-9, DT,
+                                    record(400e-9))
         total = envelope(step + np.exp(1j * math.pi))
         trace = sig.diode_detect(total, lp_cutoff=None)
         phase = np.angle(step)
@@ -258,6 +266,22 @@ class TestRiseTime:
         v = np.concatenate([0.9 * np.ones(64), np.ones(64)])
         with pytest.raises(sig.NoTransitionError):
             sig.rise_time(sig.DetectedTrace(DT, v))
+
+    def test_dip_is_no_transition(self):
+        # a trace that starts at 0.41 of its settled level, dips to 0.3
+        # and then rises (a reference phase off pi, smeared by the fill):
+        # the 1/3 crossing of the dip is no transition
+        v = np.concatenate([np.full(100, 0.41), np.linspace(0.41, 0.3, 50),
+                            np.linspace(0.3, 1.0, 100), np.ones(300)])
+        with pytest.raises(sig.NoTransitionError,
+                           match="^no transition: trace starts above 1/3 level$"):
+            sig.rise_time(sig.DetectedTrace(DT, v))
+        # from 1/3 exactly, the rise is timed: a third of its 0.7 over
+        # 99 samples
+        v[:150] = np.linspace(1.0 / 3.0, 0.3, 150)
+        res = sig.rise_time(sig.DetectedTrace(DT, v))
+        assert res.v_max == 1.0
+        assert res.t_rise == pytest.approx(99 * DT / 0.7 / 3.0, rel=1e-9)
 
     def test_ringing_uses_last_low_crossing(self):
         # dip back under 1/3 after a first excursion: the later crossing wins

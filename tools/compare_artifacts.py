@@ -10,10 +10,12 @@ calibration and with the settings file the flag set's own ``calibrate``
 job wrote -- on SRC_TREE/configs/reference.txt, once per flag set (see
 FLAG_SETS), each in a fresh interpreter.  The ``*-dense`` jobs run
 ``dispersion`` and ``transmission`` on that config with the DENSE lines
-appended, grids that span several blocks of the CSV writer.  OUT_DIR/<flag set>/<job>/
-receives the artifacts and OUT_DIR/<flag set>/<job>.run the exit code,
-stdout and stderr, with the job's output directory written as <out> and
-OUT_DIR as <root>.
+appended, grids that span several blocks of the CSV writer; the
+``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
+appended, a record whose analysis window ends before it does.
+OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
+set>/<job>.run the exit code, stdout and stderr, with the job's output
+directory written as <out> and OUT_DIR as <root>.
 
 ``compare`` walks two such trees.  They must hold the same files; in
 each pair of files the text between numbers must match exactly and the
@@ -51,6 +53,8 @@ JOBS = {
     "scale": ["scale"],
     "dispersion-dense": ["dispersion"],
     "transmission-dense": ["transmission"],
+    "switch-long": ["switch"],
+    "scale-long": ["scale"],
 }
 # appended to the reference config for the *-dense jobs: more than two
 # blocks of the CSV writer (2048 rows) on both grids, and a spectrum that
@@ -59,6 +63,12 @@ JOBS = {
 DENSE = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 7.5e9",
          "spectrum.n_points = 5001", "spectrum.floor_db = -1000",
          "dispersion.n_points = 5001")
+# appended for the *-long jobs: a record long enough that the analysis
+# window closes experiment.WINDOW_TAIL after the toggle, not at the
+# record's end as it does on the reference config
+LONG = ("switching.duration_s = 8.192e-7",)
+# job name suffix -> the lines appended to the reference config
+APPENDED = {"-dense": DENSE, "-long": LONG}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
@@ -83,13 +93,17 @@ def run_tree(src: Path, out: Path) -> None:
     config = src / "configs" / "reference.txt"
     env = {**os.environ, "PYTHONPATH": str(src / "src")}
     with tempfile.TemporaryDirectory() as tmp:
-        dense = Path(tmp) / "dense.txt"
-        dense.write_text(config.read_text() + "\n".join(DENSE) + "\n")
+        configs = {}
+        for suffix, lines in APPENDED.items():
+            configs[suffix] = Path(tmp) / f"{suffix[1:]}.txt"
+            configs[suffix].write_text(
+                config.read_text() + "\n".join(lines) + "\n")
         for name, flags in FLAG_SETS.items():
             for job in JOBS:
                 job_out = out / name / job
                 job_out.mkdir(parents=True, exist_ok=True)
-                job_config = dense if job.endswith("-dense") else config
+                job_config = next((path for suffix, path in configs.items()
+                                   if job.endswith(suffix)), config)
                 proc = subprocess.run(
                     [sys.executable, "-m", "spingate.cli",
                      *job_argv(job, out / name),
