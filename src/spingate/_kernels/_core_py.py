@@ -109,23 +109,41 @@ def _bv_thickness_root(p):
     hi = 2.0 / p + 2.0  # g(hi) < 0
     q = (1.0 - p) / p
     x = np.minimum(1.0 / p, 12.0 * q / (3.0 + np.sqrt(9.0 + 12.0 * q)))
+    del q
+    # the iteration works in place, on five float and three bool buffers,
+    # each operation the one of the formula in its comment
+    em, g, g1, step, cand = (np.empty_like(p) for _ in range(5))
     done = np.zeros(p.shape, dtype=bool)
+    above, inside, keep = (np.empty(p.shape, dtype=bool) for _ in range(3))
     for _ in range(_HALLEY_MAX_ITER):
-        em = np.expm1(-x)
-        g = -em - p * x
-        g1 = 1.0 + em - p  # g'
-        g2 = -(1.0 + em)  # g''
+        np.expm1(np.negative(x, out=em), out=em)  # em = expm1(-x)
+        np.subtract(np.negative(em, out=g), np.multiply(p, x, out=g1),
+                    out=g)  # g = -em - p*x
+        np.subtract(np.add(1.0, em, out=g1), p, out=g1)  # g' = 1 + em - p
+        np.negative(np.add(1.0, em, out=em), out=em)  # g'' = -(1 + em)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = g / g1
-            step = newton / (1.0 - 0.5 * newton * (g2 / g1))
-        above = g > 0.0
-        lo = np.where(above, x, lo)
-        hi = np.where(above, hi, x)
-        cand = x - step
-        inside = ((cand > lo) & (cand < hi)) | (g == 0.0)
-        converged = inside & (np.abs(step) <= _HALLEY_RTOL * x + _HALLEY_ATOL)
-        x = np.where(done, x, np.where(inside, cand, 0.5 * (lo + hi)))
-        done |= converged
+            # step = newton / (1 - 0.5*newton*(g''/g'))
+            newton = np.divide(g, g1, out=cand)
+            np.divide(em, g1, out=em)
+            np.multiply(np.multiply(0.5, newton, out=step), em, out=step)
+            np.divide(newton, np.subtract(1.0, step, out=step), out=step)
+        np.greater(g, 0.0, out=above)
+        np.copyto(lo, x, where=above)
+        np.copyto(hi, x, where=np.logical_not(above, out=above))
+        np.subtract(x, step, out=cand)
+        # inside = (lo < cand < hi) | (g == 0)
+        np.logical_and(np.greater(cand, lo, out=inside),
+                       np.less(cand, hi, out=above), out=inside)
+        np.logical_or(inside, np.equal(g, 0.0, out=above), out=inside)
+        # converged = inside & (|step| <= RTOL*x + ATOL)
+        np.add(np.multiply(_HALLEY_RTOL, x, out=g1), _HALLEY_ATOL, out=g1)
+        np.logical_and(inside, np.less_equal(np.abs(step, out=step), g1,
+                                             out=above), out=above)
+        # x = x where done, else cand where inside, else the bracket midpoint
+        np.multiply(0.5, np.add(lo, hi, out=g1), out=g1)
+        np.copyto(g1, cand, where=inside)
+        np.copyto(x, g1, where=np.logical_not(done, out=keep))
+        done |= above
         if done.all():
             break
     return x
@@ -145,24 +163,29 @@ def solve_k(f, wh, wm, d, branch):
     # divide by an underflowed wh*wm or wm^2 come out inf or NaN and fall
     # outside the band
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w2 = (2.0 * np.pi * f) ** 2
+        # w2 = (2*pi*f)^2, turned into the target in place
+        target = np.square(np.multiply(2.0 * np.pi, f), out=np.empty(f.shape))
         if branch == BRANCH_BV:
             # target thickness factor p in (0, 1); x = k*d
-            target = (w2 - wh * wh) / (wh * wm)
+            np.divide(np.subtract(target, wh * wh, out=target), wh * wm,
+                      out=target)
         else:
             # target saturation s in (0, 1); x = 2*k*d
-            target = (w2 - wh * (wh + wm)) * 4.0 / (wm * wm)
-    out = np.full(f.shape, np.nan)
+            np.divide(np.multiply(np.subtract(target, wh * (wh + wm), out=target),
+                                  4.0, out=target), wm * wm, out=target)
     inband = (target > 0.0) & (target < 1.0) & (f > 0.0)
-    if np.any(inband):
+    target = target[inband]
+    out = np.full(f.shape, np.nan)
+    if target.size:
         # a wavenumber past the float range (a subnormal film thickness)
         # is out of band as well
         with np.errstate(over="ignore"):
             if branch == BRANCH_BV:
-                k = _bv_thickness_root(target[inband]) / d
+                k = np.divide(_bv_thickness_root(target), d)
             else:
-                k = -np.log1p(-target[inband]) / (2.0 * d)
-        out[inband] = np.where(np.isinf(k), np.nan, k)
+                k = -np.log1p(-target) / (2.0 * d)
+        k[np.isinf(k)] = np.nan
+        out[inband] = k
     return out
 
 

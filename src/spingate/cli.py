@@ -6,8 +6,8 @@ flag overrides (flags win), writes CSV artifacts into --out and prints a
 one-line summary.  There is no randomness anywhere in the pipeline, so
 identical configs produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 config error, 3 physics/band error,
-4 indeterminate logic readout.
+Exit codes: 0 success, 2 config error (an unusable --out included),
+3 physics/band error, 4 indeterminate logic readout.
 """
 
 from __future__ import annotations
@@ -262,27 +262,35 @@ def make_parser() -> argparse.ArgumentParser:
 PARSER = make_parser()
 
 
+def _run(args, cfg: RunConfig) -> int:
+    """Make --out and run the command into it; the input files are read
+    by then, so an OSError here is one of the output."""
+    out = _out_dir(args)
+    if args.command == "dispersion":
+        return cmd_dispersion(cfg, out)
+    if args.command == "transmission":
+        return cmd_transmission(cfg, out)
+    if args.command == "truthtable":
+        return cmd_truthtable(cfg, out, auto_calibrate=not args.no_calibrate)
+    if args.command == "switch":
+        return cmd_switch(cfg, out)
+    if args.command == "calibrate":
+        return cmd_calibrate(cfg, out)
+    if args.command == "fulladder":
+        return cmd_fulladder(cfg, out)
+    if args.command == "scale":
+        return cmd_scale(cfg, out)
+    raise ConfigError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         cfg = _load_config(args)
-        out = _out_dir(args)
-        if args.command == "dispersion":
-            return cmd_dispersion(cfg, out)
-        if args.command == "transmission":
-            return cmd_transmission(cfg, out)
-        if args.command == "truthtable":
-            return cmd_truthtable(cfg, out,
-                                  auto_calibrate=not args.no_calibrate)
-        if args.command == "switch":
-            return cmd_switch(cfg, out)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, out)
-        if args.command == "fulladder":
-            return cmd_fulladder(cfg, out)
-        if args.command == "scale":
-            return cmd_scale(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        try:
+            return _run(args, cfg)
+        except OSError as err:
+            raise ConfigError(f"cannot write output: {err}") from err
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -236,17 +236,19 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
 
 # -- the %.12g table writer ---------------------------------------------
 
-# rows per written block: the fastest of 1024-8192 on both benchmark
-# workloads' tables, whose slots and temporaries stay within the cache
-# where a whole 2^17-row table at once would hold several MB
+# rows per written block.  Of 1024-8192, 4096 writes a 2^17-row trace
+# about 8% faster and the other tables within 3%, but it doubles the
+# writer's peak (about 1.1 to 2.1 MiB for the three transmission files),
+# which would then pass the 2.6 MiB of transmission_spectrum's own peak
+# on a 32768-point grid; 1024 is 3-30% slower
 _BLOCK_ROWS = 2048
-# the vectorized path takes |x| in this range, where the scaling by a
-# power of ten neither overflows nor leaves the normal floats
-_FAST_RANGE = (1e-280, 1e280)
-# ... and a scaled value y at least this far from a rounding tie: y is
-# |x| times a power of ten within an ulp of exact (numpy's power), then
-# rounded, so |error| < 1e12 * 3 * 2**-53 ~ 3.3e-4
+# a scaled value y at least this far from a rounding tie is rounded on the
+# fast path: y is |x| times a power of ten within an ulp of exact (numpy's
+# power), then rounded, so |error| < 1e12 * 3 * 2**-53 ~ 3.3e-4
 _TIE_MARGIN = 1e-3
+# the fast path takes a scaled value y in [1e11, _Y_TOP): its rounded 12
+# digits never carry into a 13th
+_Y_TOP = 1e12 - 1.0
 
 
 def _words(chars) -> np.ndarray:
@@ -258,124 +260,167 @@ def _words(chars) -> np.ndarray:
     return out.view("<u8").ravel()
 
 
-# the four decimal digits of each n < 10^4, as ASCII, and how many of
-# them are trailing zeros
-_QUAD = np.indices((10,) * 4).reshape(4, -1).T
-_QUAD_TEXT = _words(48 + _QUAD)
-_QUAD_ZEROS = (_QUAD[:, ::-1] == 0).cumprod(axis=1).sum(axis=1)
-# per decimal exponent X (index X + _X0): the power 10^X, the digits
-# before the point, the "0.00" prefix of -4 <= X < 0 and the "e+dd" suffix
-# of the exponent form (X < -4 or X >= 12), with its length
-_X0 = 300
-_X = np.arange(-_X0, _X0 + 1)
-_POW10 = 10.0 ** _X.astype(np.float64)
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index], an index outside the table clipped to its ends."""
+    return np.take(table, index, mode="clip")
+
+
+# the four decimal digits of each n < 10^4 as ASCII, and the same with its
+# trailing zeros left out (zero bytes), stacked: row n + 10^4 is stripped
+_QUAD = 48 + np.indices((10,) * 4).reshape(4, -1).T
+_QUAD_ZEROS = (_QUAD[:, ::-1] == 48).cumprod(axis=1)[:, ::-1].astype(bool)
+_QUAD_TEXT = np.concatenate([_words(_QUAD), _words(_QUAD * ~_QUAD_ZEROS)])
+_QUAD_TEXT_MID = _QUAD_TEXT << np.uint64(32)
+_STRIPPED = 10 ** 4
+# per decimal exponent X of _X (table index X + 297): the scale 10^(11-X)
+# that puts the 12 digits before the point, 0 at the two ends, so that an
+# index clipped to an end never scales into range
+_X = np.arange(-297, 310)
+_NX = _X.size
+_SCALE = 10.0 ** (11 - _X)
+_SCALE[[0, -1]] = 0.0
 _SMALL = (_X >= -4) & (_X < 0)
 _SCI = (_X < -4) | (_X >= 12)
 _INT_DIGITS = np.where(_SCI, 1, np.where(_SMALL, 0, _X + 1))
-_PREFIX = _words(np.where(_SMALL[:, None] & (np.arange(5) < 1 - _X[:, None]),
-                          np.where(np.arange(5) == 1, ord("."), ord("0")), 0))
+# per (sign, X): "-" for the negative half, then the "0.00" of -4 <= X < 0
+_ZEROS_PREFIX = np.where(_SMALL[:, None] & (np.arange(5) < 1 - _X[:, None]),
+                         np.where(np.arange(5) == 1, ord("."), ord("0")), 0)
+_PREFIX = np.concatenate([
+    _words(_ZEROS_PREFIX),
+    _words(np.column_stack([np.full(_NX, ord("-")), _ZEROS_PREFIX]))])
+# per (separator, X): the "e+dd" of the exponent form (X < -4 or X >= 12),
+# then the separator after the column; the zero bytes between are squeezed
 _ABS_X = np.abs(_X)
-_EXP_CHARS = np.where(_ABS_X >= 100, 5, 4)
 _EXP_DIGITS = 48 + _ABS_X[:, None] // np.array([100, 10, 1]) % 10
-_EXPONENT = _words(_SCI[:, None] * np.column_stack([
-    np.full(_X.size, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
-    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 0], _EXP_DIGITS[:, 1]),
-    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 1], _EXP_DIGITS[:, 2]),
-    np.where(_EXP_CHARS == 5, _EXP_DIGITS[:, 2], 0)]))
-_EXP_BITS = (8 * _SCI * _EXP_CHARS).astype(np.uint64)
-# per count k <= 13: the low k bytes of a 16-byte digit field, and a point
-# at byte k, each as its (low, high) word pair
-_K = np.arange(14)[:, None]
-_MASK_LOW, _MASK_HIGH = np.where(np.arange(16) < _K, 255, 0).astype(
+_EXP_TEXT = _SCI[:, None] * np.column_stack([
+    np.full(_NX, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
+    np.where(_ABS_X >= 100, _EXP_DIGITS[:, 0], 0), _EXP_DIGITS[:, 1:]])
+_SEPARATORS = b",\n"
+_EXPONENT = np.concatenate([_words(np.column_stack([_EXP_TEXT, np.full(_NX, s)]))
+                            for s in _SEPARATORS])
+# per X, as (low, high) words of the 16-byte digit field: "0" in the bytes
+# before the point (under the digits, so a stripped zero comes back), the
+# bytes from the point on (moved up one for it) and the byte of the point;
+# -4 <= X < 0 has all three empty, its point is in the prefix
+_BYTE = np.arange(16)
+_POINT_AT = np.where(_SMALL, 16, _INT_DIGITS)[:, None]
+_FILL_LOW, _FILL_HIGH = np.where(_BYTE < _INT_DIGITS[:, None], ord("0"), 0).astype(
     np.uint8).view("<u8").T.copy()
-_POINT_LOW, _POINT_HIGH = np.where(np.arange(16) == _K, ord("."), 0).astype(
+_FRAC_LOW, _FRAC_HIGH = np.where(_BYTE >= _POINT_AT, 255, 0).astype(
     np.uint8).view("<u8").T.copy()
-_MINUS, _BYTE, _TOP_BYTE = np.uint64(ord("-")), np.uint64(8), np.uint64(56)
+_POINT_LOW, _POINT_HIGH = np.where(_BYTE == _POINT_AT, 1, 0).astype(
+    np.uint8).view("<u8").T.copy()
+_U = {n: np.uint64(n) for n in (5, 46, 56, 255)}
+
+
+def _scaled(mag: np.ndarray, index: np.ndarray):
+    """y = mag * 10^(11-X) for the exponent indices, and the mask of the
+    values on the fast path: y in [1e11, _Y_TOP) and at least _TIE_MARGIN
+    from a rounding tie (a 0, nan or inf fails, and so does any index at or
+    past a table end)."""
+    y = mag * _take(_SCALE, index)
+    r = np.rint(y)
+    fast = (y >= 1e11) & (y < _Y_TOP) & (np.abs(y - r) <= 0.5 - _TIE_MARGIN)
+    return r, fast
 
 
 def _digits(x: np.ndarray):
-    """The fast-path mask of the values x, and per value the index of its
-    decimal exponent X in the per-X tables, its digits before the point,
-    its significant digits and its digit text as a (low, high) word pair:
-    the significant digits and every one before the point.
+    """Per value x: the index of its decimal exponent X in the per-X
+    tables, its 12 significant digits rounded to an integer, and the
+    indices of the values off the fast path, which '%.12g' % formats.
 
-    The 12 digits come from y = |x| * 10^(11-X) rounded to an integer; a
-    value the fast path cannot certify (0, nan, inf, outside _FAST_RANGE,
-    or y within _TIE_MARGIN of a tie) is left out of the mask.  Its own
-    function, so that its temporaries are freed before the slots are made.
+    X comes from log10; where it is one off (at some powers of ten) y
+    misses [1e11, 1e12), and X is corrected on those values alone, as is
+    everything else that misses the fast path: 0, nan, inf, values past
+    the exponent range of the tables and ties.  Its own function, so that
+    its temporaries are freed before the slots are made.
     """
     mag = np.abs(x)
-    fast = (mag >= _FAST_RANGE[0]) & (mag <= _FAST_RANGE[1])
-    mag = np.where(fast, mag, 1.0)
-    # X from log10, one off at some powers of ten: corrected so that y
-    # lands in [1e11, 1e12), then y scaled once more from |x|
-    exp10 = np.floor(np.log10(mag)).astype(np.intp)
-    y = mag * _POW10[_X0 + 11 - exp10]
-    exp10 += y >= 1e12
-    exp10 -= y < 1e11
-    y = mag * _POW10[_X0 + 11 - exp10]
-    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - np.floor(y) - 0.5) > _TIE_MARGIN)
-    y = np.where(fast, np.rint(y), 1e11)
-    carry = y == 1e12  # rounded up to 13 digits: one more decade
-    y[carry] = 1e11
-    exp10 += carry + _X0
-    # the 12 digits in three groups of four; exact in float64
-    hi = np.floor(y / 1e8)
-    rest = y - hi * 1e8
-    mid = np.floor(rest / 1e4)
-    lo = (rest - mid * 1e4).astype(np.intp)
-    hi, mid = hi.astype(np.intp), mid.astype(np.intp)
-    zeros = _QUAD_ZEROS[lo]
-    zeros_mid = _QUAD_ZEROS[mid]
-    zeros += (zeros == 4) * (zeros_mid + (zeros_mid == 4) * _QUAD_ZEROS[hi])
-    n_digits = 12 - zeros
-    # digits kept: the significant ones, and every one before the point
-    int_digits = _INT_DIGITS[exp10]
-    keep = np.maximum(n_digits, int_digits)
-    low = (_QUAD_TEXT[hi] | _QUAD_TEXT[mid] << np.uint64(32)) & _MASK_LOW[keep]
-    high = _QUAD_TEXT[lo] & _MASK_HIGH[keep]
-    return fast, exp10, int_digits, n_digits, low, high
+    with np.errstate(divide="ignore", invalid="ignore"):
+        index = np.log10(mag)
+        index += -_X[0]
+        np.floor(index, out=index)
+        index = index.astype(np.intp)
+        r, fast = _scaled(mag, index)
+        off = np.flatnonzero(~fast)
+        if off.size:
+            y = mag[off] * _take(_SCALE, index[off])
+            moved = index[off] + (y >= 1e12) - (y < 1e11)
+            r_off, fast_off = _scaled(mag[off], moved)
+            index[off[fast_off]] = moved[fast_off]
+            r[off] = r_off
+            off = off[~fast_off]
+        return index, r.astype(np.int64), off
 
 
-def _format_block(x: np.ndarray, seps: np.ndarray) -> np.ndarray:
-    """Slots of the ASCII bytes of the rows of values x (row-major, one
-    column per separator byte in seps, which follows the column's values).
+def _point(word: np.ndarray, frac: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Move the bytes of word under the byte mask frac up one byte, in
+    place, and put a point in the byte the one-hot mask point marks where
+    the byte moved out of it is a digit.  Returns the moved bytes as they
+    were in word (frac and point are worked in place)."""
+    frac &= word
+    word += frac * _U[255]
+    point &= frac >> _U[5]
+    point *= _U[46]
+    word += point
+    return frac
+
+
+def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
+    """Slots of the ASCII bytes of the rows of values x (row-major; per
+    value the index of the separator after it in _SEPARATORS, times _NX).
 
     Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
-    prefix | the digits with the point (two words) | exponent and the
-    separator, zero-padded; the slots come back as a (rows, columns, 4)
-    array, for _squeeze.  The digits come from _digits; a value off its
-    fast path is written into its slot by '%.12g' % instead.
+    prefix | the digits with the point (two words) | exponent and
+    separator, with zero bytes between, which _squeeze drops.  The prefix
+    and the exponent are one gather each, from the (sign, X) and
+    (separator, X) tables; the digits are three gathers of four, each quad
+    stripped of its trailing zeros when all the quads after it are zero,
+    then the "0"s before the point put back and the bytes from the point on
+    moved up one byte, a point in front where a digit follows.  A value off
+    the fast path is written into its slot by '%.12g' % instead.
     """
-    n = x.size
-    fast, exp10, int_digits, n_digits, low, high = _digits(x)
-    # the point after the integer digits, where a fraction digit follows
-    # (the prefix holds it for -4 <= X < 0): the bytes from there on move
-    # up one
-    point = ((n_digits > int_digits) & (int_digits > 0)).astype(np.uint64)
-    low_int, high_int = _MASK_LOW[int_digits], _MASK_HIGH[int_digits]
-    low_frac = low & ~low_int
-    shift = point * _BYTE
-    neg = (x < 0).astype(np.uint64)
-    sep = np.tile(seps, n // seps.size)
-    slots = np.empty((n, 4), "<u8")
-    slots[:, 0] = _PREFIX[exp10] << neg * _BYTE | neg * _MINUS
-    slots[:, 1] = low & low_int | low_frac << shift | _POINT_LOW[int_digits] * point
-    slots[:, 2] = (high & high_int | (high & ~high_int) << shift
-                   | (low_frac >> _TOP_BYTE) * point | _POINT_HIGH[int_digits] * point)
-    slots[:, 3] = _EXPONENT[exp10] | sep << _EXP_BITS[exp10]
-    slow = np.flatnonzero(~fast)
+    index, digits, slow = _digits(x)
+    # the 12 digits as quads hi, mid and lo (digits worked into lo), each
+    # pointing at its stripped text where the quads after it are zero
+    hi = digits // 10 ** 8
+    digits -= hi * 10 ** 8
+    mid = digits // 10 ** 4
+    hi += (digits == 0) * _STRIPPED
+    digits -= mid * 10 ** 4
+    mid += (digits == 0) * _STRIPPED
+    digits += _STRIPPED
+    slots = np.empty((x.size, 4), "<u8")
+    slots[:, 0] = _take(_PREFIX, index + (x < 0) * _NX)
+    low = _take(_QUAD_TEXT, hi)
+    low |= _take(_QUAD_TEXT_MID, mid)
+    low |= _take(_FILL_LOW, index)
+    high = _take(_QUAD_TEXT, digits)
+    high |= _take(_FILL_HIGH, index)
+    del hi, mid, digits
+    # x + 255*frac is x with its fraction bytes moved up one; a point goes
+    # where the first of them has a digit's 0x20 bit.  The high word goes
+    # first, so that the byte the low word moves into it is not moved again
+    _point(high, _take(_FRAC_HIGH, index), _take(_POINT_HIGH, index))
+    frac = _point(low, _take(_FRAC_LOW, index), _take(_POINT_LOW, index))
+    frac >>= _U[56]
+    high += frac
+    slots[:, 1] = low
+    slots[:, 2] = high
+    slots[:, 3] = _take(_EXPONENT, index + sep_index)
     if slow.size:
         text = ("%-24.12g" * slow.size) % tuple(x[slow].tolist())
         slots[slow, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
                                         "<u8").reshape(-1, 3)
-        slots[slow, 3] = sep[slow]
-    return slots.reshape(-1, seps.size, 4)
+        slots[slow, 3] = _take(_EXPONENT, -_X[0] + sep_index[slow])
+    return slots
 
 
 def _squeeze(slots: np.ndarray) -> bytes:
-    """The bytes of slots with the zero padding squeezed out (by bytes'
-    own deletion, which beats a numpy boolean mask over bytes)."""
+    """The bytes of slots with the zero bytes squeezed out by bytes' own
+    deletion.  On real slots it costs about 1.45 ns per slot byte and a
+    numpy boolean mask over the bytes about 1.40: neither wins, and only
+    fewer bytes per slot would make the squeeze cheaper."""
     return slots.tobytes().translate(None, b"\0")
 
 
@@ -387,8 +432,8 @@ def write_tables(files, headers, shared, own) -> None:
     Every value is written as '%.12g' % v (and f"{v:.12g}") would write
     it, byte for byte.  Blocks of _BLOCK_ROWS rows of every column are
     formatted by one _format_block call, so a shared column is formatted
-    once for all the files, and each file's rows of the block are
-    squeezed and written as they are made.
+    once for all the files; each file's columns of the block's slots are
+    picked by one np.take, squeezed and written as they are made.
     """
     own = [list(group) for group in own]
     if not (own and all(own) and len(own) == len(files) == len(headers)):
@@ -399,20 +444,22 @@ def write_tables(files, headers, shared, own) -> None:
         raise ValueError("columns must be 1-D arrays of one length")
     # the separator after each column, and the columns of each file's rows
     n_shared = len(shared)
-    seps, picks = [ord(",")] * n_shared, []
+    seps, picks = [0] * n_shared, []
     for group in own:
         picks.append(np.r_[:n_shared, len(seps):len(seps) + len(group)])
-        seps += [ord(",")] * (len(group) - 1) + [ord("\n")]
-    if len(files) == 1:
-        picks = [slice(None)]
-    seps = np.array(seps, np.uint64)
+        seps += [0] * (len(group) - 1) + [1]
+    sep_index = np.tile(np.array(seps) * _NX, _BLOCK_ROWS)
     for file, header in zip(files, headers):
         file.write(header.encode() + b"\n")
     for start in range(0, cols[0].size, _BLOCK_ROWS):
         block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
-        slots = _format_block(block.ravel(), seps)
+        slots = _format_block(block.ravel(), sep_index[:block.size])
+        if len(files) == 1:
+            files[0].write(_squeeze(slots))
+            continue
+        slots = slots.reshape(-1, len(seps), 4)
         for file, pick in zip(files, picks):
-            file.write(_squeeze(slots[:, pick]))
+            file.write(_squeeze(np.take(slots, pick, axis=1)))
 
 
 def write_table(file, header: str, *columns) -> None:

@@ -337,18 +337,20 @@ class TestTransmissionSpectrum:
         with pytest.raises(ValueError):
             ct.transmission_spectrum(nl, np.array([6.0e9, 5.9e9]))
 
-    def test_memory_of_a_large_grid(self):
-        # one propagation for the three channels and the spectra made in
-        # place: at most 12 float64 arrays of the grid at the peak.  On the
-        # surface branch, whose k-solve is closed form, the peak is the
-        # spectra's own
-        ctx = make_ctx(orientation=ph.Orientation.PERPENDICULAR)
+    @pytest.mark.parametrize("orientation", list(ph.Orientation))
+    def test_memory_of_a_large_grid(self, orientation):
+        # one propagation for the three channels, the spectra made in place
+        # and the wavenumbers solved in place: at most 12 float64 arrays of
+        # the grid at the peak, on the backward-volume branch (iterative
+        # k-solve) as on the surface branch (closed form), with the grid
+        # reaching just past both band edges
+        ctx = make_ctx(orientation=orientation)
         lo, hi = ph.band_limits(ctx)
         nl = ct.build_majority_gate(ct.DeviceGeometry(), ctx,
                                     ct.MicrowaveSettings(f_c=0.5 * (lo + hi)))
         nl.carrier_propagation
         n = 2 ** 15
-        f = np.linspace(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), n)
+        f = np.linspace(lo - 0.02 * (hi - lo), hi + 0.02 * (hi - lo), n)
         tracemalloc.start()
         try:
             ct.transmission_spectrum(nl, f)

@@ -365,6 +365,30 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == (
             f"config error: line 1: unknown key {key!r}\n")
 
+    @pytest.mark.parametrize("command", ["dispersion", "transmission",
+                                         "switch", "calibrate"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_out_exit_code(self, tmp_path, capsys, command, below):
+        # --out naming a regular file, or a directory under one: one config
+        # line and exit 2, not a FileExistsError or NotADirectoryError
+        # traceback, and the file left as it was
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n")
+        code = main([command, "--out", str(blocker / below)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: cannot write output: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "keep\n"
+
+    def test_unwritable_artifact_exit_code(self, tmp_path, capsys):
+        # the directory exists, but the artifact's name is a directory
+        (tmp_path / "dispersion.csv").mkdir()
+        assert main(["dispersion", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["dispersion", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,7 +352,12 @@ ties = st.builds("{}5e{}".format, st.integers(10 ** 11, 10 ** 12 - 1),
 powers = st.integers(-310, 308).map(lambda k: float(f"1e{k}"))
 switches = st.sampled_from([9.99999999999949e-5, 9.9999999999995e-5,
                             999999999999.5, 123456789012.5])
-hard_values = st.one_of(ties, powers, switches).flatmap(
+# short decimals m * 10^j: whole quads of zeros, so the trailing zeros are
+# counted past the low quad, in every exponent regime; and the stopband
+# floor of the transmission tables
+shorts = st.builds("{}e{}".format, st.integers(1, 999),
+                   st.integers(-326, 305)).map(float)
+hard_values = st.one_of(ties, powers, switches, shorts, st.just(-150.0)).flatmap(
     lambda x: st.sampled_from(neighbours(x))).flatmap(
     lambda x: st.sampled_from([x, -x]))
 
@@ -377,10 +383,58 @@ def test_write_table_ties_in_bulk():
     assert_table_matches([np.nextafter(ties, 0), ties, np.nextafter(ties, np.inf)])
 
 
+def test_write_table_short_decimals_in_bulk():
+    # blocks of m * 10^j for m < 1000 across the exponent range, both
+    # signs, beside a column at the stopband floor: most values take the
+    # trailing-zero count past the low quad, and those at a power of ten
+    # the exponent fix-up where log10 is one off
+    rng = np.random.default_rng(13)
+    n = 3 * BLOCK
+    short = np.array([float(f"{m}e{j}") for m, j in
+                      zip(rng.integers(1, 1000, n), rng.integers(-326, 305, n))])
+    short *= rng.choice([-1.0, 1.0], n)
+    floor = np.where(rng.random(n) < 0.5, -150.0, short[::-1])
+    assert_table_matches([short, floor])
+
+
+def test_write_tables_streams():
+    # the writer holds one block at a time: its tracemalloc peak does not
+    # grow with the row count, and stays within what a block's slots and
+    # their temporaries take, for one file of two columns and for three
+    # files sharing the frequency column
+    class Sink:
+        def write(self, data):
+            pass
+
+    def peak(write):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = []
+    for n in (2 ** 13, 2 ** 17):
+        f = np.linspace(5.9e9, 6.1e9, n)
+        spectra = [np.sin(f * k / 1e9) * 40.0 - 60.0 for k in (1, 2, 3)]
+        peaks.append((
+            peak(lambda: sig.write_table(Sink(), "f_hz,s21_db", f, spectra[0])),
+            peak(lambda: sig.write_tables([Sink()] * 3, ["f_hz,s21_db"] * 3,
+                                          [f], [[s] for s in spectra]))))
+    (one_small, three_small), (one_large, three_large) = peaks
+    assert one_large <= 1.02 * one_small
+    assert three_large <= 1.02 * three_small
+    assert one_large <= 0.6e6
+    assert three_large <= 1.2e6
+
+
 def test_powers_of_ten_within_an_ulp():
     # the error bound behind the writer's tie margin assumes it
-    exact = np.array([float(f"1e{x}") for x in sig._X])
-    assert np.all(np.abs(sig._POW10 - exact) <= np.spacing(exact))
+    # (the scales 10^(11-X) between the two zero ends of the table)
+    exact = np.array([float(f"1e{11 - x}") for x in sig._X[1:-1]])
+    assert np.all(np.abs(sig._SCALE[1:-1] - exact) <= np.spacing(exact))
+    assert not sig._SCALE[[0, -1]].any()
 
 
 def test_write_table_rejects_ragged_columns():
