@@ -223,21 +223,25 @@ def waveguide_gain(k, speed, k_c, length, eta, branch):
     and -1 on the surface branch, whose group delay -dphase/domega is
     length/|v_g| on both; amplitude decay exp(-eta*length/speed).  Bins
     outside the propagating band return exactly 0; length 0 returns 1 at
-    every bin; an out-of-band carrier kills the whole segment.  Works in
-    place on one complex and one real array of the grid's size, each
-    operation with the operands of the formula in its order: numpy's
-    complex multiply is not bitwise commutative.
+    every bin; an out-of-band carrier kills the whole segment.  length may
+    be an array that broadcasts against k (say one length per row), and
+    the result has the broadcast shape.  Works in place on one complex and
+    one real array of that shape, each operation with the operands of the
+    formula in its order: numpy's complex multiply is not bitwise
+    commutative.
     """
     k = np.asarray(k, dtype=np.float64)
-    if length == 0.0:
-        return np.ones(k.shape, dtype=np.complex128)
-    if np.isnan(k_c):
-        return np.zeros(k.shape, dtype=np.complex128)
-    gain = np.empty(k.shape, dtype=np.complex128)
+    length = np.asarray(length, dtype=np.float64)
+    shape = np.broadcast_shapes(length.shape, k.shape)
+    gain = np.empty(shape, dtype=np.complex128)
+    work = np.empty(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # phase = -(k_c * length) + s * (k - k_c) * length
-        work = (np.subtract(k, k_c) if branch == BRANCH_BV
-                else np.subtract(k_c, k))
+        # phase = -(k_c * length) + s * (k - k_c) * length; a NaN k_c makes
+        # every bin NaN, zeroed below
+        if branch == BRANCH_BV:
+            np.subtract(k, k_c, out=work)
+        else:
+            np.subtract(k_c, k, out=work)
         np.multiply(work, length, out=work)
         np.add(-(k_c * length), work, out=work)
         # gain = exp(-eta * (length / speed)) * (cos(phase) + 1j * sin(phase))
@@ -247,4 +251,6 @@ def waveguide_gain(k, speed, k_c, length, eta, branch):
         np.exp(np.multiply(-eta, work, out=work), out=work)
         np.multiply(work, gain, out=gain)
     gain[~np.isfinite(gain)] = 0.0
+    if not length.all():
+        np.copyto(gain, 1.0, where=length == 0.0)
     return gain

@@ -124,19 +124,20 @@ class Propagation:
 
 @dataclass(frozen=True)
 class CarrierPropagation:
-    """The part of each channel's carrier gain that only the film sets.
+    """The part of each channel's carrier gain that the film and the
+    antennas set.
 
     k is the solved wavenumber of the carrier f_c and speed the group
     speed |v_g| there (both NaN in the stopband), shared by the three
-    channels; film[i] is channel i's film gain over its summed length and
-    shape the antenna shape of both transducers, each a one-element array
-    at f = [f_c].
+    channels; film is the vector of the channels' film gains over their
+    summed lengths and shape the antenna shape of both transducers, 0 in
+    the stopband.
     """
 
     k: float
     speed: float
-    film: tuple
-    shape: np.ndarray
+    film: np.ndarray
+    shape: float
 
 
 @dataclass(frozen=True)
@@ -148,8 +149,8 @@ class GateNetlist:
     the skew segment; an ideal lossless combiner adds the arms into the
     output segment, the detection antenna and the diode.  Every
     per-channel quantity derives from the geometry and the settings.
-    Frozen, so derived quantities are cached on the instance; the only
-    edit is ``with_controls``.
+    Frozen, so derived quantities are cached on the instance; the edits
+    are ``with_controls`` and ``rescaled``.
     """
 
     ctx: physics.ModeContext
@@ -189,20 +190,17 @@ class GateNetlist:
 
     @cached_property
     def carrier_propagation(self) -> CarrierPropagation:
-        """k(f_c) and |v_g| there, solved once, each channel's film gain
-        and the shape."""
-        prop = propagation(self, physics.solve_k_grid(self.ctx,
-                                                      self.settings.f_c))
-        film = tuple(waveguide_transfer(self.ctx, length, prop.k, prop.speed,
-                                        prop.k[0]) for length in self.lengths)
-        return CarrierPropagation(k=prop.k[0], speed=float(prop.speed[0]),
-                                  film=film, shape=prop.shape)
+        """k(f_c) and |v_g| there, solved once, the three channels' film
+        gains and the shape."""
+        return _carrier(self, propagation(
+            self, physics.solve_k_grid(self.ctx, self.settings.f_c)))
 
     @cached_property
     def carrier_gains(self) -> np.ndarray:
-        """Read-only complex gains of i1, i2, i3 at the carrier."""
-        gains = np.array([channel_transfer(self, ch, self.settings.f_c)
-                          for ch in CHANNELS])
+        """Read-only complex gains of i1, i2, i3 at the carrier: the
+        vector product constants x film x shape."""
+        prop = self.carrier_propagation
+        gains = np.array(self.constants) * prop.film * prop.shape
         gains.flags.writeable = False
         return gains
 
@@ -222,6 +220,20 @@ class GateNetlist:
         out.__dict__["carrier_propagation"] = self.carrier_propagation
         return out
 
+    def rescaled(self, factor: float) -> "GateNetlist":
+        """Copy with every length and the antenna width scaled by factor.
+
+        The film, the field and the carrier stay, so the copy reuses this
+        netlist's k(f_c) and |v_g| there (solving them here if they are
+        not yet) and recomputes only the film gains and the antenna shape:
+        bit for bit those of a gate built from scratch.
+        """
+        out = replace(self, geometry=self.geometry.rescaled(factor))
+        carrier = self.carrier_propagation
+        out.__dict__["carrier_propagation"] = _carrier(out, propagation(
+            out, np.array([carrier.k]), np.array([carrier.speed])))
+        return out
+
 
 def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     """Wavenumber-selective coupling of a stripline antenna of width w_a.
@@ -237,18 +249,28 @@ def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     return np.where(inside, np.sinc(np.where(inside, x, 0.0) / math.pi), 0.0)
 
 
-def propagation(nl: GateNetlist, k) -> Propagation:
+def propagation(nl: GateNetlist, k, speed=None) -> Propagation:
     """The propagation of a netlist's film and antennas at the solved
-    wavenumbers k (rad/m, NaN outside the band); the group velocity is
-    evaluated in the band only."""
-    inband = ~np.isnan(k)
-    speed = np.full(k.shape, np.nan)
-    speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
+    wavenumbers k (rad/m, NaN outside the band); the group speed, unless
+    given, is evaluated in the band only."""
+    if speed is None:
+        inband = ~np.isnan(k)
+        speed = np.full(k.shape, np.nan)
+        speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
     return Propagation(k=k, speed=speed,
                        shape=transducer_efficiency(nl.geometry, k) ** 2)
 
 
-def waveguide_transfer(ctx: physics.ModeContext, length: float, k, speed,
+def _carrier(nl: GateNetlist, prop: Propagation) -> CarrierPropagation:
+    """The carrier record of a netlist from its propagation at f = [f_c]:
+    the three film gains in one kernel call over the summed lengths."""
+    lengths = np.array(nl.lengths)[:, np.newaxis]
+    film = waveguide_transfer(nl.ctx, lengths, prop.k, prop.speed, prop.k[0])
+    return CarrierPropagation(k=prop.k[0], speed=float(prop.speed[0]),
+                              film=film[:, 0], shape=float(prop.shape[0]))
+
+
+def waveguide_transfer(ctx: physics.ModeContext, length, k, speed,
                        k_c: float) -> np.ndarray:
     """Complex gain of a film segment of the given length.
 
@@ -257,11 +279,13 @@ def waveguide_transfer(ctx: physics.ModeContext, length: float, k, speed,
     carrier's wavenumber.  Carrier phase -k_c*length; every bin is delayed
     by length/|vg(f)| and damped by exp(-eta*length/|vg(f)|), eta the
     film's damping rate.  Stopband frequencies return exactly 0; zero
-    length is an exact unit gain.
+    length is an exact unit gain.  An array of lengths that broadcasts
+    against k gives the gains of several segments at once.
     """
     return kernels.waveguide_gain(
         np.asarray(k, dtype=np.float64), np.asarray(speed, dtype=np.float64),
-        float(k_c), float(length), physics.damping_rate(ctx), ctx.branch)
+        float(k_c), np.asarray(length, dtype=np.float64),
+        physics.damping_rate(ctx), ctx.branch)
 
 
 def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
@@ -270,8 +294,8 @@ def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
     The channel's constant times the film gain over its summed length
     (the gain of a segment is exponential in its length) times the
     antenna shape of both transducers, both set by k(f).  At the carrier
-    (a scalar f equal to f_c) the propagation is the netlist's cached
-    ``carrier_propagation``; elsewhere prop is the ``propagation`` at the
+    (a scalar f equal to f_c) it is the entry of the netlist's cached
+    ``carrier_gains``; elsewhere prop is the ``propagation`` at the
     solved wavenumbers of f, computed here unless given, which lets the
     channels of one grid share one solve, one group speed and one antenna
     shape.
@@ -280,15 +304,12 @@ def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
         raise ValueError(f"unknown channel {channel!r}")
     idx = CHANNELS.index(channel)
     if np.ndim(f) == 0 and f == nl.settings.f_c:
-        prop = nl.carrier_propagation
-        film, shape = prop.film[idx], prop.shape
-    else:
-        if prop is None:
-            prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
-        film = waveguide_transfer(nl.ctx, nl.lengths[idx], prop.k, prop.speed,
-                                  nl.carrier_propagation.k)
-        shape = prop.shape
-    gain = nl.constants[idx] * film * shape
+        return complex(nl.carrier_gains[idx])
+    if prop is None:
+        prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
+    film = waveguide_transfer(nl.ctx, nl.lengths[idx], prop.k, prop.speed,
+                              nl.carrier_propagation.k)
+    gain = nl.constants[idx] * film * prop.shape
     return gain if np.ndim(f) else complex(gain[0])
 
 

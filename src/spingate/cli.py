@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error (an unusable --out included),
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -187,15 +188,14 @@ def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
     nl = build_netlist(cfg)
     nl, _ = experiment.calibrate(nl)
     enc = build_encoding(cfg)
+    states = [logic.LogicState(bits)
+              for bits in itertools.product((0, 1), repeat=3)]
+    readouts = logic.read_out(nl, states, enc)
     lines = ["a,b,cin,sum,cout,gate_amp"]
-    readouts = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for cin in (0, 1):
-                s, cout = logic.full_adder(a, b, cin)
-                ro = logic.run_logic_state(nl, logic.LogicState((a, b, cin)), enc)
-                readouts.append(ro)
-                lines.append(f"{a},{b},{cin},{s},{cout},{ro.amplitude:.12g}")
+    for state, ro in zip(states, readouts):
+        a, b, cin = state.bits
+        s, cout = logic.full_adder(a, b, cin)
+        lines.append(f"{a},{b},{cin},{s},{cout},{ro.amplitude:.12g}")
     check = logic.cascade_check(readouts)
     path = out / "fulladder.csv"
     _write(path, "\n".join(lines) + "\n")

@@ -387,6 +387,8 @@ def linear_fit(x, y) -> tuple[float, float, float]:
 def check_scales(scales) -> None:
     """Raise ValueError, naming the argument, for scales scaling_study
     cannot sweep."""
+    if not scales:
+        raise ValueError("scales must hold at least one scale")
     if not all(s > 0 for s in scales):
         raise ValueError("scales must be positive")
 
@@ -398,12 +400,14 @@ def scaling_study(nl: circuit.GateNetlist, scales, effective_path: float,
     """Rerun the switching transient with every length scaled down.
 
     Geometry lengths and the effective transit path shrink together;
-    the film physics is untouched, so the carrier wavenumber is re-solved
-    on the same dispersion.  Each scaled gate is rebuilt from the
-    netlist's settings (its calibrated controls, when it was calibrated)
-    and calibrated again before the run, since the losses change with
-    the lengths.  Rows that fail (band violation, no transition, a fill
-    the timing does not admit) are flagged rather than fatal.  The ramp
+    the film and the field do not scale, so every scaled gate reuses the
+    netlist's k(f_c) and |v_g| there, solved once per sweep, and
+    recomputes only its film gains and antenna shape (see
+    GateNetlist.rescaled).  Each scaled gate keeps the netlist's settings
+    (its calibrated controls, when it was calibrated) and is calibrated
+    again before the run, since the losses change with the lengths.
+    Rows that fail (band violation, no transition, a fill the timing
+    does not admit) are flagged rather than fatal.  The ramp
     floor, the zero-length rise time of the same pipeline, is what every
     row is measured against, so its failure is fatal, as it is to a
     ``switch`` run (at a reference phase of 2.0 both raise
@@ -416,8 +420,7 @@ def scaling_study(nl: circuit.GateNetlist, scales, effective_path: float,
     rows = []
     for s in scales:
         try:
-            scaled, _ = calibrate(circuit.build_majority_gate(
-                nl.geometry.rescaled(s), nl.ctx, nl.settings))
+            scaled, _ = calibrate(nl.rescaled(s))
             res = run_switching(scaled, enc=enc, timing=timing,
                                 effective_path=effective_path * s,
                                 **kwargs)

@@ -9,7 +9,7 @@ phase and reporting the margin to the decision boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,60 +77,72 @@ def encode(bit: int, enc: PhaseEncoding) -> float:
     return enc.phi0 if bit == 0 else enc.phi0 + math.pi
 
 
-def decode(phase: float, enc: PhaseEncoding) -> int | None:
+def _decide(phase: float, enc: PhaseEncoding) -> tuple[int | None, float]:
+    """Decoded bit of a referenced phase and its margin to the nearest
+    decision boundary."""
     d0 = abs(wrap_phase(phase - enc.phi0))
     d1 = abs(wrap_phase(phase - enc.phi1))
     if d0 <= enc.guard and d0 <= d1:
-        return 0
+        return 0, enc.guard - d0
     if d1 <= enc.guard:
-        return 1
-    return None
+        return 1, enc.guard - d1
+    return None, min(d0, d1) - enc.guard
 
 
-def _readout(out: complex, ref_phase: float, enc: PhaseEncoding,
-             amplitude_floor: float) -> GateReadout:
-    amplitude = abs(out)
-    if amplitude <= amplitude_floor:
-        return GateReadout(amplitude=amplitude, phase=0.0, decoded_bit=None,
-                           margin=0.0)
-    phase = float(wrap_phase(np.angle(out) - ref_phase + enc.phi0))
-    bit = decode(phase, enc)
-    d0 = abs(wrap_phase(phase - enc.phi0))
-    d1 = abs(wrap_phase(phase - enc.phi1))
-    if bit is None:
-        margin = min(d0, d1) - enc.guard
-    else:
-        margin = enc.guard - (d0 if bit == 0 else d1)
-    return GateReadout(amplitude=amplitude, phase=phase, decoded_bit=bit,
-                       margin=margin)
+def decode(phase: float, enc: PhaseEncoding) -> int | None:
+    return _decide(phase, enc)[0]
 
 
-def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
-                    enc: PhaseEncoding | None = None) -> GateReadout:
-    """Drive one input state through the netlist and decode the output.
+def read_out(nl: circuit.GateNetlist, states,
+             enc: PhaseEncoding | None = None) -> list[GateReadout]:
+    """Drive each input state through the netlist and decode its output.
 
     Each channel is driven with the common amplitude at its encoded
-    phase; the complex channel gains at the carrier do the rest.  The
-    output phase is referenced to the all-zero drive of the same netlist,
+    phase; the complex channel gains at the carrier do the rest.  Output
+    phases are referenced to the all-zero drive of the same netlist,
     which is how the read-out is anchored after calibration.  The model is
-    linear in the drive, so the output is decoded per unit drive and only
+    linear in the drive, so outputs are decoded per unit drive and only
     the amplitude scales with it: every decoded bit and margin is the same
     at any drive.  An output at or below REL_FLOOR times the gate's
-    unanimity amplitude sum(|g_i|) per unit drive is indeterminate.
+    unanimity amplitude sum(|g_i|) per unit drive is indeterminate, and
+    so is every output when the all-zero reference is.
+
+    The reference, the floor and the reference phase are computed once
+    per call, the phases of all outputs in one np.angle.  Each output is
+    its own np.dot of phasors and gains: a matrix product rounds
+    differently, and every state's output is that of the state alone.
     """
     enc = enc or PhaseEncoding()
     drive = nl.settings.drive_amplitude
     gains = nl.carrier_gains
-    phasors = np.exp(1j * np.array([encode(bit, enc) for bit in state.bits]))
-    zeros = np.full(3, np.exp(1j * encode(0, enc)))
-    out = complex(np.dot(phasors, gains))
-    out_ref = complex(np.dot(zeros, gains))
+    phasors = np.exp(1j * np.array([[encode(bit, enc) for bit in state.bits]
+                                    for state in states]))
+    outs = [complex(np.dot(row, gains)) for row in phasors]
+    out_ref = complex(np.dot(np.full(3, np.exp(1j * encode(0, enc))), gains))
     floor = REL_FLOOR * float(np.abs(gains).sum())
     if abs(out_ref) <= floor:
-        return GateReadout(amplitude=drive * abs(out), phase=0.0,
-                           decoded_bit=None, margin=0.0)
-    ro = _readout(out, float(np.angle(out_ref)), enc, floor)
-    return replace(ro, amplitude=drive * ro.amplitude)
+        return [GateReadout(amplitude=drive * abs(out), phase=0.0,
+                            decoded_bit=None, margin=0.0) for out in outs]
+    ref_phase = float(np.angle(out_ref))
+    readouts = []
+    for out, angle in zip(outs, np.angle(outs).tolist()):
+        amplitude = abs(out)
+        if amplitude <= floor:
+            readouts.append(GateReadout(amplitude=drive * amplitude, phase=0.0,
+                                        decoded_bit=None, margin=0.0))
+            continue
+        phase = float(wrap_phase(angle - ref_phase + enc.phi0))
+        bit, margin = _decide(phase, enc)
+        readouts.append(GateReadout(amplitude=drive * amplitude, phase=phase,
+                                    decoded_bit=bit, margin=margin))
+    return readouts
+
+
+def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
+                    enc: PhaseEncoding | None = None) -> GateReadout:
+    """Drive one input state through the netlist and decode the output
+    (see read_out)."""
+    return read_out(nl, [state], enc)[0]
 
 
 @dataclass(frozen=True)
@@ -176,17 +188,14 @@ def truth_table(nl: circuit.GateNetlist,
                 enc: PhaseEncoding | None = None) -> TruthTableReport:
     """Evaluate all eight input states in the canonical row order."""
     enc = enc or PhaseEncoding()
-    rows = []
-    for bits in TABLE_ROW_ORDER:
-        state = LogicState(bits)
-        ro = run_logic_state(nl, state, enc)
-        in_phases = tuple(float(wrap_phase(encode(b, enc))) for b in bits)
-        rows.append(TruthTableRow(
-            in_phases=in_phases, state=state, out_phase=ro.phase,
-            out_amplitude=ro.amplitude, decoded=ro.decoded_bit,
-            margin=ro.margin,
-        ))
-    return TruthTableReport(rows=tuple(rows))
+    states = [LogicState(bits) for bits in TABLE_ROW_ORDER]
+    code = [float(wrap_phase(encode(bit, enc))) for bit in (0, 1)]
+    return TruthTableReport(rows=tuple(
+        TruthTableRow(in_phases=tuple(code[b] for b in state.bits),
+                      state=state, out_phase=ro.phase,
+                      out_amplitude=ro.amplitude, decoded=ro.decoded_bit,
+                      margin=ro.margin)
+        for state, ro in zip(states, read_out(nl, states, enc))))
 
 
 @dataclass(frozen=True)

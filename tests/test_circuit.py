@@ -301,6 +301,30 @@ def test_carrier_propagation_equals_fresh_solve(orientation, copied):
         assert nl.carrier_gains[idx] == cached
 
 
+@pytest.mark.parametrize("orientation", list(ph.Orientation))
+def test_rescaled_netlist_matches_fresh_one(orientation, monkeypatch):
+    # the film and the field do not scale: a rescaled copy reuses the
+    # carrier's k and |v_g| and solves nothing, and its film gains, shape
+    # and gains are those of a gate built from scratch, bit for bit
+    nl = reference_gate(orientation).with_controls(attenuator_db=(1.0, 0.0, 2.0))
+    nl.carrier_propagation
+    calls = count_solves(monkeypatch)
+    for factor in (0.05, 0.5, 3.0):
+        scaled = nl.rescaled(factor)
+        scaled.carrier_gains
+        assert calls == []
+        fresh = ct.build_majority_gate(nl.geometry.rescaled(factor), nl.ctx,
+                                       nl.settings)
+        assert scaled.geometry == fresh.geometry
+        assert scaled.settings == nl.settings
+        ours, theirs = scaled.carrier_propagation, fresh.carrier_propagation
+        assert (ours.k, ours.speed, ours.shape) == (theirs.k, theirs.speed,
+                                                    theirs.shape)
+        assert ours.film.tobytes() == theirs.film.tobytes()
+        assert scaled.carrier_gains.tobytes() == fresh.carrier_gains.tobytes()
+        calls.clear()
+
+
 class TestTransmissionSpectrum:
     def test_floor_above_band_top(self):
         nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)

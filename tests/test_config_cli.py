@@ -511,6 +511,9 @@ class TestCliPlumbing:
         ("dispersion.k_start_rad_per_m = -50", "dispersion.k_start_rad_per_m"),
         ("dispersion.k_stop_rad_per_m = 10", "dispersion.k_stop_rad_per_m"),
         ("scaling.scales = 1, 0, 0.5", "scaling.scales"),
+        # an empty sweep used to exit 0 with a header-only scaling.csv and
+        # slope_s=nan r_squared=nan
+        ("scaling.scales =", "scaling.scales"),
     ])
     def test_out_of_range_config_exit_code(self, tmp_path, capsys, line, key):
         # each used to end in a ValueError/OverflowError traceback (exit 1),

@@ -189,18 +189,36 @@ class TestCalibrate:
 
 def test_calibration_and_switching_solve_the_carrier_once(monkeypatch):
     # one k(f_c) solve and one |v_g(k_c)| serve the calibration's edited
-    # copies, the switching run's transit fill time and the path fit
+    # copies, the switching run's transit fill time and the path fit; the
+    # three film gains at the carrier are one kernel call, and the carrier
+    # gains never go through channel_transfer
     nl = build()
     calls = []
-    for name in ("solve_k", "group_velocity"):
+    for name in ("solve_k", "group_velocity", "waveguide_gain"):
         kernel = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda *args, kernel=kernel:
                             calls.append(kernel.__name__) or kernel(*args))
+    transfer = ct.channel_transfer
+    monkeypatch.setattr(ct, "channel_transfer", lambda *args: calls.append(
+        "channel_transfer") or transfer(*args))
     cal, _ = ex.calibrate(nl)
-    assert calls == ["solve_k", "group_velocity"]
+    assert calls == ["solve_k", "group_velocity", "waveguide_gain"]
     ex.run_switching(cal, effective_path=1.3e-3)
     ex.fit_effective_path(cal, 11.3e-9)
-    assert calls == ["solve_k", "group_velocity"]
+    assert calls == ["solve_k", "group_velocity", "waveguide_gain"]
+    # the film and the field do not scale: one solve serves a sweep's
+    # floor run and every row, each row's three films one kernel call
+    calls.clear()
+    scales = [1.0, 0.5, 0.2, 0.1, 0.05]
+    study = ex.scaling_study(build(), scales, 1.3487e-3)
+    assert not any(r.flagged for r in study.rows)
+    assert calls == (["solve_k", "group_velocity"]
+                     + ["waveguide_gain"] * (1 + len(scales)))
+
+
+def test_scaling_study_needs_a_scale():
+    with pytest.raises(ValueError, match="^scales must hold at least one"):
+        ex.scaling_study(build(), [], 1.3487e-3)
 
 
 class TestTransitFill:

@@ -155,3 +155,24 @@ def test_numpy_waveguide_gain_zero_length():
         _core_py.waveguide_gain(k, np.array([np.nan, 3.0e4, np.nan]),
                                 solve_one(FC, WH, WM, D, 0), 0.0, ETA, BRANCH_BV),
         np.ones(3, dtype=complex))
+
+
+def test_waveguide_gain_broadcasts_over_lengths():
+    # one call over a column of lengths is each length's own call, bit for
+    # bit: zero length, the stopband and an out-of-band carrier included
+    f = np.array([1.0e9, 5.99e9, FC, 6.05e9, 6.2e9, 6.5e9, 9.0e9])
+    lengths = np.array([0.0, 1.0e-3, 2.6e-2])
+    for branch in (BRANCH_BV, BRANCH_S):
+        k = kernels.solve_k(f, WH, WM, D, branch)
+        speed = np.abs(kernels.group_velocity(k, WH, WM, D, branch))
+        assert np.isnan(k).any() and not np.isnan(k).all()
+        for k_c in (float(k[~np.isnan(k)][0]), math.nan):
+            rows = _core_py.waveguide_gain(k, speed, k_c, lengths[:, None],
+                                           ETA, branch)
+            assert rows.shape == (3, f.size)
+            for length, row in zip(lengths, rows):
+                own = _core_py.waveguide_gain(k, speed, k_c, length, ETA, branch)
+                assert row.tobytes() == own.tobytes()
+            np.testing.assert_array_equal(rows[0], np.ones(f.size))
+            if math.isnan(k_c):
+                assert not rows[1:].any()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spingate import circuit as ct
+from spingate import cli
 from spingate import config as cf
 from spingate import experiment as ex
 from spingate import logic as lg
@@ -261,3 +262,103 @@ class TestLogicStateType:
 
     def test_str(self):
         assert str(lg.LogicState((1, 0, 1))) == "101"
+
+
+def scalar_readout(nl, bits, enc):
+    """One state's read-out computed alone, as a per-state loop would:
+    np.dot of its phasors, np.angle of its scalar output, np.mod wraps."""
+    def wrap(x):
+        return math.pi - np.mod(math.pi - np.asarray(x), 2.0 * math.pi)
+
+    gains = nl.carrier_gains
+    out = complex(np.dot(np.exp(1j * np.array([lg.encode(b, enc) for b in bits])),
+                         gains))
+    out_ref = complex(np.dot(np.full(3, np.exp(1j * lg.encode(0, enc))), gains))
+    floor = lg.REL_FLOOR * float(np.abs(gains).sum())
+    amplitude = nl.settings.drive_amplitude * abs(out)
+    if abs(out_ref) <= floor or abs(out) <= floor:
+        return lg.GateReadout(amplitude, 0.0, None, 0.0)
+    phase = float(wrap(np.angle(out) - float(np.angle(out_ref)) + enc.phi0))
+    d0 = float(abs(wrap(phase - enc.phi0)))
+    d1 = float(abs(wrap(phase - enc.phi1)))
+    if d0 <= enc.guard and d0 <= d1:
+        return lg.GateReadout(amplitude, phase, 0, enc.guard - d0)
+    if d1 <= enc.guard:
+        return lg.GateReadout(amplitude, phase, 1, enc.guard - d1)
+    return lg.GateReadout(amplitude, phase, None, min(d0, d1) - enc.guard)
+
+
+def readout_bits(ro):
+    """A read-out as exact values: floats by their bytes."""
+    return (np.float64(ro.amplitude).tobytes(), np.float64(ro.phase).tobytes(),
+            ro.decoded_bit, np.float64(ro.margin).tobytes())
+
+
+def readout_gates(orientation):
+    """A calibrated and an uncalibrated gate with the reference feed
+    asymmetry; a symmetric gate whose i3 is attenuated by 400 dB, so the
+    outputs where i1 and i2 cancel sit below the floor; and a dead gate,
+    its carrier above the band, whose all-zero reference is at the floor."""
+    ctx = ph.ModeContext(make_ctx().film, ph.BiasField(0.1429, orientation))
+    lo, hi = ph.band_limits(ctx)
+    settings_ = ct.MicrowaveSettings(
+        f_c=lo + 0.6 * (hi - lo), drive_amplitude=0.7,
+        coupling_db=(-0.5, 0.0, -1.2), coupling_phase_rad=(0.35, 0.0, -0.65))
+    raw = ct.build_majority_gate(ct.DeviceGeometry(), ctx, settings_)
+    floored = ct.build_majority_gate(
+        ct.DeviceGeometry(l_skew=(0.0, 0.0, 0.0)), ctx,
+        replace(settings_, coupling_db=(0.0,) * 3, coupling_phase_rad=(0.0,) * 3,
+                attenuator_db=(0.0, 0.0, 400.0)))
+    dead = ct.build_majority_gate(ct.DeviceGeometry(), ctx,
+                                  replace(settings_, f_c=1.1 * hi))
+    return {"calibrated": ex.calibrate(raw)[0], "uncalibrated": raw,
+            "floored": floored, "dead": dead}
+
+
+@pytest.mark.parametrize("orientation", list(ph.Orientation))
+@pytest.mark.parametrize("gate", ["calibrated", "uncalibrated", "floored",
+                                  "dead"])
+@pytest.mark.parametrize("phi0", [0.0, 2.5])
+def test_shared_readout_matches_each_state_alone(orientation, gate, phi0):
+    # truth_table reads the eight states in one read_out call; each row is
+    # run_logic_state of its state, and both are the state read out alone,
+    # field for field and bit for bit
+    nl = readout_gates(orientation)[gate]
+    enc = lg.PhaseEncoding(phi0=phi0)
+    report = lg.truth_table(nl, enc)
+    indeterminate = 0
+    for row in report.rows:
+        alone = lg.run_logic_state(nl, row.state, enc)
+        as_row = lg.GateReadout(row.out_amplitude, row.out_phase, row.decoded,
+                                row.margin)
+        assert readout_bits(as_row) == readout_bits(alone)
+        assert readout_bits(alone) == readout_bits(
+            scalar_readout(nl, row.state.bits, enc))
+        indeterminate += row.decoded is None
+    assert indeterminate == {"floored": 4, "dead": 8}.get(gate, 0)
+
+
+@pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
+def test_fulladder_gate_amp_is_each_state_alone(mode, tmp_path, monkeypatch):
+    # cmd_fulladder reads its eight states in one read_out call on the
+    # calibrated gate; each read-out is run_logic_state of that state
+    seen = []
+    read_out = lg.read_out
+
+    def spy(nl, states, enc=None):
+        readouts = read_out(nl, states, enc)
+        seen.append((nl, states, enc, readouts))
+        return readouts
+
+    monkeypatch.setattr(lg, "read_out", spy)
+    fc = "6.035e9" if mode == "bvmsw" else "6.14e9"
+    assert cli.main(["fulladder", "--mode", mode, "--fc", fc,
+                     "--out", str(tmp_path)]) == 0
+    (nl, states, enc, readouts), = seen
+    lines = (tmp_path / "fulladder.csv").read_text().splitlines()[1:]
+    assert [s.bits for s in states] == ALL_BITS
+    for state, ro, line in zip(states, readouts, lines):
+        alone = lg.run_logic_state(nl, state, enc)
+        assert readout_bits(ro) == readout_bits(alone)
+        assert line.split(",")[:3] == [str(b) for b in state.bits]
+        assert line.split(",")[5] == f"{alone.amplitude:.12g}"
