@@ -39,9 +39,10 @@ class DeviceGeometry:
     """Antenna width and per-segment path lengths of the three-arm gate.
 
     Lengths are the as-built values in metres; ``scale`` multiplies every
-    length and the width on evaluation, which is how the miniaturization
-    study shrinks the device.  The default segment lengths are read off the
-    device photograph and are config, not measurement.
+    length and the width where the netlist reads them, which is how the
+    miniaturization study shrinks the device.  The default segment
+    lengths are read off the device photograph and are config, not
+    measurement.
     """
 
     w_a: float = 7.5e-5
@@ -60,18 +61,6 @@ class DeviceGeometry:
                              ("bend_loss_db", (self.bend_loss_db,))):
             if not all(v >= 0 for v in values):
                 raise ValueError(f"{name} must be nonnegative")
-
-    def antenna_width(self) -> float:
-        return self.w_a * self.scale
-
-    def length_in(self, idx: int) -> float:
-        return self.l_in[idx] * self.scale
-
-    def length_skew(self, idx: int) -> float:
-        return self.l_skew[idx] * self.scale
-
-    def length_out(self) -> float:
-        return self.l_out * self.scale
 
     def rescaled(self, factor: float) -> "DeviceGeometry":
         return replace(self, scale=self.scale * factor)
@@ -114,30 +103,13 @@ class Propagation:
 
     k holds the solved wavenumbers and speed the group speed |v_g| there
     (both NaN in the stopband), shape the squared antenna shape of both
-    transducers (0 there), one entry per frequency.
+    transducers (0 there), one entry per frequency.  The carrier is the
+    one-point grid [f_c].
     """
 
     k: np.ndarray
     speed: np.ndarray
     shape: np.ndarray
-
-
-@dataclass(frozen=True)
-class CarrierPropagation:
-    """The part of each channel's carrier gain that the film and the
-    antennas set.
-
-    k is the solved wavenumber of the carrier f_c and speed the group
-    speed |v_g| there (both NaN in the stopband), shared by the three
-    channels; film is the vector of the channels' film gains over their
-    summed lengths and shape the antenna shape of both transducers, 0 in
-    the stopband.
-    """
-
-    k: float
-    speed: float
-    film: np.ndarray
-    shape: float
 
 
 @dataclass(frozen=True)
@@ -161,8 +133,8 @@ class GateNetlist:
     def lengths(self) -> tuple[float, float, float]:
         """Summed film length of each channel: input, skew, output."""
         g = self.geometry
-        return tuple(((0.0 + g.length_in(i)) + g.length_skew(i)) + g.length_out()
-                     for i in range(len(CHANNELS)))
+        return tuple(((0.0 + g.l_in[i] * g.scale) + g.l_skew[i] * g.scale)
+                     + g.l_out * g.scale for i in range(len(CHANNELS)))
 
     @cached_property
     def constants(self) -> tuple[complex, complex, complex]:
@@ -182,25 +154,33 @@ class GateNetlist:
             const *= cmath.exp(1j * s.phase_rad[i])
             const *= 10.0 ** (s.coupling_db[i] / 20.0) * cmath.exp(
                 1j * s.coupling_phase_rad[i])
-            if g.length_skew(i) > 0.0:
+            if g.l_skew[i] * g.scale > 0.0:
                 const *= _loss_amp(g.bend_loss_db)
             const *= out_coupling
             constants.append(const)
         return tuple(constants)
 
     @cached_property
-    def carrier_propagation(self) -> CarrierPropagation:
-        """k(f_c) and |v_g| there, solved once, the three channels' film
-        gains and the shape."""
-        return _carrier(self, propagation(
-            self, physics.solve_k_grid(self.ctx, self.settings.f_c)))
+    def carrier(self) -> Propagation:
+        """The propagation of the one-point grid [f_c]: k(f_c) and |v_g|
+        there, solved once, and the shape."""
+        return propagation(self,
+                           physics.solve_k_grid(self.ctx, self.settings.f_c))
+
+    @cached_property
+    def carrier_film(self) -> np.ndarray:
+        """The three channels' film gains at the carrier, one kernel call
+        over their summed lengths."""
+        prop = self.carrier
+        lengths = np.array(self.lengths)[:, np.newaxis]
+        return waveguide_transfer(self.ctx, lengths, prop.k, prop.speed,
+                                  prop.k[0])[:, 0]
 
     @cached_property
     def carrier_gains(self) -> np.ndarray:
         """Read-only complex gains of i1, i2, i3 at the carrier: the
         vector product constants x film x shape."""
-        prop = self.carrier_propagation
-        gains = np.array(self.constants) * prop.film * prop.shape
+        gains = np.array(self.constants) * self.carrier_film * self.carrier.shape
         gains.flags.writeable = False
         return gains
 
@@ -208,7 +188,8 @@ class GateNetlist:
         """Copy with new attenuator and/or phase shifter settings.
 
         Lengths, the carrier and the film stay, so the copy inherits the
-        carrier propagation (solving it here if it is not yet).
+        carrier and its film gains (computing them here if they are not
+        yet) and recomputes only its constants.
         """
         settings = self.settings
         if attenuator_db is not None:
@@ -216,8 +197,9 @@ class GateNetlist:
         if phase_rad is not None:
             settings = replace(settings, phase_rad=tuple(phase_rad))
         out = replace(self, settings=settings)
-        # cached_property storage: the copy starts with the same value
-        out.__dict__["carrier_propagation"] = self.carrier_propagation
+        # cached_property storage: the copy starts with the same values
+        out.__dict__["carrier"] = self.carrier
+        out.__dict__["carrier_film"] = self.carrier_film
         return out
 
     def rescaled(self, factor: float) -> "GateNetlist":
@@ -229,9 +211,8 @@ class GateNetlist:
         bit for bit those of a gate built from scratch.
         """
         out = replace(self, geometry=self.geometry.rescaled(factor))
-        carrier = self.carrier_propagation
-        out.__dict__["carrier_propagation"] = _carrier(out, propagation(
-            out, np.array([carrier.k]), np.array([carrier.speed])))
+        out.__dict__["carrier"] = propagation(out, self.carrier.k,
+                                              self.carrier.speed)
         return out
 
 
@@ -244,7 +225,8 @@ def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     constant.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.asarray(k, dtype=np.float64) * (0.5 * geometry.antenna_width())
+        width = geometry.w_a * geometry.scale
+        x = np.asarray(k, dtype=np.float64) * (0.5 * width)
     inside = np.isfinite(x)
     return np.where(inside, np.sinc(np.where(inside, x, 0.0) / math.pi), 0.0)
 
@@ -259,15 +241,6 @@ def propagation(nl: GateNetlist, k, speed=None) -> Propagation:
         speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
     return Propagation(k=k, speed=speed,
                        shape=transducer_efficiency(nl.geometry, k) ** 2)
-
-
-def _carrier(nl: GateNetlist, prop: Propagation) -> CarrierPropagation:
-    """The carrier record of a netlist from its propagation at f = [f_c]:
-    the three film gains in one kernel call over the summed lengths."""
-    lengths = np.array(nl.lengths)[:, np.newaxis]
-    film = waveguide_transfer(nl.ctx, lengths, prop.k, prop.speed, prop.k[0])
-    return CarrierPropagation(k=prop.k[0], speed=float(prop.speed[0]),
-                              film=film[:, 0], shape=float(prop.shape[0]))
 
 
 def waveguide_transfer(ctx: physics.ModeContext, length, k, speed,
@@ -288,29 +261,27 @@ def waveguide_transfer(ctx: physics.ModeContext, length, k, speed,
         physics.damping_rate(ctx), ctx.branch)
 
 
-def channel_transfer(nl: GateNetlist, channel: str, f, prop=None):
-    """Complex gain from one source to the detector input.
+def channel_transfer(nl: GateNetlist, channel: str, f,
+                     prop: Propagation | None = None) -> np.ndarray:
+    """Complex gain from one source to the detector input over a
+    frequency grid (a scalar f is the one-point grid [f]).
 
     The channel's constant times the film gain over its summed length
     (the gain of a segment is exponential in its length) times the
-    antenna shape of both transducers, both set by k(f).  At the carrier
-    (a scalar f equal to f_c) it is the entry of the netlist's cached
-    ``carrier_gains``; elsewhere prop is the ``propagation`` at the
-    solved wavenumbers of f, computed here unless given, which lets the
-    channels of one grid share one solve, one group speed and one antenna
-    shape.
+    antenna shape of both transducers, both set by k(f).  prop is the
+    ``propagation`` of the grid, computed here unless given, which lets
+    the channels of one grid share one solve, one group speed and one
+    antenna shape.  On the one-point grid [f_c] the gain of channel i is
+    entry i of the netlist's ``carrier_gains``, bit for bit.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     idx = CHANNELS.index(channel)
-    if np.ndim(f) == 0 and f == nl.settings.f_c:
-        return complex(nl.carrier_gains[idx])
     if prop is None:
         prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
     film = waveguide_transfer(nl.ctx, nl.lengths[idx], prop.k, prop.speed,
-                              nl.carrier_propagation.k)
-    gain = nl.constants[idx] * film * prop.shape
-    return gain if np.ndim(f) else complex(gain[0])
+                              nl.carrier.k[0])
+    return nl.constants[idx] * film * prop.shape
 
 
 def transmission_spectrum(nl: GateNetlist, f_grid,

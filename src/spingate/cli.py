@@ -278,9 +278,8 @@ def _run(args, cfg: RunConfig) -> int:
         return cmd_calibrate(cfg, out)
     if args.command == "fulladder":
         return cmd_fulladder(cfg, out)
-    if args.command == "scale":
-        return cmd_scale(cfg, out)
-    raise ConfigError(f"unknown command {args.command!r}")
+    # the subcommand is a required argparse choice: no other is left
+    return cmd_scale(cfg, out)
 
 
 def main(argv=None) -> int:

@@ -231,7 +231,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
-    fill = effective_path / nl.carrier_propagation.speed
+    fill = effective_path / float(nl.carrier.speed[0])
     if not timing.admits(fill):
         raise RunwayError(
             f"transit fill time {fill:.4g} s of the {effective_path:.4g} m "
@@ -326,7 +326,7 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
     """Longest effective path whose fill time the timing admits; at most
     0 when only the zero path is."""
-    speed = nl.carrier_propagation.speed
+    speed = float(nl.carrier.speed[0])
     path = (timing.plateau - timing.t_toggle - timing.ramp) * speed
     if path <= 0.0:
         return path

@@ -77,7 +77,7 @@ def encode(bit: int, enc: PhaseEncoding) -> float:
     return enc.phi0 if bit == 0 else enc.phi0 + math.pi
 
 
-def _decide(phase: float, enc: PhaseEncoding) -> tuple[int | None, float]:
+def decide(phase: float, enc: PhaseEncoding) -> tuple[int | None, float]:
     """Decoded bit of a referenced phase and its margin to the nearest
     decision boundary."""
     d0 = abs(wrap_phase(phase - enc.phi0))
@@ -87,10 +87,6 @@ def _decide(phase: float, enc: PhaseEncoding) -> tuple[int | None, float]:
     if d1 <= enc.guard:
         return 1, enc.guard - d1
     return None, min(d0, d1) - enc.guard
-
-
-def decode(phase: float, enc: PhaseEncoding) -> int | None:
-    return _decide(phase, enc)[0]
 
 
 def read_out(nl: circuit.GateNetlist, states,
@@ -132,7 +128,7 @@ def read_out(nl: circuit.GateNetlist, states,
                                         decoded_bit=None, margin=0.0))
             continue
         phase = float(wrap_phase(angle - ref_phase + enc.phi0))
-        bit, margin = _decide(phase, enc)
+        bit, margin = decide(phase, enc)
         readouts.append(GateReadout(amplitude=drive * amplitude, phase=phase,
                                     decoded_bit=bit, margin=margin))
     return readouts

@@ -132,23 +132,32 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
 
     Closed form from wh*(wh + wm) = (2*pi*f)^2.  Raises BandError for a
     target at or below the bare Larmor frequency wh/2pi, where no
-    nonnegative Ms can reach it, and for one so far above it that the
-    needed Ms overflows.
+    positive Ms can reach it, for one so close above it that the needed
+    Ms underflows to 0, and for one so far above it that the needed Ms
+    overflows.
     """
     wh = ctx.omega_h
     w_t = 2.0 * math.pi * f_target
-    if w_t < wh or f_target <= 0:
+    if w_t <= wh or f_target <= 0:
         raise BandError(
             f"below-Larmor target: {f_target:.6g} Hz is unreachable at "
             f"mu0_h = {ctx.field.mu0_h:.6g} T"
         )
-    # wh underflows to 0 for a subnormal gamma * mu0_h: no finite Ms then
+    # wh underflows to 0 for a subnormal gamma * mu0_h, and gamma * mu0
+    # for a subnormal gamma: no finite Ms then
     wm = (w_t * w_t - wh * wh) / wh if wh > 0 else math.inf
-    ms = wm / (ctx.film.gamma * MU0)
+    denominator = ctx.film.gamma * MU0
+    ms = wm / denominator if denominator > 0 else math.inf
+    if ms == 0.0:
+        raise BandError(
+            f"near-Larmor target: {f_target:.6g} Hz needs a magnetization "
+            f"below the float range at mu0_h = {ctx.field.mu0_h:.6g} T"
+        )
     if not math.isfinite(ms):
         raise BandError(
             f"far-above-Larmor target: {f_target:.6g} Hz needs an infinite "
-            f"magnetization at mu0_h = {ctx.field.mu0_h:.6g} T"
+            f"magnetization at mu0_h = {ctx.field.mu0_h:.6g} T and gamma = "
+            f"{ctx.film.gamma:.6g} rad/s/T"
         )
     return ms
 

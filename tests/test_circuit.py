@@ -132,20 +132,20 @@ class TestChannelTransfer:
         geo = ct.DeviceGeometry(w_a=1e-12, l_in=(0, 0, 0), l_skew=(0, 0, 0),
                                 l_out=0.0)
         nl = ct.build_majority_gate(geo, CTX)
-        gain = ct.channel_transfer(nl, "i2", FC)
-        assert gain == pytest.approx(1.0, abs=1e-9)
+        assert nl.carrier_gains[1] == pytest.approx(1.0, abs=1e-9)
 
     def test_attenuator_scaling(self):
         nl = symmetric_netlist()
-        base = abs(ct.channel_transfer(nl, "i1", FC))
+        base = abs(nl.carrier_gains[0])
         nl3 = nl.with_controls(attenuator_db=(3.0, 0.0, 0.0))
-        assert abs(ct.channel_transfer(nl3, "i1", FC)) / base == pytest.approx(
+        assert abs(nl3.carrier_gains[0]) / base == pytest.approx(
             10 ** (-3.0 / 20.0), rel=1e-12)
 
     def test_stopband_propagates(self):
         nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
-        assert ct.channel_transfer(nl, "i1", 7.0e9) == 0.0
-        assert abs(ct.channel_transfer(nl, "i1", FC)) > 0.0
+        # a scalar frequency is the one-point grid
+        np.testing.assert_array_equal(ct.channel_transfer(nl, "i1", 7.0e9), [0.0])
+        assert abs(nl.carrier_gains[0]) > 0.0
 
     def test_monotone_loss(self):
         # more attenuation or a lossier bend never raises the gain
@@ -225,7 +225,7 @@ def test_channel_transfer_matches_element_product(net, channel, grid, u):
         f = lo + u * (hi - lo)
     got = ct.channel_transfer(nl, channel, f)
     ref = chain_product(nl, channel, f)
-    assert np.ndim(got) == np.ndim(f)
+    assert got.shape == np.shape(np.atleast_1d(f))
     budget = rounding_budget(nl, channel, np.atleast_1d(f))
     assert np.all(np.abs(got - ref) <= budget * np.abs(ref))
 
@@ -236,7 +236,7 @@ def test_carrier_gains_cached_per_netlist():
     assert nl.carrier_gains is gains
     assert not gains.flags.writeable
     np.testing.assert_array_equal(
-        gains, [ct.channel_transfer(nl, ch, FC) for ch in ct.CHANNELS])
+        gains, [ct.channel_transfer(nl, ch, FC)[0] for ch in ct.CHANNELS])
     # an edited netlist is a new instance with its own gains
     nl3 = nl.with_controls(attenuator_db=(3.0, 0.0, 0.0))
     assert nl3.carrier_gains[0] == pytest.approx(gains[0] * 10 ** (-3.0 / 20.0),
@@ -263,9 +263,9 @@ def count_solves(monkeypatch):
 
 @pytest.mark.parametrize("orientation", list(ph.Orientation))
 def test_derived_netlists_match_fresh_ones(orientation, monkeypatch):
-    # a with_controls copy inherits the carrier propagation, so it solves
-    # no k, and its gains are those of a gate built from scratch with the
-    # same settings, bit for bit
+    # a with_controls copy inherits the carrier and its film gains, so it
+    # solves no k, and its gains are those of a gate built from scratch
+    # with the same settings, bit for bit
     nl = reference_gate(orientation)
     calls = count_solves(monkeypatch)
     leveled = nl.with_controls(attenuator_db=(2.5, 0.0, 1.0))
@@ -277,7 +277,8 @@ def test_derived_netlists_match_fresh_ones(orientation, monkeypatch):
     assert len(calls) == 1
     assert copies[2].settings.attenuator_db == (0.0, 4.0, 0.0)
     for copy, g in zip(copies, gains):
-        assert copy.carrier_propagation is nl.carrier_propagation
+        assert copy.carrier is nl.carrier
+        assert copy.carrier_film is nl.carrier_film
         fresh = ct.build_majority_gate(copy.geometry, copy.ctx, copy.settings)
         assert g.tobytes() == fresh.carrier_gains.tobytes()
 
@@ -285,20 +286,28 @@ def test_derived_netlists_match_fresh_ones(orientation, monkeypatch):
 @pytest.mark.parametrize("orientation", list(ph.Orientation))
 @pytest.mark.parametrize("copied", [False, True])
 def test_carrier_propagation_equals_fresh_solve(orientation, copied):
-    # at a scalar carrier frequency channel_transfer reads the cached
-    # propagation, inherited by a with_controls copy; a one-element grid
-    # solves k afresh: the same bits
+    # the cached carrier gains are channel_transfer on the one-point grid
+    # [f_c], which solves k afresh: the same bits, on a with_controls copy
+    # that inherits the carrier, on rescaled copies that reuse its k and
+    # |v_g|, and, all exactly 0, at a carrier outside the band
     nl = reference_gate(orientation)
     if copied:
         nl = nl.with_controls(attenuator_db=(1.0, 0.0, 2.0),
                               phase_rad=(0.5, 0.0, -0.5))
-    f_c = nl.settings.f_c
-    for idx, ch in enumerate(ct.CHANNELS):
-        cached = ct.channel_transfer(nl, ch, f_c)
-        solved = ct.channel_transfer(nl, ch, np.array([f_c]))[0]
-        assert complex(solved) == cached
-        assert np.array([cached]).tobytes() == solved.tobytes()
-        assert nl.carrier_gains[idx] == cached
+    lo, hi = ph.band_limits(nl.ctx)
+    outside = [ct.build_majority_gate(nl.geometry, nl.ctx,
+                                      replace(nl.settings, f_c=f_c))
+               for f_c in (0.9 * lo, 1.1 * hi)]
+    for gate in [nl, nl.rescaled(0.05), nl.rescaled(3.0), *outside]:
+        f_c = gate.settings.f_c
+        for idx, ch in enumerate(ct.CHANNELS):
+            solved = ct.channel_transfer(gate, ch, np.array([f_c]))
+            scalar = ct.channel_transfer(gate, ch, f_c)
+            assert solved.shape == scalar.shape == (1,)
+            assert solved.tobytes() == scalar.tobytes()
+            assert solved.tobytes() == gate.carrier_gains[idx:idx + 1].tobytes()
+    for gate in outside:
+        np.testing.assert_array_equal(gate.carrier_gains, 0.0)
 
 
 @pytest.mark.parametrize("orientation", list(ph.Orientation))
@@ -307,7 +316,7 @@ def test_rescaled_netlist_matches_fresh_one(orientation, monkeypatch):
     # carrier's k and |v_g| and solves nothing, and its film gains, shape
     # and gains are those of a gate built from scratch, bit for bit
     nl = reference_gate(orientation).with_controls(attenuator_db=(1.0, 0.0, 2.0))
-    nl.carrier_propagation
+    nl.carrier
     calls = count_solves(monkeypatch)
     for factor in (0.05, 0.5, 3.0):
         scaled = nl.rescaled(factor)
@@ -317,10 +326,10 @@ def test_rescaled_netlist_matches_fresh_one(orientation, monkeypatch):
                                        nl.settings)
         assert scaled.geometry == fresh.geometry
         assert scaled.settings == nl.settings
-        ours, theirs = scaled.carrier_propagation, fresh.carrier_propagation
-        assert (ours.k, ours.speed, ours.shape) == (theirs.k, theirs.speed,
-                                                    theirs.shape)
-        assert ours.film.tobytes() == theirs.film.tobytes()
+        ours, theirs = scaled.carrier, fresh.carrier
+        for name in ("k", "speed", "shape"):
+            assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+        assert scaled.carrier_film.tobytes() == fresh.carrier_film.tobytes()
         assert scaled.carrier_gains.tobytes() == fresh.carrier_gains.tobytes()
         calls.clear()
 
@@ -372,7 +381,7 @@ class TestTransmissionSpectrum:
         lo, hi = ph.band_limits(ctx)
         nl = ct.build_majority_gate(ct.DeviceGeometry(), ctx,
                                     ct.MicrowaveSettings(f_c=0.5 * (lo + hi)))
-        nl.carrier_propagation
+        nl.carrier
         n = 2 ** 15
         f = np.linspace(lo - 0.02 * (hi - lo), hi + 0.02 * (hi - lo), n)
         tracemalloc.start()
@@ -435,18 +444,22 @@ class TestBuildMajorityGate:
     def test_scale_multiplies_lengths(self):
         geo = ct.DeviceGeometry()
         scaled = geo.rescaled(0.05)
-        assert scaled.length_in(0) == pytest.approx(0.05 * geo.length_in(0))
-        assert scaled.antenna_width() == pytest.approx(0.05 * geo.antenna_width())
-        # the gain of a scaled gate equals the gain built from scaled lengths
         nl_a = ct.build_majority_gate(scaled, CTX)
+        assert nl_a.lengths == pytest.approx(
+            [0.05 * v for v in ct.build_majority_gate(geo, CTX).lengths])
+        k = np.linspace(1e3, 1e5, 7)
+        np.testing.assert_allclose(
+            ct.transducer_efficiency(scaled, k),
+            ct.transducer_efficiency(replace(geo, w_a=0.05 * geo.w_a), k),
+            rtol=1e-12)
+        # the gain of a scaled gate equals the gain built from scaled lengths
         manual = ct.DeviceGeometry(
             w_a=geo.w_a * 0.05,
             l_in=tuple(v * 0.05 for v in geo.l_in),
             l_skew=tuple(v * 0.05 for v in geo.l_skew),
             l_out=geo.l_out * 0.05)
         nl_b = ct.build_majority_gate(manual, CTX)
-        assert ct.channel_transfer(nl_a, "i1", FC) == pytest.approx(
-            ct.channel_transfer(nl_b, "i1", FC), rel=1e-12)
+        assert nl_a.carrier_gains == pytest.approx(nl_b.carrier_gains, rel=1e-12)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):

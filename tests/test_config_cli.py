@@ -348,6 +348,26 @@ class TestScaleCommand:
 
 
 class TestCliPlumbing:
+    @pytest.mark.parametrize("line, message", [
+        # the Larmor frequency gamma * mu0_h / 2 pi at the reference field
+        ("film.fit_fmr_hz = 4001200000.0", "below-Larmor target"),
+        ("film.gamma_rad_per_s_t = 5e-324",
+         "infinite magnetization at mu0_h = 0.1429 T and gamma = 4.94066e-324"),
+        ("field.mu0_h_t = 1e-320\nfilm.fit_fmr_hz = 1e-300", "near-Larmor"),
+    ])
+    def test_unreachable_ms_fit_exit_code(self, tmp_path, capsys, line,
+                                          message):
+        # these ended in a ValueError (Ms = 0, the first and the last) or
+        # a ZeroDivisionError traceback
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        code = main(["dispersion", "--config", str(config),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("physics error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "cfg.txt"
         config.write_text("film.bogus = 1\n")

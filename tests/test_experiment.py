@@ -62,8 +62,7 @@ class TestCalibrateAmplitudes:
     def test_post_calibration_imbalance(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5))
         leveled, _ = ex.calibrate_amplitudes(nl)
-        gains = np.abs([ct.channel_transfer(leveled, c, FC)
-                        for c in ct.CHANNELS])
+        gains = np.abs(leveled.carrier_gains)
         assert gains.max() / gains.min() <= 1.001
 
     def test_dead_channel_rejected(self):
@@ -91,7 +90,7 @@ class TestCalibratePhases:
         nl = symmetric(coupling_phase_rad=(0.7, 0.0, -1.2))
         leveled, _ = ex.calibrate_amplitudes(nl)
         aligned, offsets = ex.calibrate_phases(leveled)
-        gains = [ct.channel_transfer(aligned, c, FC) for c in ct.CHANNELS]
+        gains = aligned.carrier_gains
         for g in gains:
             err = float(np.angle(g / gains[1]))
             assert abs(err) < 1e-12
@@ -103,7 +102,7 @@ class TestCalibratePhases:
         nl = symmetric(coupling_phase_rad=(2.1, 0.0, 0.4))
         leveled, _ = ex.calibrate_amplitudes(nl)
         _, offsets = ex.calibrate_phases(leveled)
-        gains = [ct.channel_transfer(leveled, c, FC) for c in ct.CHANNELS]
+        gains = leveled.carrier_gains
         theta = np.linspace(-math.pi, math.pi, 2_000_001)
         for idx in (0, 2):
             objective = np.abs(gains[1] + gains[idx] * np.exp(1j * theta))
@@ -114,7 +113,7 @@ class TestCalibratePhases:
         nl = symmetric(coupling_phase_rad=(0.9, 0.0, 0.0))
         leveled, _ = ex.calibrate_amplitudes(nl)
         _, offsets = ex.calibrate_phases(leveled)
-        gains = [ct.channel_transfer(leveled, c, FC) for c in ct.CHANNELS]
+        gains = leveled.carrier_gains
 
         def two_channel(theta):
             return abs(gains[1] + gains[0] * np.exp(1j * theta))
@@ -225,14 +224,14 @@ class TestTransitFill:
     # the fill time of a path is its group delay at the carrier, the path
     # over the carrier record's speed
     def test_zero_length_unity(self):
-        fill = 0.0 / build().carrier_propagation.speed
+        fill = 0.0 / build().carrier.speed[0]
         assert fill == 0.0
         tf = transit_fill_factor(fill, FC)
         f = np.linspace(5.0e9, 7.0e9, 7)
         np.testing.assert_array_equal(tf(f), np.ones(7, dtype=complex))
 
     def test_unit_gain_at_carrier(self):
-        fill = 1.5e-3 / build().carrier_propagation.speed
+        fill = 1.5e-3 / build().carrier.speed[0]
         tf = transit_fill_factor(fill, FC)
         assert tf(np.array([FC]))[0] == pytest.approx(1.0)
 
@@ -242,7 +241,7 @@ class TestTransitFill:
         length = 2.0e-3
         k = ph.solve_k(ctx, FC)
         fill = length / abs(ph.group_velocity(ctx, k))
-        speed = build(ctx=ctx).carrier_propagation.speed
+        speed = build(ctx=ctx).carrier.speed[0]
         assert length / speed == pytest.approx(fill, rel=1e-15)
         tf = transit_fill_factor(fill, FC)
         # first sinc null at offset 1/fill
@@ -310,8 +309,7 @@ class TestRunSwitching:
         v_low, v_max = res.levels
         assert v_low <= 1e-12 * v_max
         # equal-amplitude reference doubles the field: |2 out|^2
-        out = abs(sum(ct.channel_transfer(nl, c, FC) * e for c, e in
-                      zip(ct.CHANNELS, np.exp(1j * np.array([math.pi, 0, 0])))))
+        out = abs(sum(nl.carrier_gains * np.exp(1j * np.array([math.pi, 0, 0]))))
         assert v_max == pytest.approx((2 * out) ** 2, rel=1e-2)
 
     def test_fitted_path_hits_measured_transition(self):
@@ -336,7 +334,7 @@ class TestRunSwitching:
         nl = symmetric()
         nl, _ = ex.calibrate(nl)
         timing = ex.SwitchTiming()
-        speed = nl.carrier_propagation.speed
+        speed = nl.carrier.speed[0]
         assert 6.0e-3 / speed > timing.t_toggle - ex.WINDOW_LEAD
         with pytest.raises(ex.RunwayError, match=r"3\.472e-07 s of the plateau"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)

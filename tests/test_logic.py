@@ -60,14 +60,14 @@ class TestEncodeDecode:
 
     def test_decode_near_codes(self):
         enc = lg.PhaseEncoding()
-        assert lg.decode(0.05, enc) == 0
-        assert lg.decode(math.pi - 0.05, enc) == 1
-        assert lg.decode(-math.pi + 0.02, enc) == 1
+        assert lg.decide(0.05, enc)[0] == 0
+        assert lg.decide(math.pi - 0.05, enc)[0] == 1
+        assert lg.decide(-math.pi + 0.02, enc)[0] == 1
 
     def test_decode_boundary_indeterminate(self):
         enc = lg.PhaseEncoding()
-        assert lg.decode(math.pi / 2.0, enc) is None
-        assert lg.decode(-math.pi / 2.0, enc) is None
+        assert lg.decide(math.pi / 2.0, enc)[0] is None
+        assert lg.decide(-math.pi / 2.0, enc)[0] is None
 
     def test_guard_validation(self):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestEncodeDecode:
     def test_covariance_under_offset(self):
         enc = lg.PhaseEncoding(phi0=0.8)
         for bit in (0, 1):
-            assert lg.decode(lg.encode(bit, enc), enc) == bit
+            assert lg.decide(lg.encode(bit, enc), enc)[0] == bit
 
 
 class TestRunLogicState:

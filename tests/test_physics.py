@@ -51,9 +51,13 @@ class TestCalibrateMs:
         assert ph.calibrate_ms(CTX_LIT, f0) == pytest.approx(CTX_LIT.film.Ms,
                                                              rel=1e-10)
 
-    def test_larmor_boundary_gives_zero(self):
+    def test_larmor_boundary_rejected(self):
+        # a target exactly at the Larmor frequency needs Ms = 0, which no
+        # film has: at, like below, is a band error, not a zero Ms
         f_larmor = GAMMA * 0.1429 / (2.0 * math.pi)
-        assert ph.calibrate_ms(CTX_LIT, f_larmor) == pytest.approx(0.0, abs=1e-3)
+        assert 2.0 * math.pi * f_larmor == CTX_LIT.omega_h
+        with pytest.raises(ph.BandError, match="below-Larmor"):
+            ph.calibrate_ms(CTX_LIT, f_larmor)
 
     def test_below_larmor_rejected(self):
         with pytest.raises(ph.BandError, match="below-Larmor"):
