@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, experiment, logic, physics
-from .config import (ConfigError, RunConfig, build_context, build_encoding,
-                     build_netlist, build_switching, read_assignments,
+from .config import (ConfigError, RunConfig, Setup, read_assignments,
                      read_config, validate_config)
 from .signal import NoTransitionError, trace_to_csv, write_table
 
@@ -32,31 +31,28 @@ EXIT_PHYSICS = 3
 EXIT_INDETERMINATE = 4
 
 
-def _load_config(args) -> RunConfig:
-    """Config file (or defaults), then flag overrides, then --settings,
-    validated once at the end: a file value a flag overrides is never
-    checked."""
+# override flag -> the dotted config key it sets
+_FLAG_KEYS = {"mode": "field.orientation", "fc": "microwave.f_c_hz",
+              "field": "field.mu0_h_t", "scale": "geometry.scale"}
+_ORIENTATIONS = {"bvmsw": "parallel", "mssw": "perpendicular"}
+
+
+def _load_config(args) -> Setup:
+    """Config file (or defaults) read with the flags as overrides, then
+    --settings, validated once at the end: a file value a flag overrides
+    is never checked."""
+    text = ""
     if args.config:
         try:
             text = Path(args.config).read_text()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config: {err}") from err
-        cfg = read_config(text)
-    else:
-        cfg = RunConfig()
-    if args.mode:
-        orientation = "parallel" if args.mode == "bvmsw" else "perpendicular"
-        cfg = replace(cfg, field_=replace(cfg.field_, orientation=orientation))
-    if args.fc is not None:
-        cfg = replace(cfg, microwave=replace(cfg.microwave, f_c_hz=args.fc))
-    if args.field is not None:
-        cfg = replace(cfg, field_=replace(cfg.field_, mu0_h_t=args.field))
-    if args.scale is not None:
-        cfg = replace(cfg, geometry=replace(cfg.geometry, scale=args.scale))
+    flags = vars(args) | {"mode": _ORIENTATIONS.get(args.mode)}
+    cfg = read_config(text, {key: flags[flag] for flag, key in _FLAG_KEYS.items()
+                             if flags[flag] is not None})
     if args.settings:
         cfg = apply_calibration_file(cfg, args.settings)
-    validate_config(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
 def _out_dir(args) -> Path:
@@ -65,13 +61,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
-def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
-    ctx = build_context(cfg)
-    d = cfg.dispersion
+def cmd_dispersion(setup: Setup, out: Path) -> int:
+    ctx = setup.context()
+    d = setup.cfg.dispersion
     if d.log_k:
         k = np.logspace(np.log10(d.k_start_rad_per_m),
                         np.log10(d.k_stop_rad_per_m), d.n_points)
@@ -83,13 +75,13 @@ def cmd_dispersion(cfg: RunConfig, out: Path) -> int:
     with path.open("wb") as file:
         write_table(file, "k_rad_per_m,f_hz,v_g_m_per_s", k, f, vg)
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
-          f"branch={cfg.field_.orientation} -> {path}")
+          f"branch={setup.cfg.field_.orientation} -> {path}")
     return EXIT_OK
 
 
-def cmd_transmission(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg)
-    sp = cfg.spectrum
+def cmd_transmission(setup: Setup, out: Path) -> int:
+    nl = setup.netlist()
+    sp = setup.cfg.spectrum
     f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
     spectra = circuit.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
     circuit.spectrum_to_csv(f_grid, spectra, [out / f"transmission_{ch}.csv"
@@ -100,9 +92,8 @@ def cmd_transmission(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg)
-    _, result = experiment.calibrate(nl)
+def cmd_calibrate(setup: Setup, out: Path) -> int:
+    _, result = experiment.calibrate(setup.netlist())
     lines = ["# calibration settings"]
     for idx, ch in enumerate(circuit.CHANNELS):
         lines.append(f"microwave.attenuator_db.{ch} = {result.attenuator_db[idx]:.12g}")
@@ -111,7 +102,7 @@ def cmd_calibrate(cfg: RunConfig, out: Path) -> int:
     lines.append(f"residual.amplitude_imbalance = {result.residual_amplitude_imbalance:.12g}")
     lines.append(f"residual.phase_error_rad = {result.residual_phase_error:.12g}")
     path = out / "calibration.txt"
-    _write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     atten = ",".join(f"{a:.3f}" for a in result.attenuator_db)
     print(f"calibrate attenuator_db=[{atten}] "
           f"imbalance={result.residual_amplitude_imbalance:.6g} "
@@ -137,7 +128,7 @@ def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
               "phase_rad": list(cfg.microwave.phase_rad)}
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read settings: {err}") from err
     for lineno, key, raw in read_assignments(text, "settings line"):
         if key.startswith("residual."):
@@ -156,13 +147,13 @@ def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
     return replace(cfg, microwave=mw)
 
 
-def cmd_truthtable(cfg: RunConfig, out: Path, auto_calibrate: bool = True) -> int:
-    nl = build_netlist(cfg)
+def cmd_truthtable(setup: Setup, out: Path, auto_calibrate: bool = True) -> int:
+    nl = setup.netlist()
     if auto_calibrate:
         nl, _ = experiment.calibrate(nl)
-    report = logic.truth_table(nl, build_encoding(cfg))
+    report = logic.truth_table(nl, setup.switching["enc"])
     path = out / "truthtable.csv"
-    _write(path, report.to_csv())
+    path.write_text(report.to_csv())
     decoded = "".join("x" if r.decoded is None else str(r.decoded)
                       for r in report.rows)
     print(f"truthtable decoded={decoded} spread={report.amplitude_spread:.4g} "
@@ -172,10 +163,9 @@ def cmd_truthtable(cfg: RunConfig, out: Path, auto_calibrate: bool = True) -> in
     return EXIT_OK
 
 
-def cmd_switch(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg)
-    nl, _ = experiment.calibrate(nl)
-    result = experiment.run_switching(nl, **build_switching(cfg))
+def cmd_switch(setup: Setup, out: Path) -> int:
+    nl, _ = experiment.calibrate(setup.netlist())
+    result = experiment.run_switching(nl, **setup.switching)
     path = out / "switch_trace.csv"
     trace_to_csv(result.trace, path)
     print(f"switch t_rise_s={result.t_rise:.6g} f_clock_hz={result.f_clock:.6g} "
@@ -184,13 +174,11 @@ def cmd_switch(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg)
-    nl, _ = experiment.calibrate(nl)
-    enc = build_encoding(cfg)
+def cmd_fulladder(setup: Setup, out: Path) -> int:
+    nl, _ = experiment.calibrate(setup.netlist())
     states = [logic.LogicState(bits)
               for bits in itertools.product((0, 1), repeat=3)]
-    readouts = logic.read_out(nl, states, enc)
+    readouts = logic.read_out(nl, states, setup.switching["enc"])
     lines = ["a,b,cin,sum,cout,gate_amp"]
     for state, ro in zip(states, readouts):
         a, b, cin = state.bits
@@ -198,19 +186,18 @@ def cmd_fulladder(cfg: RunConfig, out: Path) -> int:
         lines.append(f"{a},{b},{cin},{s},{cout},{ro.amplitude:.12g}")
     check = logic.cascade_check(readouts)
     path = out / "fulladder.csv"
-    _write(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     print(f"fulladder rows=8 amp_spread={check.spread:.4g} "
           f"cascadable={str(check.cascadable).lower()} -> {path}")
     return EXIT_OK
 
 
-def cmd_scale(cfg: RunConfig, out: Path) -> int:
-    nl = build_netlist(cfg)
-    nl, _ = experiment.calibrate(nl)
-    study = experiment.scaling_study(nl, cfg.scaling.scales,
-                                     **build_switching(cfg))
+def cmd_scale(setup: Setup, out: Path) -> int:
+    nl, _ = experiment.calibrate(setup.netlist())
+    study = experiment.scaling_study(nl, setup.cfg.scaling.scales,
+                                     **setup.switching)
     path = out / "scaling.csv"
-    _write(path, study.to_csv())
+    path.write_text(study.to_csv())
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "
           f"r_squared={study.r_squared:.6f} -> {path}")
     return EXIT_OK
@@ -262,32 +249,32 @@ def make_parser() -> argparse.ArgumentParser:
 PARSER = make_parser()
 
 
-def _run(args, cfg: RunConfig) -> int:
+def _run(args, setup: Setup) -> int:
     """Make --out and run the command into it; the input files are read
     by then, so an OSError here is one of the output."""
     out = _out_dir(args)
     if args.command == "dispersion":
-        return cmd_dispersion(cfg, out)
+        return cmd_dispersion(setup, out)
     if args.command == "transmission":
-        return cmd_transmission(cfg, out)
+        return cmd_transmission(setup, out)
     if args.command == "truthtable":
-        return cmd_truthtable(cfg, out, auto_calibrate=not args.no_calibrate)
+        return cmd_truthtable(setup, out, auto_calibrate=not args.no_calibrate)
     if args.command == "switch":
-        return cmd_switch(cfg, out)
+        return cmd_switch(setup, out)
     if args.command == "calibrate":
-        return cmd_calibrate(cfg, out)
+        return cmd_calibrate(setup, out)
     if args.command == "fulladder":
-        return cmd_fulladder(cfg, out)
+        return cmd_fulladder(setup, out)
     # the subcommand is a required argparse choice: no other is left
-    return cmd_scale(cfg, out)
+    return cmd_scale(setup, out)
 
 
 def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
-        cfg = _load_config(args)
+        setup = _load_config(args)
         try:
-            return _run(args, cfg)
+            return _run(args, setup)
         except OSError as err:
             raise ConfigError(f"cannot write output: {err}") from err
     except ConfigError as err:

@@ -5,16 +5,17 @@ dotted keys grouped by section.  Unknown keys are rejected so a config
 never silently drifts from the code.  The defaults reproduce the
 reference operating point: parallel field of 142.9 mT, carrier at
 6.035 GHz, saturation magnetization fitted so the uniform-precession
-frequency sits at 6.06 GHz.  Validation builds the package's records
-and calls its procedures' preconditions, which hold every range check;
-it only names the dotted key of the field a check rejects.
+frequency sits at 6.06 GHz.  Validation builds the records every
+command runs on (a Setup) and calls the procedures' preconditions, which
+hold every range check; it only names the dotted key of the field a
+check rejects.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import circuit, experiment, logic, physics, signal
 
@@ -189,12 +190,13 @@ def read_assignments(text: str, where: str = "line"):
         yield lineno, key, raw
 
 
-def read_config(text: str) -> RunConfig:
+def read_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse a flat key = value document into a RunConfig, unvalidated.
 
-    Values are collected per section and each section is built once; a
-    key given twice keeps its last value.  Only the syntax, the keys and
-    the value types are checked here; see parse_config.
+    Values are collected per section, overrides (dotted key -> value of
+    the field's type) replace them, and each section is built once; a key
+    given twice keeps its last value.  Only the syntax, the keys and the
+    value types of the text are checked here; see validate_config.
     """
     values = {name: {} for name in _SECTIONS}
     for lineno, key, raw in read_assignments(text):
@@ -206,7 +208,10 @@ def read_config(text: str) -> RunConfig:
         if attr not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[section][attr] = _parse_value(raw, getattr(_DEFAULTS[section], attr))
-    return RunConfig(**{attr: replace(_DEFAULTS[name], **values[name])
+    for key, value in (overrides or {}).items():
+        section, attr = key.split(".", 1)
+        values[section][attr] = value
+    return RunConfig(**{attr: type(_DEFAULTS[name])(**values[name])
                         for name, attr in _SECTIONS.items()})
 
 
@@ -240,7 +245,7 @@ def _non_finite_key(cfg: RunConfig) -> str | None:
 
 
 # config field -> record field, one table per record-backed section;
-# read by the build_* functions below and by validate_config's naming
+# read by validate_config to build each record and to name its keys
 _FILM = {"mu0_ms_t": "Ms", "thickness_m": "d", "gamma_rad_per_s_t": "gamma",
          "linewidth_t": "mu0_dh0"}
 _FIELD = {"mu0_h_t": "mu0_h", "orientation": "orientation"}
@@ -272,16 +277,43 @@ def _build(cls, section, table: dict, **values):
                | values)
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Raise ConfigError for a config no command can run.
+@dataclass(frozen=True)
+class Setup:
+    """The records validate_config built from one config, which every
+    command runs on: the film as configured (before any Ms fit), the bias
+    field, the geometry, the microwave settings and the keywords of
+    experiment.run_switching (which experiment.scaling_study takes too;
+    the effective path scales with the geometry)."""
+
+    cfg: RunConfig
+    film: physics.FilmParams
+    bias: physics.BiasField
+    geometry: circuit.DeviceGeometry
+    settings: circuit.MicrowaveSettings
+    switching: dict
+
+    def context(self) -> physics.ModeContext:
+        """Film and field, with the optional Ms fit applied: the only
+        source of BandError before a command runs."""
+        ctx = physics.ModeContext(film=self.film, field=self.bias)
+        if self.cfg.film.fit_fmr_hz > 0:
+            ctx = ctx.with_ms(physics.calibrate_ms(ctx, self.cfg.film.fit_fmr_hz))
+        return ctx
+
+    def netlist(self) -> circuit.GateNetlist:
+        return circuit.build_majority_gate(self.geometry, self.context(),
+                                           self.settings)
+
+
+def validate_config(cfg: RunConfig) -> Setup:
+    """The records of a config, or ConfigError for one no command can run.
 
     Every number must be finite, and the fields no record reads in
     range (the Ms fit target, the orientation, the spectrum and
     dispersion grids, of 2 to experiment.MAX_SAMPLES points).  Then one
-    pass builds each record (the film without the Ms fit, the only
-    source of BandError) and calls each precondition; every record field
-    or argument name in a ValueError they raise becomes its dotted config
-    key.
+    pass builds each record and calls each precondition; every record
+    field or argument name in a ValueError they raise becomes its dotted
+    config key.
     """
     bad = _non_finite_key(cfg)
     if bad:
@@ -302,66 +334,31 @@ def validate_config(cfg: RunConfig) -> None:
     if disp.k_stop_rad_per_m <= disp.k_start_rad_per_m:
         raise ConfigError("dispersion.k_stop_rad_per_m must exceed "
                           "dispersion.k_start_rad_per_m")
+    sw = cfg.switching
     try:
-        for build in (build_film, build_field, build_geometry, build_settings,
-                      build_switching):
-            build(cfg)
+        setup = Setup(
+            cfg,
+            _build(physics.FilmParams, cfg.film, _FILM,
+                   Ms=cfg.film.mu0_ms_t / physics.MU0),
+            _build(physics.BiasField, cfg.field_, _FIELD,
+                   orientation=physics.Orientation(cfg.field_.orientation)),
+            _build(circuit.DeviceGeometry, cfg.geometry, _GEOMETRY),
+            _build(circuit.MicrowaveSettings, cfg.microwave, _MICROWAVE),
+            _build(dict, cfg.detector, _DETECTOR,
+                   enc=_build(logic.PhaseEncoding, cfg.encoding, _ENCODING),
+                   timing=_build(experiment.SwitchTiming, sw, _SWITCHING),
+                   ref_phase=sw.ref_phase_rad,
+                   effective_path=sw.effective_path_m * cfg.geometry.scale))
         signal.check_detection(cfg.detector.lp_cutoff_hz,
-                               cfg.detector.responsivity_v, cfg.switching.dt_s)
-        experiment.check_effective_path(cfg.switching.effective_path_m)
+                               cfg.detector.responsivity_v, sw.dt_s)
+        experiment.check_effective_path(sw.effective_path_m)
         experiment.check_scales(cfg.scaling.scales)
     except ValueError as err:
         raise ConfigError(_WORD.sub(lambda m: _KEYS.get(m[0], m[0]),
                                     str(err))) from err
-
-
-def build_film(cfg: RunConfig) -> physics.FilmParams:
-    """The film as configured, before any Ms fit."""
-    return _build(physics.FilmParams, cfg.film, _FILM,
-                  Ms=cfg.film.mu0_ms_t / physics.MU0)
-
-
-def build_field(cfg: RunConfig) -> physics.BiasField:
-    return _build(physics.BiasField, cfg.field_, _FIELD,
-                  orientation=physics.Orientation(cfg.field_.orientation))
-
-
-def build_context(cfg: RunConfig) -> physics.ModeContext:
-    """Film and field from the config, with the optional Ms fit applied."""
-    ctx = physics.ModeContext(film=build_film(cfg), field=build_field(cfg))
-    if cfg.film.fit_fmr_hz > 0:
-        ctx = ctx.with_ms(physics.calibrate_ms(ctx, cfg.film.fit_fmr_hz))
-    return ctx
-
-
-def build_geometry(cfg: RunConfig) -> circuit.DeviceGeometry:
-    return _build(circuit.DeviceGeometry, cfg.geometry, _GEOMETRY)
-
-
-def build_settings(cfg: RunConfig) -> circuit.MicrowaveSettings:
-    return _build(circuit.MicrowaveSettings, cfg.microwave, _MICROWAVE)
-
-
-def build_encoding(cfg: RunConfig) -> logic.PhaseEncoding:
-    return _build(logic.PhaseEncoding, cfg.encoding, _ENCODING)
-
-
-def build_timing(cfg: RunConfig) -> experiment.SwitchTiming:
-    return _build(experiment.SwitchTiming, cfg.switching, _SWITCHING)
-
-
-def build_switching(cfg: RunConfig) -> dict:
-    """The keywords of experiment.run_switching, which
-    experiment.scaling_study takes too; the effective path scales with
-    the geometry."""
-    return _build(dict, cfg.detector, _DETECTOR, enc=build_encoding(cfg),
-                  timing=build_timing(cfg),
-                  ref_phase=cfg.switching.ref_phase_rad,
-                  effective_path=cfg.switching.effective_path_m
-                  * cfg.geometry.scale)
+    return setup
 
 
 # include_switch is ignored; perfbench/run.py (_fit) still passes it
 def build_netlist(cfg: RunConfig, include_switch: bool | None = None) -> circuit.GateNetlist:
-    return circuit.build_majority_gate(
-        build_geometry(cfg), build_context(cfg), build_settings(cfg))
+    return validate_config(cfg).netlist()

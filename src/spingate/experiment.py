@@ -388,7 +388,7 @@ def check_scales(scales) -> None:
     """Raise ValueError, naming the argument, for scales scaling_study
     cannot sweep."""
     if not scales:
-        raise ValueError("scales must hold at least one scale")
+        raise ValueError("scales must hold at least one value")
     if not all(s > 0 for s in scales):
         raise ValueError("scales must be positive")
 

@@ -71,17 +71,6 @@ class FilmParams:
         if not self.mu0_dh0 >= 0:
             raise ValueError("mu0_dh0 must be nonnegative")
 
-    @classmethod
-    def yig(cls, mu0_ms: float = 0.176, d: float = 5.4e-6,
-            mu0_dh0: float = 6.2e-5, gamma: float = GAMMA_DEFAULT) -> "FilmParams":
-        """Literature-default garnet film, 5.4 um thick.
-
-        mu0*Ms = 0.176 T is the textbook room-temperature value; fit it to a
-        measured uniform-precession frequency with :func:`calibrate_ms` when
-        one is available.
-        """
-        return cls(Ms=mu0_ms / MU0, d=d, gamma=gamma, mu0_dh0=mu0_dh0)
-
 
 @dataclass(frozen=True)
 class BiasField:

@@ -43,7 +43,8 @@ def fitted_path(calibrated_switch_netlist):
 
 
 def test_c1_fmr_reproduction():
-    film = ph.FilmParams.yig()  # literature mu0*Ms = 0.176 T
+    # literature mu0*Ms = 0.176 T
+    film = ph.FilmParams(Ms=0.176 / ph.MU0, d=5.4e-6, mu0_dh0=6.2e-5)
     ctx = ph.ModeContext(film, ph.BiasField(0.1429))
     ph.fmr_frequency(ctx)  # warm the path before timing
     t0 = time.perf_counter()
@@ -62,8 +63,9 @@ def test_c2_truth_table_after_calibration(default_cfg, tmp_path):
     rng = np.random.default_rng(20260808)
     gains_db = tuple(rng.uniform(-6.0, 6.0, 3))
     phases = tuple(rng.uniform(-math.pi, math.pi, 3))
+    setup = cf.validate_config(default_cfg)
     nl = ct.build_majority_gate(
-        cf.build_geometry(default_cfg), cf.build_context(default_cfg),
+        setup.geometry, setup.context(),
         ct.MicrowaveSettings(coupling_db=gains_db, coupling_phase_rad=phases))
     t0 = time.perf_counter()
     nl_cal, _ = ex.calibrate(nl)
@@ -92,7 +94,7 @@ def test_c2_truth_table_after_calibration(default_cfg, tmp_path):
 
 def test_c3_interference_levels(default_cfg):
     geo = ct.DeviceGeometry(l_skew=(0.0, 0.0, 0.0))
-    nl = ct.build_majority_gate(geo, cf.build_context(default_cfg))
+    nl = ct.build_majority_gate(geo, cf.validate_config(default_cfg).context())
     table = lg.truth_table(nl)
     ratio = table.amplitude_spread
     assert ratio == pytest.approx(3.0, abs=0.01)
@@ -101,7 +103,7 @@ def test_c3_interference_levels(default_cfg):
 
 
 def test_c4_backward_wave_suite(default_cfg):
-    ctx = cf.build_context(default_cfg)
+    ctx = cf.validate_config(default_cfg).context()
     t0 = time.perf_counter()
     k = np.logspace(3.0, 6.3, 100)
     f = ph.dispersion_f(ctx, k)
@@ -170,7 +172,7 @@ def test_c8_full_adder_and_cascade(default_cfg):
                 s, cout = lg.full_adder(a, b, cin)
                 assert 2 * cout + s == a + b + cin
     geo = ct.DeviceGeometry(l_skew=(0.0, 0.0, 0.0))
-    nl = ct.build_majority_gate(geo, cf.build_context(default_cfg))
+    nl = ct.build_majority_gate(geo, cf.validate_config(default_cfg).context())
     readouts = [lg.run_logic_state(nl, lg.LogicState(bits))
                 for bits in lg.TABLE_ROW_ORDER]
     check = lg.cascade_check(readouts, tolerance=1.5)

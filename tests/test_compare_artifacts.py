@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from spingate import cli
 from spingate import config as cf
 from spingate import experiment as ex
 from spingate import physics as ph
@@ -93,6 +94,13 @@ def test_jobs_cover_the_settings_paths(tmp_path):
         str(set_dir / "calibrate" / "calibration.txt")]
 
 
+def test_flag_sets_cover_every_override():
+    # each override flag of the CLI runs in some flag set
+    flags = {arg for argv in compare_artifacts.FLAG_SETS.values()
+             for arg in argv if arg.startswith("--")}
+    assert flags == {f"--{flag}" for flag in cli._FLAG_KEYS}
+
+
 def test_dense_jobs_span_blocks_and_band_edges():
     # the dense jobs write more than two blocks of the CSV writer on both
     # grids, and their spectrum spans both band edges of either branch
@@ -105,7 +113,8 @@ def test_dense_jobs_span_blocks_and_band_edges():
     assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * sig._BLOCK_ROWS
     for orientation in ("parallel", "perpendicular"):
         field = replace(cfg.field_, orientation=orientation)
-        lo, hi = ph.band_limits(cf.build_context(replace(cfg, field_=field)))
+        lo, hi = ph.band_limits(
+            cf.validate_config(replace(cfg, field_=field)).context())
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
@@ -119,11 +128,11 @@ def test_long_jobs_reach_the_window_tail():
     reference = cf.parse_config(REFERENCE.read_text())
     cfg = cf.parse_config(REFERENCE.read_text()
                           + "\n".join(compare_artifacts.LONG))
-    timing = cf.build_timing(cfg)
+    timing = cf.validate_config(cfg).switching["timing"]
     assert timing.window[1] == round((timing.t_toggle + ex.WINDOW_TAIL)
                                      / timing.dt)
     assert timing.window[1] * timing.dt < timing.duration
-    base = cf.build_timing(reference)
+    base = cf.validate_config(reference).switching["timing"]
     assert base.window[1] == round(base.duration / base.dt)
     assert base.t_toggle + ex.WINDOW_TAIL > base.duration
 

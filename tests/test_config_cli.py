@@ -37,7 +37,7 @@ class TestConfigParsing:
         assert cfg.field_.mu0_h_t == pytest.approx(0.1429)
         assert cfg.microwave.f_c_hz == pytest.approx(6.035e9)
         assert cfg.field_.orientation == "parallel"
-        ctx = cf.build_context(cfg)
+        ctx = cf.validate_config(cfg).context()
         assert ph.fmr_frequency(ctx) == pytest.approx(6.06e9, rel=1e-9)
 
     def test_round_trip_identity(self):
@@ -120,11 +120,12 @@ class TestConfigParsing:
 
     def test_build_context_orientation(self):
         cfg = cf.parse_config("field.orientation = perpendicular")
-        assert cf.build_context(cfg).branch == ph.Orientation.PERPENDICULAR.branch
+        ctx = cf.validate_config(cfg).context()
+        assert ctx.branch == ph.Orientation.PERPENDICULAR.branch
 
     def test_ms_fit_disabled(self):
         cfg = cf.parse_config("film.fit_fmr_hz = 0")
-        ctx = cf.build_context(cfg)
+        ctx = cf.validate_config(cfg).context()
         assert ctx.film.Ms * ph.MU0 == pytest.approx(0.176, rel=1e-12)
 
 
@@ -412,6 +413,44 @@ class TestCliPlumbing:
     def test_missing_config_file(self, tmp_path):
         assert main(["dispersion", "--config", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--config", "--settings"])
+    def test_undecodable_file_exit_code(self, tmp_path, capsys, flag):
+        # a file that is not UTF-8 is an unreadable one: this used to end
+        # in a UnicodeDecodeError traceback
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"film.mu0_ms_t = 0.176\xff\n")
+        code = main(["calibrate", flag, str(bad), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        what = "config" if flag == "--config" else "settings"
+        assert err.startswith(f"config error: cannot read {what}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
+
+    def test_empty_scales_line(self, tmp_path, capsys):
+        # the word "scale" in the message stays a word, not a key
+        config = tmp_path / "cfg.txt"
+        config.write_text("scaling.scales =\n")
+        code = main(["scale", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: scaling.scales must hold at least one value\n")
+
+    @pytest.mark.parametrize("command", ["truthtable", "switch"])
+    def test_each_record_built_once(self, tmp_path, monkeypatch, command):
+        # validation builds the records the command runs on; the flags
+        # and the command build none of them again
+        counts = {}
+        for cls in (ct.DeviceGeometry, ph.BiasField, lg.PhaseEncoding,
+                    ex.SwitchTiming):
+            def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+                counts[name] = counts.get(name, 0) + 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert main([command, "--mode", "mssw", "--fc", "6.09e9",
+                     "--out", str(tmp_path)]) == 0
+        assert counts == {"DeviceGeometry": 1, "BiasField": 1,
+                          "PhaseEncoding": 1, "SwitchTiming": 1}
 
     def test_field_override(self, tmp_path):
         # disable the Ms fit so the field shift shows up in the band itself
@@ -738,7 +777,8 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
     args = ["--config", str(REFERENCE), "--out", str(tmp_path), *flags]
     for command in ("dispersion", "transmission", "switch"):
         assert main([command, *args]) == 0
-    cfg = cli._load_config(cli.make_parser().parse_args(["switch", *args]))
+    setup = cli._load_config(cli.make_parser().parse_args(["switch", *args]))
+    cfg = setup.cfg
 
     d = cfg.dispersion
     if d.log_k:
@@ -746,7 +786,7 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
                         np.log10(d.k_stop_rad_per_m), d.n_points)
     else:
         k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
-    ctx = cf.build_context(cfg)
+    ctx = setup.context()
     expect = csv_table("k_rad_per_m,f_hz,v_g_m_per_s", k,
                        ph.dispersion_f(ctx, k), ph.group_velocity(ctx, k))
     assert (tmp_path / "dispersion.csv").read_text() == expect
@@ -761,8 +801,8 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
 
     nl, _ = ex.calibrate(cf.build_netlist(cfg))
     trace = ex.run_switching(
-        nl, enc=cf.build_encoding(cfg), ref_phase=cfg.switching.ref_phase_rad,
-        timing=cf.build_timing(cfg),
+        nl, enc=setup.switching["enc"], ref_phase=cfg.switching.ref_phase_rad,
+        timing=setup.switching["timing"],
         effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
         lp_cutoff=cfg.detector.lp_cutoff_hz,
         responsivity=cfg.detector.responsivity_v).trace

@@ -242,9 +242,3 @@ class TestTypeInvariants:
         c2 = c.with_ms(2 * c.film.Ms)
         assert c2.omega_m == pytest.approx(2 * c.omega_m, rel=1e-12)
         assert c2.omega_h == c.omega_h
-
-    def test_yig_preset(self):
-        film = ph.FilmParams.yig()
-        assert film.d == 5.4e-6
-        assert film.mu0_dh0 == 6.2e-5
-        assert film.Ms * ph.MU0 == pytest.approx(0.176, rel=1e-12)

@@ -74,6 +74,7 @@ FLAG_SETS = {
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
     "fc6.0e9": ["--fc", "6.0e9"],
     "scale8": ["--scale", "8"],
+    "field0.14": ["--field", "0.14"],
 }
 # separators are compared as text; the tokens between them as numbers
 # when both sides parse as one
