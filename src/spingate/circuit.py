@@ -21,7 +21,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import MAX_LEVEL, write_tables
+from .signal import MAX_LEVEL, phase_setting, write_tables
 
 CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
@@ -72,7 +72,8 @@ class MicrowaveSettings:
 
     attenuator_db / phase_rad are the adjustable elements the calibration
     procedure acts on; coupling_db / coupling_phase_rad model the fixed
-    hardware asymmetry of connectors and excitation efficiency.
+    hardware asymmetry of connectors and excitation efficiency.  A
+    phase_rad entry outside (-pi, pi] is kept as its phasor's angle.
     """
 
     f_c: float = 6.035e9
@@ -84,6 +85,8 @@ class MicrowaveSettings:
     output_coupling_db: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "phase_rad", tuple(
+            phase_setting(rad, "phase_rad") for rad in self.phase_rad))
         if not self.f_c > 0:
             raise ValueError("f_c must be positive")
         if not 0 < self.drive_amplitude <= MAX_LEVEL:

@@ -154,9 +154,10 @@ def cmd_truthtable(setup: Setup, out: Path, auto_calibrate: bool = True) -> int:
     report = logic.truth_table(nl, setup.switching["enc"])
     path = out / "truthtable.csv"
     path.write_text(report.to_csv())
-    decoded = "".join("x" if r.decoded is None else str(r.decoded)
+    decoded = "".join("x" if r.decoded_bit is None else str(r.decoded_bit)
                       for r in report.rows)
-    print(f"truthtable decoded={decoded} spread={report.amplitude_spread:.4g} "
+    print(f"truthtable decoded={decoded} "
+          f"spread={logic.amplitude_spread(report.rows):.4g} "
           f"matches_majority={str(report.matches_majority).lower()} -> {path}")
     if report.any_indeterminate:
         return EXIT_INDETERMINATE
@@ -180,15 +181,15 @@ def cmd_fulladder(setup: Setup, out: Path) -> int:
               for bits in itertools.product((0, 1), repeat=3)]
     readouts = logic.read_out(nl, states, setup.switching["enc"])
     lines = ["a,b,cin,sum,cout,gate_amp"]
-    for state, ro in zip(states, readouts):
-        a, b, cin = state.bits
+    for ro in readouts:
+        a, b, cin = ro.state.bits
         s, cout = logic.full_adder(a, b, cin)
         lines.append(f"{a},{b},{cin},{s},{cout},{ro.amplitude:.12g}")
-    check = logic.cascade_check(readouts)
+    spread = logic.amplitude_spread(readouts)
     path = out / "fulladder.csv"
     path.write_text("\n".join(lines) + "\n")
-    print(f"fulladder rows=8 amp_spread={check.spread:.4g} "
-          f"cascadable={str(check.cascadable).lower()} -> {path}")
+    print(f"fulladder rows=8 amp_spread={spread:.4g} "
+          f"cascadable={str(spread <= logic.CASCADE_TOLERANCE).lower()} -> {path}")
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit
-from .signal import wrap_phase
+from .signal import phase_setting, wrap_phase
 
 TABLE_ROW_ORDER = (
     (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
@@ -23,16 +23,21 @@ TABLE_ROW_ORDER = (
 # an output at or below this share of the gate's unanimity amplitude
 # sum(|g_i|) per unit drive is indeterminate
 REL_FLOOR = 1e-12
+# a fan-out budget: the widest max/min amplitude spread over the states
+# of one gate that a next gate could take as its inputs
+CASCADE_TOLERANCE = 1.5
 
 
 @dataclass(frozen=True)
 class PhaseEncoding:
-    """Code phases for the two logic levels plus the decode half-window."""
+    """Code phases for the two logic levels plus the decode half-window;
+    a phi0 outside (-pi, pi] is kept as its phasor's angle."""
 
     phi0: float = 0.0
     guard: float = 0.5 * math.pi - 0.01
 
     def __post_init__(self):
+        object.__setattr__(self, "phi0", phase_setting(self.phi0, "phi0"))
         if not 0.0 < self.guard <= 0.5 * math.pi:
             raise ValueError("guard must lie in (0, pi/2]")
 
@@ -55,13 +60,15 @@ class LogicState:
 
 @dataclass(frozen=True)
 class GateReadout:
-    """Amplitude, phase and decoded bit of one gate evaluation.
+    """Input state, output amplitude, phase and decoded bit of one gate
+    evaluation.
 
     decoded_bit is None when the phase falls outside both guard windows or
     the amplitude is below the floor; margin is the distance to the
     nearest decision boundary and is nonnegative either way.
     """
 
+    state: LogicState
     amplitude: float
     phase: float
     decoded_bit: int | None
@@ -89,7 +96,7 @@ def decide(phase: float, enc: PhaseEncoding) -> tuple[int | None, float]:
     return None, min(d0, d1) - enc.guard
 
 
-def read_out(nl: circuit.GateNetlist, states,
+def read_out(nl: circuit.GateNetlist, states: list[LogicState],
              enc: PhaseEncoding | None = None) -> list[GateReadout]:
     """Drive each input state through the netlist and decode its output.
 
@@ -117,66 +124,57 @@ def read_out(nl: circuit.GateNetlist, states,
     out_ref = complex(np.dot(np.full(3, np.exp(1j * encode(0, enc))), gains))
     floor = REL_FLOOR * float(np.abs(gains).sum())
     if abs(out_ref) <= floor:
-        return [GateReadout(amplitude=drive * abs(out), phase=0.0,
-                            decoded_bit=None, margin=0.0) for out in outs]
+        return [GateReadout(state, drive * abs(out), 0.0, None, 0.0)
+                for state, out in zip(states, outs)]
     ref_phase = float(np.angle(out_ref))
     readouts = []
-    for out, angle in zip(outs, np.angle(outs).tolist()):
+    for state, out, angle in zip(states, outs, np.angle(outs).tolist()):
         amplitude = abs(out)
         if amplitude <= floor:
-            readouts.append(GateReadout(amplitude=drive * amplitude, phase=0.0,
-                                        decoded_bit=None, margin=0.0))
+            readouts.append(GateReadout(state, drive * amplitude, 0.0, None, 0.0))
             continue
         phase = float(wrap_phase(angle - ref_phase + enc.phi0))
-        bit, margin = decide(phase, enc)
-        readouts.append(GateReadout(amplitude=drive * amplitude, phase=phase,
-                                    decoded_bit=bit, margin=margin))
+        readouts.append(GateReadout(state, drive * amplitude, phase,
+                                    *decide(phase, enc)))
     return readouts
 
 
-def run_logic_state(nl: circuit.GateNetlist, state: LogicState,
-                    enc: PhaseEncoding | None = None) -> GateReadout:
-    """Drive one input state through the netlist and decode the output
-    (see read_out)."""
-    return read_out(nl, [state], enc)[0]
-
-
-@dataclass(frozen=True)
-class TruthTableRow:
-    in_phases: tuple[float, float, float]
-    state: LogicState
-    out_phase: float
-    out_amplitude: float
-    decoded: int | None
-    margin: float
+def amplitude_spread(readouts) -> float:
+    """Max/min ratio of the read-out amplitudes, inf when the weakest is 0:
+    the amplitude normalization a gate needs before another gate can take
+    its outputs as inputs (compare with CASCADE_TOLERANCE)."""
+    amps = [r.amplitude for r in readouts]
+    if len(amps) < 2:
+        raise ValueError("need at least two readouts")
+    lo = min(amps)
+    return math.inf if lo == 0 else max(amps) / lo
 
 
 @dataclass(frozen=True)
 class TruthTableReport:
-    rows: tuple[TruthTableRow, ...]
+    """The read-outs of the eight input states under one encoding."""
+
+    encoding: PhaseEncoding
+    rows: tuple[GateReadout, ...]
 
     @property
     def any_indeterminate(self) -> bool:
-        return any(r.decoded is None for r in self.rows)
+        return any(r.decoded_bit is None for r in self.rows)
 
     @property
     def matches_majority(self) -> bool:
-        return all(r.decoded == majority(*r.state.bits) for r in self.rows)
-
-    @property
-    def amplitude_spread(self) -> float:
-        amps = [r.out_amplitude for r in self.rows]
-        lo = min(amps)
-        return math.inf if lo == 0 else max(amps) / lo
+        return all(r.decoded_bit == majority(*r.state.bits) for r in self.rows)
 
     def to_csv(self) -> str:
+        code = [f"{float(wrap_phase(encode(bit, self.encoding))):.12g}"
+                for bit in (0, 1)]
         lines = ["in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,state,"
                  "out_phase_rad,out_amp,decoded"]
         for r in self.rows:
-            dec = "indeterminate" if r.decoded is None else str(r.decoded)
-            phases = ",".join(f"{p:.12g}" for p in r.in_phases)
-            lines.append(f"{phases},{r.state},{r.out_phase:.12g},"
-                         f"{r.out_amplitude:.12g},{dec}")
+            dec = "indeterminate" if r.decoded_bit is None else str(r.decoded_bit)
+            phases = ",".join(code[b] for b in r.state.bits)
+            lines.append(f"{phases},{r.state},{r.phase:.12g},"
+                         f"{r.amplitude:.12g},{dec}")
         return "\n".join(lines) + "\n"
 
 
@@ -185,30 +183,7 @@ def truth_table(nl: circuit.GateNetlist,
     """Evaluate all eight input states in the canonical row order."""
     enc = enc or PhaseEncoding()
     states = [LogicState(bits) for bits in TABLE_ROW_ORDER]
-    code = [float(wrap_phase(encode(bit, enc))) for bit in (0, 1)]
-    return TruthTableReport(rows=tuple(
-        TruthTableRow(in_phases=tuple(code[b] for b in state.bits),
-                      state=state, out_phase=ro.phase,
-                      out_amplitude=ro.amplitude, decoded=ro.decoded_bit,
-                      margin=ro.margin)
-        for state, ro in zip(states, read_out(nl, states, enc))))
-
-
-@dataclass(frozen=True)
-class CascadeCheck:
-    cascadable: bool
-    spread: float
-
-
-def cascade_check(readouts: list[GateReadout],
-                  tolerance: float = 1.5) -> CascadeCheck:
-    """Amplitude max/min ratio over the readouts against a fan-out budget."""
-    if len(readouts) < 2:
-        raise ValueError("need at least two readouts")
-    amps = [r.amplitude for r in readouts]
-    lo = min(amps)
-    spread = math.inf if lo == 0 else max(amps) / lo
-    return CascadeCheck(cascadable=spread <= tolerance, spread=spread)
+    return TruthTableReport(encoding=enc, rows=tuple(read_out(nl, states, enc)))
 
 
 def full_adder(a: int, b: int, cin: int) -> tuple[int, int]:

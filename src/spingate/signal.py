@@ -41,6 +41,22 @@ def wrap_phase(x):
     return math.pi - np.mod(math.pi - np.asarray(x), TWO_PI)
 
 
+def phase_setting(x: float, name: str) -> float:
+    """A phase field of a record: x as given in (-pi, pi], else the angle
+    of its phasor, atan2(sin x, cos x), with -pi taken to pi.
+
+    Far outside the range a float cannot hold what is added to it (at
+    1e17, x + pi == x), so a phase is reduced once, where it enters.  A
+    NaN or infinite x raises ValueError naming the field.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    if -math.pi < x <= math.pi:
+        return x
+    angle = math.atan2(math.sin(x), math.cos(x))
+    return math.pi if angle == -math.pi else angle
+
+
 def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 

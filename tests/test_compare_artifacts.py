@@ -86,6 +86,12 @@ def test_jobs_cover_the_settings_paths(tmp_path):
         "dispersion", "transmission", "calibrate", "truthtable", "switch",
         "fulladder", "scale"}
     assert jobs["truthtable-no-calibrate"] == ["truthtable", "--no-calibrate"]
+    # both read-out commands also run at code phases other than 0 and pi
+    assert {job: jobs[job] for job in jobs if job.endswith("-phi0")} == {
+        "truthtable-phi0": ["truthtable"], "fulladder-phi0": ["fulladder"]}
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.APPENDED["-phi0"]))
+    assert cfg.encoding.phi0_rad == 2.5
     order = list(jobs)
     assert order.index("calibrate") < order.index("truthtable-settings")
     set_dir = tmp_path / "plain"

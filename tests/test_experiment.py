@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transit_fill_factor
@@ -166,6 +166,18 @@ class TestCalibrate:
         assert res2.residual_phase_error <= 1e-14
         np.testing.assert_allclose(twice.carrier_gains, once.carrier_gains,
                                    rtol=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(outer=st.tuples(*[st.floats(-1e300, 1e300)] * 2))
+    @example(outer=(1e17, 0.0))
+    def test_far_phase_setting_calibrates(self, outer):
+        # an outer phase setting far outside (-pi, pi] is stored as its
+        # phasor's angle, so the shifter the calibration adds to it holds
+        nl = build(coupling_db=(2.0, -1.0, 3.5),
+                   coupling_phase_rad=(0.7, -0.1, 2.2),
+                   phase_rad=(outer[0], 0.0, outer[1]))
+        _, res = ex.calibrate(nl)
+        assert res.residual_phase_error <= 1e-12
 
     def test_residuals(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5),

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spingate import circuit as ct
@@ -75,38 +75,55 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             lg.PhaseEncoding(guard=2.0)
 
+    def test_phase_settings_kept_in_range(self):
+        # a phase in (-pi, pi] is kept as given, -pi and any value outside
+        # become the angle of the phasor, and a non-finite one is named
+        assert lg.PhaseEncoding(phi0=2.5).phi0 == 2.5
+        assert lg.PhaseEncoding(phi0=-math.pi).phi0 == math.pi
+        assert ct.MicrowaveSettings(phase_rad=(-math.pi, 0.1, 1e17)).phase_rad == (
+            math.pi, 0.1, math.atan2(math.sin(1e17), math.cos(1e17)))
+        with pytest.raises(ValueError, match="^phi0 "):
+            lg.PhaseEncoding(phi0=math.nan)
+        with pytest.raises(ValueError, match="^phase_rad "):
+            ct.MicrowaveSettings(phase_rad=(0.0, math.inf, 0.0))
+
     def test_covariance_under_offset(self):
         enc = lg.PhaseEncoding(phi0=0.8)
         for bit in (0, 1):
             assert lg.decide(lg.encode(bit, enc), enc)[0] == bit
 
 
+def read_state(nl, bits):
+    """One input state read out alone."""
+    return lg.read_out(nl, [lg.LogicState(bits)])[0]
+
+
 class TestRunLogicState:
     def test_all_states_match_majority(self):
         nl = symmetric_netlist()
         for bits in ALL_BITS:
-            ro = lg.run_logic_state(nl, lg.LogicState(bits))
+            ro = read_state(nl, bits)
             assert ro.decoded_bit == lg.majority(*bits), bits
             assert ro.margin > math.pi / 4
 
     def test_complement_states_differ_by_pi(self):
         nl = symmetric_netlist()
-        a = lg.run_logic_state(nl, lg.LogicState((1, 0, 0)))
-        b = lg.run_logic_state(nl, lg.LogicState((0, 1, 1)))
+        a = read_state(nl, (1, 0, 0))
+        b = read_state(nl, (0, 1, 1))
         delta = abs(float(np.angle(np.exp(1j * (a.phase - b.phase)))))
         assert delta == pytest.approx(math.pi, abs=1e-9)
 
     def test_unanimous_amplitude_ratio(self):
         nl = symmetric_netlist()
-        amp_unanimous = lg.run_logic_state(nl, lg.LogicState((1, 1, 1))).amplitude
-        amp_majority = lg.run_logic_state(nl, lg.LogicState((1, 1, 0))).amplitude
+        amp_unanimous = read_state(nl, (1, 1, 1)).amplitude
+        amp_majority = read_state(nl, (1, 1, 0)).amplitude
         assert amp_unanimous / amp_majority == pytest.approx(3.0, abs=1e-9)
 
     def test_dead_gate_indeterminate(self):
         # a carrier above the band: every carrier gain is exactly 0
         nl = symmetric_netlist(f_c=7.0e9)
         assert not np.any(nl.carrier_gains)
-        ro = lg.run_logic_state(nl, lg.LogicState((1, 0, 1)))
+        ro = read_state(nl, (1, 0, 1))
         assert ro.decoded_bit is None
         assert ro.margin == 0.0
 
@@ -134,9 +151,22 @@ def test_decoding_independent_of_drive(reference_gates, k, gate, phi0):
     base = lg.truth_table(nl, enc)
     report = lg.truth_table(scaled, enc)
     assert base.matches_majority and not base.any_indeterminate
-    assert [r.decoded for r in report.rows] == [r.decoded for r in base.rows]
+    assert ([r.decoded_bit for r in report.rows]
+            == [r.decoded_bit for r in base.rows])
     assert [r.margin for r in report.rows] == [r.margin for r in base.rows]
-    assert [r.out_phase for r in report.rows] == [r.out_phase for r in base.rows]
+    assert [r.phase for r in report.rows] == [r.phase for r in base.rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi0=st.floats(4.0, 1e300), sign=st.sampled_from([1.0, -1.0]))
+@example(phi0=1e17, sign=1.0)
+def test_far_phi0_still_decodes_majority(reference_gates, phi0, sign):
+    # far outside (-pi, pi], phi0 + pi rounds back to phi0 unless phi0 is
+    # stored as its phasor's angle: the code phases stay pi apart
+    enc = lg.PhaseEncoding(phi0=sign * phi0)
+    assert -math.pi < enc.phi0 <= math.pi
+    report = lg.truth_table(reference_gates[0], enc)
+    assert report.matches_majority and not report.any_indeterminate
 
 
 class TestTruthTable:
@@ -146,7 +176,7 @@ class TestTruthTable:
         assert tuple(r.state.bits for r in report.rows) == lg.TABLE_ROW_ORDER
         assert report.matches_majority
         assert not report.any_indeterminate
-        assert report.amplitude_spread == pytest.approx(3.0, abs=1e-9)
+        assert lg.amplitude_spread(report.rows) == pytest.approx(3.0, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [math.pi, 0.7, -1.3])
     def test_common_phase_offset_covariance(self, delta):
@@ -174,17 +204,17 @@ class TestTruthTable:
         base = lg.truth_table(nl)
         turned = lg.truth_table(rotated)
         for a, b in zip(base.rows, turned.rows):
-            assert b.out_amplitude == pytest.approx(a.out_amplitude, rel=1e-12)
-            turn = np.angle(np.exp(1j * (b.out_phase - a.out_phase)))
+            assert b.amplitude == pytest.approx(a.amplitude, rel=1e-12)
+            turn = np.angle(np.exp(1j * (b.phase - a.phase)))
             assert abs(float(turn)) < 1e-9
             assert b.margin == pytest.approx(a.margin, abs=1e-9)
             if abs(a.margin) > 1e-9:
-                assert b.decoded == a.decoded
+                assert b.decoded_bit == a.decoded_bit
 
     def test_amplitudes_take_two_exact_levels(self):
         nl = symmetric_netlist()
         report = lg.truth_table(nl)
-        amps = np.array([r.out_amplitude for r in report.rows])
+        amps = np.array([r.amplitude for r in report.rows])
         base = amps.min()
         for row, amp in zip(report.rows, amps):
             unanimous = len(set(row.state.bits)) == 1
@@ -197,13 +227,13 @@ class TestTruthTable:
         report = lg.truth_table(nl)
         # an evenly driven gate never drops below a third of its unanimity
         # amplitude; the imbalance collapses some rows far under that
-        amps = [r.out_amplitude for r in report.rows]
+        amps = [r.amplitude for r in report.rows]
         assert min(amps) < 0.25 * max(amps)
         # two-wave behavior: agreeing strong pair wins, else the remainder
         for row in report.rows:
             b1, b2, b3 = row.state.bits
             expect = b1 if b1 == b2 else b3
-            assert row.decoded == expect
+            assert row.decoded_bit == expect
 
     def test_csv_shape(self):
         nl = symmetric_netlist()
@@ -216,25 +246,31 @@ class TestTruthTable:
 class TestCascadeCheck:
     def test_ideal_gate_not_cascadable(self):
         nl = symmetric_netlist()
-        readouts = [lg.run_logic_state(nl, lg.LogicState(b)) for b in ALL_BITS]
-        check = lg.cascade_check(readouts, tolerance=1.5)
-        assert check.spread == pytest.approx(3.0, abs=1e-9)
-        assert not check.cascadable
+        readouts = [read_state(nl, b) for b in ALL_BITS]
+        spread = lg.amplitude_spread(readouts)
+        assert spread == pytest.approx(3.0, abs=1e-9)
+        assert lg.CASCADE_TOLERANCE == 1.5
+        assert not spread <= lg.CASCADE_TOLERANCE
 
     def test_duplicate_readout_cascadable(self):
-        ro = lg.GateReadout(amplitude=1.0, phase=0.0, decoded_bit=0, margin=1.0)
-        check = lg.cascade_check([ro, ro])
-        assert check.spread == 1.0
-        assert check.cascadable
+        ro = lg.GateReadout(state=lg.LogicState((0, 0, 0)), amplitude=1.0,
+                            phase=0.0, decoded_bit=0, margin=1.0)
+        spread = lg.amplitude_spread([ro, ro])
+        assert spread == 1.0
+        assert spread <= lg.CASCADE_TOLERANCE
 
     def test_zero_amplitude_infinite_spread(self):
-        ro0 = lg.GateReadout(amplitude=0.0, phase=0.0, decoded_bit=None, margin=0.0)
-        ro1 = lg.GateReadout(amplitude=1.0, phase=0.0, decoded_bit=0, margin=1.0)
-        assert lg.cascade_check([ro0, ro1]).spread == math.inf
+        state = lg.LogicState((0, 0, 0))
+        ro0 = lg.GateReadout(state=state, amplitude=0.0, phase=0.0,
+                             decoded_bit=None, margin=0.0)
+        ro1 = lg.GateReadout(state=state, amplitude=1.0, phase=0.0,
+                             decoded_bit=0, margin=1.0)
+        assert lg.amplitude_spread([ro0, ro1]) == math.inf
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            lg.cascade_check([lg.GateReadout(1.0, 0.0, 0, 1.0)])
+            lg.amplitude_spread([lg.GateReadout(lg.LogicState((0, 0, 0)),
+                                                1.0, 0.0, 0, 1.0)])
 
 
 class TestFullAdder:
@@ -276,21 +312,23 @@ def scalar_readout(nl, bits, enc):
     out_ref = complex(np.dot(np.full(3, np.exp(1j * lg.encode(0, enc))), gains))
     floor = lg.REL_FLOOR * float(np.abs(gains).sum())
     amplitude = nl.settings.drive_amplitude * abs(out)
+    state = lg.LogicState(bits)
     if abs(out_ref) <= floor or abs(out) <= floor:
-        return lg.GateReadout(amplitude, 0.0, None, 0.0)
+        return lg.GateReadout(state, amplitude, 0.0, None, 0.0)
     phase = float(wrap(np.angle(out) - float(np.angle(out_ref)) + enc.phi0))
     d0 = float(abs(wrap(phase - enc.phi0)))
     d1 = float(abs(wrap(phase - enc.phi1)))
     if d0 <= enc.guard and d0 <= d1:
-        return lg.GateReadout(amplitude, phase, 0, enc.guard - d0)
+        return lg.GateReadout(state, amplitude, phase, 0, enc.guard - d0)
     if d1 <= enc.guard:
-        return lg.GateReadout(amplitude, phase, 1, enc.guard - d1)
-    return lg.GateReadout(amplitude, phase, None, min(d0, d1) - enc.guard)
+        return lg.GateReadout(state, amplitude, phase, 1, enc.guard - d1)
+    return lg.GateReadout(state, amplitude, phase, None,
+                          min(d0, d1) - enc.guard)
 
 
 def readout_bits(ro):
     """A read-out as exact values: floats by their bytes."""
-    return (np.float64(ro.amplitude).tobytes(), np.float64(ro.phase).tobytes(),
+    return (ro.state, np.float64(ro.amplitude).tobytes(), np.float64(ro.phase).tobytes(),
             ro.decoded_bit, np.float64(ro.margin).tobytes())
 
 
@@ -321,27 +359,25 @@ def readout_gates(orientation):
 @pytest.mark.parametrize("phi0", [0.0, 2.5])
 def test_shared_readout_matches_each_state_alone(orientation, gate, phi0):
     # truth_table reads the eight states in one read_out call; each row is
-    # run_logic_state of its state, and both are the state read out alone,
-    # field for field and bit for bit
+    # the read_out of its state alone, and both are the state read out by
+    # a per-state loop, field for field and bit for bit
     nl = readout_gates(orientation)[gate]
     enc = lg.PhaseEncoding(phi0=phi0)
     report = lg.truth_table(nl, enc)
     indeterminate = 0
     for row in report.rows:
-        alone = lg.run_logic_state(nl, row.state, enc)
-        as_row = lg.GateReadout(row.out_amplitude, row.out_phase, row.decoded,
-                                row.margin)
-        assert readout_bits(as_row) == readout_bits(alone)
+        alone = lg.read_out(nl, [row.state], enc)[0]
+        assert readout_bits(row) == readout_bits(alone)
         assert readout_bits(alone) == readout_bits(
             scalar_readout(nl, row.state.bits, enc))
-        indeterminate += row.decoded is None
+        indeterminate += row.decoded_bit is None
     assert indeterminate == {"floored": 4, "dead": 8}.get(gate, 0)
 
 
 @pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
 def test_fulladder_gate_amp_is_each_state_alone(mode, tmp_path, monkeypatch):
     # cmd_fulladder reads its eight states in one read_out call on the
-    # calibrated gate; each read-out is run_logic_state of that state
+    # calibrated gate; each read-out is the read_out of that state alone
     seen = []
     read_out = lg.read_out
 
@@ -358,7 +394,39 @@ def test_fulladder_gate_amp_is_each_state_alone(mode, tmp_path, monkeypatch):
     lines = (tmp_path / "fulladder.csv").read_text().splitlines()[1:]
     assert [s.bits for s in states] == ALL_BITS
     for state, ro, line in zip(states, readouts, lines):
-        alone = lg.run_logic_state(nl, state, enc)
+        alone = lg.read_out(nl, [state], enc)[0]
         assert readout_bits(ro) == readout_bits(alone)
         assert line.split(",")[:3] == [str(b) for b in state.bits]
         assert line.split(",")[5] == f"{alone.amplitude:.12g}"
+
+
+@pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
+def test_truthtable_and_fulladder_share_readouts(mode, tmp_path, capsys):
+    # both commands read out the same calibrated gate: each state's
+    # gate_amp is its out_amp, and both summaries print the one spread
+    fc = "6.035e9" if mode == "bvmsw" else "6.14e9"
+    flags = ["--mode", mode, "--fc", fc]
+    setup = cli._load_config(cli.PARSER.parse_args(["truthtable", *flags]))
+    rows = lg.truth_table(ex.calibrate(setup.netlist())[0],
+                          setup.switching["enc"]).rows
+    spread = lg.amplitude_spread(rows)
+    amps, printed = {}, {}
+    for command, column in (("truthtable", "out_amp"),
+                            ("fulladder", "gate_amp")):
+        out = tmp_path / command
+        assert cli.main([command, *flags, "--out", str(out)]) == 0
+        printed[command] = dict(
+            word.split("=") for word in capsys.readouterr().out.split()
+            if "=" in word)
+        lines = (out / f"{command}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            values = dict(zip(header, line.split(",")))
+            state = values.get("state") or "".join(
+                values[bit] for bit in ("a", "b", "cin"))
+            amps.setdefault(state, []).append(values[column])
+    assert amps == {str(r.state): [f"{r.amplitude:.12g}"] * 2 for r in rows}
+    assert printed["truthtable"]["spread"] == f"{spread:.4g}"
+    assert printed["fulladder"]["amp_spread"] == f"{spread:.4g}"
+    assert printed["fulladder"]["cascadable"] == str(
+        spread <= lg.CASCADE_TOLERANCE).lower()

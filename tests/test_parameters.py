@@ -125,7 +125,7 @@ def test_api_fuzz_rejects_by_name_or_runs_finite(data):
                                     controls)
         assert_finite(nl.carrier_gains)
         for row in lg.truth_table(nl, enc).rows:
-            assert_finite(row.out_amplitude, row.out_phase, row.margin)
+            assert_finite(row.amplitude, row.phase, row.margin)
         kwargs = {"enc": enc, "timing": timing,
                   "lp_cutoff": v.optional("lp_cutoff", v("lp_cutoff", 5.0e8)),
                   "responsivity": v("responsivity", 1.0)}

@@ -12,7 +12,9 @@ FLAG_SETS), each in a fresh interpreter.  The ``*-dense`` jobs run
 ``dispersion`` and ``transmission`` on that config with the DENSE lines
 appended, grids that span several blocks of the CSV writer; the
 ``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
-appended, a record whose analysis window ends before it does.
+appended, a record whose analysis window ends before it does; the
+``*-phi0`` jobs run ``truthtable`` and ``fulladder`` with the PHI0 lines
+appended, code phases other than 0 and pi.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
 set>/<job>.run the exit code, stdout and stderr, with the job's output
 directory written as <out> and OUT_DIR as <root>.
@@ -55,6 +57,8 @@ JOBS = {
     "transmission-dense": ["transmission"],
     "switch-long": ["switch"],
     "scale-long": ["scale"],
+    "truthtable-phi0": ["truthtable"],
+    "fulladder-phi0": ["fulladder"],
 }
 # appended to the reference config for the *-dense jobs: more than two
 # blocks of the CSV writer (2048 rows) on both grids, and a spectrum that
@@ -67,8 +71,11 @@ DENSE = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 7.5e9",
 # window closes experiment.WINDOW_TAIL after the toggle, not at the
 # record's end as it does on the reference config
 LONG = ("switching.duration_s = 8.192e-7",)
+# appended for the *-phi0 jobs: the in_phase_* and out_phase_rad columns
+# at code phases 2.5 and 2.5 - pi
+PHI0 = ("encoding.phi0_rad = 2.5",)
 # job name suffix -> the lines appended to the reference config
-APPENDED = {"-dense": DENSE, "-long": LONG}
+APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
