@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: dispersion | transmission | truthtable | switch | calibrate
-| fulladder | scale.  Every command reads an optional config file, applies
-flag overrides (flags win), writes CSV artifacts into --out and prints a
-one-line summary.  There is no randomness anywhere in the pipeline, so
-identical configs produce byte-identical artifacts.
+The subcommands are the rows of COMMANDS.  Every command reads an
+optional config file, applies flag overrides (flags win), writes CSV
+artifacts into --out and prints a one-line summary.  There is no
+randomness anywhere in the pipeline, so identical configs produce
+byte-identical artifacts.
 
 Exit codes: 0 success, 2 config error (an unusable --out included),
 3 physics/band error, 4 indeterminate logic readout.
@@ -55,13 +55,7 @@ def _load_config(args) -> Setup:
     return validate_config(cfg)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_dispersion(setup: Setup, out: Path) -> int:
+def cmd_dispersion(setup: Setup, out: Path, args) -> int:
     ctx = setup.context()
     d = setup.cfg.dispersion
     if d.log_k:
@@ -79,7 +73,7 @@ def cmd_dispersion(setup: Setup, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_transmission(setup: Setup, out: Path) -> int:
+def cmd_transmission(setup: Setup, out: Path, args) -> int:
     nl = setup.netlist()
     sp = setup.cfg.spectrum
     f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
@@ -92,13 +86,20 @@ def cmd_transmission(setup: Setup, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(setup: Setup, out: Path) -> int:
+# settings-file key -> (microwave field, channel index): the lines
+# calibrate writes, in order, and the keys --settings reads back
+_SETTINGS_KEYS = {f"microwave.{name}.{ch}": (name, idx)
+                  for name in ("attenuator_db", "phase_rad")
+                  for idx, ch in enumerate(circuit.CHANNELS)}
+
+
+def cmd_calibrate(setup: Setup, out: Path, args) -> int:
     _, result = experiment.calibrate(setup.netlist())
+    values = {"attenuator_db": result.attenuator_db,
+              "phase_rad": result.phase_offsets_rad}
     lines = ["# calibration settings"]
-    for idx, ch in enumerate(circuit.CHANNELS):
-        lines.append(f"microwave.attenuator_db.{ch} = {result.attenuator_db[idx]:.12g}")
-    for idx, ch in enumerate(circuit.CHANNELS):
-        lines.append(f"microwave.phase_rad.{ch} = {result.phase_offsets_rad[idx]:.12g}")
+    lines += [f"{key} = {values[name][idx]:.12g}"
+              for key, (name, idx) in _SETTINGS_KEYS.items()]
     lines.append(f"residual.amplitude_imbalance = {result.residual_amplitude_imbalance:.12g}")
     lines.append(f"residual.phase_error_rad = {result.residual_phase_error:.12g}")
     path = out / "calibration.txt"
@@ -108,12 +109,6 @@ def cmd_calibrate(setup: Setup, out: Path) -> int:
           f"imbalance={result.residual_amplitude_imbalance:.6g} "
           f"phase_err_rad={result.residual_phase_error:.3g} -> {path}")
     return EXIT_OK
-
-
-# settings-file key -> (microwave field, channel index)
-_SETTINGS_KEYS = {f"microwave.{name}.{ch}": (name, idx)
-                  for name in ("attenuator_db", "phase_rad")
-                  for idx, ch in enumerate(circuit.CHANNELS)}
 
 
 def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
@@ -147,9 +142,9 @@ def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
     return replace(cfg, microwave=mw)
 
 
-def cmd_truthtable(setup: Setup, out: Path, auto_calibrate: bool = True) -> int:
+def cmd_truthtable(setup: Setup, out: Path, args) -> int:
     nl = setup.netlist()
-    if auto_calibrate:
+    if not args.no_calibrate:
         nl, _ = experiment.calibrate(nl)
     report = logic.truth_table(nl, setup.switching["enc"])
     path = out / "truthtable.csv"
@@ -164,7 +159,7 @@ def cmd_truthtable(setup: Setup, out: Path, auto_calibrate: bool = True) -> int:
     return EXIT_OK
 
 
-def cmd_switch(setup: Setup, out: Path) -> int:
+def cmd_switch(setup: Setup, out: Path, args) -> int:
     nl, _ = experiment.calibrate(setup.netlist())
     result = experiment.run_switching(nl, **setup.switching)
     path = out / "switch_trace.csv"
@@ -175,7 +170,7 @@ def cmd_switch(setup: Setup, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_fulladder(setup: Setup, out: Path) -> int:
+def cmd_fulladder(setup: Setup, out: Path, args) -> int:
     nl, _ = experiment.calibrate(setup.netlist())
     states = [logic.LogicState(bits)
               for bits in itertools.product((0, 1), repeat=3)]
@@ -193,7 +188,7 @@ def cmd_fulladder(setup: Setup, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_scale(setup: Setup, out: Path) -> int:
+def cmd_scale(setup: Setup, out: Path, args) -> int:
     nl, _ = experiment.calibrate(setup.netlist())
     study = experiment.scaling_study(nl, setup.cfg.scaling.scales,
                                      **setup.switching)
@@ -202,6 +197,19 @@ def cmd_scale(setup: Setup, out: Path) -> int:
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "
           f"r_squared={study.r_squared:.6f} -> {path}")
     return EXIT_OK
+
+
+# command -> (function of (setup, out, args), help line), in --help order
+COMMANDS = {
+    "dispersion": (cmd_dispersion, "tabulate f(k) and group velocity"),
+    "transmission": (cmd_transmission, "per-channel transmission spectra"),
+    "truthtable": (cmd_truthtable, "calibrate and run all eight input states"),
+    "switch": (cmd_switch, "phase-toggle switching transient and rise time"),
+    "calibrate": (cmd_calibrate,
+                  "amplitude/phase calibration; writes a settings file"),
+    "fulladder": (cmd_fulladder, "majority-composed full adder over all inputs"),
+    "scale": (cmd_scale, "miniaturization sweep of the switching transient"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,22 +235,11 @@ def make_parser() -> argparse.ArgumentParser:
         description="Phase-encoded spin-wave majority-gate simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("dispersion", parents=[common],
-                   help="tabulate f(k) and group velocity")
-    sub.add_parser("transmission", parents=[common],
-                   help="per-channel transmission spectra")
-    tt = sub.add_parser("truthtable", parents=[common],
-                        help="calibrate and run all eight input states")
-    tt.add_argument("--no-calibrate", action="store_true",
-                    help="skip automatic calibration")
-    sub.add_parser("switch", parents=[common],
-                   help="phase-toggle switching transient and rise time")
-    sub.add_parser("calibrate", parents=[common],
-                   help="amplitude/phase calibration; writes a settings file")
-    sub.add_parser("fulladder", parents=[common],
-                   help="majority-composed full adder over all inputs")
-    sub.add_parser("scale", parents=[common],
-                   help="miniaturization sweep of the switching transient")
+    for name, (_, help_line) in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_line)
+        if name == "truthtable":
+            command.add_argument("--no-calibrate", action="store_true",
+                                 help="skip automatic calibration")
     return parser
 
 
@@ -250,32 +247,15 @@ def make_parser() -> argparse.ArgumentParser:
 PARSER = make_parser()
 
 
-def _run(args, setup: Setup) -> int:
-    """Make --out and run the command into it; the input files are read
-    by then, so an OSError here is one of the output."""
-    out = _out_dir(args)
-    if args.command == "dispersion":
-        return cmd_dispersion(setup, out)
-    if args.command == "transmission":
-        return cmd_transmission(setup, out)
-    if args.command == "truthtable":
-        return cmd_truthtable(setup, out, auto_calibrate=not args.no_calibrate)
-    if args.command == "switch":
-        return cmd_switch(setup, out)
-    if args.command == "calibrate":
-        return cmd_calibrate(setup, out)
-    if args.command == "fulladder":
-        return cmd_fulladder(setup, out)
-    # the subcommand is a required argparse choice: no other is left
-    return cmd_scale(setup, out)
-
-
 def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         setup = _load_config(args)
+        # the input files are read by now: an OSError is one of the output
         try:
-            return _run(args, setup)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            return COMMANDS[args.command][0](setup, out, args)
         except OSError as err:
             raise ConfigError(f"cannot write output: {err}") from err
     except ConfigError as err:

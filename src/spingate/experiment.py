@@ -17,7 +17,8 @@ import numpy as np
 
 from . import circuit, logic, physics
 from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
-                     plateau_start, rise_time, step_phase_drive, wrap_phase)
+                     phase_setting, plateau_start, rise_time, step_phase_drive,
+                     wrap_phase)
 
 
 # ceiling of the analysis window in samples: run_switching allocates the
@@ -204,7 +205,9 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     the drive envelope; the gate's carrier gains stay the steady gains of
     every channel.  The summed output is interfered with a reference
     carrier of equal amplitude offset by ref_phase from the pre-toggle
-    output, then diode-detected.
+    output, then diode-detected.  ref_phase is reduced as a phase setting
+    (signal.phase_setting): far outside (-pi, pi] it would swallow the
+    output's angle, and a NaN or infinite one raises ValueError.
 
     Only the samples of the analysis window are computed (see
     SwitchTiming).  effective_path is the i2-to-output length whose
@@ -222,6 +225,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     down, raises RunwayError.
     """
     check_effective_path(effective_path)
+    ref_phase = phase_setting(ref_phase, "ref_phase")
     enc = enc or logic.PhaseEncoding()
     timing = timing or SwitchTiming()
     s = nl.settings

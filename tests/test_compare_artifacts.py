@@ -84,7 +84,10 @@ def test_jobs_cover_the_settings_paths(tmp_path):
     jobs = compare_artifacts.JOBS
     assert {argv[0] for argv in jobs.values()} == {
         "dispersion", "transmission", "calibrate", "truthtable", "switch",
-        "fulladder", "scale"}
+        "fulladder", "scale", "--help"}
+    # the program's and truthtable's help text record the parser
+    assert jobs["help"] == ["--help"]
+    assert jobs["truthtable-help"] == ["truthtable", "--help"]
     assert jobs["truthtable-no-calibrate"] == ["truthtable", "--no-calibrate"]
     # both read-out commands also run at code phases other than 0 and pi
     assert {job: jobs[job] for job in jobs if job.endswith("-phi0")} == {

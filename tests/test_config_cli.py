@@ -331,6 +331,29 @@ class TestScaleCommand:
         _, rows = read_csv(tmp_path / "scaling.csv")
         assert float(rows[0][1]) == pytest.approx(t_rise, rel=1e-6)
 
+    @pytest.mark.parametrize("far, reduced", [
+        ("1e17", "-2.6584887370946806"), ("1e300", "-2.1838724841522326")])
+    def test_far_ref_phase_runs_as_its_angle(self, tmp_path, capsys, far,
+                                             reduced):
+        # the raw value was added to the output's angle, which rounded
+        # away, and both commands exited 3 (no transition); they now run
+        # byte for byte as at the angle of the phasor e^(i far)
+        assert float(reduced) == math.atan2(math.sin(float(far)),
+                                            math.cos(float(far)))
+
+        def run(command, phase):
+            config = tmp_path / f"{phase}.txt"
+            config.write_text(f"switching.ref_phase_rad = {phase}\n")
+            out = tmp_path / command / phase
+            code = main([command, "--config", str(config), "--out", str(out)])
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            return code, stdout, {p.name: p.read_bytes() for p in out.iterdir()}
+
+        for command in ("switch", "scale"):
+            code, stdout, artifacts = run(command, far)
+            assert code == 0 and artifacts
+            assert (code, stdout, artifacts) == run(command, reduced)
+
     def test_pre_toggle_level_above_a_third_exits_3(self, tmp_path, capsys):
         # at 2.0 the level before the toggle is 0.41 of the settled one:
         # switch used to time the fill's dip below 1/3 (17.2 ns) while
@@ -607,6 +630,31 @@ class TestCliPlumbing:
         assert exc.value.code == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: spingate calibrate") and err == ""
+
+    def test_help_lists_the_command_table(self, capsys, monkeypatch):
+        # the program's help lists the seven commands in order, each with
+        # its help line, and only truthtable offers --no-calibrate
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def help_text(*argv):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 0 and err == ""
+            return out
+
+        listing = re.findall(r"^    (\w+) +(\S.*)$", help_text(), re.M)
+        assert listing == [
+            ("dispersion", "tabulate f(k) and group velocity"),
+            ("transmission", "per-channel transmission spectra"),
+            ("truthtable", "calibrate and run all eight input states"),
+            ("switch", "phase-toggle switching transient and rise time"),
+            ("calibrate", "amplitude/phase calibration; writes a settings file"),
+            ("fulladder", "majority-composed full adder over all inputs"),
+            ("scale", "miniaturization sweep of the switching transient")]
+        for command, _ in listing:
+            assert (("--no-calibrate" in help_text(command))
+                    == (command == "truthtable"))
 
     @pytest.mark.parametrize("line, key", [
         ("microwave.attenuator_db.i1 = nan", "microwave.attenuator_db"),

@@ -306,6 +306,11 @@ class TestRunSwitching:
         with pytest.raises(ValueError, match="^effective_path must be"):
             ex.run_switching(calibrated, effective_path=-1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ref_phase(self, calibrated, value):
+        with pytest.raises(ValueError, match="^ref_phase must be finite"):
+            ex.run_switching(calibrated, ref_phase=value)
+
     def test_zero_length_ramp_floor(self):
         # lossless zero-length device: the switch ramp alone sets the rise
         nl = symmetric()

@@ -14,7 +14,9 @@ appended, grids that span several blocks of the CSV writer; the
 ``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
 appended, a record whose analysis window ends before it does; the
 ``*-phi0`` jobs run ``truthtable`` and ``fulladder`` with the PHI0 lines
-appended, code phases other than 0 and pi.
+appended, code phases other than 0 and pi.  The ``*help`` jobs print
+the program's and ``truthtable``'s help text, the parser the command
+table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
 set>/<job>.run the exit code, stdout and stderr, with the job's output
 directory written as <out> and OUT_DIR as <root>.
@@ -59,6 +61,8 @@ JOBS = {
     "scale-long": ["scale"],
     "truthtable-phi0": ["truthtable"],
     "fulladder-phi0": ["fulladder"],
+    "help": ["--help"],
+    "truthtable-help": ["truthtable", "--help"],
 }
 # appended to the reference config for the *-dense jobs: more than two
 # blocks of the CSV writer (2048 rows) on both grids, and a spectrum that
@@ -99,7 +103,8 @@ def run_tree(src: Path, out: Path) -> None:
     """Every job under every flag set, artifacts and records to out."""
     src, out = src.resolve(), out.resolve()
     config = src / "configs" / "reference.txt"
-    env = {**os.environ, "PYTHONPATH": str(src / "src")}
+    # COLUMNS fixes the width argparse wraps the help text to
+    env = {**os.environ, "PYTHONPATH": str(src / "src"), "COLUMNS": "80"}
     with tempfile.TemporaryDirectory() as tmp:
         configs = {}
         for suffix, lines in APPENDED.items():
