@@ -23,7 +23,7 @@ import numpy as np
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, Setup, read_assignments,
                      read_config, validate_config)
-from .signal import NoTransitionError, trace_to_csv, write_table
+from .signal import NoTransitionError, trace_to_csv, wrap_phase, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,6 +35,18 @@ EXIT_INDETERMINATE = 4
 _FLAG_KEYS = {"mode": "field.orientation", "fc": "microwave.f_c_hz",
               "field": "field.mu0_h_t", "scale": "geometry.scale"}
 _ORIENTATIONS = {"bvmsw": "parallel", "mssw": "perpendicular"}
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text of a header line and rows of values: a float is written
+    as %.12g, a bool as true/false and any other value as str."""
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return "%.12g" % value
+        return str(value)
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def _load_config(args) -> Setup:
@@ -146,9 +158,15 @@ def cmd_truthtable(setup: Setup, out: Path, args) -> int:
     nl = setup.netlist()
     if not args.no_calibrate:
         nl, _ = experiment.calibrate(nl)
-    report = logic.truth_table(nl, setup.switching["enc"])
+    enc = setup.switching["enc"]
+    report = logic.truth_table(nl, enc)
+    code = [float(wrap_phase(logic.encode(bit, enc))) for bit in (0, 1)]
+    rows = [[*(code[b] for b in r.state.bits), r.state, r.phase, r.amplitude,
+             "indeterminate" if r.decoded_bit is None else r.decoded_bit]
+            for r in report.rows]
     path = out / "truthtable.csv"
-    path.write_text(report.to_csv())
+    path.write_text(_csv("in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,"
+                         "state,out_phase_rad,out_amp,decoded", rows))
     decoded = "".join("x" if r.decoded_bit is None else str(r.decoded_bit)
                       for r in report.rows)
     print(f"truthtable decoded={decoded} "
@@ -164,9 +182,9 @@ def cmd_switch(setup: Setup, out: Path, args) -> int:
     result = experiment.run_switching(nl, **setup.switching)
     path = out / "switch_trace.csv"
     trace_to_csv(result.trace, path)
-    print(f"switch t_rise_s={result.t_rise:.6g} f_clock_hz={result.f_clock:.6g} "
-          f"v_max={result.levels[1]:.6g} "
-          f"effective_path_m={result.effective_path:.6g} -> {path}")
+    print(f"switch t_rise_s={result.t_rise:.6g} "
+          f"f_clock_hz={1.0 / result.t_rise:.6g} v_max={result.levels[1]:.6g} "
+          f"effective_path_m={setup.switching['effective_path']:.6g} -> {path}")
     return EXIT_OK
 
 
@@ -175,14 +193,11 @@ def cmd_fulladder(setup: Setup, out: Path, args) -> int:
     states = [logic.LogicState(bits)
               for bits in itertools.product((0, 1), repeat=3)]
     readouts = logic.read_out(nl, states, setup.switching["enc"])
-    lines = ["a,b,cin,sum,cout,gate_amp"]
-    for ro in readouts:
-        a, b, cin = ro.state.bits
-        s, cout = logic.full_adder(a, b, cin)
-        lines.append(f"{a},{b},{cin},{s},{cout},{ro.amplitude:.12g}")
+    rows = [[*ro.state.bits, *logic.full_adder(*ro.state.bits), ro.amplitude]
+            for ro in readouts]
     spread = logic.amplitude_spread(readouts)
     path = out / "fulladder.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_csv("a,b,cin,sum,cout,gate_amp", rows))
     print(f"fulladder rows=8 amp_spread={spread:.4g} "
           f"cascadable={str(spread <= logic.CASCADE_TOLERANCE).lower()} -> {path}")
     return EXIT_OK
@@ -192,8 +207,9 @@ def cmd_scale(setup: Setup, out: Path, args) -> int:
     nl, _ = experiment.calibrate(setup.netlist())
     study = experiment.scaling_study(nl, setup.cfg.scaling.scales,
                                      **setup.switching)
+    rows = [[r.scale, r.t_rise, 1.0 / r.t_rise, r.flagged] for r in study.rows]
     path = out / "scaling.csv"
-    path.write_text(study.to_csv())
+    path.write_text(_csv("scale,t_rise_s,f_clock_hz,flagged", rows))
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "
           f"r_squared={study.r_squared:.6f} -> {path}")
     return EXIT_OK

@@ -135,9 +135,9 @@ def _parse_value(raw: str, current):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
     if isinstance(current, tuple):
-        parts = [p for p in raw.split(",") if p.strip()]
+        # a blank value is the empty list; an empty entry is an error
         try:
-            values = tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in raw.split(",")) if raw else ()
         except ValueError as err:
             raise ConfigError(f"bad list value {raw!r}") from err
         # per-channel triples keep their arity; free-length lists do not
@@ -207,7 +207,11 @@ def read_config(text: str, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown section {section!r}")
         if attr not in _FIELDS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[section][attr] = _parse_value(raw, getattr(_DEFAULTS[section], attr))
+        try:
+            values[section][attr] = _parse_value(
+                raw, getattr(_DEFAULTS[section], attr))
+        except ConfigError as err:
+            raise ConfigError(f"line {lineno}: {err}") from err
     for key, value in (overrides or {}).items():
         section, attr = key.split(".", 1)
         values[section][attr] = value

@@ -180,9 +180,7 @@ class SwitchTiming:
 class SwitchingResult:
     trace: DetectedTrace
     t_rise: float
-    f_clock: float
     levels: tuple[float, float]
-    effective_path: float
 
 
 def check_effective_path(effective_path: float) -> None:
@@ -261,9 +259,8 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     rt = rise_time(window)
     v_low = float(np.mean(window.samples[:max(1, int(0.1 * len(window.samples)))]))
-    return SwitchingResult(trace=window, t_rise=rt.t_rise, f_clock=rt.f_clock,
-                           levels=(v_low, rt.v_max),
-                           effective_path=effective_path)
+    return SwitchingResult(trace=window, t_rise=rt.t_rise,
+                           levels=(v_low, rt.v_max))
 
 
 # bracket of effective paths fit_effective_path searches; the top, which
@@ -347,7 +344,6 @@ def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
 class ScalingRow:
     scale: float
     t_rise: float
-    f_clock: float
     flagged: bool
 
 
@@ -358,13 +354,6 @@ class ScalingStudy:
     slope: float
     intercept: float
     r_squared: float
-
-    def to_csv(self) -> str:
-        lines = ["scale,t_rise_s,f_clock_hz,flagged"]
-        for r in self.rows:
-            lines.append(f"{r.scale:.12g},{r.t_rise:.12g},{r.f_clock:.12g},"
-                         f"{'true' if r.flagged else 'false'}")
-        return "\n".join(lines) + "\n"
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -428,11 +417,9 @@ def scaling_study(nl: circuit.GateNetlist, scales, effective_path: float,
             res = run_switching(scaled, enc=enc, timing=timing,
                                 effective_path=effective_path * s,
                                 **kwargs)
-            rows.append(ScalingRow(scale=s, t_rise=res.t_rise,
-                                   f_clock=res.f_clock, flagged=False))
+            rows.append(ScalingRow(scale=s, t_rise=res.t_rise, flagged=False))
         except (physics.BandError, CalibrationError, ValueError):
-            rows.append(ScalingRow(scale=s, t_rise=math.nan, f_clock=math.nan,
-                                   flagged=True))
+            rows.append(ScalingRow(scale=s, t_rise=math.nan, flagged=True))
     good = [(r.scale, r.t_rise - floor) for r in rows if not r.flagged]
     if len(good) >= 2:
         slope, intercept, r2 = linear_fit([g[0] for g in good],

@@ -154,7 +154,6 @@ def amplitude_spread(readouts) -> float:
 class TruthTableReport:
     """The read-outs of the eight input states under one encoding."""
 
-    encoding: PhaseEncoding
     rows: tuple[GateReadout, ...]
 
     @property
@@ -165,25 +164,13 @@ class TruthTableReport:
     def matches_majority(self) -> bool:
         return all(r.decoded_bit == majority(*r.state.bits) for r in self.rows)
 
-    def to_csv(self) -> str:
-        code = [f"{float(wrap_phase(encode(bit, self.encoding))):.12g}"
-                for bit in (0, 1)]
-        lines = ["in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,state,"
-                 "out_phase_rad,out_amp,decoded"]
-        for r in self.rows:
-            dec = "indeterminate" if r.decoded_bit is None else str(r.decoded_bit)
-            phases = ",".join(code[b] for b in r.state.bits)
-            lines.append(f"{phases},{r.state},{r.phase:.12g},"
-                         f"{r.amplitude:.12g},{dec}")
-        return "\n".join(lines) + "\n"
-
 
 def truth_table(nl: circuit.GateNetlist,
                 enc: PhaseEncoding | None = None) -> TruthTableReport:
     """Evaluate all eight input states in the canonical row order."""
     enc = enc or PhaseEncoding()
     states = [LogicState(bits) for bits in TABLE_ROW_ORDER]
-    return TruthTableReport(encoding=enc, rows=tuple(read_out(nl, states, enc)))
+    return TruthTableReport(rows=tuple(read_out(nl, states, enc)))
 
 
 def full_adder(a: int, b: int, cin: int) -> tuple[int, int]:

@@ -214,7 +214,6 @@ def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
 @dataclass(frozen=True)
 class RiseTimeResult:
     t_rise: float
-    f_clock: float
     v_max: float
 
 
@@ -229,9 +228,9 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     v_max is the settled level, estimated as the mean of the trailing
     PLATEAU_FRACTION of the trace.  The crossing pair is the last
     1/3*v_max crossing before the first 2/3*v_max crossing, both linearly
-    interpolated between samples; f_clock = 1/t_rise.  The trace must
-    start at or below 1/3*v_max: one that starts above it has no low
-    level to rise from, and a dip below 1/3 is no transition.
+    interpolated between samples.  The trace must start at or below
+    1/3*v_max: one that starts above it has no low level to rise from,
+    and a dip below 1/3 is no transition.
     """
     v = trace.samples
     v_max = float(np.mean(v[plateau_start(v.size):]))
@@ -250,8 +249,7 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
 
     t_lo = (i + (th_lo - v[i]) / (v[i + 1] - v[i])) * trace.dt
     t_hi = (j - 1 + (th_hi - v[j - 1]) / (v[j] - v[j - 1])) * trace.dt
-    t_rise_val = t_hi - t_lo
-    return RiseTimeResult(t_rise=t_rise_val, f_clock=1.0 / t_rise_val, v_max=v_max)
+    return RiseTimeResult(t_rise=t_hi - t_lo, v_max=v_max)
 
 
 # -- the %.12g table writer ---------------------------------------------

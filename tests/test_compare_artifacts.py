@@ -8,6 +8,7 @@ import pytest
 from spingate import cli
 from spingate import config as cf
 from spingate import experiment as ex
+from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
 
@@ -144,6 +145,25 @@ def test_long_jobs_reach_the_window_tail():
     base = cf.validate_config(reference).switching["timing"]
     assert base.window[1] == round(base.duration / base.dt)
     assert base.t_toggle + ex.WINDOW_TAIL > base.duration
+
+
+def test_edge_jobs_leave_indeterminate_and_flagged_rows():
+    # the guard job's uncalibrated read-out leaves rows indeterminate, and
+    # the flagged job's sweep holds a row that cannot be calibrated
+    jobs = compare_artifacts.JOBS
+    assert jobs["truthtable-guard"] == ["truthtable", "--no-calibrate"]
+    assert jobs["scale-flagged"] == ["scale"]
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.GUARD))
+    setup = cf.validate_config(cfg)
+    report = lg.truth_table(setup.netlist(), setup.switching["enc"])
+    assert report.any_indeterminate
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.FLAGGED))
+    setup = cf.validate_config(cfg)
+    nl, _ = ex.calibrate(setup.netlist())
+    study = ex.scaling_study(nl, cfg.scaling.scales, **setup.switching)
+    assert [r.flagged for r in study.rows] == [False, False, True]
 
 
 def test_worst_difference_per_file(tmp_path, capsys):

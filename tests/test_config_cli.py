@@ -95,7 +95,14 @@ class TestConfigParsing:
          "line 3: unknown key 'film.bogus'"),
         ("# c\nbogus.key = 1\n", "line 2: unknown section 'bogus'"),
         ("field.mu0_h_t = 0.15\nfield.mu0_h_t\n", "line 2: expected 'key = value'"),
-        ("scaling.scales = 1,x\n", "bad list value '1,x'"),
+        ("scaling.scales = 1,x\n", "line 1: bad list value '1,x'"),
+        ("# c\n\nspectrum.n_points = 1e3\n",
+         "line 3: expected an integer, got '1e3'"),
+        ("# c\nfilm.mu0_ms_t = 0.18x\n", "line 2: expected a number, got '0.18x'"),
+        ("film.mu0_ms_t = 0.18\ngeometry.l_skew_m = 1,2\n",
+         "line 2: expected 3 values, got 2: '1,2'"),
+        ("# c\n\n\ndispersion.log_k = maybe\n",
+         "line 4: expected a boolean, got 'maybe'"),
         ("microwave.include_switch = false\n",
          "line 1: unknown key 'microwave.include_switch'"),
         ("geometry.w_g_m = 0.0015\n", "line 1: unknown key 'geometry.w_g_m'"),
@@ -459,6 +466,22 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == (
             "config error: scaling.scales must hold at least one value\n")
 
+    @pytest.mark.parametrize("line, value", [
+        ("microwave.phase_rad = 1,,2,3", "1,,2,3"),
+        ("scaling.scales = 1,,0.5", "1,,0.5"),
+        ("scaling.scales = 1,0.5,", "1,0.5,"),
+        ("scaling.scales = ,1", ",1"),
+        ("microwave.attenuator_db = 0, ,0", "0, ,0"),
+    ])
+    def test_empty_list_entry_exit_code(self, tmp_path, capsys, line, value):
+        # an empty entry is an error, not a dropped value
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"# c\n{line}\n")
+        code = main(["scale", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: line 2: bad list value {value!r}\n")
+
     @pytest.mark.parametrize("command", ["truthtable", "switch"])
     def test_each_record_built_once(self, tmp_path, monkeypatch, command):
         # validation builds the records the command runs on; the flags
@@ -817,6 +840,34 @@ def test_config_fuzz_exits_with_documented_code(command, lines):
         assert err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+
+
+def test_edge_rows_render_exactly(tmp_path, capsys):
+    # an indeterminate read-out and a flagged scaling row, as written
+    config = tmp_path / "cfg.txt"
+    config.write_text(REFERENCE.read_text() + "encoding.guard_rad = 0.05\n"
+                      "scaling.scales = 1,0.5,1000\n")
+    args = ["--config", str(config), "--out", str(tmp_path)]
+    assert main(["truthtable", "--no-calibrate", *args]) == 4
+    assert (tmp_path / "truthtable.csv").read_text().splitlines() == [
+        "in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,state,out_phase_rad,"
+        "out_amp,decoded",
+        "0,0,0,000,0,0.0236686651839,0",
+        "0,0,3.14159265359,001,0.332373071254,0.0258473848186,indeterminate",
+        "0,3.14159265359,0,010,-2.45562355609,0.0222122782337,indeterminate",
+        "3.14159265359,0,0,100,0.330573044243,0.0173640230235,indeterminate",
+        "3.14159265359,0,3.14159265359,101,0.685969097501,0.0222122782337,"
+        "indeterminate",
+        "3.14159265359,3.14159265359,0,110,-2.80921958234,0.0258473848186,"
+        "indeterminate",
+        "0,3.14159265359,3.14159265359,011,-2.81101960935,0.0173640230235,"
+        "indeterminate",
+        "3.14159265359,3.14159265359,3.14159265359,111,3.14159265359,"
+        "0.0236686651839,1"]
+    assert "decoded=0xxxxxx1 " in capsys.readouterr().out
+    assert main(["scale", *args]) == 0
+    lines = (tmp_path / "scaling.csv").read_text().splitlines()
+    assert len(lines) == 4 and lines[-1] == "1000,nan,nan,true"
 
 
 @pytest.mark.parametrize("flags", [[], ["--mode", "mssw", "--fc", "6.09e9"]])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import transit_fill_factor
 from spingate import circuit as ct
+from spingate import cli
 from spingate import config as cf
 from spingate import experiment as ex
 from spingate import logic as lg
@@ -335,7 +336,7 @@ class TestRunSwitching:
         length = ex.fit_effective_path(nl, 11.3e-9)
         res = ex.run_switching(nl, effective_path=length)
         assert res.t_rise == pytest.approx(11.3e-9, rel=0.01)
-        assert res.f_clock == pytest.approx(88.5e6, rel=0.01)
+        assert 1.0 / res.t_rise == pytest.approx(88.5e6, rel=0.01)
 
     def test_monotone_in_path_length(self):
         nl = symmetric()
@@ -485,9 +486,12 @@ class TestScaling:
         pred = study.slope * np.array(scales) + study.intercept
         assert np.abs(y / pred - 1.0).max() < 0.05
 
-    def test_csv(self, calibrated):
-        study = ex.scaling_study(calibrated, [1.0, 0.5], 1.3487e-3)
-        lines = study.to_csv().strip().split("\n")
+    def test_csv(self, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("scaling.scales = 1,0.5\n")
+        assert cli.main(["scale", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "scaling.csv").read_text().strip().split("\n")
         assert lines[0] == "scale,t_rise_s,f_clock_hz,flagged"
         assert len(lines) == 3
 

@@ -235,9 +235,9 @@ class TestTruthTable:
             expect = b1 if b1 == b2 else b3
             assert row.decoded_bit == expect
 
-    def test_csv_shape(self):
-        nl = symmetric_netlist()
-        lines = lg.truth_table(nl).to_csv().strip().split("\n")
+    def test_csv_shape(self, tmp_path):
+        assert cli.main(["truthtable", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "truthtable.csv").read_text().strip().split("\n")
         assert lines[0].startswith("in_phase_i1_rad,")
         assert len(lines) == 9
         assert ",000," in lines[1] and ",111," in lines[8]

@@ -135,7 +135,7 @@ def test_api_fuzz_rejects_by_name_or_runs_finite(data):
             assert_finite(nl.carrier_gains)
             run = ex.run_switching(nl, ref_phase=v("ref_phase", math.pi),
                                    effective_path=path, **kwargs)
-            assert_finite(run.trace.samples, run.t_rise, run.f_clock,
+            assert_finite(run.trace.samples, run.t_rise, 1.0 / run.t_rise,
                           run.levels)
             scales = [v("scales", s) for s in (1.0, 0.5, 0.2)[:draw(
                 st.integers(0, 3))]]

@@ -244,7 +244,7 @@ class TestRiseTime:
         v = np.clip(t / T, 0.0, 1.0)
         res = sig.rise_time(sig.DetectedTrace(DT, v))
         assert res.t_rise == pytest.approx(T / 3.0, abs=DT)
-        assert res.f_clock == pytest.approx(3.0 / T, rel=1e-3)
+        assert 1.0 / res.t_rise == pytest.approx(3.0 / T, rel=1e-3)
 
     def test_first_order_step(self):
         tau = 12e-9

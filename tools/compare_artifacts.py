@@ -14,9 +14,12 @@ appended, grids that span several blocks of the CSV writer; the
 ``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
 appended, a record whose analysis window ends before it does; the
 ``*-phi0`` jobs run ``truthtable`` and ``fulladder`` with the PHI0 lines
-appended, code phases other than 0 and pi.  The ``*help`` jobs print
-the program's and ``truthtable``'s help text, the parser the command
-table builds.
+appended, code phases other than 0 and pi; ``truthtable-guard`` runs
+``truthtable --no-calibrate`` with the GUARD lines appended, a guard
+window that leaves read-outs indeterminate; ``scale-flagged`` runs
+``scale`` with the FLAGGED lines appended, a sweep with a flagged row.
+The ``*help`` jobs print the program's and ``truthtable``'s help text,
+the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
 set>/<job>.run the exit code, stdout and stderr, with the job's output
 directory written as <out> and OUT_DIR as <root>.
@@ -61,6 +64,8 @@ JOBS = {
     "scale-long": ["scale"],
     "truthtable-phi0": ["truthtable"],
     "fulladder-phi0": ["fulladder"],
+    "truthtable-guard": ["truthtable", "--no-calibrate"],
+    "scale-flagged": ["scale"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -78,8 +83,15 @@ LONG = ("switching.duration_s = 8.192e-7",)
 # appended for the *-phi0 jobs: the in_phase_* and out_phase_rad columns
 # at code phases 2.5 and 2.5 - pi
 PHI0 = ("encoding.phi0_rad = 2.5",)
+# appended for the *-guard job: a guard window narrow enough that the
+# uncalibrated read-out leaves rows indeterminate
+GUARD = ("encoding.guard_rad = 0.05",)
+# appended for the *-flagged job: a scale whose 1000x longer arms leave
+# no transmission to calibrate, so scaling.csv holds a flagged row
+FLAGGED = ("scaling.scales = 1,0.5,1000",)
 # job name suffix -> the lines appended to the reference config
-APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0}
+APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0, "-guard": GUARD,
+            "-flagged": FLAGGED}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
