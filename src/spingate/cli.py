@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, experiment, logic, physics
-from .config import (ConfigError, RunConfig, Setup, read_assignments,
+from .config import (ConfigError, RunConfig, Setup, number, read_assignments,
                      read_config, validate_config)
 from .signal import NoTransitionError, trace_to_csv, wrap_phase, write_table
 
@@ -143,7 +143,7 @@ def apply_calibration_file(cfg: RunConfig, path: str) -> RunConfig:
         if key not in _SETTINGS_KEYS:
             raise ConfigError(f"settings line {lineno}: unknown key {key!r}")
         try:
-            value = float(raw)
+            value = number(raw)
         except ValueError as err:
             raise ConfigError(
                 f"settings line {lineno}: expected a number, got {raw!r}") from err
@@ -235,15 +235,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _float(raw: str) -> float:
+    """A flag's number, parsed as a config value is."""
+    return number(raw)
+
+
+# argparse names the type in a bad flag's error: "invalid float value"
+_float.__name__ = "float"
+
+
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("--mode", choices=["bvmsw", "mssw"],
                         help="dispersion branch override")
-    common.add_argument("--fc", type=float, help="carrier frequency override (Hz)")
-    common.add_argument("--field", type=float, help="applied field override (T)")
-    common.add_argument("--scale", type=float, help="geometry scale override")
+    common.add_argument("--fc", type=_float, help="carrier frequency override (Hz)")
+    common.add_argument("--field", type=_float, help="applied field override (T)")
+    common.add_argument("--scale", type=_float, help="geometry scale override")
     common.add_argument("--settings", help="calibration settings file to apply")
 
     parser = _Parser(

@@ -126,6 +126,15 @@ class RunConfig:
 _SECTIONS = {f.name.rstrip("_"): f.name for f in fields(RunConfig)}
 
 
+def number(raw: str, kind=float):
+    """kind(raw), float or int, refusing the digit-group underscores
+    ('1_0') Python's parsers accept: serialize_config never writes one,
+    and a value that holds one is a typo to report, not a number."""
+    if "_" in raw:
+        raise ValueError(f"invalid {kind.__name__} literal: {raw!r}")
+    return kind(raw)
+
+
 def _parse_value(raw: str, current):
     raw = raw.strip()
     if isinstance(current, bool):
@@ -137,7 +146,7 @@ def _parse_value(raw: str, current):
     if isinstance(current, tuple):
         # a blank value is the empty list; an empty entry is an error
         try:
-            values = tuple(float(p) for p in raw.split(",")) if raw else ()
+            values = tuple(number(p) for p in raw.split(",")) if raw else ()
         except ValueError as err:
             raise ConfigError(f"bad list value {raw!r}") from err
         # per-channel triples keep their arity; free-length lists do not
@@ -146,12 +155,12 @@ def _parse_value(raw: str, current):
         return values
     if isinstance(current, int) and not isinstance(current, bool):
         try:
-            return int(raw)
+            return number(raw, int)
         except ValueError as err:
             raise ConfigError(f"expected an integer, got {raw!r}") from err
     if isinstance(current, float):
         try:
-            return float(raw)
+            return number(raw)
         except ValueError as err:
             raise ConfigError(f"expected a number, got {raw!r}") from err
     return raw

@@ -21,9 +21,11 @@ from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
                      wrap_phase)
 
 
-# ceiling of the analysis window in samples: run_switching allocates the
-# window, and 8 trapezoid nodes per sample of a ramp that ends inside it;
-# config.validate_config bounds the spectrum and dispersion grids by it too
+# ceiling of the analysis window in samples: run_switching holds two
+# complex arrays of the window at most (a tracemalloc peak of 33 MiB at
+# 2^20 samples), and 8 trapezoid nodes per sample of a ramp that ends
+# inside it; config.validate_config bounds the spectrum and dispersion
+# grids by it too
 MAX_SAMPLES = 2 ** 20
 
 
@@ -221,6 +223,10 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     the toggle.  A fill time the timing does not admit, which would end
     the transition inside the trailing plateau and pull the settled level
     down, raises RunwayError.
+
+    At most two whole-window arrays are alive at once: the drive, offset
+    in place, and the envelope's copy of it; then the envelope, the
+    detected power and the trace's copy of it (a real array each).
     """
     check_effective_path(effective_path)
     ref_phase = phase_setting(ref_phase, "ref_phase")
@@ -253,8 +259,11 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     out_110 = static + s.drive_amplitude * np.exp(1j * phase1) * gains[1]
     ref_value = abs(out_110) * np.exp(1j * (np.angle(out_100) + ref_phase))
 
-    total = ComplexEnvelope(s.f_c, timing.dt,
-                            drive_i2 * gains[1] + (static + ref_value))
+    # in place, in the order of drive * gain + (static + ref)
+    drive_i2 *= gains[1]
+    drive_i2 += static + ref_value
+    total = ComplexEnvelope(s.f_c, timing.dt, drive_i2)
+    del drive_i2
     window = diode_detect(total, lp_cutoff=lp_cutoff, responsivity=responsivity)
 
     rt = rise_time(window)

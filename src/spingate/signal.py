@@ -116,6 +116,10 @@ _RAMP_NODES_PER_SAMPLE = 8
 # a fill below this share of a sample is none: the average is the drive to
 # within rounding there, and dividing by a subnormal fill overflows
 _NEGLIGIBLE_FILL = 1e-9
+# samples step_phase_drive computes at a time: every sample is computed
+# from its own time alone, so a window is filled block by block, and the
+# temporaries stay a block long whatever the window's length
+_DRIVE_BLOCK = 8192
 
 
 def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
@@ -135,30 +139,43 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
     nodes per sample, both ends included) read by linear interpolation,
     and linear after the ramp.  The drive is held at a0 before the
     toggle, also before the record begins, so the average never wraps,
-    and only the requested samples are computed.
+    and only the requested samples are computed.  They are written into
+    one window array, _DRIVE_BLOCK samples at a time, so the call holds
+    that array and block-long temporaries (and the ramp's nodes): one
+    whole-window array at its peak.
     """
-    t = np.arange(*window) * dt
-
     def drive(u):
         phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
         return amplitude * np.exp(1j * phase)
 
     if fill <= _NEGLIGIBLE_FILL * dt:
-        return drive(np.clip((t - t_toggle) / ramp, 0.0, 1.0))
-    a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
-    a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
-    u = np.linspace(0.0, 1.0, _RAMP_NODES_PER_SAMPLE * math.ceil(ramp / dt) + 1)
-    nodes = t_toggle + ramp * u
-    excess = drive(u) - a0
-    ramp_integral = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (excess[1:] + excess[:-1]) * np.diff(nodes))))
-    # C(t) - C(t - fill): the ramp part by interpolation (0 before the
-    # toggle, its total after the ramp), the linear part after the ramp
-    # clipped in one step so it does not cancel
-    swept = (np.interp(t, nodes, ramp_integral)
-             - np.interp(t - fill, nodes, ramp_integral)
-             + (a1 - a0) * np.clip(t - nodes[-1], 0.0, fill))
-    return a0 + swept / fill
+        def block(t):
+            return drive(np.clip((t - t_toggle) / ramp, 0.0, 1.0))
+    else:
+        a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
+        a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
+        u = np.linspace(0.0, 1.0,
+                        _RAMP_NODES_PER_SAMPLE * math.ceil(ramp / dt) + 1)
+        nodes = t_toggle + ramp * u
+        excess = drive(u) - a0
+        ramp_integral = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (excess[1:] + excess[:-1]) * np.diff(nodes))))
+
+        def block(t):
+            # C(t) - C(t - fill): the ramp part by interpolation (0 before
+            # the toggle, its total after the ramp), the linear part after
+            # the ramp clipped in one step so it does not cancel
+            swept = (np.interp(t, nodes, ramp_integral)
+                     - np.interp(t - fill, nodes, ramp_integral)
+                     + (a1 - a0) * np.clip(t - nodes[-1], 0.0, fill))
+            return a0 + swept / fill
+
+    lo, hi = window
+    out = np.empty(max(0, hi - lo), dtype=np.complex128)
+    for start in range(lo, hi, _DRIVE_BLOCK):
+        stop = min(start + _DRIVE_BLOCK, hi)
+        out[start - lo:stop - lo] = block(np.arange(start, stop) * dt)
+    return out
 
 
 def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
@@ -199,16 +216,19 @@ def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
 
     |s(t)|^2 scaled by the responsivity (V per squared amplitude unit),
     then a single-pole low-pass at lp_cutoff; pass None to skip the
-    filter.
+    filter.  The power is squared, scaled and low-passed in one real
+    array, so the call holds that array and the trace's own copy beside
+    the envelope.
     """
     check_detection(lp_cutoff, responsivity, env.dt)
-    power = responsivity * np.abs(env.samples) ** 2
-    if lp_cutoff is None:
-        return DetectedTrace(env.dt, power)
-    a = math.exp(-TWO_PI * lp_cutoff * env.dt)
-    # pre-charged at the first sample so a constant input stays constant
-    out = kernels.lowpass_1pole(power, a, float(power[0]))
-    return DetectedTrace(env.dt, out)
+    power = np.abs(env.samples)
+    np.square(power, out=power)
+    power *= responsivity
+    if lp_cutoff is not None:
+        a = math.exp(-TWO_PI * lp_cutoff * env.dt)
+        # pre-charged at the first sample so a constant input stays constant
+        kernels.lowpass_1pole(power, a, float(power[0]), out=power)
+    return DetectedTrace(env.dt, power)
 
 
 @dataclass(frozen=True)
@@ -239,13 +259,15 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     th_lo = v_max / 3.0
     th_hi = 2.0 * v_max / 3.0
 
-    above_hi = np.nonzero(v >= th_hi)[0]
-    if above_hi.size == 0 or above_hi[0] == 0:
+    # argmax finds the first True of a mask without an index array
+    j = int(np.argmax(v >= th_hi))
+    if j == 0:
         raise NoTransitionError("no transition: 2/3 level never crossed")
-    j = int(above_hi[0])
-    if v[0] > th_lo:
+    # a NaN first sample is refused too: the last 1/3 crossing is found
+    # below on the promise that v[0] is one
+    if not v[0] <= th_lo:
         raise NoTransitionError("no transition: trace starts above 1/3 level")
-    i = int(np.nonzero(v[:j] <= th_lo)[0][-1])
+    i = j - 1 - int(np.argmax(v[j - 1::-1] <= th_lo))
 
     t_lo = (i + (th_lo - v[i]) / (v[i + 1] - v[i])) * trace.dt
     t_hi = (j - 1 + (th_hi - v[j - 1]) / (v[j] - v[j - 1])) * trace.dt

@@ -147,6 +147,21 @@ def test_long_jobs_reach_the_window_tail():
     assert base.t_toggle + ex.WINDOW_TAIL > base.duration
 
 
+def test_fine_jobs_span_many_drive_blocks():
+    # the fine jobs run switch and scale on a window of many of
+    # step_phase_drive's blocks; the reference window fits in one
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-fine")} == {
+        "switch-fine": ["switch"], "scale-fine": ["scale"]}
+    windows = []
+    for lines in ((), compare_artifacts.FINE):
+        cfg = cf.parse_config(REFERENCE.read_text() + "\n".join(lines))
+        lo, hi = cf.validate_config(cfg).switching["timing"].window
+        windows.append(hi - lo)
+    assert windows == [2496, 79872]
+    assert windows[0] < sig._DRIVE_BLOCK < 8 * sig._DRIVE_BLOCK < windows[1]
+
+
 def test_edge_jobs_leave_indeterminate_and_flagged_rows():
     # the guard job's uncalibrated read-out leaves rows indeterminate, and
     # the flagged job's sweep holds a row that cannot be calibrated

@@ -108,6 +108,11 @@ class TestConfigParsing:
         ("geometry.w_g_m = 0.0015\n", "line 1: unknown key 'geometry.w_g_m'"),
         ("# c\nswitching.toggle = true\n",
          "line 2: unknown key 'switching.toggle'"),
+        # Python's digit-group underscores are no number of the grammar
+        ("scaling.scales = 1_0,0.5\n", "line 1: bad list value '1_0,0.5'"),
+        ("# c\nspectrum.n_points = 4_41\n",
+         "line 2: expected an integer, got '4_41'"),
+        ("film.mu0_ms_t = 0.1_85\n", "line 1: expected a number, got '0.1_85'"),
     ])
     def test_error_messages_name_the_line(self, text, message):
         with pytest.raises(cf.ConfigError, match=f"^{re.escape(message)}$"):
@@ -291,6 +296,16 @@ class TestSettingsFile:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_underscore_number_rejected(self, tmp_path, capsys):
+        # float would read 1_0 as 10 dB
+        settings = tmp_path / "calibration.txt"
+        settings.write_text("# c\nmicrowave.attenuator_db.i1 = 1_0\n")
+        code = main(["truthtable", "--no-calibrate", "--settings", str(settings),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: settings line 2: expected a number, got '1_0'\n")
 
     def test_applies_values_and_skips_residuals(self, tmp_path):
         settings = tmp_path / "calibration.txt"
@@ -482,6 +497,23 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == (
             f"config error: line 2: bad list value {value!r}\n")
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("scale", "scaling.scales = 1_0,0.5", "bad list value '1_0,0.5'"),
+        ("transmission", "spectrum.n_points = 4_41",
+         "expected an integer, got '4_41'"),
+        ("switch", "switching.dt_s = 1e-1_0", "expected a number, got '1e-1_0'"),
+    ])
+    def test_underscore_number_exit_code(self, tmp_path, capsys, command, line,
+                                         message):
+        # int and float read these as 10, 441 and 1e-10; the config does not
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"# c\n{line}\n")
+        code = main([command, "--config", str(config), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"config error: line 2: {message}\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("command", ["truthtable", "switch"])
     def test_each_record_built_once(self, tmp_path, monkeypatch, command):
         # validation builds the records the command runs on; the flags
@@ -639,6 +671,13 @@ class TestCliPlumbing:
         (["calibrate", "--fc", "abc"], "argument --fc: invalid float value: 'abc'"),
         # argparse reads -1e300 as an option, not as the value of --fc
         (["calibrate", "--fc", "-1e300"], "argument --fc: expected one argument"),
+        # digit-group underscores are no number, as in the config
+        (["calibrate", "--fc", "6_0e9"],
+         "argument --fc: invalid float value: '6_0e9'"),
+        (["calibrate", "--field", "0.1_4"],
+         "argument --field: invalid float value: '0.1_4'"),
+        (["calibrate", "--scale", "1_0"],
+         "argument --scale: invalid float value: '1_0'"),
     ])
     def test_usage_error_one_line(self, capsys, argv, message):
         code = main(argv)

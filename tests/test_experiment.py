@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,25 @@ class TestRunSwitching:
         with pytest.raises(ex.RunwayError, match="plateau"):
             ex.run_switching(nl, timing=timing,
                              effective_path=math.nextafter(path, math.inf))
+
+    @pytest.mark.parametrize("path", [0.0, 1.3e-3])
+    def test_fine_window_holds_two_window_arrays(self, calibrated, path):
+        # the drive is filled block by block, offset in place and dropped
+        # once the envelope holds its copy, and the power is squared, scaled
+        # and low-passed in one real array: on a 79,872-sample window the
+        # call's tracemalloc peak stays near two complex window arrays,
+        # where whole-window expressions took it to 3.5
+        timing = ex.SwitchTiming(dt=3.125e-12)
+        lo, hi = timing.window
+        assert hi - lo == 79872
+        ex.run_switching(calibrated, timing=timing, effective_path=path)
+        tracemalloc.start()
+        try:
+            ex.run_switching(calibrated, timing=timing, effective_path=path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * np.dtype(np.complex128).itemsize * (hi - lo)
 
     def test_window_independent_of_record_before_it(self):
         # the causal average holds the pre-toggle drive before the record

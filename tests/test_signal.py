@@ -95,6 +95,26 @@ class TestStepPhaseEnvelope:
                                    np.exp(2j), rtol=1e-12)
 
 
+# Every sample is computed from its own time alone, which filling the
+# window block by block relies on: a window split at or near a block
+# boundary of either part is the concatenation of its two parts, bit for
+# bit, with and without the fill average.
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(0, 20000), n=st.integers(2, 3 * sig._DRIVE_BLOCK + 64),
+       blocks=st.integers(0, 3), offset=st.integers(-2, 2),
+       fill=st.one_of(st.just(0.0), st.floats(1e-11, 2e-7)),
+       t_toggle=st.floats(1e-9, 3e-7), ramp=st.floats(1e-11, 5e-9))
+def test_window_split_is_the_concatenation(lo, n, blocks, offset, fill,
+                                           t_toggle, ramp):
+    hi = lo + n
+    m = min(hi, max(lo, lo + blocks * sig._DRIVE_BLOCK + offset))
+    args = (1.3, 0.2, 0.2 + 0.9 * math.pi, t_toggle, ramp, 1.0e-11)
+    whole = sig.step_phase_drive(*args, (lo, hi), fill=fill)
+    parts = np.concatenate([sig.step_phase_drive(*args, (lo, m), fill=fill),
+                            sig.step_phase_drive(*args, (m, hi), fill=fill)])
+    np.testing.assert_array_equal(parts.view(np.uint64), whole.view(np.uint64))
+
+
 # The fill average against two oracles on the analysis window of the
 # default switching record: the continuous moving average of the analytic
 # drive (quadrature on the ramp) decides, and the spectral fill applied
@@ -283,6 +303,14 @@ class TestRiseTime:
         res = sig.rise_time(sig.DetectedTrace(DT, v))
         assert res.v_max == 1.0
         assert res.t_rise == pytest.approx(99 * DT / 0.7 / 3.0, rel=1e-9)
+
+    def test_nan_start_is_no_transition(self):
+        # no sample before the 2/3 crossing lies at or below 1/3: the
+        # crossing search used to fail with an IndexError
+        v = np.concatenate([[np.nan], 0.9 * np.ones(20), np.ones(100)])
+        with pytest.raises(sig.NoTransitionError,
+                           match="^no transition: trace starts above 1/3 level$"):
+            sig.rise_time(sig.DetectedTrace(DT, v))
 
     def test_ringing_uses_last_low_crossing(self):
         # dip back under 1/3 after a first excursion: the later crossing wins

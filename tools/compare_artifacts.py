@@ -17,7 +17,9 @@ appended, a record whose analysis window ends before it does; the
 appended, code phases other than 0 and pi; ``truthtable-guard`` runs
 ``truthtable --no-calibrate`` with the GUARD lines appended, a guard
 window that leaves read-outs indeterminate; ``scale-flagged`` runs
-``scale`` with the FLAGGED lines appended, a sweep with a flagged row.
+``scale`` with the FLAGGED lines appended, a sweep with a flagged row;
+the ``*-fine`` jobs run ``switch`` and ``scale`` with the FINE lines
+appended, an analysis window of many drive blocks and low-pass chunks.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -66,6 +68,8 @@ JOBS = {
     "fulladder-phi0": ["fulladder"],
     "truthtable-guard": ["truthtable", "--no-calibrate"],
     "scale-flagged": ["scale"],
+    "switch-fine": ["switch"],
+    "scale-fine": ["scale"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -89,9 +93,14 @@ GUARD = ("encoding.guard_rad = 0.05",)
 # appended for the *-flagged job: a scale whose 1000x longer arms leave
 # no transmission to calibrate, so scaling.csv holds a flagged row
 FLAGGED = ("scaling.scales = 1,0.5,1000",)
+# appended for the *-fine jobs: a 79,872-sample analysis window, which
+# spans ten of step_phase_drive's blocks and twenty of the low-pass's
+# chunks, where the reference window of 2,496 samples is one block and
+# two chunks
+FINE = ("switching.dt_s = 3.125e-12",)
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0, "-guard": GUARD,
-            "-flagged": FLAGGED}
+            "-flagged": FLAGGED, "-fine": FINE}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
