@@ -16,16 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, logic, physics
-from .signal import (ComplexEnvelope, DetectedTrace, diode_detect,
-                     phase_setting, plateau_start, rise_time, step_phase_drive,
-                     wrap_phase)
+from .signal import (DetectedTrace, _detected, _drive_blocks, phase_setting,
+                     plateau_start, rise_time, wrap_phase)
 
 
-# ceiling of the analysis window in samples: run_switching holds two
-# complex arrays of the window at most (a tracemalloc peak of 33 MiB at
-# 2^20 samples), and 8 trapezoid nodes per sample of a ramp that ends
-# inside it; config.validate_config bounds the spectrum and dispersion
-# grids by it too
+# ceiling of the analysis window in samples: run_switching holds one
+# real array of the window and a drive block's temporaries (a tracemalloc
+# peak of 9.1 MiB at 2^20 samples, 12.1 with a fill), and 8 trapezoid
+# nodes per sample of a ramp that ends inside it; config.validate_config
+# bounds the spectrum and dispersion grids by it too
 MAX_SAMPLES = 2 ** 20
 
 
@@ -224,9 +223,12 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     the transition inside the trailing plateau and pull the settled level
     down, raises RunwayError.
 
-    At most two whole-window arrays are alive at once: the drive, offset
-    in place, and the envelope's copy of it; then the envelope, the
-    detected power and the trace's copy of it (a real array each).
+    The window is streamed: each block of the drive is scaled by the i2
+    gain and offset in place, then squared and scaled into the one real
+    power array the trace takes without a copy, so no complex array of
+    the whole window is made; the low-pass then runs once over that
+    array, as diode_detect runs it (the trace is diode_detect's on the
+    whole window, bit for bit).
     """
     check_effective_path(effective_path)
     ref_phase = phase_setting(ref_phase, "ref_phase")
@@ -247,9 +249,6 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
             f"{timing.t_toggle + timing.ramp + fill:.4g} s, past the start "
             f"{timing.plateau:.4g} s of the plateau the settled level is "
             f"read from")
-    drive_i2 = step_phase_drive(
-        s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
-        timing.dt, timing.window, fill=fill)
 
     steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
     static = complex(steady.sum())
@@ -259,12 +258,19 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     out_110 = static + s.drive_amplitude * np.exp(1j * phase1) * gains[1]
     ref_value = abs(out_110) * np.exp(1j * (np.angle(out_100) + ref_phase))
 
-    # in place, in the order of drive * gain + (static + ref)
-    drive_i2 *= gains[1]
-    drive_i2 += static + ref_value
-    total = ComplexEnvelope(s.f_c, timing.dt, drive_i2)
-    del drive_i2
-    window = diode_detect(total, lp_cutoff=lp_cutoff, responsivity=responsivity)
+    offset = static + ref_value
+
+    def total():
+        # in place, in the order of drive * gain + (static + ref)
+        for block in _drive_blocks(s.drive_amplitude, phase0, phase1,
+                                   timing.t_toggle, timing.ramp, timing.dt,
+                                   timing.window, fill):
+            block *= gains[1]
+            block += offset
+            yield block
+
+    lo, hi = timing.window
+    window = _detected(total(), hi - lo, timing.dt, lp_cutoff, responsivity)
 
     rt = rise_time(window)
     v_low = float(np.mean(window.samples[:max(1, int(0.1 * len(window.samples)))]))

@@ -10,7 +10,7 @@ to the rise-time metrology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -72,10 +72,12 @@ class ComplexEnvelope:
     dt: float
     samples: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        arr = np.asarray(self.samples, dtype=np.complex128).copy()
+        arr = np.asarray(self.samples, dtype=np.complex128)
+        if copy:
+            arr = arr.copy()
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need a flat sample vector of length >= 2")
         arr.flags.writeable = False
@@ -92,10 +94,13 @@ class DetectedTrace:
     dt: float
     samples: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        arr = np.asarray(self.samples, dtype=np.float64).copy()
+        arr = np.asarray(self.samples, dtype=np.float64)
+        if copy:
+            arr = arr.copy()
+        # not arr.min() < 0, which a NaN sample would hide a negative from
         if np.any(arr < 0):
             raise ValueError("detected trace must be nonnegative")
         arr.flags.writeable = False
@@ -109,6 +114,17 @@ class DetectedTrace:
         return np.arange(self.samples.size) * self.dt
 
 
+def _adopted(cls, *values):
+    """cls(*values) without the copy cls makes of its sample array, with
+    the same checks; the array is frozen in place.  For a producer in
+    this package that hands over an array it made and holds no more."""
+    record = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(record, field.name, value)
+    record.__post_init__(copy=False)
+    return record
+
+
 # trapezoid nodes per record sample over the ramp: the error of the
 # cumulative integral falls as the node spacing squared, and at 8 it sits
 # far below that of the spectral moving average on the record's samples
@@ -116,8 +132,8 @@ _RAMP_NODES_PER_SAMPLE = 8
 # a fill below this share of a sample is none: the average is the drive to
 # within rounding there, and dividing by a subnormal fill overflows
 _NEGLIGIBLE_FILL = 1e-9
-# samples step_phase_drive computes at a time: every sample is computed
-# from its own time alone, so a window is filled block by block, and the
+# samples _drive_blocks computes at a time: every sample is computed from
+# its own time alone, so a window is made block by block, and the
 # temporaries stay a block long whatever the window's length
 _DRIVE_BLOCK = 8192
 
@@ -139,11 +155,25 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
     nodes per sample, both ends included) read by linear interpolation,
     and linear after the ramp.  The drive is held at a0 before the
     toggle, also before the record begins, so the average never wraps,
-    and only the requested samples are computed.  They are written into
-    one window array, _DRIVE_BLOCK samples at a time, so the call holds
-    that array and block-long temporaries (and the ramp's nodes): one
-    whole-window array at its peak.
+    and only the requested samples are computed.  They are copied into
+    the window array from _drive_blocks, the one drive formula, which
+    run_switching reads block by block instead; the call holds that
+    array, block-long temporaries and the ramp's nodes.
     """
+    lo, hi = window
+    out = np.empty(max(0, hi - lo), dtype=np.complex128)
+    start = 0
+    for block in _drive_blocks(amplitude, phase_a, phase_b, t_toggle, ramp,
+                               dt, window, fill):
+        out[start:start + block.size] = block
+        start += block.size
+    return out
+
+
+def _drive_blocks(amplitude, phase_a, phase_b, t_toggle, ramp, dt, window,
+                  fill):
+    """The samples of step_phase_drive's window, in order, as fresh
+    complex arrays of _DRIVE_BLOCK samples (the last one shorter)."""
     def drive(u):
         phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
         return amplitude * np.exp(1j * phase)
@@ -171,11 +201,8 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
             return a0 + swept / fill
 
     lo, hi = window
-    out = np.empty(max(0, hi - lo), dtype=np.complex128)
     for start in range(lo, hi, _DRIVE_BLOCK):
-        stop = min(start + _DRIVE_BLOCK, hi)
-        out[start - lo:stop - lo] = block(np.arange(start, stop) * dt)
-    return out
+        yield block(np.arange(start, min(start + _DRIVE_BLOCK, hi)) * dt)
 
 
 def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
@@ -197,7 +224,7 @@ def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
     f_abs = env.f_carrier + np.fft.fftfreq(n_fft, env.dt)
     gain = np.asarray(tf(f_abs), dtype=np.complex128)
     out = np.fft.ifft(spectrum * gain)[:n]
-    return ComplexEnvelope(env.f_carrier, env.dt, out)
+    return _adopted(ComplexEnvelope, env.f_carrier, env.dt, out)
 
 
 def check_detection(lp_cutoff: float | None, responsivity: float,
@@ -217,18 +244,33 @@ def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
     |s(t)|^2 scaled by the responsivity (V per squared amplitude unit),
     then a single-pole low-pass at lp_cutoff; pass None to skip the
     filter.  The power is squared, scaled and low-passed in one real
-    array, so the call holds that array and the trace's own copy beside
-    the envelope.
+    array, which the trace takes without a copy, so beside the envelope
+    the call holds that array and the trace's nonnegativity mask.
     """
-    check_detection(lp_cutoff, responsivity, env.dt)
-    power = np.abs(env.samples)
-    np.square(power, out=power)
-    power *= responsivity
+    return _detected([env.samples], len(env), env.dt, lp_cutoff,
+                     responsivity)
+
+
+def _detected(blocks, n: int, dt: float, lp_cutoff: float | None,
+              responsivity: float) -> DetectedTrace:
+    """diode_detect on the n samples that the complex blocks hold in
+    order.  Each block is squared and scaled into one real array as it
+    comes, so no complex array of all n samples need exist; the low-pass
+    then runs once over that array, in place."""
+    check_detection(lp_cutoff, responsivity, dt)
+    power = np.empty(n)
+    start = 0
+    for block in blocks:
+        part = power[start:start + block.size]
+        np.abs(block, out=part)
+        np.square(part, out=part)
+        part *= responsivity
+        start += block.size
     if lp_cutoff is not None:
-        a = math.exp(-TWO_PI * lp_cutoff * env.dt)
+        a = math.exp(-TWO_PI * lp_cutoff * dt)
         # pre-charged at the first sample so a constant input stays constant
         kernels.lowpass_1pole(power, a, float(power[0]), out=power)
-    return DetectedTrace(env.dt, power)
+    return _adopted(DetectedTrace, dt, power)
 
 
 @dataclass(frozen=True)
@@ -482,17 +524,27 @@ def write_tables(files, headers, shared, own) -> None:
             for c in [*shared, *(c for group in own for c in group)]]
     if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ValueError("columns must be 1-D arrays of one length")
+    _write_rows(files, headers, len(shared), [len(group) for group in own],
+                cols[0].size,
+                lambda start, stop: np.column_stack([c[start:stop] for c in cols]))
+
+
+def _write_rows(files, headers, n_shared: int, n_own, n_rows: int,
+                rows) -> None:
+    """The loop of write_tables: the header lines, then rows(start, stop),
+    the 2-D block of rows [start, stop) of the shared columns and then
+    each file's own (n_own[i] for file i), for each block of _BLOCK_ROWS
+    rows of n_rows."""
     # the separator after each column, and the columns of each file's rows
-    n_shared = len(shared)
     seps, picks = [0] * n_shared, []
-    for group in own:
-        picks.append(np.r_[:n_shared, len(seps):len(seps) + len(group)])
-        seps += [0] * (len(group) - 1) + [1]
+    for count in n_own:
+        picks.append(np.r_[:n_shared, len(seps):len(seps) + count])
+        seps += [0] * (count - 1) + [1]
     sep_index = np.tile(np.array(seps) * _NX, _BLOCK_ROWS)
     for file, header in zip(files, headers):
         file.write(header.encode() + b"\n")
-    for start in range(0, cols[0].size, _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in cols])
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = rows(start, min(start + _BLOCK_ROWS, n_rows))
         slots = _format_block(block.ravel(), sep_index[:block.size])
         if len(files) == 1:
             files[0].write(_squeeze(slots))
@@ -509,6 +561,14 @@ def write_table(file, header: str, *columns) -> None:
 
 
 def trace_to_csv(trace: DetectedTrace, path) -> None:
-    """Write the trace to path as CSV with columns time_s, value."""
+    """Write the trace to path as CSV with columns time_s, value.
+
+    The times j*dt are computed one block of rows at a time, as the
+    writer formats them, so the call makes no column of times beside the
+    trace (the values of trace.times, byte for byte).
+    """
+    samples, dt = trace.samples, trace.dt
     with open(path, "wb") as file:
-        write_table(file, "time_s,value", trace.times, trace.samples)
+        _write_rows([file], ["time_s,value"], 0, [2], samples.size,
+                    lambda start, stop: np.column_stack(
+                        [np.arange(start, stop) * dt, samples[start:stop]]))

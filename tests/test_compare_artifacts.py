@@ -162,6 +162,19 @@ def test_fine_jobs_span_many_drive_blocks():
     assert windows[0] < sig._DRIVE_BLOCK < 8 * sig._DRIVE_BLOCK < windows[1]
 
 
+def test_ragged_job_ends_on_partial_blocks():
+    # the ragged job's window is a multiple of neither the drive's block
+    # nor the CSV writer's, so both its last blocks are partial
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-ragged")} == {
+        "switch-ragged": ["switch"]}
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.RAGGED))
+    lo, hi = cf.validate_config(cfg).switching["timing"].window
+    assert hi - lo > 8 * sig._DRIVE_BLOCK
+    assert (hi - lo) % sig._DRIVE_BLOCK and (hi - lo) % sig._BLOCK_ROWS
+
+
 def test_edge_jobs_leave_indeterminate_and_flagged_rows():
     # the guard job's uncalibrated read-out leaves rows indeterminate, and
     # the flagged job's sweep holds a row that cannot be calibrated

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import transit_fill_factor
@@ -419,12 +420,13 @@ class TestRunSwitching:
                              effective_path=math.nextafter(path, math.inf))
 
     @pytest.mark.parametrize("path", [0.0, 1.3e-3])
-    def test_fine_window_holds_two_window_arrays(self, calibrated, path):
-        # the drive is filled block by block, offset in place and dropped
-        # once the envelope holds its copy, and the power is squared, scaled
-        # and low-passed in one real array: on a 79,872-sample window the
-        # call's tracemalloc peak stays near two complex window arrays,
-        # where whole-window expressions took it to 3.5
+    def test_fine_window_peaks_below_1_3_window_arrays(self, calibrated, path):
+        # each drive block is offset, squared and scaled into one real
+        # array as it is made, and the power is low-passed in place: on a
+        # 79,872-sample window the call's tracemalloc peak is that array
+        # (half a complex window array) and a block's temporaries, 0.96
+        # complex window arrays without a fill and 1.21 with one, where
+        # the drive and the envelope's copy of it took it to 2.07
         timing = ex.SwitchTiming(dt=3.125e-12)
         lo, hi = timing.window
         assert hi - lo == 79872
@@ -435,7 +437,46 @@ class TestRunSwitching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * np.dtype(np.complex128).itemsize * (hi - lo)
+        assert peak <= 1.3 * np.dtype(np.complex128).itemsize * (hi - lo)
+
+    # windows of 2 to 40,000 samples (2, one short of, at and one past a
+    # drive block, and several blocks) on SwitchTiming's default record,
+    # whose window spans 2.496e-7 s
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40000), path_share=st.sampled_from([0.0, 0.4, 0.95]),
+           lp_share=st.one_of(st.none(), st.floats(0.01, 0.99)),
+           responsivity=st.floats(0.25, 4.0))
+    @example(n=2, path_share=0.0, lp_share=None, responsivity=1.0)
+    @example(n=2, path_share=0.95, lp_share=0.5, responsivity=2.5)
+    @example(n=8191, path_share=0.4, lp_share=0.3, responsivity=0.5)
+    @example(n=8192, path_share=0.0, lp_share=0.02, responsivity=3.0)
+    @example(n=8193, path_share=0.95, lp_share=None, responsivity=0.7)
+    @example(n=3 * 8192 + 1908, path_share=0.4, lp_share=0.01,
+             responsivity=1.5)
+    def test_matches_the_composed_pipeline(self, calibrated, n, path_share,
+                                           lp_share, responsivity):
+        # run_switching streams the drive through the detector block by
+        # block; its trace, rise time and levels are those of the whole
+        # window built, offset, wrapped and detected, bit for bit
+        timing = ex.SwitchTiming(dt=2.496e-7 / n)
+        lo, hi = timing.window
+        assume(hi - lo >= 2)
+        path = path_share * max(0.0, ex._longest_path(calibrated, timing))
+        lp_cutoff = None if lp_share is None else lp_share * 0.5 / timing.dt
+        kwargs = dict(timing=timing, effective_path=path, lp_cutoff=lp_cutoff,
+                      responsivity=responsivity)
+        trace = composed_switching(calibrated, **kwargs)
+        try:
+            rt = sig.rise_time(trace)
+        except sig.NoTransitionError as err:
+            with pytest.raises(sig.NoTransitionError, match=re.escape(str(err))):
+                ex.run_switching(calibrated, **kwargs)
+            return
+        res = ex.run_switching(calibrated, **kwargs)
+        assert res.trace.samples.tobytes() == trace.samples.tobytes()
+        assert res.t_rise == rt.t_rise
+        v_low = float(np.mean(trace.samples[:max(1, int(0.1 * len(trace)))]))
+        assert res.levels == (v_low, rt.v_max)
 
     def test_window_independent_of_record_before_it(self):
         # the causal average holds the pre-toggle drive before the record
@@ -452,6 +493,28 @@ class TestRunSwitching:
                     b.trace.samples, a.trace.samples, rtol=1e-12,
                     atol=1e-12 * a.trace.samples.max())
                 assert b.t_rise == pytest.approx(a.t_rise, rel=1e-12)
+
+
+def composed_switching(nl, timing, effective_path, lp_cutoff, responsivity,
+                       enc=lg.PhaseEncoding(), ref_phase=math.pi):
+    """The detected trace of run_switching, composed from whole-window
+    arrays: the i2 drive window times the i2 gain, plus the steady i1
+    and i3 outputs and the reference, as an envelope, diode-detected."""
+    s = nl.settings
+    gains = nl.carrier_gains
+    phase0, phase1 = lg.encode(0, enc), lg.encode(1, enc)
+    drive = sig.step_phase_drive(
+        s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
+        timing.dt, timing.window,
+        fill=effective_path / float(nl.carrier.speed[0]))
+    steady = s.drive_amplitude * np.exp(1j * np.array([phase1, phase0])) * gains[[0, 2]]
+    static = complex(steady.sum())
+    out_100 = static + s.drive_amplitude * np.exp(1j * phase0) * gains[1]
+    out_110 = static + s.drive_amplitude * np.exp(1j * phase1) * gains[1]
+    ref_value = abs(out_110) * np.exp(1j * (np.angle(out_100) + ref_phase))
+    env = sig.ComplexEnvelope(s.f_c, timing.dt,
+                              drive * gains[1] + (static + ref_value))
+    return sig.diode_detect(env, lp_cutoff=lp_cutoff, responsivity=responsivity)
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,43 @@ class TestEnvelopeType:
         env = envelope(np.ones(16))
         assert len(env) == 16
 
+    @pytest.mark.parametrize("make, dtype", [
+        (lambda v: sig.ComplexEnvelope(FC, DT, v), np.complex128),
+        (lambda v: sig.DetectedTrace(DT, v), np.float64)])
+    def test_public_construction_copies(self, make, dtype):
+        # a record holds a frozen copy of the caller's array: writing to
+        # that array afterwards leaves the record as it was, and the
+        # array stays writable
+        values = np.ones(8, dtype=dtype)
+        record = make(values)
+        values[0] = 2.0
+        assert values.flags.writeable
+        assert np.all(record.samples == 1.0)
+        assert not record.samples.flags.writeable
+
+    def test_producers_hand_over_their_array(self):
+        # the package's producers give a record an array they made and
+        # hold no more: it is frozen in place, not copied, and checked as
+        # the public constructor checks it
+        power = np.ones(8)
+        trace = sig._adopted(sig.DetectedTrace, DT, power)
+        assert trace.samples is power and not power.flags.writeable
+        with pytest.raises(ValueError, match="nonnegative"):
+            sig._adopted(sig.DetectedTrace, DT, -np.ones(8))
+        with pytest.raises(ValueError, match="length >= 2"):
+            sig._adopted(sig.ComplexEnvelope, FC, DT, np.ones(1, complex))
+        out = sig.apply_transfer(envelope(np.ones(16)), np.ones_like)
+        assert not out.samples.flags.writeable
+
+    def test_nonnegativity_check(self):
+        # a NaN sample is no negative value and passes; a negative one is
+        # refused, also beside a NaN
+        trace = sig.DetectedTrace(DT, np.array([0.0, np.nan, 1.0]))
+        assert np.isnan(trace.samples[1])
+        for bad in ([0.0, -1e-300, 1.0], [np.nan, -1.0, 1.0]):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                sig.DetectedTrace(DT, np.array(bad))
+
 
 def record(duration, dt=DT):
     """Window of the whole record of a duration: samples 0 to
@@ -251,6 +288,23 @@ class TestDiodeDetect:
                               lp_cutoff=None)
         np.testing.assert_allclose(d0.samples, d1.samples, rtol=1e-12)
 
+    @pytest.mark.parametrize("lp_cutoff", [None, 5e8])
+    def test_trace_takes_the_power_without_a_copy(self, lp_cutoff):
+        # on a 79,872-sample envelope the call holds the power array (half
+        # a complex window array), the low-pass's chunk temporaries (1909
+        # samples long at DT) and the trace's nonnegativity mask (a
+        # sixteenth); a copy of the power for the trace took it to 1.06
+        n = 79872
+        env = envelope(np.exp(0.01j * np.arange(n)))
+        sig.diode_detect(env, lp_cutoff=lp_cutoff)
+        tracemalloc.start()
+        try:
+            sig.diode_detect(env, lp_cutoff=lp_cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * np.dtype(np.complex128).itemsize * n
+
     def test_cutoff_validation(self):
         env = envelope(np.ones(64))
         with pytest.raises(ValueError):
@@ -329,6 +383,26 @@ class TestCsvExport:
         assert lines[0] == "time_s,value"
         assert len(lines) == 4
         assert lines[2].startswith("1e-10,1")
+
+    def test_trace_csv_streams(self, tmp_path):
+        # the times are computed a block of rows at a time: beside the
+        # 2^17-sample trace the call holds one block's rows and slots,
+        # where a column of times (and the integers it was made from)
+        # took it to 1.03 complex arrays of the trace's length; the bytes
+        # are those of the whole columns
+        n = 2 ** 17
+        trace = sig.DetectedTrace(DT, np.random.default_rng(7).random(n))
+        path = tmp_path / "trace.csv"
+        sig.trace_to_csv(trace, path)
+        tracemalloc.start()
+        try:
+            sig.trace_to_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * np.dtype(np.complex128).itemsize * n
+        assert path.read_text() == csv_table("time_s,value", trace.times,
+                                             trace.samples)
 
 
 # every float class %.12g and f"{v:.12g}" could disagree on

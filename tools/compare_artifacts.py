@@ -19,7 +19,9 @@ appended, code phases other than 0 and pi; ``truthtable-guard`` runs
 window that leaves read-outs indeterminate; ``scale-flagged`` runs
 ``scale`` with the FLAGGED lines appended, a sweep with a flagged row;
 the ``*-fine`` jobs run ``switch`` and ``scale`` with the FINE lines
-appended, an analysis window of many drive blocks and low-pass chunks.
+appended, an analysis window of many drive blocks and low-pass chunks;
+``switch-ragged`` runs ``switch`` with the RAGGED lines appended, a
+window whose last drive block and last CSV block are partial.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -70,6 +72,7 @@ JOBS = {
     "scale-flagged": ["scale"],
     "switch-fine": ["switch"],
     "scale-fine": ["scale"],
+    "switch-ragged": ["switch"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -94,13 +97,18 @@ GUARD = ("encoding.guard_rad = 0.05",)
 # no transmission to calibrate, so scaling.csv holds a flagged row
 FLAGGED = ("scaling.scales = 1,0.5,1000",)
 # appended for the *-fine jobs: a 79,872-sample analysis window, which
-# spans ten of step_phase_drive's blocks and twenty of the low-pass's
-# chunks, where the reference window of 2,496 samples is one block and
-# two chunks
+# spans ten of the drive's blocks and twenty of the low-pass's chunks,
+# where the reference window of 2,496 samples is one block and two
+# chunks; its last drive block is 6,144 samples long, and it is exactly
+# 39 blocks of the CSV writer
 FINE = ("switching.dt_s = 3.125e-12",)
+# appended for the *-ragged job: a 75,636-sample analysis window, a
+# multiple of neither the drive's block (8192) nor the CSV writer's
+# (2048), so both end on a partial block of 1,908 samples
+RAGGED = ("switching.dt_s = 3.3e-12",)
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0, "-guard": GUARD,
-            "-flagged": FLAGGED, "-fine": FINE}
+            "-flagged": FLAGGED, "-fine": FINE, "-ragged": RAGGED}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
