@@ -1,10 +1,12 @@
 """Phase-encoded spin-wave majority-gate simulator.
 
-Subpackages: ``physics`` (film dispersion and damping), ``signal``
-(complex envelopes, detection, rise-time metrology), ``circuit`` (the
-gate record: microwave conditioning and film waveguides), ``logic``
-(phase encoding and majority logic), ``experiment`` (calibration,
-switching and scaling procedures), ``cli`` (command-line front end).
+Modules: ``physics`` (film dispersion and damping), ``signal`` (the
+switching transient's drive, detector and rise-time metrology, complex
+envelopes and transfer functions), ``circuit`` (the gate record:
+microwave conditioning and film waveguides), ``logic`` (phase encoding
+and majority logic), ``experiment`` (calibration, switching and scaling
+procedures), ``config`` (the run configuration, its parser and the
+records every command runs on), ``cli`` (command-line front end).
 """
 
 from ._kernels import backend_name

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, logic, physics
-from .signal import (DetectedTrace, _detected, _drive_blocks, phase_setting,
-                     plateau_start, rise_time, wrap_phase)
+from .signal import (DetectedTrace, diode_detect, phase_setting,
+                     plateau_start, rise_time, step_phase_drive, wrap_phase)
 
 
 # ceiling of the analysis window in samples: run_switching holds one
@@ -223,12 +223,10 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     the transition inside the trailing plateau and pull the settled level
     down, raises RunwayError.
 
-    The window is streamed: each block of the drive is scaled by the i2
-    gain and offset in place, then squared and scaled into the one real
-    power array the trace takes without a copy, so no complex array of
-    the whole window is made; the low-pass then runs once over that
-    array, as diode_detect runs it (the trace is diode_detect's on the
-    whole window, bit for bit).
+    The window runs through the signal layer's stages in turn: each
+    block step_phase_drive yields is scaled by the i2 gain and offset in
+    place as diode_detect takes it, so no complex array of the whole
+    window is made, and rise_time times the trace.
     """
     check_effective_path(effective_path)
     ref_phase = phase_setting(ref_phase, "ref_phase")
@@ -262,15 +260,15 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
     def total():
         # in place, in the order of drive * gain + (static + ref)
-        for block in _drive_blocks(s.drive_amplitude, phase0, phase1,
-                                   timing.t_toggle, timing.ramp, timing.dt,
-                                   timing.window, fill):
+        for block in step_phase_drive(s.drive_amplitude, phase0, phase1,
+                                      timing.t_toggle, timing.ramp, timing.dt,
+                                      timing.window, fill):
             block *= gains[1]
             block += offset
             yield block
 
     lo, hi = timing.window
-    window = _detected(total(), hi - lo, timing.dt, lp_cutoff, responsivity)
+    window = diode_detect(total(), hi - lo, timing.dt, lp_cutoff, responsivity)
 
     rt = rise_time(window)
     v_low = float(np.mean(window.samples[:max(1, int(0.1 * len(window.samples)))]))

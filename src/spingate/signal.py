@@ -1,17 +1,19 @@
 """Complex baseband envelopes and the detection chain.
 
+The switching transient is one chain of three stages: step_phase_drive
+yields the window of the step-phase drive (or its causal box average)
+block by block, computed sample by sample; diode_detect squares, scales
+and low-passes such blocks into a real trace; rise_time times the trace.
 An envelope holds samples of the slowly varying complex amplitude about a
-carrier; transfer functions act on it spectrally; the step-phase drive of
-the switching transient and its causal box average are computed sample
-by sample; the diode detector squares, low-passes and hands a real trace
-to the rise-time metrology.
+carrier, and apply_transfer acts on it spectrally: the transit fill
+applied that way is the oracle of the drive's time-domain average.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -109,10 +111,6 @@ class DetectedTrace:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
-
 
 def _adopted(cls, *values):
     """cls(*values) without the copy cls makes of its sample array, with
@@ -132,7 +130,7 @@ _RAMP_NODES_PER_SAMPLE = 8
 # a fill below this share of a sample is none: the average is the drive to
 # within rounding there, and dividing by a subnormal fill overflows
 _NEGLIGIBLE_FILL = 1e-9
-# samples _drive_blocks computes at a time: every sample is computed from
+# samples step_phase_drive yields at a time: every sample is computed from
 # its own time alone, so a window is made block by block, and the
 # temporaries stay a block long whatever the window's length
 _DRIVE_BLOCK = 8192
@@ -141,46 +139,36 @@ _DRIVE_BLOCK = 8192
 def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
                      t_toggle: float, ramp: float, dt: float,
                      window: tuple[int, int],
-                     fill: float = 0.0) -> np.ndarray:
-    """Window of a drive record whose phase ramps from phase_a to phase_b.
+                     fill: float = 0.0) -> Iterator[np.ndarray]:
+    """Window of a drive record whose phase ramps from phase_a to phase_b,
+    yielded in order as fresh complex arrays of _DRIVE_BLOCK samples (the
+    last one shorter).
 
     The record is sampled at t = j*dt; window=(lo, hi) picks the samples
-    j in [lo, hi) that are computed and returned.  The drive has constant
-    modulus and a raised-cosine phase ramp of width ramp starting at
-    t_toggle, so its trajectory is phase-continuous.  A fill above
-    _NEGLIGIBLE_FILL * dt returns instead the causal box average over the
-    last fill seconds, y(t) = a0 + (C(t) - C(t - fill))/fill, where a0 is
-    the pre-toggle value and C the integral of drive - a0: zero before
-    the toggle, the trapezoid rule on the ramp (_RAMP_NODES_PER_SAMPLE
-    nodes per sample, both ends included) read by linear interpolation,
-    and linear after the ramp.  The drive is held at a0 before the
-    toggle, also before the record begins, so the average never wraps,
-    and only the requested samples are computed.  They are copied into
-    the window array from _drive_blocks, the one drive formula, which
-    run_switching reads block by block instead; the call holds that
-    array, block-long temporaries and the ramp's nodes.
+    j in [lo, hi) that are computed.  The drive has constant modulus and
+    a raised-cosine phase ramp of width ramp starting at t_toggle, so its
+    trajectory is phase-continuous.  A fill above _NEGLIGIBLE_FILL * dt
+    yields instead the causal box average over the last fill seconds,
+    y(t) = a0 + (C(t) - C(t - fill))/fill, where a0 is the pre-toggle
+    value and C the integral of drive - a0: zero before the toggle, the
+    trapezoid rule on the ramp (_RAMP_NODES_PER_SAMPLE nodes per sample,
+    both ends included) read by linear interpolation, and linear after
+    the ramp.  The drive is held at a0 before the toggle, also before the
+    record begins, so the average never wraps, and only the requested
+    samples are computed.  Beside the block it yields, the generator
+    holds block-long temporaries and the ramp's nodes.
     """
-    lo, hi = window
-    out = np.empty(max(0, hi - lo), dtype=np.complex128)
-    start = 0
-    for block in _drive_blocks(amplitude, phase_a, phase_b, t_toggle, ramp,
-                               dt, window, fill):
-        out[start:start + block.size] = block
-        start += block.size
-    return out
-
-
-def _drive_blocks(amplitude, phase_a, phase_b, t_toggle, ramp, dt, window,
-                  fill):
-    """The samples of step_phase_drive's window, in order, as fresh
-    complex arrays of _DRIVE_BLOCK samples (the last one shorter)."""
     def drive(u):
         phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
         return amplitude * np.exp(1j * phase)
 
     if fill <= _NEGLIGIBLE_FILL * dt:
         def block(t):
-            return drive(np.clip((t - t_toggle) / ramp, 0.0, 1.0))
+            # a subnormal ramp overflows the quotient to +-inf, which the
+            # clip takes to the right end
+            with np.errstate(over="ignore"):
+                u = (t - t_toggle) / ramp
+            return drive(np.clip(u, 0.0, 1.0))
     else:
         a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
         a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
@@ -237,38 +225,36 @@ def check_detection(lp_cutoff: float | None, responsivity: float,
         raise ValueError(f"responsivity must lie in (0, {MAX_LEVEL:g}]")
 
 
-def diode_detect(env: ComplexEnvelope, lp_cutoff: float | None = 5.0e8,
+def diode_detect(blocks, n: int, dt: float, lp_cutoff: float | None = 5.0e8,
                  responsivity: float = 1.0) -> DetectedTrace:
-    """Square-law detection of the envelope.
+    """Square-law detection of n complex samples dt apart, which the
+    blocks (arrays) hold in order.
 
     |s(t)|^2 scaled by the responsivity (V per squared amplitude unit),
-    then a single-pole low-pass at lp_cutoff; pass None to skip the
-    filter.  The power is squared, scaled and low-passed in one real
-    array, which the trace takes without a copy, so beside the envelope
-    the call holds that array and the trace's nonnegativity mask.
-    """
-    return _detected([env.samples], len(env), env.dt, lp_cutoff,
-                     responsivity)
-
-
-def _detected(blocks, n: int, dt: float, lp_cutoff: float | None,
-              responsivity: float) -> DetectedTrace:
-    """diode_detect on the n samples that the complex blocks hold in
-    order.  Each block is squared and scaled into one real array as it
+    then a single-pole low-pass at lp_cutoff, pre-charged at the first
+    sample so a constant input stays constant; pass None to skip the
+    filter.  Each block is squared and scaled into one real array as it
     comes, so no complex array of all n samples need exist; the low-pass
-    then runs once over that array, in place."""
+    then runs once over that array, in place, and the trace takes it
+    without a copy.  Blocks that do not hold exactly n samples raise
+    ValueError.
+    """
     check_detection(lp_cutoff, responsivity, dt)
     power = np.empty(n)
     start = 0
     for block in blocks:
         part = power[start:start + block.size]
+        start += block.size
+        if part.size != block.size:
+            break
         np.abs(block, out=part)
         np.square(part, out=part)
         part *= responsivity
-        start += block.size
+    if start != n:
+        raise ValueError(f"n = {n} is not the number of samples the "
+                         "blocks hold")
     if lp_cutoff is not None:
         a = math.exp(-TWO_PI * lp_cutoff * dt)
-        # pre-charged at the first sample so a constant input stays constant
         kernels.lowpass_1pole(power, a, float(power[0]), out=power)
     return _adopted(DetectedTrace, dt, power)
 
@@ -292,12 +278,19 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     1/3*v_max crossing before the first 2/3*v_max crossing, both linearly
     interpolated between samples.  The trace must start at or below
     1/3*v_max: one that starts above it has no low level to rise from,
-    and a dip below 1/3 is no transition.
+    and a dip below 1/3 is no transition.  Neither is a settled level of
+    zero or below the smallest normal float.
     """
     v = trace.samples
     v_max = float(np.mean(v[plateau_start(v.size):]))
     if v_max <= 0:
         raise NoTransitionError("no transition: settled level is zero")
+    # a subnormal level, and the samples read against its thresholds,
+    # have lost their precision: t_rise drifts with the responsivity
+    if v_max < np.finfo(np.float64).tiny:
+        raise NoTransitionError(
+            f"no transition: settled level {v_max:.3g} is below the "
+            "smallest normal float")
     th_lo = v_max / 3.0
     th_hi = 2.0 * v_max / 3.0
 
@@ -565,7 +558,7 @@ def trace_to_csv(trace: DetectedTrace, path) -> None:
 
     The times j*dt are computed one block of rows at a time, as the
     writer formats them, so the call makes no column of times beside the
-    trace (the values of trace.times, byte for byte).
+    trace.
     """
     samples, dt = trace.samples, trace.dt
     with open(path, "wb") as file:

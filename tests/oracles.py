@@ -13,7 +13,9 @@ block formatter must reproduce byte for byte.  The ideal delay is the
 transfer function whose spectral application must equal a time shift.
 The transit fill has two oracles: its spectral form, applied by FFT, and
 the continuous moving average of the analytic step-phase drive with the
-ramp integrated by adaptive quadrature.
+ramp integrated by adaptive quadrature.  Two adapters give the signal
+layer's block-streamed drive and detector a whole-window form: the drive
+window as one array, and the detection of one envelope.
 """
 
 import math
@@ -23,6 +25,7 @@ from scipy.integrate import quad
 
 from spingate import circuit as ct
 from spingate import physics as ph
+from spingate import signal as sig
 
 
 def bisect_k(ctx, f_target, lo=0.0, hi=1.0e7, iters=200):
@@ -163,3 +166,16 @@ def step_phase_moving_average(amplitude, phase_a, phase_b, t_toggle, ramp,
         return ramp_part + (a1 - a0) * np.maximum(s - t_toggle - ramp, 0.0)
 
     return a0 + (integral(t) - integral(t - fill)) / fill
+
+
+def drive_window(*args, **kwargs):
+    """The window of signal.step_phase_drive as one array, its blocks
+    concatenated (empty for an empty window)."""
+    return np.concatenate([np.empty(0, np.complex128),
+                           *sig.step_phase_drive(*args, **kwargs)])
+
+
+def detect(env, lp_cutoff=5.0e8, responsivity=1.0):
+    """signal.diode_detect on the samples of one envelope."""
+    return sig.diode_detect([env.samples], len(env), env.dt, lp_cutoff,
+                            responsivity)

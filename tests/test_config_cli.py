@@ -251,6 +251,20 @@ class TestSwitchCommand:
         assert err.startswith("physics error: transit fill time")
         assert "3.472e-07 s of the plateau" in err and err.count("\n") == 1
 
+    def test_subnormal_level_exits_3(self, tmp_path, capsys):
+        # at 1e-318 V the settled level is subnormal: switch printed a
+        # rise time 18% off and exited 0
+        config = tmp_path / "cfg.txt"
+        config.write_text("detector.responsivity_v = 1e-318\n")
+        assert main(["switch", "--config", str(config),
+                     "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("physics error: no transition: "
+                                       "settled level")
+        assert captured.err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestCalibrateCommand:
     def test_settings_file_reusable(self, tmp_path, capsys):
@@ -339,6 +353,20 @@ class TestScaleCommand:
         _, rows = read_csv(tmp_path / "scaling.csv")
         assert len(rows) == 5
         assert all(r[3] == "false" for r in rows)
+
+    @pytest.mark.parametrize("command, lines", [
+        ("scale", ["switching.ramp_s = 5e-324"]),
+        ("switch", ["switching.ramp_s = 5e-324",
+                    "switching.effective_path_m = 0"])])
+    def test_subnormal_ramp_runs_quietly(self, tmp_path, capsys, command,
+                                         lines):
+        # the drive's overflowing ramp variable wrote numpy's warning to
+        # stderr beside correct numbers
+        config = tmp_path / "cfg.txt"
+        config.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_ref_phase_reaches_the_sweep(self, tmp_path, capsys):
         # scale used to run at pi whatever the config said: its scale-1
@@ -944,7 +972,8 @@ def test_csv_artifacts_match_per_value_writer(tmp_path, flags):
         effective_path=cfg.switching.effective_path_m * cfg.geometry.scale,
         lp_cutoff=cfg.detector.lp_cutoff_hz,
         responsivity=cfg.detector.responsivity_v).trace
-    expect = csv_table("time_s,value", trace.times, trace.samples)
+    expect = csv_table("time_s,value", np.arange(len(trace)) * trace.dt,
+                       trace.samples)
     assert (tmp_path / "switch_trace.csv").read_text() == expect
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import transit_fill_factor
+from oracles import detect, drive_window, transit_fill_factor
 from spingate import circuit as ct
 from spingate import cli
 from spingate import config as cf
@@ -314,6 +314,44 @@ class TestRunSwitching:
         with pytest.raises(ValueError, match="^ref_phase must be finite"):
             ex.run_switching(calibrated, ref_phase=value)
 
+    def test_detects_through_the_module_binding(self, calibrated,
+                                                monkeypatch):
+        # run_switching calls the detector by its name in this module, the
+        # binding perfbench/tracer.py replaces to time it: once per run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return sig.diode_detect(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "diode_detect", counting)
+        for path in (0.0, 1.3e-3):
+            ex.run_switching(calibrated, effective_path=path)
+        assert len(calls) == 2
+
+    def test_subnormal_ramp_is_a_step(self, calibrated):
+        # the drive's ramp variable overflows to +-inf at a 5e-324 ramp,
+        # which the clip takes to its end without a warning; every sample
+        # then sits at one end, as at a 1e-300 ramp
+        runs = [ex.run_switching(calibrated, timing=ex.SwitchTiming(ramp=ramp),
+                                 effective_path=0.0)
+                for ramp in (5e-324, 1e-300)]
+        assert runs[0].trace.samples.tobytes() == runs[1].trace.samples.tobytes()
+        assert math.isfinite(runs[0].t_rise)
+
+    def test_rise_time_independent_of_responsivity(self, calibrated):
+        # the model is linear in the responsivity; a settled level below
+        # the smallest normal float is refused, where at 1e-318 it read a
+        # rise time 18% off
+        path = 1.34872e-3
+        ref = ex.run_switching(calibrated, effective_path=path)
+        low = ex.run_switching(calibrated, effective_path=path,
+                               responsivity=1e-300)
+        assert low.t_rise == pytest.approx(ref.t_rise, rel=1e-12)
+        with pytest.raises(sig.NoTransitionError, match="smallest normal"):
+            ex.run_switching(calibrated, effective_path=path,
+                             responsivity=1e-318)
+
     def test_zero_length_ramp_floor(self):
         # lossless zero-length device: the switch ramp alone sets the rise
         nl = symmetric()
@@ -503,7 +541,7 @@ def composed_switching(nl, timing, effective_path, lp_cutoff, responsivity,
     s = nl.settings
     gains = nl.carrier_gains
     phase0, phase1 = lg.encode(0, enc), lg.encode(1, enc)
-    drive = sig.step_phase_drive(
+    drive = drive_window(
         s.drive_amplitude, phase0, phase1, timing.t_toggle, timing.ramp,
         timing.dt, timing.window,
         fill=effective_path / float(nl.carrier.speed[0]))
@@ -514,7 +552,7 @@ def composed_switching(nl, timing, effective_path, lp_cutoff, responsivity,
     ref_value = abs(out_110) * np.exp(1j * (np.angle(out_100) + ref_phase))
     env = sig.ComplexEnvelope(s.f_c, timing.dt,
                               drive * gains[1] + (static + ref_value))
-    return sig.diode_detect(env, lp_cutoff=lp_cutoff, responsivity=responsivity)
+    return detect(env, lp_cutoff=lp_cutoff, responsivity=responsivity)
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (csv_table, delay, step_phase_moving_average,
-                     transit_fill_factor)
+from oracles import (csv_table, delay, detect, drive_window,
+                     step_phase_moving_average, transit_fill_factor)
 from spingate import signal as sig
 
 FC = 6.035e9
@@ -87,14 +87,14 @@ class TestStepPhaseEnvelope:
     def test_equal_phases_constant(self):
         # with or without the fill average, no phase step leaves the drive
         for fill in (0.0, 7e-9):
-            drive = sig.step_phase_drive(2.0, 0.3, 0.3, 50e-9, 2e-9, DT,
-                                         record(200e-9), fill=fill)
+            drive = drive_window(2.0, 0.3, 0.3, 50e-9, 2e-9, DT,
+                                 record(200e-9), fill=fill)
             np.testing.assert_allclose(drive, 2.0 * np.exp(1j * 0.3),
                                        rtol=1e-12)
 
     def test_amplitude_constant_phase_continuous(self):
-        drive = sig.step_phase_drive(1.5, 0.0, math.pi, 50e-9, 2e-9, DT,
-                                     record(200e-9))
+        drive = drive_window(1.5, 0.0, math.pi, 50e-9, 2e-9, DT,
+                             record(200e-9))
         np.testing.assert_allclose(np.abs(drive), 1.5, rtol=1e-12)
         phase = np.unwrap(np.angle(drive))
         # raised cosine: largest per-sample step is pi/2 * dt/t_rise * pi
@@ -104,8 +104,8 @@ class TestStepPhaseEnvelope:
 
     def test_toggle_layout(self):
         t_tog = 50e-9
-        drive = sig.step_phase_drive(1.0, 0.0, math.pi, t_tog, 2e-9, DT,
-                                     record(200e-9))
+        drive = drive_window(1.0, 0.0, math.pi, t_tog, 2e-9, DT,
+                             record(200e-9))
         i_before = int(t_tog / DT) - 1
         i_after = int((t_tog + 2e-9) / DT) + 1
         assert np.angle(drive[i_before]) == pytest.approx(0.0, abs=1e-12)
@@ -116,16 +116,16 @@ class TestStepPhaseEnvelope:
         # every sample is computed on its own: a window of the record is
         # the same slice of the whole record, bit for bit
         args = (1.2, 0.4, 0.4 + math.pi, 80e-9, 2e-9, DT)
-        whole = sig.step_phase_drive(*args, record(409.6e-9), fill=fill)
-        part = sig.step_phase_drive(*args, (700, 1900), fill=fill)
+        whole = drive_window(*args, record(409.6e-9), fill=fill)
+        part = drive_window(*args, (700, 1900), fill=fill)
         np.testing.assert_array_equal(part, whole[700:1900])
 
     def test_fill_settles_after_the_fill_time(self):
         # the average reaches the new drive value once the fill time has
         # passed the end of the ramp, and holds the old one before the toggle
         fill = 25e-9
-        drive = sig.step_phase_drive(1.0, 0.0, 2.0, 50e-9, 2e-9, DT,
-                                     record(200e-9), fill=fill)
+        drive = drive_window(1.0, 0.0, 2.0, 50e-9, 2e-9, DT,
+                             record(200e-9), fill=fill)
         t = np.arange(drive.size) * DT
         np.testing.assert_allclose(drive[t <= 50e-9], 1.0, rtol=1e-15)
         np.testing.assert_allclose(drive[t >= 50e-9 + 2e-9 + fill + 1e-12],
@@ -146,9 +146,9 @@ def test_window_split_is_the_concatenation(lo, n, blocks, offset, fill,
     hi = lo + n
     m = min(hi, max(lo, lo + blocks * sig._DRIVE_BLOCK + offset))
     args = (1.3, 0.2, 0.2 + 0.9 * math.pi, t_toggle, ramp, 1.0e-11)
-    whole = sig.step_phase_drive(*args, (lo, hi), fill=fill)
-    parts = np.concatenate([sig.step_phase_drive(*args, (lo, m), fill=fill),
-                            sig.step_phase_drive(*args, (m, hi), fill=fill)])
+    whole = drive_window(*args, (lo, hi), fill=fill)
+    parts = np.concatenate([drive_window(*args, (lo, m), fill=fill),
+                            drive_window(*args, (m, hi), fill=fill)])
     np.testing.assert_array_equal(parts.view(np.uint64), whole.view(np.uint64))
 
 
@@ -170,8 +170,8 @@ def test_fill_against_continuous_moving_average(fill, dt, phase_a, phase_b,
     t = np.arange(lo, hi) * dt
     exact = step_phase_moving_average(amplitude, phase_a, phase_b, t_toggle,
                                       ramp, fill, t)
-    direct = sig.step_phase_drive(*args, (lo, hi), fill=fill)
-    whole = envelope(sig.step_phase_drive(*args, (0, n)), dt=dt)
+    direct = drive_window(*args, (lo, hi), fill=fill)
+    whole = envelope(drive_window(*args, (0, n)), dt=dt)
     spectral = sig.apply_transfer(whole, transit_fill_factor(fill, FC),
                                   pad_time=fill).samples[lo:hi]
     err_direct = np.abs(direct - exact).max()
@@ -254,24 +254,24 @@ class TestApplyTransfer:
 class TestDiodeDetect:
     def test_constant_level(self):
         env = envelope(2.0 * np.ones(256))
-        trace = sig.diode_detect(env, lp_cutoff=5e8)
+        trace = detect(env, lp_cutoff=5e8)
         np.testing.assert_allclose(trace.samples, 4.0, rtol=1e-12)
 
     def test_zero_signal(self):
         env = envelope(np.zeros(64))
-        assert np.all(sig.diode_detect(env, lp_cutoff=None).samples == 0.0)
+        assert np.all(detect(env, lp_cutoff=None).samples == 0.0)
 
     def test_responsivity_scales(self):
         env = envelope(np.ones(64))
-        trace = sig.diode_detect(env, lp_cutoff=None, responsivity=0.5)
+        trace = detect(env, lp_cutoff=None, responsivity=0.5)
         np.testing.assert_allclose(trace.samples, 0.5)
 
     def test_interference_step_against_two_wave_oracle(self):
         # |e^{i phi(t)} + e^{i pi}|^2 = 2 - 2 cos(phi) from the analytic form
-        step = sig.step_phase_drive(1.0, 0.0, math.pi, 100e-9, 2e-9, DT,
-                                    record(400e-9))
+        step = drive_window(1.0, 0.0, math.pi, 100e-9, 2e-9, DT,
+                            record(400e-9))
         total = envelope(step + np.exp(1j * math.pi))
-        trace = sig.diode_detect(total, lp_cutoff=None)
+        trace = detect(total, lp_cutoff=None)
         phase = np.angle(step)
         oracle = 2.0 - 2.0 * np.cos(phase)
         np.testing.assert_allclose(trace.samples, oracle, atol=1e-10)
@@ -283,9 +283,8 @@ class TestDiodeDetect:
         # rotating every input by one phase leaves the detected power as is
         rng = np.random.default_rng(6)
         total = sum(random_envelope(rng, 64).samples for _ in range(3))
-        d0 = sig.diode_detect(envelope(total), lp_cutoff=None)
-        d1 = sig.diode_detect(envelope(total * np.exp(1j * 1.234)),
-                              lp_cutoff=None)
+        d0 = detect(envelope(total), lp_cutoff=None)
+        d1 = detect(envelope(total * np.exp(1j * 1.234)), lp_cutoff=None)
         np.testing.assert_allclose(d0.samples, d1.samples, rtol=1e-12)
 
     @pytest.mark.parametrize("lp_cutoff", [None, 5e8])
@@ -296,19 +295,28 @@ class TestDiodeDetect:
         # sixteenth); a copy of the power for the trace took it to 1.06
         n = 79872
         env = envelope(np.exp(0.01j * np.arange(n)))
-        sig.diode_detect(env, lp_cutoff=lp_cutoff)
+        detect(env, lp_cutoff=lp_cutoff)
         tracemalloc.start()
         try:
-            sig.diode_detect(env, lp_cutoff=lp_cutoff)
+            detect(env, lp_cutoff=lp_cutoff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.6 * np.dtype(np.complex128).itemsize * n
 
+    @pytest.mark.parametrize("blocks, n", [
+        ([3], 5), ([3], 9), ([3], 2), ([3, 2], 3), ([], 2)])
+    def test_blocks_must_hold_n_samples(self, blocks, n):
+        # a short count left the trace's last samples uninitialised, and
+        # a long one failed in numpy's broadcasting
+        with pytest.raises(ValueError, match=f"^n = {n} is not"):
+            sig.diode_detect([np.ones(size, complex) for size in blocks],
+                             n, DT)
+
     def test_cutoff_validation(self):
         env = envelope(np.ones(64))
         with pytest.raises(ValueError):
-            sig.diode_detect(env, lp_cutoff=0.5 / DT)
+            detect(env, lp_cutoff=0.5 / DT)
 
 
 class TestRiseTime:
@@ -332,6 +340,18 @@ class TestRiseTime:
         v = np.clip(t / 50e-9, 0.0, 1.0) * 7.5
         res = sig.rise_time(sig.DetectedTrace(DT, v))
         assert res.v_max == pytest.approx(7.5, rel=1e-6)
+
+    def test_subnormal_level_is_no_transition(self):
+        # below the smallest normal float the level has lost its
+        # precision; an exact zero keeps its own message
+        v = np.clip(np.arange(4096) * DT / 50e-9, 0.0, 1.0)
+        with pytest.raises(sig.NoTransitionError,
+                           match="level 1e-318 is below the smallest normal"):
+            sig.rise_time(sig.DetectedTrace(DT, v * 1e-318))
+        with pytest.raises(sig.NoTransitionError, match="level is zero$"):
+            sig.rise_time(sig.DetectedTrace(DT, v * 0.0))
+        tiny = np.finfo(np.float64).tiny
+        assert sig.rise_time(sig.DetectedTrace(DT, v * tiny)).v_max == tiny
 
     def test_no_transition_flat(self):
         with pytest.raises(sig.NoTransitionError):
@@ -401,8 +421,8 @@ class TestCsvExport:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * np.dtype(np.complex128).itemsize * n
-        assert path.read_text() == csv_table("time_s,value", trace.times,
-                                             trace.samples)
+        assert path.read_text() == csv_table(
+            "time_s,value", np.arange(n) * DT, trace.samples)
 
 
 # every float class %.12g and f"{v:.12g}" could disagree on
