@@ -76,9 +76,17 @@ def group_velocity(k, wh, wm, d, branch):
     k = np.asarray(k, dtype=np.float64)
     w = 2.0 * np.pi * dispersion_f(k, wh, wm, d, branch)
     if branch == BRANCH_BV:
-        dw2_dk = wh * wm * d * _thin_film_factor_deriv(k * d)
+        rates, of_kd = wh * wm, _thin_film_factor_deriv(k * d)
     else:
-        dw2_dk = 0.5 * wm * wm * d * np.exp(-2.0 * k * d)
+        rates, of_kd = 0.5 * wm * wm, np.exp(-2.0 * k * d)
+    if math.isinf(rates * d):
+        # a film so thick that rates*d overflows where the factor of kd
+        # vanishes, and inf*0 is NaN: d times that factor first gives the
+        # large-kd limit (and inf where the product does overflow)
+        with np.errstate(over="ignore"):
+            dw2_dk = rates * (d * of_kd)
+    else:
+        dw2_dk = rates * d * of_kd
     return dw2_dk / (2.0 * w)
 
 

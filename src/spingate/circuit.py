@@ -21,7 +21,7 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import MAX_LEVEL, phase_setting, write_tables
+from .signal import COMPUTE_ROWS, MAX_LEVEL, phase_setting, write_rows
 
 CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
@@ -319,10 +319,34 @@ def build_majority_gate(geometry: DeviceGeometry, ctx: physics.ModeContext,
                        settings=settings or MicrowaveSettings())
 
 
-def spectrum_to_csv(f_grid, spectra, paths) -> None:
-    """Write each spectrum in dB to its path as CSV with columns f_hz,
-    s21_db; the shared f_hz column is formatted once for all of them."""
+def spectrum_to_csv(nl: GateNetlist, f_grid, paths,
+                    floor_db: float = -80.0) -> np.ndarray:
+    """Write the transmission_spectrum of each channel to its path as CSV
+    with columns f_hz, s21_db, and return each channel's peak in dB.
+
+    The ascending grid is taken COMPUTE_ROWS frequencies at a time:
+    transmission_spectrum runs on each slice just before the writer
+    formats its rows, so no spectrum is ever whole in memory.  Every stage
+    of it is elementwise, so the bytes are those of one call on the whole
+    grid.  The whole grid is checked before a file is opened, as a slice's
+    call checks only its own steps.  The shared f_hz column is formatted
+    once for all the files.
+    """
+    f_grid = np.asarray(f_grid, dtype=np.float64)
+    if not np.all(f_grid[1:] > f_grid[:-1]):
+        raise ValueError("frequency grid must be ascending")
+    peaks = np.full(len(CHANNELS), -np.inf)
+
+    def blocks():
+        for start in range(0, f_grid.size, COMPUTE_ROWS):
+            f = f_grid[start:start + COMPUTE_ROWS]
+            block = np.column_stack([f, *transmission_spectrum(nl, f, floor_db)])
+            np.maximum(peaks, block[:, 1:].max(axis=0), out=peaks)
+            yield block
+            del block
+
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
-        write_tables(files, ["f_hz,s21_db"] * len(files), [f_grid],
-                     [[db] for db in spectra])
+        write_rows(files, ["f_hz,s21_db"] * len(files), 1, [1] * len(files),
+                   blocks())
+    return peaks

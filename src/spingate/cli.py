@@ -23,7 +23,8 @@ import numpy as np
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, Setup, number, read_assignments,
                      read_config, validate_config)
-from .signal import NoTransitionError, trace_to_csv, wrap_phase, write_table
+from .signal import (COMPUTE_ROWS, NoTransitionError, trace_to_csv, wrap_phase,
+                     write_rows)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,15 +72,23 @@ def cmd_dispersion(setup: Setup, out: Path, args) -> int:
     ctx = setup.context()
     d = setup.cfg.dispersion
     if d.log_k:
-        k = np.logspace(np.log10(d.k_start_rad_per_m),
+        # np.logspace's powers, bit for bit, taken in place of the exponents
+        k = np.linspace(np.log10(d.k_start_rad_per_m),
                         np.log10(d.k_stop_rad_per_m), d.n_points)
+        np.power(10.0, k, out=k)
     else:
         k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
-    f = physics.dispersion_f(ctx, k)
-    vg = physics.group_velocity(ctx, k)
+
+    def blocks():
+        # f(k) and v_g per block of k, computed as the writer formats it
+        for start in range(0, k.size, COMPUTE_ROWS):
+            kb = k[start:start + COMPUTE_ROWS]
+            yield np.column_stack([kb, physics.dispersion_f(ctx, kb),
+                                   physics.group_velocity(ctx, kb)])
+
     path = out / "dispersion.csv"
     with path.open("wb") as file:
-        write_table(file, "k_rad_per_m,f_hz,v_g_m_per_s", k, f, vg)
+        write_rows([file], ["k_rad_per_m,f_hz,v_g_m_per_s"], 0, [3], blocks())
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
           f"branch={setup.cfg.field_.orientation} -> {path}")
     return EXIT_OK
@@ -88,12 +97,10 @@ def cmd_dispersion(setup: Setup, out: Path, args) -> int:
 def cmd_transmission(setup: Setup, out: Path, args) -> int:
     nl = setup.netlist()
     sp = setup.cfg.spectrum
-    f_grid = np.linspace(sp.f_start_hz, sp.f_stop_hz, sp.n_points)
-    spectra = circuit.transmission_spectrum(nl, f_grid, floor_db=sp.floor_db)
-    circuit.spectrum_to_csv(f_grid, spectra, [out / f"transmission_{ch}.csv"
-                                              for ch in circuit.CHANNELS])
-    summary = [f"{ch}_peak_db={db.max():.4g}"
-               for ch, db in zip(circuit.CHANNELS, spectra)]
+    peaks = circuit.spectrum_to_csv(
+        nl, sp.grid(), [out / f"transmission_{ch}.csv" for ch in circuit.CHANNELS],
+        floor_db=sp.floor_db)
+    summary = [f"{ch}_peak_db={db:.4g}" for ch, db in zip(circuit.CHANNELS, peaks)]
     print(f"transmission n={sp.n_points} {' '.join(summary)} -> {out}")
     return EXIT_OK
 

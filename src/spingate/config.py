@@ -17,6 +17,8 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import circuit, experiment, logic, physics, signal
 
 
@@ -93,6 +95,10 @@ class SpectrumConfig:
     f_stop_hz: float = 6.12e9
     n_points: int = 441
     floor_db: float = -80.0
+
+    def grid(self) -> np.ndarray:
+        """The frequencies (Hz) transmission runs on."""
+        return np.linspace(self.f_start_hz, self.f_stop_hz, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -323,7 +329,8 @@ def validate_config(cfg: RunConfig) -> Setup:
 
     Every number must be finite, and the fields no record reads in
     range (the Ms fit target, the orientation, the spectrum and
-    dispersion grids, of 2 to experiment.MAX_SAMPLES points).  Then one
+    dispersion grids, of 2 to experiment.MAX_SAMPLES points, the spectrum
+    grid strictly ascending as np.linspace makes it).  Then one
     pass builds each record and calls each precondition; every record
     field or argument name in a ValueError they raise becomes its dotted
     config key.
@@ -342,6 +349,19 @@ def validate_config(cfg: RunConfig) -> Setup:
                               f"[2, {experiment.MAX_SAMPLES}]")
     if sp.f_stop_hz <= sp.f_start_hz:
         raise ConfigError("spectrum.f_stop_hz must exceed spectrum.f_start_hz")
+    # transmission writes its files block by block, so a grid that does
+    # not ascend is refused here, before any block is written.  np.linspace
+    # rounds each point by at most about two ulps of the larger end, so a
+    # finite step of more than 16 ulps ascends; only a finer grid is made
+    step = (sp.f_stop_hz - sp.f_start_hz) / (sp.n_points - 1)
+    ulp = math.ulp(max(abs(sp.f_start_hz), abs(sp.f_stop_hz)))
+    if not 16.0 * ulp < step < math.inf:
+        f_grid = sp.grid()
+        if not np.all(f_grid[1:] > f_grid[:-1]):
+            raise ConfigError(
+                f"spectrum.n_points = {sp.n_points} makes a grid from "
+                "spectrum.f_start_hz to spectrum.f_stop_hz that does not "
+                "ascend strictly in float64")
     if disp.k_start_rad_per_m <= 0:
         raise ConfigError("dispersion.k_start_rad_per_m must be positive")
     if disp.k_stop_rad_per_m <= disp.k_start_rad_per_m:

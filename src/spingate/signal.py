@@ -7,6 +7,8 @@ and low-passes such blocks into a real trace; rise_time times the trace.
 An envelope holds samples of the slowly varying complex amplitude about a
 carrier, and apply_transfer acts on it spectrally: the transit fill
 applied that way is the oracle of the drive's time-domain average.
+write_rows writes every numeric CSV table as %.12g, from blocks of rows
+that its caller computes as the writer asks for them.
 """
 
 from __future__ import annotations
@@ -311,12 +313,22 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
 
 # -- the %.12g table writer ---------------------------------------------
 
-# rows per written block.  Of 1024-8192, 4096 writes a 2^17-row trace
+# rows per formatted block.  Of 1024-8192, 4096 writes a 2^17-row trace
 # about 8% faster and the other tables within 3%, but it doubles the
-# writer's peak (about 1.1 to 2.1 MiB for the three transmission files),
-# which would then pass the 2.6 MiB of transmission_spectrum's own peak
-# on a 32768-point grid; 1024 is 3-30% slower
+# writer's own peak (about 0.76 to 1.5 MiB for the three transmission
+# files, beside the block they are given), and with their rows computed
+# block by block that peak is what the spectrum commands peak on; 1024 is
+# 3-30% slower
 _BLOCK_ROWS = 2048
+# rows the transmission and dispersion tables compute per block they hand
+# the writer (the switching trace hands it blocks of _BLOCK_ROWS).  Each
+# transmission_spectrum call has a fixed cost of 0.2-0.4 ms (the Halley
+# loop, three channel evaluations): against one block of the whole grid,
+# a transmission job took about 20% longer at 2048 rows, 9% at 4096 and
+# as long at 8192.  Peak of a 32768-point transmission (dispersion)
+# command, grid included: 1.11 (0.92) MiB at 2048 rows, 1.17 (0.97) at
+# 4096, 1.30 (1.06) at 8192, 1.61 (1.25) at 16384; 2.64 (1.56) unstreamed
+COMPUTE_ROWS = 8192
 # a scaled value y at least this far from a rounding tie is rounded on the
 # fast path: y is |x| times a power of ten within an ulp of exact (numpy's
 # power), then rounded, so |error| < 1e12 * 3 * 2**-53 ~ 3.3e-4
@@ -499,35 +511,23 @@ def _squeeze(slots: np.ndarray) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
-def write_tables(files, headers, shared, own) -> None:
-    """Write one CSV table to each binary file: its header line, then one
-    row per index of the equal-length 1-D columns, the shared columns
-    first and then the file's own (at least one per file).
+def write_rows(files, headers, n_shared: int, n_own, blocks) -> None:
+    """Write one CSV table to each binary file: its header line, then the
+    rows of the 2-D blocks in order.  A row holds the n_shared columns all
+    the files share and then each file's own (n_own[i], at least one, for
+    file i).
 
     Every value is written as '%.12g' % v (and f"{v:.12g}") would write
-    it, byte for byte.  Blocks of _BLOCK_ROWS rows of every column are
-    formatted by one _format_block call, so a shared column is formatted
-    once for all the files; each file's columns of the block's slots are
-    picked by one np.take, squeezed and written as they are made.
+    it, byte for byte.  Each block is formatted _BLOCK_ROWS rows at a time
+    by one _format_block call, so a shared column is formatted once for
+    all the files; each file's columns of the slots are picked by one
+    np.take, squeezed and written as they are made.  blocks may be a
+    generator that computes each block as the writer asks for it, so that
+    no column need be whole in memory.
     """
-    own = [list(group) for group in own]
-    if not (own and all(own) and len(own) == len(files) == len(headers)):
+    n_own = list(n_own)
+    if not (n_own and all(n_own) and len(n_own) == len(files) == len(headers)):
         raise ValueError("need files, each with a header and its own columns")
-    cols = [np.asarray(c, dtype=np.float64)
-            for c in [*shared, *(c for group in own for c in group)]]
-    if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
-        raise ValueError("columns must be 1-D arrays of one length")
-    _write_rows(files, headers, len(shared), [len(group) for group in own],
-                cols[0].size,
-                lambda start, stop: np.column_stack([c[start:stop] for c in cols]))
-
-
-def _write_rows(files, headers, n_shared: int, n_own, n_rows: int,
-                rows) -> None:
-    """The loop of write_tables: the header lines, then rows(start, stop),
-    the 2-D block of rows [start, stop) of the shared columns and then
-    each file's own (n_own[i] for file i), for each block of _BLOCK_ROWS
-    rows of n_rows."""
     # the separator after each column, and the columns of each file's rows
     seps, picks = [0] * n_shared, []
     for count in n_own:
@@ -536,21 +536,30 @@ def _write_rows(files, headers, n_shared: int, n_own, n_rows: int,
     sep_index = np.tile(np.array(seps) * _NX, _BLOCK_ROWS)
     for file, header in zip(files, headers):
         file.write(header.encode() + b"\n")
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        block = rows(start, min(start + _BLOCK_ROWS, n_rows))
-        slots = _format_block(block.ravel(), sep_index[:block.size])
+    for block in blocks:
+        _write_block(files, picks, np.asarray(block, dtype=np.float64),
+                     sep_index)
+        # the block goes before the next one is computed
+        del block
+
+
+def _write_block(files, picks, block: np.ndarray, sep_index) -> None:
+    """The loop body of write_rows: format the rows of one block and write
+    each file's columns of them, _BLOCK_ROWS rows at a time."""
+    n_cols = sep_index.size // _BLOCK_ROWS
+    if block.ndim != 2 or block.shape[1] != n_cols:
+        raise ValueError(f"each block must be 2-D with {n_cols} columns")
+    for start in range(0, len(block), _BLOCK_ROWS):
+        rows = block[start:start + _BLOCK_ROWS].ravel()
+        slots = _format_block(rows, sep_index[:rows.size])
         if len(files) == 1:
             files[0].write(_squeeze(slots))
-            continue
-        slots = slots.reshape(-1, len(seps), 4)
-        for file, pick in zip(files, picks):
-            file.write(_squeeze(np.take(slots, pick, axis=1)))
-
-
-def write_table(file, header: str, *columns) -> None:
-    """Write a CSV table to a binary file: the header line, then one row
-    per index of the equal-length 1-D columns; see write_tables."""
-    write_tables([file], [header], (), [columns])
+        else:
+            slots = slots.reshape(-1, n_cols, 4)
+            for file, pick in zip(files, picks):
+                file.write(_squeeze(np.take(slots, pick, axis=1)))
+        # the slots go before the next rows are formatted
+        del slots
 
 
 def trace_to_csv(trace: DetectedTrace, path) -> None:
@@ -561,7 +570,9 @@ def trace_to_csv(trace: DetectedTrace, path) -> None:
     trace.
     """
     samples, dt = trace.samples, trace.dt
+    n = samples.size
     with open(path, "wb") as file:
-        _write_rows([file], ["time_s,value"], 0, [2], samples.size,
-                    lambda start, stop: np.column_stack(
-                        [np.arange(start, stop) * dt, samples[start:stop]]))
+        write_rows([file], ["time_s,value"], 0, [2], (
+            np.column_stack([np.arange(start, min(start + _BLOCK_ROWS, n)) * dt,
+                             samples[start:start + _BLOCK_ROWS]])
+            for start in range(0, n, _BLOCK_ROWS)))

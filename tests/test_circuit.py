@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import chain_product, fd_group_velocity, group_speed
+from oracles import chain_product, csv_table, fd_group_velocity, group_speed
 from spingate import circuit as ct
 from spingate import physics as ph
 from spingate._kernels import kernels
 from spingate.cli import main
+from spingate.signal import COMPUTE_ROWS
 
 FC = 6.035e9
 
@@ -413,11 +414,23 @@ def test_spectrum_is_each_channel_bit_for_bit(net, below, above, n, floor_db):
 
 
 def test_transmission_solves_each_grid_once(tmp_path, monkeypatch):
-    # one grid solve for the three channels plus the carrier's
+    # one solve for the three channels per block of the grid, plus the
+    # carrier's: the reference grid is one block, and a grid of three
+    # blocks and a ragged fourth is solved once in all, no solve larger
+    # than the block
     calls = count_solves(monkeypatch)
     assert main(["transmission", "--out", str(tmp_path)]) == 0
     sizes = sorted(np.size(args[0]) for args in calls)
     assert sizes == [1, 441]
+    n = 3 * COMPUTE_ROWS + 123
+    config = tmp_path / "cfg.txt"
+    config.write_text(f"spectrum.n_points = {n}\n")
+    calls.clear()
+    assert main(["transmission", "--config", str(config),
+                 "--out", str(tmp_path)]) == 0
+    sizes = sorted(np.size(args[0]) for args in calls)
+    assert sizes[0] == 1 and sum(sizes[1:]) == n
+    assert max(sizes) <= COMPUTE_ROWS
 
 
 class TestBuildMajorityGate:
@@ -477,7 +490,40 @@ class TestBuildMajorityGate:
 
 class TestSerialization:
     def test_spectrum_csv(self, tmp_path):
-        ct.spectrum_to_csv([6.0e9], [[-33.25]], [tmp_path / "s21.csv"])
-        lines = (tmp_path / "s21.csv").read_text().strip().split("\n")
-        assert lines == ["f_hz,s21_db", "6000000000,-33.25"]
+        # one file per channel, the stopband on the floor; the peaks are
+        # returned for the summary line
+        nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
+        paths = [tmp_path / f"s21_{ch}.csv" for ch in ct.CHANNELS]
+        peaks = ct.spectrum_to_csv(nl, [7.0e9], paths, floor_db=-33.25)
+        for path in paths:
+            lines = path.read_text().strip().split("\n")
+            assert lines == ["f_hz,s21_db", "7000000000,-33.25"]
+        assert list(peaks) == [-33.25] * 3
+
+    @pytest.mark.parametrize("orientation", list(ph.Orientation))
+    def test_blocks_write_the_whole_grid(self, tmp_path, orientation):
+        # a grid of two blocks and a ragged third, past both band edges:
+        # the files hold the spectra of one call on the whole grid, byte
+        # for byte, and the peaks are theirs
+        nl = reference_gate(orientation)
+        lo, hi = ph.band_limits(nl.ctx)
+        f = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                        2 * COMPUTE_ROWS + 777)
+        paths = [tmp_path / f"s21_{ch}.csv" for ch in ct.CHANNELS]
+        peaks = ct.spectrum_to_csv(nl, f, paths, floor_db=-150.0)
+        spectra = ct.transmission_spectrum(nl, f, floor_db=-150.0)
+        for path, db, peak in zip(paths, spectra, peaks):
+            assert path.read_text() == csv_table("f_hz,s21_db", f, db)
+            assert peak == db.max()
+
+    def test_grid_must_ascend_across_blocks(self, tmp_path):
+        # each block's call checks only its own steps: a step back at a
+        # block boundary is refused before any file is opened
+        nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
+        f = np.linspace(5.9e9, 6.1e9, 2 * COMPUTE_ROWS)
+        f[COMPUTE_ROWS] = f[COMPUTE_ROWS - 1]
+        path = tmp_path / "s21.csv"
+        with pytest.raises(ValueError, match="ascending"):
+            ct.spectrum_to_csv(nl, f, [path] * 3)
+        assert not path.exists()
 

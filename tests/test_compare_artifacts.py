@@ -128,6 +128,29 @@ def test_dense_jobs_span_blocks_and_band_edges():
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
+def test_wide_jobs_span_compute_blocks():
+    # the wide jobs compute both grids in more than three blocks of
+    # signal.COMPUTE_ROWS, the last one partial for the writer's blocks
+    # too, where a dense grid fits in one
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-wide")} == {
+        "dispersion-wide": ["dispersion"],
+        "transmission-wide": ["transmission"]}
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.WIDE))
+    for n in (cfg.spectrum.n_points, cfg.dispersion.n_points):
+        assert n > 3 * sig.COMPUTE_ROWS
+        assert n % sig.COMPUTE_ROWS and n % sig._BLOCK_ROWS
+    dense = cf.parse_config(REFERENCE.read_text()
+                            + "\n".join(compare_artifacts.DENSE))
+    assert dense.spectrum.n_points < sig.COMPUTE_ROWS
+    for orientation in ("parallel", "perpendicular"):
+        field = replace(cfg.field_, orientation=orientation)
+        lo, hi = ph.band_limits(
+            cf.validate_config(replace(cfg, field_=field)).context())
+        assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
+
+
 def test_long_jobs_reach_the_window_tail():
     # the long jobs run switch and scale on a record whose analysis window
     # closes WINDOW_TAIL after the toggle, before the record's end; on the

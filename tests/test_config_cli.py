@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -118,6 +119,26 @@ class TestConfigParsing:
         with pytest.raises(cf.ConfigError, match=f"^{re.escape(message)}$"):
             cf.parse_config(text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(-1e15, 1e15), ulps=st.floats(0.0, 40.0),
+           n=st.integers(2, 3000))
+    def test_spectrum_grid_refused_exactly_where_it_does_not_ascend(
+            self, start, ulps, n):
+        # steps of a few ulps, where np.linspace's rounding can repeat a
+        # point or step back: validate_config refuses the grid if and only
+        # if the grid it makes does not ascend strictly
+        stop = start + ulps * math.ulp(max(abs(start), 1e-300)) * (n - 1)
+        if not stop > start:
+            return
+        sp = cf.SpectrumConfig(f_start_hz=start, f_stop_hz=stop, n_points=n)
+        grid = sp.grid()
+        cfg = cf.RunConfig(spectrum=sp)
+        if np.all(grid[1:] > grid[:-1]):
+            cf.validate_config(cfg)
+        else:
+            with pytest.raises(cf.ConfigError, match="^spectrum.n_points = "):
+                cf.validate_config(cfg)
+
     def test_repeated_key_keeps_last_value(self):
         cfg = cf.parse_config("scaling.scales = 1, 0.5, 0.2\n"
                               "scaling.scales = 1, 0.5\n"
@@ -141,6 +162,32 @@ class TestConfigParsing:
         assert ctx.film.Ms * ph.MU0 == pytest.approx(0.176, rel=1e-12)
 
 
+def cli_peak(tmp_path, command, lines, flags=()):
+    """tracemalloc peak of one successful run of a command on a config of
+    the given lines."""
+    config = tmp_path / "cfg.txt"
+    config.write_text("".join(f"{line}\n" for line in lines))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"),
+            *flags]
+    with contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def assert_peak_flat(run, small=2 ** 13, large=2 ** 17):
+    # beside the grid array (8 bytes a point) the peak at 2^17 points is
+    # within 2% of the peak at 2^13: a table is computed and written one
+    # block of rows at a time.  The small grid runs once first, so that
+    # first-call allocations count in neither reading.
+    run(small)
+    peaks = [run(n) - 8 * n for n in (small, large)]
+    assert peaks[1] <= 1.02 * peaks[0], peaks
+
+
 class TestDispersionCommand:
     def test_bvmsw_table(self, tmp_path, capsys):
         assert main(["dispersion", "--out", str(tmp_path)]) == 0
@@ -160,8 +207,47 @@ class TestDispersionCommand:
         f = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(f) > 0)
 
+    @pytest.mark.parametrize("log_k", ["true", "false"])
+    @pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, mode, log_k):
+        assert_peak_flat(lambda n: cli_peak(
+            tmp_path, "dispersion",
+            [f"dispersion.n_points = {n}", f"dispersion.log_k = {log_k}"],
+            ["--mode", mode]))
+
+    @pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
+    def test_thick_film_group_velocity_is_finite(self, tmp_path, capsys, mode):
+        # wh*wm*d (or wm^2*d) overflowed before its vanishing factor of kd
+        # multiplied: v_g was NaN in every row, with a RuntimeWarning
+        config = tmp_path / "cfg.txt"
+        config.write_text("film.thickness_m = 1e300\n")
+        assert main(["dispersion", "--config", str(config), "--mode", mode,
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "dispersion.csv")
+        vg = np.array([float(r[2]) for r in rows])
+        assert np.all(np.isfinite(vg))
+        sign = -1.0 if mode == "bvmsw" else 1.0
+        assert np.all(sign * vg >= 0)
+
 
 class TestTransmissionCommand:
+    @pytest.mark.parametrize("orientation", list(ph.Orientation))
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path, orientation):
+        # grids past both band edges, with the carrier mid-band: the
+        # backward-volume solve iterates, the surface one is closed form
+        ctx = cf.validate_config(cf.parse_config(
+            f"field.orientation = {orientation.value}\n")).context()
+        lo, hi = ph.band_limits(ctx)
+        span = hi - lo
+        assert_peak_flat(lambda n: cli_peak(
+            tmp_path, "transmission",
+            [f"field.orientation = {orientation.value}",
+             f"microwave.f_c_hz = {lo + 0.5 * span!r}",
+             f"spectrum.f_start_hz = {lo - 0.1 * span!r}",
+             f"spectrum.f_stop_hz = {hi + 0.1 * span!r}",
+             f"spectrum.n_points = {n}"]))
+
     def test_three_distinct_channels(self, tmp_path):
         assert main(["transmission", "--out", str(tmp_path)]) == 0
         curves = {}
@@ -666,6 +752,11 @@ class TestCliPlumbing:
         ("spectrum.f_stop_hz = 5e9", "spectrum.f_stop_hz"),
         # the message names the pair, stop first
         ("spectrum.f_start_hz = 7e9", "spectrum.f_stop_hz"),
+        # a grid finer than one ulp: used to end in a traceback ("frequency
+        # grid must be ascending"); the files are written block by block,
+        # so it is refused before any is opened
+        ("spectrum.f_start_hz = 6.0e9\nspectrum.f_stop_hz = 6.0000000000001e9",
+         "spectrum.n_points"),
         ("dispersion.n_points = 0", "dispersion.n_points"),
         # grids beyond 2^20 points: used to end in a numpy traceback (or to
         # allocate them); rejected before anything is allocated

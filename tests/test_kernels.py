@@ -124,6 +124,28 @@ def test_group_velocity_far_beyond_the_band_edge():
     assert np.all(vg <= 0.0) and np.all(np.isfinite(vg))
 
 
+@settings(max_examples=60, deadline=None)
+@given(film=films, k=st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=8),
+       branch=branches)
+def test_group_velocity_of_a_thick_film(film, k, branch):
+    # at d = 1e300 the film factor wh*wm*d (wm^2*d/2) overflows while its
+    # factor of kd vanishes: the product, NaN before, is taken again in
+    # the order that gives the large-kd limit; at the film's own d it is
+    # the product as written, bit for bit.  k*d stays in the float range.
+    wh, wm, d = film
+    k = np.array(k)
+    with np.errstate(all="raise", under="ignore"):
+        thick = kernels.group_velocity(k, wh, wm, 1e300, branch)
+        vg = kernels.group_velocity(k, wh, wm, d, branch)
+    assert np.all(np.isfinite(thick)) and not np.any(thick * (branch - 0.5) < 0)
+    if branch == BRANCH_BV:
+        dw2_dk = wh * wm * d * _core_py._thin_film_factor_deriv(k * d)
+    else:
+        dw2_dk = 0.5 * wm * wm * d * np.exp(-2.0 * k * d)
+    w = 2.0 * np.pi * kernels.dispersion_f(k, wh, wm, d, branch)
+    assert vg.tobytes() == (dw2_dk / (2.0 * w)).tobytes()
+
+
 def test_solve_k_grid_equals_scalar_solves():
     # the vectorized iteration freezes each bin on its own convergence
     for branch in (BRANCH_BV, BRANCH_S):

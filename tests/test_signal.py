@@ -437,10 +437,28 @@ table_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
 BLOCK = sig._BLOCK_ROWS
 
 
+def row_blocks(columns, size=BLOCK):
+    """The rows of the equal-length columns as 2-D blocks of size rows."""
+    n = len(columns[0])
+    return (np.column_stack([c[start:start + size] for c in columns])
+            for start in range(0, n, size))
+
+
+def write_table(file, header, *columns):
+    """One file, every column its own."""
+    sig.write_rows([file], [header], 0, [len(columns)], row_blocks(columns))
+
+
+def write_tables(files, headers, shared, own):
+    """Files sharing the leading columns, then each with its own."""
+    sig.write_rows(files, headers, len(shared), [len(group) for group in own],
+                   row_blocks([*shared, *(c for group in own for c in group)]))
+
+
 def assert_table_matches(columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
     file = io.BytesIO()
-    sig.write_table(file, header, *columns)
+    write_table(file, header, *columns)
     got = file.getvalue().decode().split("\n")
     want = csv_table(header, *columns).split("\n")
     # report the first differing line: diffing two whole tables on every
@@ -541,9 +559,9 @@ def test_write_tables_streams():
         f = np.linspace(5.9e9, 6.1e9, n)
         spectra = [np.sin(f * k / 1e9) * 40.0 - 60.0 for k in (1, 2, 3)]
         peaks.append((
-            peak(lambda: sig.write_table(Sink(), "f_hz,s21_db", f, spectra[0])),
-            peak(lambda: sig.write_tables([Sink()] * 3, ["f_hz,s21_db"] * 3,
-                                          [f], [[s] for s in spectra]))))
+            peak(lambda: write_table(Sink(), "f_hz,s21_db", f, spectra[0])),
+            peak(lambda: write_tables([Sink()] * 3, ["f_hz,s21_db"] * 3,
+                                      [f], [[s] for s in spectra]))))
     (one_small, three_small), (one_large, three_large) = peaks
     assert one_large <= 1.02 * one_small
     assert three_large <= 1.02 * three_small
@@ -560,8 +578,10 @@ def test_powers_of_ten_within_an_ulp():
 
 
 def test_write_table_rejects_ragged_columns():
-    with pytest.raises(ValueError, match="one length"):
-        sig.write_table(io.BytesIO(), "a,b", [1.0, 2.0], [1.0])
+    # a block must hold a value of every column in each of its rows
+    for block in (np.ones((2, 3)), np.ones((2, 1)), np.ones(2)):
+        with pytest.raises(ValueError, match="2-D with 2 columns"):
+            sig.write_rows([io.BytesIO()], ["a,b"], 0, [2], [block])
 
 
 # values the writer formats by '%.12g' % instead: zeros, nan, infinities
@@ -589,15 +609,37 @@ def test_shared_columns_match_one_table_per_file(n_rows, n_shared):
     own = [[column()], [column(), column()], [column()]]
     files = [io.BytesIO() for _ in own]
     headers = [f"h{i}" for i in range(len(own))]
-    sig.write_tables(files, headers, shared, own)
+    write_tables(files, headers, shared, own)
     for file, header, columns in zip(files, headers, own):
         one = io.BytesIO()
-        sig.write_table(one, header, *shared, *columns)
+        write_table(one, header, *shared, *columns)
         assert file.getvalue() == one.getvalue()
     assert_table_matches([*shared, *own[1]])
 
 
 def test_write_tables_needs_own_columns():
-    for headers, own in ((["a"], [[]]), (["a", "b"], [[[1.0]]]), ([], [])):
+    for headers, n_own in ((["a"], [0]), (["a", "b"], [1]), ([], [])):
         with pytest.raises(ValueError, match="own columns"):
-            sig.write_tables([io.BytesIO()] * len(own), headers, [[1.0]], own)
+            sig.write_rows([io.BytesIO()] * len(n_own), headers, 1, n_own,
+                           [np.ones((1, 2))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3 * BLOCK), min_size=1, max_size=4),
+       n_files=st.integers(1, 3))
+def test_blocks_of_any_size_write_the_same_bytes(sizes, n_files):
+    # a producer may hand the writer blocks of any size (the spectrum
+    # commands compute signal.COMPUTE_ROWS rows at a time, ragged at the
+    # end), and the bytes are the same
+    rng = np.random.default_rng(sum(sizes))
+    n = sum(sizes)
+    shared = [rng.standard_normal(n) * 1e9]
+    own = [[rng.standard_normal(n) * 10.0 ** i] for i in range(n_files)]
+    columns = np.column_stack([*shared, *(g[0] for g in own)])
+    cuts = np.cumsum([0, *sizes])
+    files = [io.BytesIO() for _ in own]
+    headers = [f"h{i}" for i in range(n_files)]
+    sig.write_rows(files, headers, 1, [1] * n_files,
+                   (columns[a:b] for a, b in zip(cuts[:-1], cuts[1:])))
+    for file, header, group in zip(files, headers, own):
+        assert file.getvalue().decode() == csv_table(header, *shared, *group)

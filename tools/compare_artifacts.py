@@ -10,7 +10,9 @@ calibration and with the settings file the flag set's own ``calibrate``
 job wrote -- on SRC_TREE/configs/reference.txt, once per flag set (see
 FLAG_SETS), each in a fresh interpreter.  The ``*-dense`` jobs run
 ``dispersion`` and ``transmission`` on that config with the DENSE lines
-appended, grids that span several blocks of the CSV writer; the
+appended, grids that span several blocks of the CSV writer, and the
+``*-wide`` jobs with the WIDE lines appended, grids of several blocks
+of rows computed at a time (signal.COMPUTE_ROWS), the last one partial; the
 ``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
 appended, a record whose analysis window ends before it does; the
 ``*-phi0`` jobs run ``truthtable`` and ``fulladder`` with the PHI0 lines
@@ -64,6 +66,8 @@ JOBS = {
     "scale": ["scale"],
     "dispersion-dense": ["dispersion"],
     "transmission-dense": ["transmission"],
+    "dispersion-wide": ["dispersion"],
+    "transmission-wide": ["transmission"],
     "switch-long": ["switch"],
     "scale-long": ["scale"],
     "truthtable-phi0": ["truthtable"],
@@ -83,6 +87,12 @@ JOBS = {
 DENSE = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 7.5e9",
          "spectrum.n_points = 5001", "spectrum.floor_db = -1000",
          "dispersion.n_points = 5001")
+# appended for the *-wide jobs: the DENSE spans on grids of 25,001 points,
+# three blocks of the 8192 rows the spectrum commands compute at a time and
+# a partial fourth of 425 rows (ragged for the writer's 2048 as well)
+WIDE = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 7.5e9",
+        "spectrum.n_points = 25001", "spectrum.floor_db = -1000",
+        "dispersion.n_points = 25001")
 # appended for the *-long jobs: a record long enough that the analysis
 # window closes experiment.WINDOW_TAIL after the toggle, not at the
 # record's end as it does on the reference config
@@ -107,8 +117,9 @@ FINE = ("switching.dt_s = 3.125e-12",)
 # (2048), so both end on a partial block of 1,908 samples
 RAGGED = ("switching.dt_s = 3.3e-12",)
 # job name suffix -> the lines appended to the reference config
-APPENDED = {"-dense": DENSE, "-long": LONG, "-phi0": PHI0, "-guard": GUARD,
-            "-flagged": FLAGGED, "-fine": FINE, "-ragged": RAGGED}
+APPENDED = {"-dense": DENSE, "-wide": WIDE, "-long": LONG, "-phi0": PHI0,
+            "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
+            "-ragged": RAGGED}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
