@@ -33,6 +33,7 @@ _P_DERIV_SERIES_X = 1e-3
 _HALLEY_RTOL = 1e-9
 _HALLEY_ATOL = 8.0 * np.finfo(np.float64).eps
 _HALLEY_MAX_ITER = 64
+_FLOAT_MAX = np.finfo(np.float64).max
 
 
 def _thin_film_factor(x):
@@ -47,7 +48,9 @@ def _thin_film_factor_deriv(x):
     """dP/dx = (exp(-x)*(1+x) - 1) / x**2; -1/2 at x = 0."""
     x = np.asarray(x, dtype=np.float64)
     small = x < _P_DERIV_SERIES_X
-    safe = np.where(small, 1.0, x)
+    # x = inf (a k*d past the float range) as the largest float, whose
+    # exp(-x)*(1+x) is 0 where inf's is 0*inf = NaN; -1/x**2 is -0 at both
+    safe = np.where(small, 1.0, np.minimum(x, _FLOAT_MAX))
     # the series only for small x: the cubic overflows for x above ~1e102
     xs = np.where(small, x, 0.0)
     series = -0.5 + xs * (1.0 / 3.0 - xs * (0.125 - xs / 30.0))
@@ -57,12 +60,17 @@ def _thin_film_factor_deriv(x):
 
 
 def dispersion_f(k, wh, wm, d, branch):
-    """Frequency (Hz) of the propagating mode at wavenumber k (rad/m)."""
+    """Frequency (Hz) of the propagating mode at wavenumber k (rad/m).
+
+    A k*d past the float range is inf, where both branches take their
+    large-kd limit: wh/2pi (P(inf) = 0) and the surface band's top.
+    """
     k = np.asarray(k, dtype=np.float64)
-    if branch == BRANCH_BV:
-        w2 = wh * (wh + wm * _thin_film_factor(k * d))
-    else:
-        w2 = wh * (wh + wm) + 0.25 * wm * wm * (-np.expm1(-2.0 * k * d))
+    with np.errstate(over="ignore"):
+        if branch == BRANCH_BV:
+            w2 = wh * (wh + wm * _thin_film_factor(k * d))
+        else:
+            w2 = wh * (wh + wm) + 0.25 * wm * wm * (-np.expm1(-2.0 * k * d))
     return np.sqrt(w2) / (2.0 * np.pi)
 
 
@@ -75,10 +83,13 @@ def group_velocity(k, wh, wm, d, branch):
     """
     k = np.asarray(k, dtype=np.float64)
     w = 2.0 * np.pi * dispersion_f(k, wh, wm, d, branch)
-    if branch == BRANCH_BV:
-        rates, of_kd = wh * wm, _thin_film_factor_deriv(k * d)
-    else:
-        rates, of_kd = 0.5 * wm * wm, np.exp(-2.0 * k * d)
+    # a k*d past the float range is inf, where the factor of kd takes its
+    # limit: -0 (P'(inf)) or 0 (exp(-inf)), so v_g is 0 there
+    with np.errstate(over="ignore"):
+        if branch == BRANCH_BV:
+            rates, of_kd = wh * wm, _thin_film_factor_deriv(k * d)
+        else:
+            rates, of_kd = 0.5 * wm * wm, np.exp(-2.0 * k * d)
     if math.isinf(rates * d):
         # a film so thick that rates*d overflows where the factor of kd
         # vanishes, and inf*0 is NaN: d times that factor first gives the

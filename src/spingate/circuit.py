@@ -287,6 +287,16 @@ def channel_transfer(nl: GateNetlist, channel: str, f,
     return nl.constants[idx] * film * prop.shape
 
 
+def _ascending(f_grid) -> np.ndarray:
+    """f_grid as a float64 array, or ValueError unless each point lies
+    above the one before it (a NaN lies above nothing, and nothing above
+    it)."""
+    f_grid = np.asarray(f_grid, dtype=np.float64)
+    if not np.all(f_grid[1:] > f_grid[:-1]):
+        raise ValueError("frequency grid must be ascending")
+    return f_grid
+
+
 def transmission_spectrum(nl: GateNetlist, f_grid,
                           floor_db: float = -80.0) -> tuple[np.ndarray, ...]:
     """|S21| in dB of i1, i2 and i3 over a frequency grid, floored at floor_db.
@@ -298,9 +308,7 @@ def transmission_spectrum(nl: GateNetlist, f_grid,
     bit for bit.  The floor replaces exact stopband zeros and clips any
     deeper physical decay, mimicking a finite instrument noise floor.
     """
-    f_grid = np.asarray(f_grid, dtype=np.float64)
-    if f_grid.size > 1 and np.any(np.diff(f_grid) <= 0):
-        raise ValueError("frequency grid must be ascending")
+    f_grid = _ascending(f_grid)
     prop = propagation(nl, physics.solve_k_grid(nl.ctx, f_grid))
     spectra = []
     for ch in CHANNELS:
@@ -332,9 +340,7 @@ def spectrum_to_csv(nl: GateNetlist, f_grid, paths,
     call checks only its own steps.  The shared f_hz column is formatted
     once for all the files.
     """
-    f_grid = np.asarray(f_grid, dtype=np.float64)
-    if not np.all(f_grid[1:] > f_grid[:-1]):
-        raise ValueError("frequency grid must be ascending")
+    f_grid = _ascending(f_grid)
     peaks = np.full(len(CHANNELS), -np.inf)
 
     def blocks():

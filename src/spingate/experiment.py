@@ -21,10 +21,11 @@ from .signal import (DetectedTrace, diode_detect, phase_setting,
 
 
 # ceiling of the analysis window in samples: run_switching holds one
-# real array of the window and a drive block's temporaries (a tracemalloc
-# peak of 9.1 MiB at 2^20 samples, 12.1 with a fill), and 8 trapezoid
-# nodes per sample of a ramp that ends inside it; config.validate_config
-# bounds the spectrum and dispersion grids by it too
+# real array of the window and a drive block's temporaries, and with a
+# fill the ramp table, three float arrays of 8 trapezoid nodes per sample
+# of the ramp (a tracemalloc peak of 9.0 MiB at 2^20 samples, 9.7 with a
+# fill on a 2 ns ramp, 67,225 nodes); config.validate_config bounds the
+# spectrum and dispersion grids by it too
 MAX_SAMPLES = 2 ** 20
 
 
@@ -266,6 +267,8 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
             block *= gains[1]
             block += offset
             yield block
+            # the block goes before the next one is made
+            del block
 
     lo, hi = timing.window
     window = diode_detect(total(), hi - lo, timing.dt, lp_cutoff, responsivity)

@@ -134,8 +134,11 @@ _RAMP_NODES_PER_SAMPLE = 8
 _NEGLIGIBLE_FILL = 1e-9
 # samples step_phase_drive yields at a time: every sample is computed from
 # its own time alone, so a window is made block by block, and the
-# temporaries stay a block long whatever the window's length
-_DRIVE_BLOCK = 8192
+# temporaries stay a block long whatever the window's length.  On a
+# 79,872-sample window with a fill, run_switching peaks at 0.89 MiB and
+# takes 2.9 ms at 4096; 2048 saves 0.06 MiB but takes 12% longer, and
+# 8192 costs 0.23 MiB more for 1% (best of 60 in-process runs, 2 CPUs)
+_DRIVE_BLOCK = 4096
 
 
 def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
@@ -157,42 +160,126 @@ def step_phase_drive(amplitude: float, phase_a: float, phase_b: float,
     both ends included) read by linear interpolation, and linear after
     the ramp.  The drive is held at a0 before the toggle, also before the
     record begins, so the average never wraps, and only the requested
-    samples are computed.  Beside the block it yields, the generator
-    holds block-long temporaries and the ramp's nodes.
+    samples are computed.
+
+    Each block is worked in place on the array it is yielded in and one
+    real one, and with a fill one more complex one: a tracemalloc peak of
+    24 bytes per block sample (40 with a fill), 96 (160) KiB at
+    _DRIVE_BLOCK.  With a fill the generator holds the ramp table as
+    well, three float arrays of the nodes (0.12 MiB for the 5,121 nodes
+    of a 2 ns ramp at 3.125 ps, 9.6 MB for the 400,001 of a 50 ns ramp at
+    1 ps), built with a block's temporaries.
     """
+    half_swing = (phase_b - phase_a) * 0.5
+
     def drive(u):
-        phase = phase_a + (phase_b - phase_a) * 0.5 * (1.0 - np.cos(math.pi * u))
-        return amplitude * np.exp(1j * phase)
+        # amplitude * exp(1j * phase) with phase = phase_a + half_swing *
+        # (1 - cos(pi * u)), worked in place on u and then on one complex
+        # array that holds the phase as the product would cast it, each
+        # operation with the operands of the formula in its order
+        np.multiply(math.pi, u, out=u)
+        np.cos(u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.multiply(half_swing, u, out=u)
+        z = np.empty(u.size, dtype=np.complex128)
+        np.add(phase_a, u, out=z.real)
+        z.imag = 0.0
+        np.multiply(1j, z, out=z)
+        np.exp(z, out=z)
+        np.multiply(amplitude, z, out=z)
+        return z
+
+    def times(start, stop):
+        # the sample times j*dt (the float arange holds the integers exactly)
+        t = np.arange(start, stop, dtype=np.float64)
+        t *= dt
+        return t
 
     if fill <= _NEGLIGIBLE_FILL * dt:
-        def block(t):
+        def block(start, stop):
+            u = times(start, stop)
             # a subnormal ramp overflows the quotient to +-inf, which the
             # clip takes to the right end
+            np.subtract(u, t_toggle, out=u)
             with np.errstate(over="ignore"):
-                u = (t - t_toggle) / ramp
-            return drive(np.clip(u, 0.0, 1.0))
+                np.divide(u, ramp, out=u)
+            np.clip(u, 0.0, 1.0, out=u)
+            return drive(u)
     else:
         a0 = amplitude * complex(math.cos(phase_a), math.sin(phase_a))
         a1 = amplitude * complex(math.cos(phase_b), math.sin(phase_b))
-        u = np.linspace(0.0, 1.0,
-                        _RAMP_NODES_PER_SAMPLE * math.ceil(ramp / dt) + 1)
-        nodes = t_toggle + ramp * u
-        excess = drive(u) - a0
-        ramp_integral = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (excess[1:] + excess[:-1]) * np.diff(nodes))))
+        nodes, ramp_integral = _ramp_table(
+            drive, a0, t_toggle, ramp,
+            _RAMP_NODES_PER_SAMPLE * math.ceil(ramp / dt) + 1)
 
-        def block(t):
+        def block(start, stop):
             # C(t) - C(t - fill): the ramp part by interpolation (0 before
             # the toggle, its total after the ramp), the linear part after
-            # the ramp clipped in one step so it does not cancel
-            swept = (np.interp(t, nodes, ramp_integral)
-                     - np.interp(t - fill, nodes, ramp_integral)
-                     + (a1 - a0) * np.clip(t - nodes[-1], 0.0, fill))
-            return a0 + swept / fill
+            # the ramp clipped in one step so it does not cancel; in place
+            # on the two interpolations, in the order of the formula
+            # (interp(t) - interp(t - fill) + (a1 - a0) * clip) / fill + a0
+            t = times(start, stop)
+            swept = np.interp(t, nodes, ramp_integral)
+            np.subtract(t, fill, out=t)
+            late = np.interp(t, nodes, ramp_integral)
+            del t
+            np.subtract(swept, late, out=swept)
+            # the clipped time after the ramp, as the complex the product
+            # casts it to: the sample times again, in the real part of late
+            linear = late.real
+            np.multiply(np.arange(start, stop, dtype=np.float64), dt,
+                        out=linear)
+            np.subtract(linear, nodes[-1], out=linear)
+            np.clip(linear, 0.0, fill, out=linear)
+            late.imag = 0.0
+            np.multiply(a1 - a0, late, out=late)
+            np.add(swept, late, out=swept)
+            del late, linear
+            np.divide(swept, fill, out=swept)
+            np.add(a0, swept, out=swept)
+            return swept
 
     lo, hi = window
     for start in range(lo, hi, _DRIVE_BLOCK):
-        yield block(np.arange(start, min(start + _DRIVE_BLOCK, hi)) * dt)
+        yield block(start, min(start + _DRIVE_BLOCK, hi))
+
+
+def _ramp_table(drive, a0: complex, t_toggle: float, ramp: float,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n nodes t_toggle + ramp * linspace(0, 1, n) and the cumulative
+    trapezoid integral of drive(u) - a0 over them (0 at the first node).
+
+    Built _DRIVE_BLOCK intervals at a time into the two arrays it returns:
+    each chunk's first term is seeded with the running sum before its
+    cumsum, which keeps the left-to-right order of one cumsum over all the
+    terms, so every bit is that of the whole-table formula
+    concatenate(([0], cumsum(0.5 * (e[1:] + e[:-1]) * diff(nodes)))).
+    """
+    nodes = np.linspace(0.0, 1.0, n)
+    ramp_integral = np.empty(n, dtype=np.complex128)
+    ramp_integral[0] = 0.0
+    for first in range(0, n - 1, _DRIVE_BLOCK):
+        last = min(first + _DRIVE_BLOCK, n - 1)
+        u = nodes[first:last + 1]
+        excess = drive(u.copy())
+        np.subtract(excess, a0, out=excess)
+        term = np.add(excess[1:], excess[:-1])
+        # the node spacings, as the complex the product casts them to, in
+        # the excess array that is no longer needed
+        span = np.multiply(ramp, u)
+        span += t_toggle
+        spacing = excess[:-1]
+        np.subtract(span[1:], span[:-1], out=spacing.real)
+        spacing.imag = 0.0
+        del span
+        np.multiply(0.5, term, out=term)
+        np.multiply(term, spacing, out=term)
+        del excess, spacing
+        term[0] += ramp_integral[first]
+        np.cumsum(term, out=ramp_integral[first + 1:last + 1])
+    nodes *= ramp
+    nodes += t_toggle
+    return nodes, ramp_integral
 
 
 def apply_transfer(env: ComplexEnvelope, tf: Callable[[np.ndarray], np.ndarray],
@@ -252,6 +339,8 @@ def diode_detect(blocks, n: int, dt: float, lp_cutoff: float | None = 5.0e8,
         np.abs(block, out=part)
         np.square(part, out=part)
         part *= responsivity
+        # the block goes before the next one is made
+        del block
     if start != n:
         raise ValueError(f"n = {n} is not the number of samples the "
                          "blocks hold")
@@ -315,19 +404,22 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
 
 # rows per formatted block.  Of 1024-8192, 4096 writes a 2^17-row trace
 # about 8% faster and the other tables within 3%, but it doubles the
-# writer's own peak (about 0.76 to 1.5 MiB for the three transmission
-# files, beside the block they are given), and with their rows computed
-# block by block that peak is what the spectrum commands peak on; 1024 is
-# 3-30% slower
+# writer's own peak (0.53 to 1.02 MiB for the three transmission files of
+# 32768 rows, beside the blocks they are given, 0.27 at 1024), and with
+# their rows computed block by block that peak is what the spectrum
+# commands peak on; 1024 is 3-30% slower
 _BLOCK_ROWS = 2048
+# rows of slots squeezed and written at a time, a quarter of a block: the
+# squeeze's copy and its bytes stay below the formatter's temporaries
+_SQUEEZE_ROWS = 512
 # rows the transmission and dispersion tables compute per block they hand
 # the writer (the switching trace hands it blocks of _BLOCK_ROWS).  Each
 # transmission_spectrum call has a fixed cost of 0.2-0.4 ms (the Halley
 # loop, three channel evaluations): against one block of the whole grid,
 # a transmission job took about 20% longer at 2048 rows, 9% at 4096 and
 # as long at 8192.  Peak of a 32768-point transmission (dispersion)
-# command, grid included: 1.11 (0.92) MiB at 2048 rows, 1.17 (0.97) at
-# 4096, 1.30 (1.06) at 8192, 1.61 (1.25) at 16384; 2.64 (1.56) unstreamed
+# command, grid included: 0.85 (0.69) MiB at 2048 rows, 0.92 (0.76) at
+# 4096, 1.15 (0.88) at 8192, 1.74 (1.45) at 16384; 2.64 (1.56) unstreamed
 COMPUTE_ROWS = 8192
 # a scaled value y at least this far from a rounding tie is rounded on the
 # fast path: y is |x| times a power of ten within an ulp of exact (numpy's
@@ -405,9 +497,14 @@ def _scaled(mag: np.ndarray, index: np.ndarray):
     values on the fast path: y in [1e11, _Y_TOP) and at least _TIE_MARGIN
     from a rounding tie (a 0, nan or inf fails, and so does any index at or
     past a table end)."""
-    y = mag * _take(_SCALE, index)
+    y = _take(_SCALE, index)
+    np.multiply(mag, y, out=y)
     r = np.rint(y)
-    fast = (y >= 1e11) & (y < _Y_TOP) & (np.abs(y - r) <= 0.5 - _TIE_MARGIN)
+    fast = y >= 1e11
+    fast &= y < _Y_TOP
+    # |y - r| in place of y, which is not needed after it
+    np.subtract(y, r, out=y)
+    fast &= np.abs(y, out=y) <= 0.5 - _TIE_MARGIN
     return r, fast
 
 
@@ -466,25 +563,29 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     then the "0"s before the point put back and the bytes from the point on
     moved up one byte, a point in front where a digit follows.  A value off
     the fast path is written into its slot by '%.12g' % instead.
+
+    The two digit words are made, and their temporaries freed, before
+    the slots are: the call's tracemalloc peak is 7 arrays of x's length
+    beside x (the slots' four, the exponent indices and the two words).
     """
     index, digits, slow = _digits(x)
-    # the 12 digits as quads hi, mid and lo (digits worked into lo), each
-    # pointing at its stripped text where the quads after it are zero
-    hi = digits // 10 ** 8
-    digits -= hi * 10 ** 8
-    mid = digits // 10 ** 4
-    hi += (digits == 0) * _STRIPPED
-    digits -= mid * 10 ** 4
-    mid += (digits == 0) * _STRIPPED
-    digits += _STRIPPED
-    slots = np.empty((x.size, 4), "<u8")
-    slots[:, 0] = _take(_PREFIX, index + (x < 0) * _NX)
-    low = _take(_QUAD_TEXT, hi)
-    low |= _take(_QUAD_TEXT_MID, mid)
+    # the 12 digits as quads hi and mid (in work) and lo (worked in
+    # digits), each pointing at its stripped text where the quads after
+    # it are zero; low gathers hi, mid and the "0"s before the point
+    work = digits // 10 ** 8
+    digits -= work * 10 ** 8
+    work += (digits == 0) * _STRIPPED
+    low = _take(_QUAD_TEXT, work)
+    np.floor_divide(digits, 10 ** 4, out=work)
+    digits -= work * 10 ** 4
+    work += (digits == 0) * _STRIPPED
+    low |= _take(_QUAD_TEXT_MID, work)
+    del work
     low |= _take(_FILL_LOW, index)
+    digits += _STRIPPED
     high = _take(_QUAD_TEXT, digits)
+    del digits
     high |= _take(_FILL_HIGH, index)
-    del hi, mid, digits
     # x + 255*frac is x with its fraction bytes moved up one; a point goes
     # where the first of them has a digit's 0x20 bit.  The high word goes
     # first, so that the byte the low word moves into it is not moved again
@@ -492,23 +593,45 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     frac = _point(low, _take(_FRAC_LOW, index), _take(_POINT_LOW, index))
     frac >>= _U[56]
     high += frac
+    del frac
+    slots = np.empty((x.size, 4), "<u8")
     slots[:, 1] = low
     slots[:, 2] = high
-    slots[:, 3] = _take(_EXPONENT, index + sep_index)
-    if slow.size:
-        text = ("%-24.12g" * slow.size) % tuple(x[slow].tolist())
-        slots[slow, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
+    del low, high
+    work = np.multiply(x < 0, _NX)
+    work += index
+    slots[:, 0] = _take(_PREFIX, work)
+    np.add(index, sep_index, out=work)
+    slots[:, 3] = _take(_EXPONENT, work)
+    # the text of the values off the fast path, _SQUEEZE_ROWS values at a
+    # time: a block of zeros would otherwise make the text of all its
+    # values three times over
+    for start in range(0, slow.size, _SQUEEZE_ROWS):
+        part = slow[start:start + _SQUEEZE_ROWS]
+        text = ("%-24.12g" * part.size) % tuple(x[part].tolist())
+        slots[part, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
                                         "<u8").reshape(-1, 3)
-        slots[slow, 3] = _take(_EXPONENT, -_X[0] + sep_index[slow])
+        slots[part, 3] = _take(_EXPONENT, -_X[0] + sep_index[part])
     return slots
 
 
-def _squeeze(slots: np.ndarray) -> bytes:
-    """The bytes of slots with the zero bytes squeezed out by bytes' own
-    deletion.  On real slots it costs about 1.45 ns per slot byte and a
-    numpy boolean mask over the bytes about 1.40: neither wins, and only
-    fewer bytes per slot would make the squeeze cheaper."""
-    return slots.tobytes().translate(None, b"\0")
+def _squeeze(slots: np.ndarray, pick=None) -> Iterator[bytes]:
+    """The bytes of slots (rows of value slots) with the zero bytes
+    squeezed out by bytes' own deletion, _SQUEEZE_ROWS rows at a time, of
+    the slot columns pick (all if None).
+
+    In parts, so that the copy tobytes makes and the squeezed bytes stay
+    a part long, not the slots' size each.  On the slots of 2048 rows of a
+    trace, the copy and the deletion cost about 38 ns per value (1.2 ns
+    per slot byte), a bytearray's translate 43 and a numpy boolean mask
+    over the bytes 54 (best of 2000 in-process runs, 2 CPUs): only fewer
+    bytes per slot would make the squeeze cheaper.
+    """
+    for start in range(0, len(slots), _SQUEEZE_ROWS):
+        part = slots[start:start + _SQUEEZE_ROWS]
+        if pick is not None:
+            part = np.take(part, pick, axis=1)
+        yield part.tobytes().translate(None, b"\0")
 
 
 def write_rows(files, headers, n_shared: int, n_own, blocks) -> None:
@@ -520,8 +643,8 @@ def write_rows(files, headers, n_shared: int, n_own, blocks) -> None:
     Every value is written as '%.12g' % v (and f"{v:.12g}") would write
     it, byte for byte.  Each block is formatted _BLOCK_ROWS rows at a time
     by one _format_block call, so a shared column is formatted once for
-    all the files; each file's columns of the slots are picked by one
-    np.take, squeezed and written as they are made.  blocks may be a
+    all the files; each file's columns of the slots are picked (np.take),
+    squeezed and written _SQUEEZE_ROWS rows at a time.  blocks may be a
     generator that computes each block as the writer asks for it, so that
     no column need be whole in memory.
     """
@@ -551,13 +674,11 @@ def _write_block(files, picks, block: np.ndarray, sep_index) -> None:
         raise ValueError(f"each block must be 2-D with {n_cols} columns")
     for start in range(0, len(block), _BLOCK_ROWS):
         rows = block[start:start + _BLOCK_ROWS].ravel()
-        slots = _format_block(rows, sep_index[:rows.size])
-        if len(files) == 1:
-            files[0].write(_squeeze(slots))
-        else:
-            slots = slots.reshape(-1, n_cols, 4)
-            for file, pick in zip(files, picks):
-                file.write(_squeeze(np.take(slots, pick, axis=1)))
+        slots = _format_block(rows, sep_index[:rows.size]).reshape(
+            -1, n_cols, 4)
+        for file, pick in zip(files, picks):
+            for part in _squeeze(slots, pick if len(files) > 1 else None):
+                file.write(part)
         # the slots go before the next rows are formatted
         del slots
 

@@ -527,3 +527,17 @@ class TestSerialization:
             ct.spectrum_to_csv(nl, f, [path] * 3)
         assert not path.exists()
 
+    @pytest.mark.parametrize("f", [[6.0e9, math.nan, 6.01e9],
+                                   [math.nan, 6.0e9], [6.0e9, math.nan]])
+    def test_a_nan_grid_does_not_ascend(self, tmp_path, f):
+        # one rule for both: np.diff(f) <= 0 is False at a NaN, so
+        # transmission_spectrum returned the floor there as if it were
+        # stopband, while spectrum_to_csv refused the grid
+        nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
+        with pytest.raises(ValueError, match="ascending"):
+            ct.transmission_spectrum(nl, f)
+        path = tmp_path / "s21.csv"
+        with pytest.raises(ValueError, match="ascending"):
+            ct.spectrum_to_csv(nl, f, [path] * 3)
+        assert not path.exists()
+

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spingate import cli
@@ -196,6 +197,26 @@ def test_ragged_job_ends_on_partial_blocks():
     lo, hi = cf.validate_config(cfg).switching["timing"].window
     assert hi - lo > 8 * sig._DRIVE_BLOCK
     assert (hi - lo) % sig._DRIVE_BLOCK and (hi - lo) % sig._BLOCK_ROWS
+
+
+def test_edge_job_has_a_block_edge_inside_the_ramp_and_the_fill():
+    # one drive block of the edge job's window begins inside the ramp,
+    # and so inside the transit fill that follows the toggle
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-edge")} == {
+        "switch-edge": ["switch"]}
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.EDGE))
+    setup = cf.validate_config(cfg)
+    timing = setup.switching["timing"]
+    lo, hi = timing.window
+    edges = np.arange(lo + sig._DRIVE_BLOCK, hi, sig._DRIVE_BLOCK) * timing.dt
+    inside = edges[(edges > timing.t_toggle)
+                   & (edges < timing.t_toggle + timing.ramp)]
+    assert inside.size == 1
+    nl, _ = ex.calibrate(setup.netlist())
+    fill = setup.switching["effective_path"] / float(nl.carrier.speed[0])
+    assert inside[0] < timing.t_toggle + timing.ramp + fill
 
 
 def test_edge_jobs_leave_indeterminate_and_flagged_rows():

@@ -230,6 +230,40 @@ class TestDispersionCommand:
         sign = -1.0 if mode == "bvmsw" else 1.0
         assert np.all(sign * vg >= 0)
 
+    @pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
+    def test_kd_past_the_float_range_takes_the_limits(self, tmp_path, capsys,
+                                                      orientation):
+        # at d = 1e300 and k up to 1e9, k*d overflows in the last 41 rows:
+        # they printed RuntimeWarnings and, on the backward-volume branch,
+        # held v_g NaN (P'(inf) was 0*inf).  They hold the large-kd limits
+        # now, the values the rows before them have reached, and the rows
+        # in range are the kernels' values on their own k, which no
+        # overflow reaches
+        config = tmp_path / "cfg.txt"
+        config.write_text("film.thickness_m = 1e300\n"
+                          "dispersion.k_stop_rad_per_m = 1e9\n"
+                          f"field.orientation = {orientation}\n")
+        assert main(["dispersion", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "dispersion.csv").read_text()
+        assert "nan" not in text
+        ctx = cf.validate_config(cf.parse_config(config.read_text())).context()
+        k = np.logspace(np.log10(50.0), 9.0, 400)
+        with np.errstate(over="ignore"):
+            inside = np.isfinite(k * 1e300)
+        assert np.count_nonzero(~inside) == 41
+        with np.errstate(all="raise", under="ignore"):
+            f = ph.dispersion_f(ctx, k[inside])
+            vg = ph.group_velocity(ctx, k[inside])
+        lines = text.splitlines()
+        assert "\n".join(lines[:1 + inside.sum()]) + "\n" == csv_table(
+            "k_rad_per_m,f_hz,v_g_m_per_s", k[inside], f, vg)
+        limit = lines[inside.sum()].split(",")[1:]
+        assert limit[1] in ("-0", "0")
+        assert all(line.split(",")[1:] == limit
+                   for line in lines[1 + inside.sum():])
+
 
 class TestTransmissionCommand:
     @pytest.mark.parametrize("orientation", list(ph.Orientation))

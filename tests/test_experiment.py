@@ -462,9 +462,11 @@ class TestRunSwitching:
         # each drive block is offset, squared and scaled into one real
         # array as it is made, and the power is low-passed in place: on a
         # 79,872-sample window the call's tracemalloc peak is that array
-        # (half a complex window array) and a block's temporaries, 0.96
-        # complex window arrays without a fill and 1.21 with one, where
-        # the drive and the envelope's copy of it took it to 2.07
+        # (half a complex window array), the ramp table and one block's
+        # temporaries made in place, 0.68 complex window arrays without a
+        # fill and 0.73 with one; blocks of 8192 samples with a temporary
+        # per operation took it to 1.02 and 1.21, and the drive and the
+        # envelope's copy of it to 2.07
         timing = ex.SwitchTiming(dt=3.125e-12)
         lo, hi = timing.window
         assert hi - lo == 79872
@@ -475,7 +477,27 @@ class TestRunSwitching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * np.dtype(np.complex128).itemsize * (hi - lo)
+        assert peak <= 0.8 * np.dtype(np.complex128).itemsize * (hi - lo)
+
+    def test_long_ramp_peaks_at_the_window_and_the_ramp_table(self, calibrated):
+        # a 50 ns ramp at 1 ps holds 400,001 trapezoid nodes, more than
+        # the 249,600-sample window: the table is built a block at a time
+        # into its two arrays (the nodes, and the complex integral, two
+        # float arrays of them), so the call peaks at the real window array
+        # and 3.06 float arrays of the nodes (11.8 MB), where the table's
+        # node-long temporaries took it to 8.0 (27.6 MB)
+        timing = ex.SwitchTiming(dt=1e-12, ramp=5e-8)
+        lo, hi = timing.window
+        nodes = sig._RAMP_NODES_PER_SAMPLE * math.ceil(timing.ramp / timing.dt) + 1
+        assert (hi - lo, nodes) == (249600, 400001)
+        ex.run_switching(calibrated, timing=timing, effective_path=1.3e-3)
+        tracemalloc.start()
+        try:
+            ex.run_switching(calibrated, timing=timing, effective_path=1.3e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (hi - lo) + 3.5 * 8 * nodes
 
     # windows of 2 to 40,000 samples (2, one short of, at and one past a
     # drive block, and several blocks) on SwitchTiming's default record,

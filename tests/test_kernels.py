@@ -125,6 +125,39 @@ def test_group_velocity_far_beyond_the_band_edge():
 
 
 @settings(max_examples=60, deadline=None)
+@given(film=films, d=st.floats(1e300, 1e305), branch=branches)
+def test_kd_past_the_float_range(film, d, branch):
+    # where k*d overflows to inf, f and v_g take their large-kd limits
+    # (wh/2pi or the surface band's top, and a zero v_g of the branch's
+    # sign) without a warning; P'(inf) was 0*inf, a NaN v_g.  Where k*d is
+    # finite, they are the formulas as written, bit for bit
+    wh, wm, _ = film
+    k = np.logspace(1.0, 9.0, 64)
+    with np.errstate(all="raise", under="ignore"):
+        f = kernels.dispersion_f(k, wh, wm, d, branch)
+        vg = kernels.group_velocity(k, wh, wm, d, branch)
+    with np.errstate(all="ignore"):
+        inside = np.isfinite(k * d)
+        k = k[inside]
+        if branch == BRANCH_BV:
+            w2 = wh * (wh + wm * _core_py._thin_film_factor(k * d))
+            rates, of_kd = wh * wm, _core_py._thin_film_factor_deriv(k * d)
+        else:
+            w2 = wh * (wh + wm) + 0.25 * wm * wm * (-np.expm1(-2.0 * k * d))
+            rates, of_kd = 0.5 * wm * wm, np.exp(-2.0 * k * d)
+        dw2_dk = (rates * (d * of_kd) if math.isinf(rates * d)
+                  else rates * d * of_kd)
+    assert 0 < inside.sum() < inside.size
+    f_in = np.sqrt(w2) / (2.0 * np.pi)
+    assert f[inside].tobytes() == f_in.tobytes()
+    assert vg[inside].tobytes() == (dw2_dk / (2.0 * (2.0 * np.pi * f_in))).tobytes()
+    f_limit = edges(wh, wm, branch)[0 if branch == BRANCH_BV else 1]
+    np.testing.assert_allclose(f[~inside], f_limit, rtol=1e-15)
+    assert np.all(vg[~inside] == 0.0)
+    assert np.all(np.signbit(vg[~inside]) == (branch == BRANCH_BV))
+
+
+@settings(max_examples=60, deadline=None)
 @given(film=films, k=st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=8),
        branch=branches)
 def test_group_velocity_of_a_thick_film(film, k, branch):

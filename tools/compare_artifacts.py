@@ -23,7 +23,9 @@ window that leaves read-outs indeterminate; ``scale-flagged`` runs
 the ``*-fine`` jobs run ``switch`` and ``scale`` with the FINE lines
 appended, an analysis window of many drive blocks and low-pass chunks;
 ``switch-ragged`` runs ``switch`` with the RAGGED lines appended, a
-window whose last drive block and last CSV block are partial.
+window whose last drive block and last CSV block are partial;
+``switch-edge`` runs ``switch`` with the EDGE lines appended, a window
+with a drive block edge inside the ramp and the transit fill.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -77,6 +79,7 @@ JOBS = {
     "switch-fine": ["switch"],
     "scale-fine": ["scale"],
     "switch-ragged": ["switch"],
+    "switch-edge": ["switch"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -107,19 +110,25 @@ GUARD = ("encoding.guard_rad = 0.05",)
 # no transmission to calibrate, so scaling.csv holds a flagged row
 FLAGGED = ("scaling.scales = 1,0.5,1000",)
 # appended for the *-fine jobs: a 79,872-sample analysis window, which
-# spans ten of the drive's blocks and twenty of the low-pass's chunks,
+# spans twenty of the drive's blocks and twenty of the low-pass's chunks,
 # where the reference window of 2,496 samples is one block and two
-# chunks; its last drive block is 6,144 samples long, and it is exactly
-# 39 blocks of the CSV writer
+# chunks; its last drive block is 2,048 samples long, it is exactly 39
+# blocks of the CSV writer, and its ramp table (5,121 nodes) is built in
+# two chunks
 FINE = ("switching.dt_s = 3.125e-12",)
 # appended for the *-ragged job: a 75,636-sample analysis window, a
-# multiple of neither the drive's block (8192) nor the CSV writer's
+# multiple of neither the drive's block (4096) nor the CSV writer's
 # (2048), so both end on a partial block of 1,908 samples
 RAGGED = ("switching.dt_s = 3.3e-12",)
+# appended for the *-edge job: a 24,960-sample analysis window (six
+# drive blocks and a partial seventh) whose second drive block begins at
+# 200.96 ns, inside the 2 ns ramp from the 200 ns toggle and so inside the
+# transit fill that follows it
+EDGE = ("switching.dt_s = 1e-11",)
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
-            "-ragged": RAGGED}
+            "-ragged": RAGGED, "-edge": EDGE}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
