@@ -74,15 +74,19 @@ def dispersion_f(k, wh, wm, d, branch):
     return np.sqrt(w2) / (2.0 * np.pi)
 
 
-def group_velocity(k, wh, wm, d, branch):
+def group_velocity(k, wh, wm, d, branch, f=None):
     """Signed dw/dk (m/s); negative on the backward-volume branch.
 
     k = 0 returns the one-sided analytic limit:
       branch 0: -wh*wm*d / (4*w_fmr)
       branch 1: +wm**2*d / (4*w_fmr)
+    f is dispersion_f at k, computed here unless the caller has it.
     """
     k = np.asarray(k, dtype=np.float64)
-    w = 2.0 * np.pi * dispersion_f(k, wh, wm, d, branch)
+    if f is None:
+        f = dispersion_f(k, wh, wm, d, branch)
+    w = 2.0 * np.pi * f
+    del f
     # a k*d past the float range is inf, where the factor of kd takes its
     # limit: -0 (P'(inf)) or 0 (exp(-inf)), so v_g is 0 there
     with np.errstate(over="ignore"):
@@ -98,7 +102,10 @@ def group_velocity(k, wh, wm, d, branch):
             dw2_dk = rates * (d * of_kd)
     else:
         dw2_dk = rates * d * of_kd
-    return dw2_dk / (2.0 * w)
+    del of_kd
+    # dw2_dk / (2*w), in place
+    w *= 2.0
+    return np.divide(dw2_dk, w, out=dw2_dk)
 
 
 def band_edges(wh, wm, d, branch):

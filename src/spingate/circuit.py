@@ -27,6 +27,8 @@ CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
 # amplifies: with the drive capped too, the envelope stays below 1e31
 MAX_GAIN_DB = 200.0
+# dB of a decay by one neper, 20*log10(e)
+_DB_PER_NEPER = 20.0 / math.log(10.0)
 
 
 def _loss_amp(db: float) -> float:
@@ -264,24 +266,20 @@ def waveguide_transfer(ctx: physics.ModeContext, length, k, speed,
         physics.damping_rate(ctx), ctx.branch)
 
 
-def channel_transfer(nl: GateNetlist, channel: str, f,
-                     prop: Propagation | None = None) -> np.ndarray:
+def channel_transfer(nl: GateNetlist, channel: str, f) -> np.ndarray:
     """Complex gain from one source to the detector input over a
     frequency grid (a scalar f is the one-point grid [f]).
 
     The channel's constant times the film gain over its summed length
     (the gain of a segment is exponential in its length) times the
-    antenna shape of both transducers, both set by k(f).  prop is the
-    ``propagation`` of the grid, computed here unless given, which lets
-    the channels of one grid share one solve, one group speed and one
-    antenna shape.  On the one-point grid [f_c] the gain of channel i is
-    entry i of the netlist's ``carrier_gains``, bit for bit.
+    antenna shape of both transducers, both set by k(f), as the grid's
+    ``propagation`` holds them.  On the one-point grid [f_c] the gain of
+    channel i is entry i of the netlist's ``carrier_gains``, bit for bit.
     """
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}")
     idx = CHANNELS.index(channel)
-    if prop is None:
-        prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
+    prop = propagation(nl, physics.solve_k_grid(nl.ctx, f))
     film = waveguide_transfer(nl.ctx, nl.lengths[idx], prop.k, prop.speed,
                               nl.carrier.k[0])
     return nl.constants[idx] * film * prop.shape
@@ -301,22 +299,42 @@ def transmission_spectrum(nl: GateNetlist, f_grid,
                           floor_db: float = -80.0) -> tuple[np.ndarray, ...]:
     """|S21| in dB of i1, i2 and i3 over a frequency grid, floored at floor_db.
 
-    k(f), the group speed and the antenna shape are computed once for the
-    three channels, which are evaluated one at a time, each spectrum in
-    place in the array of its |gain|: curve i is
-    max(20*log10|channel_transfer(nl, CHANNELS[i], f_grid)|, floor_db),
-    bit for bit.  The floor replaces exact stopband zeros and clips any
-    deeper physical decay, mimicking a finite instrument noise floor.
+    The magnitude of channel_transfer, taken in dB without its phase:
+    curve i is 20*log10|c_i| + 20*log10(shape) - L_i * loss, with c_i the
+    channel's constant, shape the squared antenna shape, L_i the summed
+    film length and loss = 20*log10(e) * eta / |v_g| the film's decay in
+    dB per metre, exp(-eta*L/|v_g|) in dB.  The grid's propagation and the
+    two per-bin terms are computed once for the three channels; a channel
+    costs one multiply and two adds, and a zero-length one is the unit
+    film gain at every bin.  The floor (np.fmax) replaces the stopband
+    (NaN k, zero shape), the band edges where |v_g| is 0, a zero constant
+    and any deeper physical decay, mimicking a finite instrument noise
+    floor.  It agrees with max(20*log10|channel_transfer|, floor_db) to a
+    few 1e-15 relative, with the same bins on the floor, and below the
+    ~-6000 dB where the complex gain underflows it still writes the decay.
     """
     f_grid = _ascending(f_grid)
     prop = propagation(nl, physics.solve_k_grid(nl.ctx, f_grid))
+    # the two per-bin terms, in place of the shape and the speed this call
+    # made; -inf (log10(0)), inf and NaN (|v_g| = 0, and 0/0 without
+    # damping) all end on the floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape_db = np.log10(prop.shape, out=prop.shape)
+        shape_db *= 20.0
+        loss = np.divide(_DB_PER_NEPER * physics.damping_rate(nl.ctx),
+                         prop.speed, out=prop.speed)
+    del prop
     spectra = []
-    for ch in CHANNELS:
-        db = np.abs(channel_transfer(nl, ch, f_grid, prop))
-        with np.errstate(divide="ignore"):
-            np.log10(db, out=db)
-        np.multiply(20.0, db, out=db)
-        spectra.append(np.maximum(db, floor_db, out=db))
+    with np.errstate(over="ignore"):
+        for length, const in zip(nl.lengths, nl.constants):
+            level = 20.0 * math.log10(abs(const)) if const else -math.inf
+            if length:
+                db = np.multiply(length, loss)
+                np.subtract(shape_db, db, out=db)
+            else:
+                db = shape_db.copy()
+            db += level
+            spectra.append(np.fmax(db, floor_db, out=db))
     return tuple(spectra)
 
 

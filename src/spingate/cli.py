@@ -80,11 +80,15 @@ def cmd_dispersion(setup: Setup, out: Path, args) -> int:
         k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
 
     def blocks():
-        # f(k) and v_g per block of k, computed as the writer formats it
+        # f(k) and v_g per block of k, computed as the writer formats it,
+        # f(k) once for both
         for start in range(0, k.size, COMPUTE_ROWS):
             kb = k[start:start + COMPUTE_ROWS]
-            yield np.column_stack([kb, physics.dispersion_f(ctx, kb),
-                                   physics.group_velocity(ctx, kb)])
+            f = physics.dispersion_f(ctx, kb)
+            block = np.column_stack([kb, f, physics.group_velocity(ctx, kb, f)])
+            del f
+            yield block
+            del block
 
     path = out / "dispersion.csv"
     with path.open("wb") as file:

@@ -166,15 +166,16 @@ def dispersion_f(ctx: ModeContext, k):
     return float(f[0]) if np.isscalar(k) else f
 
 
-def group_velocity(ctx: ModeContext, k):
+def group_velocity(ctx: ModeContext, k, f=None):
     """Signed group velocity dw/dk (m/s) at k (rad/m, scalar or array).
 
     Negative on the backward-volume branch.  k = 0 is served by the
     one-sided analytic limit -wh*wm*d/(4*w_fmr) (parallel) or
-    +wm^2*d/(4*w_fmr) (perpendicular).
+    +wm^2*d/(4*w_fmr) (perpendicular).  f is the array dispersion_f(ctx,
+    k), computed here unless the caller has it.
     """
     v = kernels.group_velocity(_wavenumbers(k), ctx.omega_h, ctx.omega_m,
-                               ctx.film.d, ctx.branch)
+                               ctx.film.d, ctx.branch, f)
     return float(v[0]) if np.isscalar(k) else v
 
 

@@ -104,14 +104,35 @@ class DetectedTrace:
         arr = np.asarray(self.samples, dtype=np.float64)
         if copy:
             arr = arr.copy()
-        # not arr.min() < 0, which a NaN sample would hide a negative from
-        if np.any(arr < 0):
+        # not arr.min() < 0, which a NaN sample would hide a negative from:
+        # fmin skips NaNs, and unlike np.any(arr < 0) it makes no mask
+        if np.fmin.reduce(arr, initial=0.0) < 0:
             raise ValueError("detected trace must be nonnegative")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     def __len__(self) -> int:
         return self.samples.size
+
+
+# samples a search over a whole trace reads at a time, so that its bool
+# mask stays 8 KiB long whatever the trace's length
+_SCAN_BLOCK = 8192
+
+
+def _first_hit(v: np.ndarray, test, reverse: bool = False) -> int:
+    """Index of the first sample of v (the last, if reverse) in whose place
+    the bool array test(block) of a block of v is True, or -1 if none is:
+    v is read _SCAN_BLOCK samples at a time."""
+    starts = range(0, v.size, _SCAN_BLOCK)
+    for start in reversed(starts) if reverse else starts:
+        hit = test(v[start:start + _SCAN_BLOCK])
+        # any() reads a block of misses faster than argmax does
+        if hit.any():
+            if reverse:
+                return start + hit.size - 1 - int(np.argmax(hit[::-1]))
+            return start + int(np.argmax(hit))
+    return -1
 
 
 def _adopted(cls, *values):
@@ -385,15 +406,15 @@ def rise_time(trace: DetectedTrace) -> RiseTimeResult:
     th_lo = v_max / 3.0
     th_hi = 2.0 * v_max / 3.0
 
-    # argmax finds the first True of a mask without an index array
-    j = int(np.argmax(v >= th_hi))
-    if j == 0:
+    # a crossing at the first sample is no transition either
+    j = _first_hit(v, lambda block: block >= th_hi)
+    if j <= 0:
         raise NoTransitionError("no transition: 2/3 level never crossed")
     # a NaN first sample is refused too: the last 1/3 crossing is found
     # below on the promise that v[0] is one
     if not v[0] <= th_lo:
         raise NoTransitionError("no transition: trace starts above 1/3 level")
-    i = j - 1 - int(np.argmax(v[j - 1::-1] <= th_lo))
+    i = _first_hit(v[:j], lambda block: block <= th_lo, reverse=True)
 
     t_lo = (i + (th_lo - v[i]) / (v[i + 1] - v[i])) * trace.dt
     t_hi = (j - 1 + (th_hi - v[j - 1]) / (v[j] - v[j - 1])) * trace.dt
@@ -414,12 +435,15 @@ _BLOCK_ROWS = 2048
 _SQUEEZE_ROWS = 512
 # rows the transmission and dispersion tables compute per block they hand
 # the writer (the switching trace hands it blocks of _BLOCK_ROWS).  Each
-# transmission_spectrum call has a fixed cost of 0.2-0.4 ms (the Halley
-# loop, three channel evaluations): against one block of the whole grid,
-# a transmission job took about 20% longer at 2048 rows, 9% at 4096 and
-# as long at 8192.  Peak of a 32768-point transmission (dispersion)
-# command, grid included: 0.85 (0.69) MiB at 2048 rows, 0.92 (0.76) at
-# 4096, 1.15 (0.88) at 8192, 1.74 (1.45) at 16384; 2.64 (1.56) unstreamed
+# transmission_spectrum call has a fixed cost of 0.07 ms on the surface
+# branch and 0.19 ms on the backward-volume one, its Halley loop (a
+# 2-point grid): against one block of the whole grid, a 32768-point
+# transmission job took 6-16% longer at 2048 rows, up to 12% at 4096 and
+# up to 5% at 8192 (best of 40 interleaved in-process runs, 2 CPUs).
+# Peak of that transmission (dispersion) command, grid included, on
+# either branch: 0.85 (0.69) MiB at 2048 rows, 0.92 (0.76) at 4096, 1.05
+# (0.85-0.88) at 8192, 1.37-1.46 (1.04-1.45) at 16384; 2.15 (1.56-2.34)
+# unstreamed
 COMPUTE_ROWS = 8192
 # a scaled value y at least this far from a rounding tie is rounded on the
 # fast path: y is |x| times a power of ten within an ulp of exact (numpy's
@@ -515,9 +539,10 @@ def _digits(x: np.ndarray):
 
     X comes from log10; where it is one off (at some powers of ten) y
     misses [1e11, 1e12), and X is corrected on those values alone, as is
-    everything else that misses the fast path: 0, nan, inf, values past
-    the exponent range of the tables and ties.  Its own function, so that
-    its temporaries are freed before the slots are made.
+    everything else that misses the fast path: 0 (given X = 0 and the
+    digits 0, which write "0"), nan, inf, values past the exponent range
+    of the tables and ties.  Its own function, so that its temporaries are
+    freed before the slots are made.
     """
     mag = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -531,6 +556,10 @@ def _digits(x: np.ndarray):
             y = mag[off] * _take(_SCALE, index[off])
             moved = index[off] + (y >= 1e12) - (y < 1e11)
             r_off, fast_off = _scaled(mag[off], moved)
+            zero = x[off] == 0.0
+            moved[zero] = -_X[0]
+            r_off[zero] = 0.0
+            fast_off |= zero
             index[off[fast_off]] = moved[fast_off]
             r[off] = r_off
             off = off[~fast_off]
@@ -598,7 +627,8 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     slots[:, 1] = low
     slots[:, 2] = high
     del low, high
-    work = np.multiply(x < 0, _NX)
+    # the sign bit, so that -0.0 is "-0"
+    work = np.multiply(np.signbit(x), _NX)
     work += index
     slots[:, 0] = _take(_PREFIX, work)
     np.add(index, sep_index, out=work)

@@ -43,11 +43,18 @@ def test_matching_trees(tmp_path, capsys):
     b = write_tree(tmp_path / "b", a="0.700468911463000001", v="5.003210000001e-05")
     assert compare_artifacts.compare_trees(a, b) == []
     assert compare_artifacts.main(["compare", str(a), str(b)]) == 0
-    # the run record is the one file whose bytes are the same
+    # the run record is the one file whose bytes are the same; the other
+    # two are listed with the largest relative difference of their numbers
     assert compare_artifacts.main(["compare", str(a), str(a)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["0 differences over 3 files (rtol 1e-10), 1 byte-identical",
-                   "0 differences over 3 files (rtol 1e-10), 3 byte-identical"]
+    assert out == [
+        "plain/calibrate/calibration.txt: bytes differ, numbers agree to "
+        "0 relative",
+        "plain/switch/switch_trace.csv: bytes differ, numbers agree to "
+        "2e-13 relative",
+        "0 differences over 3 files (rtol 1e-10), 1 byte-identical",
+        "0 differences over 3 files (rtol 1e-10), 3 byte-identical"]
+    assert compare_artifacts.agreeing_differences(a, a) == {}
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -256,7 +263,10 @@ def test_worst_difference_per_file(tmp_path, capsys):
         "x=4,2.0\n", "x=5,2.5\ny\n") == pytest.approx(0.2)
     assert compare_artifacts.main(["compare", str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3:] == [
+    # the file that agrees in other bytes is listed apart, before them
+    assert lines[-4:] == [
+        "plain/calibrate/calibration.txt: bytes differ, numbers agree to "
+        "0 relative",
         "plain/calibrate.run: largest relative difference inf",
         "plain/switch/switch_trace.csv: largest relative difference 1",
         "3 differences over 3 files (rtol 1e-10), 0 byte-identical"]

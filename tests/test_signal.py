@@ -76,6 +76,29 @@ class TestEnvelopeType:
             with pytest.raises(ValueError, match="must be nonnegative"):
                 sig.DetectedTrace(DT, np.array(bad))
 
+    def test_checks_and_searches_hold_no_window_mask(self):
+        # on a 2^20-sample step the nonnegativity check holds no mask and
+        # rise_time's crossing searches a block's, not the trace's (1 MiB
+        # each): measured 18.6 KB for the two calls.  A negative sample is
+        # found anywhere, past NaNs before it
+        n = 2 ** 20
+        v = np.zeros(n)
+        v[n // 2:] = 1.0
+        tracemalloc.start()
+        try:
+            trace = sig._adopted(sig.DetectedTrace, DT, v)
+            result = sig.rise_time(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * sig._SCAN_BLOCK
+        assert result.t_rise == pytest.approx(DT / 3.0)
+        for where in (sig._SCAN_BLOCK - 1, sig._SCAN_BLOCK, n - 1):
+            bad = np.full(n, np.nan)
+            bad[where] = -1.0
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                sig._adopted(sig.DetectedTrace, DT, bad)
+
 
 def record(duration, dt=DT):
     """Window of the whole record of a duration: samples 0 to
@@ -573,6 +596,21 @@ def test_write_tables_streams():
     assert three_large <= 0.7e6
 
 
+def test_zeros_take_the_fast_path():
+    # exact zeros of either sign among plain values, across blocks: each
+    # written "0" or "-0" as f"{v:.12g}" writes it, and none sent to the
+    # per-value fallback
+    rng = np.random.default_rng(11)
+    n = 3 * BLOCK + 5
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    values[rng.random(n) < 0.3] = 0.0
+    values[rng.random(n) < 0.2] = -0.0
+    zeros = np.flatnonzero(values == 0.0)
+    assert np.signbit(values[zeros]).any() and not np.signbit(values[zeros]).all()
+    assert not np.isin(zeros, sig._digits(values)[2]).any()
+    assert_table_matches([values, values[::-1], np.zeros(n), -np.zeros(n)])
+
+
 def test_powers_of_ten_within_an_ulp():
     # the error bound behind the writer's tie margin assumes it
     # (the scales 10^(11-X) between the two zero ends of the table)
@@ -588,8 +626,9 @@ def test_write_table_rejects_ragged_columns():
             sig.write_rows([io.BytesIO()], ["a,b"], 0, [2], [block])
 
 
-# values the writer formats by '%.12g' % instead: zeros, nan, infinities
-# and near-ties in the 12th digit with their neighbouring floats
+# values the writer formats by '%.12g' % instead (nan, infinities and
+# near-ties in the 12th digit with their neighbouring floats), and the
+# zeros, which the fast path takes aside from the log10 of the others
 FALLBACKS = (0.0, -0.0, math.nan, math.inf, -math.inf,
              *neighbours(1234567890.125), *neighbours(-9.876543210125e-7))
 

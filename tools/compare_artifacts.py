@@ -35,8 +35,9 @@ directory written as <out> and OUT_DIR as <root>.
 ``compare`` walks two such trees.  They must hold the same files; in
 each pair of files the text between numbers must match exactly and the
 numbers must agree to RTOL relative (NaN equals NaN).  Exit status 0
-when the trees agree, 1 otherwise, with the differences listed and then
-one line per differing file giving the largest relative difference
+when the trees agree, 1 otherwise, with the differences listed, then one
+line per file whose bytes differ but whose numbers agree, and one per
+differing file, each giving the largest relative difference
 |x - y| / max(|x|, |y|) of its numbers (inf for NaN against a number).
 The last line counts the differences, the files of OUT_A and the files
 whose bytes are the same in both trees.
@@ -262,6 +263,19 @@ def worst_differences(a: Path, b: Path) -> dict[str, float]:
     return worst
 
 
+def agreeing_differences(a: Path, b: Path) -> dict[str, float]:
+    """Largest relative difference of the numbers of each file that is in
+    both trees and whose bytes differ between them, though its numbers
+    agree to RTOL."""
+    worst = {}
+    for rel in sorted(_files(a) & _files(b)):
+        if (a / rel).read_bytes() != (b / rel).read_bytes():
+            text_a, text_b = (a / rel).read_text(), (b / rel).read_text()
+            if not compare_text(text_a, text_b, str(rel)):
+                worst[str(rel)] = worst_relative_difference(text_a, text_b)
+    return worst
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="action", required=True)
@@ -278,11 +292,14 @@ def main(argv=None) -> int:
     diffs = compare_trees(args.a, args.b)
     for line in diffs[:MAX_LISTED]:
         print(line)
-    for rel, worst in worst_differences(args.a, args.b).items():
+    agreeing = agreeing_differences(args.a, args.b)
+    for rel, worst in agreeing.items():
+        print(f"{rel}: bytes differ, numbers agree to {worst:.3g} relative")
+    differing = worst_differences(args.a, args.b)
+    for rel, worst in differing.items():
         print(f"{rel}: largest relative difference {worst:.3g}")
     files = _files(args.a)
-    identical = sum((args.a / rel).read_bytes() == (args.b / rel).read_bytes()
-                    for rel in files & _files(args.b))
+    identical = len(files & _files(args.b)) - len(agreeing) - len(differing)
     print(f"{len(diffs)} differences over {len(files)} files (rtol {RTOL:g}), "
           f"{identical} byte-identical")
     return 1 if diffs else 0
