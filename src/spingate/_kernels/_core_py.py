@@ -6,6 +6,17 @@ per-bin waveguide gain at solved wavenumbers and the detector's one-pole
 low-pass.  All functions take flat float64 arrays plus scalar film
 constants.
 
+A one-point input to solve_k, dispersion_f or group_velocity takes a
+Python-float transcription of the array formulas, selected by input
+size alone: the gate's carrier is one point, every spectrum grid many.
+The transcription applies the same operations in the same order.
++ - * / are correctly rounded in Python and numpy alike, and a division
+by zero is handed to numpy; sqrt, expm1, exp and log1p are numpy ufunc
+calls on one Python float, which numpy evaluates as a one-element array
+through the loop an array runs (numpy's SIMD loops may differ from
+math's in the last bit).  So a one-point result is bit for bit that
+point of a grid.
+
 Conventions:
   wh = gamma * mu0*H       (rad/s)
   wm = gamma * mu0*Ms      (rad/s)
@@ -31,9 +42,9 @@ _P_DERIV_SERIES_X = 1e-3
 # convergence makes the applied last step accurate far below RTOL; ATOL is
 # the ~2 eps absolute noise of g(x) over g'(x) near the band edge x -> 0.
 _HALLEY_RTOL = 1e-9
-_HALLEY_ATOL = 8.0 * np.finfo(np.float64).eps
+_HALLEY_ATOL = 8.0 * float(np.finfo(np.float64).eps)
 _HALLEY_MAX_ITER = 64
-_FLOAT_MAX = np.finfo(np.float64).max
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _thin_film_factor(x):
@@ -59,6 +70,50 @@ def _thin_film_factor_deriv(x):
         return np.where(small, series, (np.exp(-safe) * (1.0 + safe) - 1.0) / safe**2)
 
 
+def _thin_film_factor_point(x: float) -> float:
+    """_thin_film_factor at one float."""
+    if x < _P_GUARD_X:
+        return 1.0 - 0.5 * x
+    return -float(np.expm1(-x)) / x
+
+
+def _thin_film_factor_deriv_point(x: float) -> float:
+    """_thin_film_factor_deriv at one float."""
+    if x < _P_DERIV_SERIES_X:
+        return -0.5 + x * (1.0 / 3.0 - x * (0.125 - x / 30.0))
+    # min keeps a NaN x, as np.minimum does
+    safe = min(x, _FLOAT_MAX)
+    return (float(np.exp(-safe)) * (1.0 + safe) - 1.0) / (safe * safe)
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b, with numpy's signed inf or NaN (and warning) for b = 0."""
+    return a / b if b else float(np.divide(a, b))
+
+
+def _quiet_quotient(a: float, b: float) -> float:
+    """a / b, with numpy's signed inf or NaN for b = 0 and no warning, as
+    the array forms divide under np.errstate."""
+    if b:
+        return a / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.divide(a, b))
+
+
+def _one_point(value: float, like: np.ndarray) -> np.ndarray:
+    """value as a float64 array of the one-point shape of like."""
+    return np.array(value, ndmin=like.ndim)
+
+
+def _dispersion_f_point(k: float, wh, wm, d, branch) -> float:
+    """dispersion_f at one float k."""
+    if branch == BRANCH_BV:
+        w2 = wh * (wh + wm * _thin_film_factor_point(k * d))
+    else:
+        w2 = wh * (wh + wm) + 0.25 * wm * wm * (-float(np.expm1(-2.0 * k * d)))
+    return float(np.sqrt(w2)) / (2.0 * np.pi)
+
+
 def dispersion_f(k, wh, wm, d, branch):
     """Frequency (Hz) of the propagating mode at wavenumber k (rad/m).
 
@@ -66,6 +121,8 @@ def dispersion_f(k, wh, wm, d, branch):
     large-kd limit: wh/2pi (P(inf) = 0) and the surface band's top.
     """
     k = np.asarray(k, dtype=np.float64)
+    if k.size == 1:
+        return _one_point(_dispersion_f_point(k.item(), wh, wm, d, branch), k)
     with np.errstate(over="ignore"):
         if branch == BRANCH_BV:
             w2 = wh * (wh + wm * _thin_film_factor(k * d))
@@ -83,6 +140,10 @@ def group_velocity(k, wh, wm, d, branch, f=None):
     f is dispersion_f at k, computed here unless the caller has it.
     """
     k = np.asarray(k, dtype=np.float64)
+    if k.size == 1:
+        return _one_point(_group_velocity_point(
+            k.item(), wh, wm, d, branch,
+            None if f is None else np.asarray(f).item()), k)
     if f is None:
         f = dispersion_f(k, wh, wm, d, branch)
     w = 2.0 * np.pi * f
@@ -108,6 +169,22 @@ def group_velocity(k, wh, wm, d, branch, f=None):
     return np.divide(dw2_dk, w, out=dw2_dk)
 
 
+def _group_velocity_point(k: float, wh, wm, d, branch, f=None) -> float:
+    """group_velocity at one float k."""
+    if f is None:
+        f = _dispersion_f_point(k, wh, wm, d, branch)
+    w = 2.0 * np.pi * f
+    if branch == BRANCH_BV:
+        rates, of_kd = wh * wm, _thin_film_factor_deriv_point(k * d)
+    else:
+        rates, of_kd = 0.5 * wm * wm, float(np.exp(-2.0 * k * d))
+    if math.isinf(rates * d):
+        dw2_dk = rates * (d * of_kd)
+    else:
+        dw2_dk = rates * d * of_kd
+    return _quotient(dw2_dk, w * 2.0)
+
+
 def band_edges(wh, wm, d, branch):
     """(f_lo, f_hi) bounds in Hz of the propagating band."""
     f_fmr = np.sqrt(wh * (wh + wm)) / (2.0 * np.pi)
@@ -117,6 +194,9 @@ def band_edges(wh, wm, d, branch):
     return f_fmr, f_top
 
 
+# one errstate per call: the Halley step divides by g' = 0 at the maximum
+# of g, and the bracket of a subnormal p overflows
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _bv_thickness_root(p):
     """Root x > 0 of P(x) = p, i.e. -expm1(-x) = p*x, for each p in (0, 1).
 
@@ -130,6 +210,7 @@ def _bv_thickness_root(p):
 
     Start: the smaller of 1/p (the p -> 0 asymptote, an upper bound) and
     the root of 1/P(x) ~ 1 + x/2 + x^2/12 (exact to O(x^3) as p -> 1).
+    A p so small that 2/p overflows starts at NaN and stays there.
     """
     lo = np.zeros_like(p)
     hi = 2.0 / p + 2.0  # g(hi) < 0
@@ -147,12 +228,11 @@ def _bv_thickness_root(p):
                     out=g)  # g = -em - p*x
         np.subtract(np.add(1.0, em, out=g1), p, out=g1)  # g' = 1 + em - p
         np.negative(np.add(1.0, em, out=em), out=em)  # g'' = -(1 + em)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # step = newton / (1 - 0.5*newton*(g''/g'))
-            newton = np.divide(g, g1, out=cand)
-            np.divide(em, g1, out=em)
-            np.multiply(np.multiply(0.5, newton, out=step), em, out=step)
-            np.divide(newton, np.subtract(1.0, step, out=step), out=step)
+        # step = newton / (1 - 0.5*newton*(g''/g'))
+        newton = np.divide(g, g1, out=cand)
+        np.divide(em, g1, out=em)
+        np.multiply(np.multiply(0.5, newton, out=step), em, out=step)
+        np.divide(newton, np.subtract(1.0, step, out=step), out=step)
         np.greater(g, 0.0, out=above)
         np.copyto(lo, x, where=above)
         np.copyto(hi, x, where=np.logical_not(above, out=above))
@@ -175,6 +255,57 @@ def _bv_thickness_root(p):
     return x
 
 
+def _bv_thickness_root_point(p: float) -> float:
+    """_bv_thickness_root at one float p: the same iteration on floats,
+    returning the first converged iterate."""
+    lo = 0.0
+    hi = 2.0 / p + 2.0
+    q = (1.0 - p) / p
+    start = 12.0 * q / (3.0 + float(np.sqrt(9.0 + 12.0 * q)))
+    # np.minimum: the smaller, or NaN if start is NaN
+    x = 1.0 / p if 1.0 / p < start else start
+    for _ in range(_HALLEY_MAX_ITER):
+        em = float(np.expm1(-x))
+        g = -em - p * x
+        g1 = (1.0 + em) - p
+        newton = _quiet_quotient(g, g1)
+        step = 0.5 * newton * _quiet_quotient(-(1.0 + em), g1)
+        step = _quiet_quotient(newton, 1.0 - step)
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        cand = x - step
+        if (lo < cand < hi) or g == 0.0:
+            if abs(step) <= _HALLEY_RTOL * x + _HALLEY_ATOL:
+                return cand
+            x = cand
+        else:
+            x = 0.5 * (lo + hi)
+    return x
+
+
+def _solve_k_point(f: float, wh, wm, d, branch) -> float:
+    """solve_k at one float f."""
+    w = 2.0 * np.pi * f
+    w2 = w * w
+    # a zero divisor (an underflowed wh*wm or wm^2) gives an inf or NaN
+    # target, out of band
+    if branch == BRANCH_BV:
+        scale = wh * wm
+        target = (w2 - wh * wh) / scale if scale else math.nan
+    else:
+        scale = wm * wm
+        target = (w2 - wh * (wh + wm)) * 4.0 / scale if scale else math.nan
+    if not (target > 0.0 and target < 1.0 and f > 0.0):
+        return math.nan
+    if branch == BRANCH_BV:
+        k = _bv_thickness_root_point(target) / d
+    else:
+        k = -float(np.log1p(-target)) / (2.0 * d)
+    return math.nan if math.isinf(k) else k
+
+
 def solve_k(f, wh, wm, d, branch):
     """Invert the dispersion: wavenumber (rad/m) for each frequency (Hz).
 
@@ -185,6 +316,8 @@ def solve_k(f, wh, wm, d, branch):
     negative ones included, give NaN.
     """
     f = np.asarray(f, dtype=np.float64)
+    if f.size == 1:
+        return _one_point(_solve_k_point(f.item(), wh, wm, d, branch), f)
     # targets that overflow (fields or frequencies beyond any film) or
     # divide by an underflowed wh*wm or wm^2 come out inf or NaN and fall
     # outside the band
@@ -263,7 +396,7 @@ def waveguide_gain(k, speed, k_c, length, eta, branch):
     """
     k = np.asarray(k, dtype=np.float64)
     length = np.asarray(length, dtype=np.float64)
-    shape = np.broadcast_shapes(length.shape, k.shape)
+    shape = np.broadcast(length, k).shape
     gain = np.empty(shape, dtype=np.complex128)
     work = np.empty(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

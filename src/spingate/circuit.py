@@ -141,9 +141,9 @@ class GateNetlist:
         return tuple(((0.0 + g.l_in[i] * g.scale) + g.l_skew[i] * g.scale)
                      + g.l_out * g.scale for i in range(len(CHANNELS)))
 
-    @cached_property
-    def constants(self) -> tuple[complex, complex, complex]:
-        """Frequency-flat gain of each channel.
+    def _constants(self, attenuator_db) -> tuple[complex, complex, complex]:
+        """Frequency-flat gain of each channel at the given attenuator
+        settings, the rest as set.
 
         Attenuator, phase shifter, input coupling, the bend loss where the
         skew is nonzero and the output coupling, multiplied in chain
@@ -155,7 +155,7 @@ class GateNetlist:
         constants = []
         for i in range(len(CHANNELS)):
             const = 1.0 + 0.0j
-            const *= _loss_amp(s.attenuator_db[i])
+            const *= _loss_amp(attenuator_db[i])
             const *= cmath.exp(1j * s.phase_rad[i])
             const *= 10.0 ** (s.coupling_db[i] / 20.0) * cmath.exp(
                 1j * s.coupling_phase_rad[i])
@@ -164,6 +164,11 @@ class GateNetlist:
             const *= out_coupling
             constants.append(const)
         return tuple(constants)
+
+    @cached_property
+    def constants(self) -> tuple[complex, complex, complex]:
+        """Frequency-flat gain of each channel at its settings."""
+        return self._constants(self.settings.attenuator_db)
 
     @cached_property
     def carrier(self) -> Propagation:
@@ -181,13 +186,23 @@ class GateNetlist:
         return waveguide_transfer(self.ctx, lengths, prop.k, prop.speed,
                                   prop.k[0])[:, 0]
 
+    def _gains(self, constants) -> np.ndarray:
+        """Read-only vector product constants x film x shape."""
+        gains = np.array(constants) * self.carrier_film * self.carrier.shape
+        gains.flags.writeable = False
+        return gains
+
     @cached_property
     def carrier_gains(self) -> np.ndarray:
         """Read-only complex gains of i1, i2, i3 at the carrier: the
         vector product constants x film x shape."""
-        gains = np.array(self.constants) * self.carrier_film * self.carrier.shape
-        gains.flags.writeable = False
-        return gains
+        return self._gains(self.constants)
+
+    def carrier_gains_at(self, attenuator_db) -> np.ndarray:
+        """The carrier gains of this netlist with other attenuator
+        settings, bit for bit those of its ``with_controls`` copy, without
+        making the copy."""
+        return self._gains(self._constants(attenuator_db))
 
     def with_controls(self, *, attenuator_db=None, phase_rad=None) -> "GateNetlist":
         """Copy with new attenuator and/or phase shifter settings.
@@ -196,12 +211,12 @@ class GateNetlist:
         carrier and its film gains (computing them here if they are not
         yet) and recomputes only its constants.
         """
-        settings = self.settings
+        controls = {}
         if attenuator_db is not None:
-            settings = replace(settings, attenuator_db=tuple(attenuator_db))
+            controls["attenuator_db"] = tuple(attenuator_db)
         if phase_rad is not None:
-            settings = replace(settings, phase_rad=tuple(phase_rad))
-        out = replace(self, settings=settings)
+            controls["phase_rad"] = tuple(phase_rad)
+        out = replace(self, settings=replace(self.settings, **controls))
         # cached_property storage: the copy starts with the same values
         out.__dict__["carrier"] = self.carrier
         out.__dict__["carrier_film"] = self.carrier_film
@@ -229,11 +244,16 @@ def transducer_efficiency(geometry: DeviceGeometry, k) -> np.ndarray:
     limit of the sinc.  The caller multiplies in any per-antenna coupling
     constant.
     """
+    width = geometry.w_a * geometry.scale
+    # the sinc of an infinite argument is NaN (sin(inf)), set to its
+    # limit 0 with the stopband's
     with np.errstate(over="ignore", invalid="ignore"):
-        width = geometry.w_a * geometry.scale
         x = np.asarray(k, dtype=np.float64) * (0.5 * width)
+        gain = np.sinc(x / math.pi)
     inside = np.isfinite(x)
-    return np.where(inside, np.sinc(np.where(inside, x, 0.0) / math.pi), 0.0)
+    if not inside.all():
+        gain[~inside] = 0.0
+    return gain
 
 
 def propagation(nl: GateNetlist, k, speed=None) -> Propagation:
@@ -242,8 +262,11 @@ def propagation(nl: GateNetlist, k, speed=None) -> Propagation:
     given, is evaluated in the band only."""
     if speed is None:
         inband = ~np.isnan(k)
-        speed = np.full(k.shape, np.nan)
-        speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
+        if inband.all():
+            speed = np.abs(physics.group_velocity(nl.ctx, k))
+        else:
+            speed = np.full(k.shape, np.nan)
+            speed[inband] = np.abs(physics.group_velocity(nl.ctx, k[inband]))
     return Propagation(k=k, speed=speed,
                        shape=transducer_efficiency(nl.geometry, k) ** 2)
 
@@ -364,8 +387,12 @@ def spectrum_to_csv(nl: GateNetlist, f_grid, paths,
     def blocks():
         for start in range(0, f_grid.size, COMPUTE_ROWS):
             f = f_grid[start:start + COMPUTE_ROWS]
-            block = np.column_stack([f, *transmission_spectrum(nl, f, floor_db)])
-            np.maximum(peaks, block[:, 1:].max(axis=0), out=peaks)
+            spectra = transmission_spectrum(nl, f, floor_db)
+            # each peak from its own contiguous spectrum, not a strided
+            # column of the block
+            np.maximum(peaks, [db.max() for db in spectra], out=peaks)
+            block = np.column_stack([f, *spectra])
+            del spectra
             yield block
             del block
 

@@ -45,6 +45,52 @@ class CalibrationResult:
     residual_phase_error: float
 
 
+# the smallest normal float: a gain below it has lost its precision, and
+# dividing by it overflows
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _leveled_attenuation(nl: circuit.GateNetlist) -> tuple[float, float, float]:
+    """Total attenuator settings that level the netlist's carrier gains:
+    each channel attenuated down to the weakest, in closed form.
+
+    A carrier outside the band raises physics.BandError naming it and
+    the band; a channel below _TINY or gains too far apart to divide,
+    CalibrationError.
+    """
+    if math.isnan(nl.carrier.k[0]):
+        raise physics.stopband_error(nl.ctx, nl.settings.f_c)
+    gains = np.abs(nl.carrier_gains).tolist()
+    for ch, g in zip(circuit.CHANNELS, gains):
+        if g < _TINY:
+            raise CalibrationError(f"channel {ch} has no transmission")
+    weakest = min(gains)
+    ratios = [g / weakest for g in gains]
+    if not all(map(math.isfinite, ratios)):
+        raise CalibrationError("channel gains lie too far apart to level")
+    return tuple(current + 20.0 * math.log10(r)
+                 for current, r in zip(nl.settings.attenuator_db, ratios))
+
+
+def _aligned_phases(gains: np.ndarray, phase_rad) -> tuple[list[float], tuple[float, float, float]]:
+    """Phase shifter settings that align i1 and i3 with i2 at the given
+    carrier gains, from the settings phase_rad, and the offsets they
+    give (see calibrate_phases)."""
+    if not np.abs(gains).all():
+        raise CalibrationError("dead channel: calibrate amplitudes first")
+    g1, g2, g3 = gains.tolist()
+    for g, ch in ((g1, "i1"), (g3, "i3")):
+        if 2.0 * min(abs(g), abs(g2)) <= 1e-12 * (abs(g) + abs(g2)):
+            weaker = ch if abs(g) <= abs(g2) else "i2"
+            raise CalibrationError(f"flat calibration objective on {weaker}")
+    # arg(g2) - arg(g) of each channel, one quotient and one angle each
+    turns = np.angle(gains[1] / gains).tolist()
+    phases = list(phase_rad)
+    for idx in (0, 2):
+        phases[idx] = wrap_phase(phases[idx] + turns[idx])
+    return phases, (phases[0], wrap_phase(phases[1]), phases[2])
+
+
 def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
     """Level the three single-channel output amplitudes.
 
@@ -52,18 +98,11 @@ def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, 
     to the weakest one; in the linear model the needed attenuation is the
     closed-form dB ratio.  Returns the adjusted netlist and the resulting
     total attenuator settings.  A gain below the smallest normal float
-    has lost its precision (and dividing by it overflows): no transmission.
+    has lost its precision (and dividing by it overflows): no
+    transmission.  A carrier outside the band raises physics.BandError,
+    naming the carrier and the band.
     """
-    gains = np.abs(nl.carrier_gains)
-    for ch, g in zip(circuit.CHANNELS, gains):
-        if g < np.finfo(np.float64).tiny:
-            raise CalibrationError(f"channel {ch} has no transmission")
-    with np.errstate(over="ignore"):
-        ratios = gains / gains.min()
-    if not np.all(np.isfinite(ratios)):
-        raise CalibrationError("channel gains lie too far apart to level")
-    atten = tuple(current + 20.0 * math.log10(r)
-                  for current, r in zip(nl.settings.attenuator_db, ratios))
+    atten = _leveled_attenuation(nl)
     return nl.with_controls(attenuator_db=atten), atten
 
 
@@ -81,35 +120,31 @@ def calibrate_phases(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tupl
     CalibrationError naming the weaker of the two channels.  Amplitudes
     should be leveled first.
     """
-    gains = nl.carrier_gains
-    if np.any(np.abs(gains) == 0.0):
-        raise CalibrationError("dead channel: calibrate amplitudes first")
-    g2 = gains[1]
-    phases = list(nl.settings.phase_rad)
-    for idx, ch in ((0, "i1"), (2, "i3")):
-        g = gains[idx]
-        if 2.0 * min(abs(g), abs(g2)) <= 1e-12 * (abs(g) + abs(g2)):
-            weaker = ch if abs(g) <= abs(g2) else "i2"
-            raise CalibrationError(f"flat calibration objective on {weaker}")
-        phases[idx] = float(wrap_phase(phases[idx] + np.angle(g2 / g)))
-    offsets = (phases[0], float(wrap_phase(phases[1])), phases[2])
+    phases, offsets = _aligned_phases(nl.carrier_gains, nl.settings.phase_rad)
     return nl.with_controls(phase_rad=phases), offsets
 
 
 def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, CalibrationResult]:
-    """Amplitude then phase calibration, with measured residuals."""
-    leveled, atten = calibrate_amplitudes(nl)
-    aligned, offsets = calibrate_phases(leveled)
+    """Amplitude then phase calibration, with measured residuals.
+
+    The phases are aligned at the leveled gains, which the netlist gives
+    for the new attenuator settings without a copy, and the one copy
+    takes both settings: bit for bit calibrate_phases after
+    calibrate_amplitudes.
+    """
+    atten = _leveled_attenuation(nl)
+    phases, offsets = _aligned_phases(nl.carrier_gains_at(atten),
+                                 nl.settings.phase_rad)
+    aligned = nl.with_controls(attenuator_db=atten, phase_rad=phases)
     gains = aligned.carrier_gains
-    mags = np.abs(gains)
-    imbalance = float(mags.max() / mags.min())
-    ref = np.angle(gains[1])
-    phase_err = float(max(abs(wrap_phase(np.angle(g) - ref)) for g in gains))
+    mags = np.abs(gains).tolist()
+    angles = np.angle(gains).tolist()
     return aligned, CalibrationResult(
         attenuator_db=atten,
         phase_offsets_rad=offsets,
-        residual_amplitude_imbalance=imbalance,
-        residual_phase_error=phase_err,
+        residual_amplitude_imbalance=max(mags) / min(mags),
+        residual_phase_error=max(abs(wrap_phase(angle - angles[1]))
+                                 for angle in angles),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class PhaseEncoding:
         if not 0.0 < self.guard <= 0.5 * math.pi:
             raise ValueError("guard must lie in (0, pi/2]")
 
-    @property
+    @cached_property
     def phi1(self) -> float:
         return float(wrap_phase(self.phi0 + math.pi))
 
@@ -56,6 +57,10 @@ class LogicState:
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
+
+
+# the input states of a truth table, in TABLE_ROW_ORDER
+TABLE_STATES = tuple(LogicState(bits) for bits in TABLE_ROW_ORDER)
 
 
 @dataclass(frozen=True)
@@ -110,30 +115,30 @@ def read_out(nl: circuit.GateNetlist, states: list[LogicState],
     unanimity amplitude sum(|g_i|) per unit drive is indeterminate, and
     so is every output when the all-zero reference is.
 
-    The reference, the floor and the reference phase are computed once
-    per call, the phases of all outputs in one np.angle.  Each output is
-    its own np.dot of phasors and gains: a matrix product rounds
-    differently, and every state's output is that of the state alone.
+    The two code phasors, the floor and the phases of the reference and
+    of all outputs (one np.angle) are computed once per call.  Each
+    output, the reference's first, is its own np.dot of phasors and
+    gains: a matrix product rounds differently, and every state's output
+    is that of the state alone.
     """
     enc = enc or PhaseEncoding()
     drive = nl.settings.drive_amplitude
     gains = nl.carrier_gains
-    phasors = np.exp(1j * np.array([[encode(bit, enc) for bit in state.bits]
-                                    for state in states]))
-    outs = [complex(np.dot(row, gains)) for row in phasors]
-    out_ref = complex(np.dot(np.full(3, np.exp(1j * encode(0, enc))), gains))
+    codes = np.exp(1j * np.array([encode(0, enc), encode(1, enc)]))
+    phasors = codes[np.array([(0, 0, 0), *(state.bits for state in states)])]
+    out_ref, *outs = [complex(np.dot(row, gains)) for row in phasors]
     floor = REL_FLOOR * float(np.abs(gains).sum())
     if abs(out_ref) <= floor:
         return [GateReadout(state, drive * abs(out), 0.0, None, 0.0)
                 for state, out in zip(states, outs)]
-    ref_phase = float(np.angle(out_ref))
+    ref_phase, *angles = np.angle([out_ref, *outs]).tolist()
     readouts = []
-    for state, out, angle in zip(states, outs, np.angle(outs).tolist()):
+    for state, out, angle in zip(states, outs, angles):
         amplitude = abs(out)
         if amplitude <= floor:
             readouts.append(GateReadout(state, drive * amplitude, 0.0, None, 0.0))
             continue
-        phase = float(wrap_phase(angle - ref_phase + enc.phi0))
+        phase = wrap_phase(angle - ref_phase + enc.phi0)
         readouts.append(GateReadout(state, drive * amplitude, phase,
                                     *decide(phase, enc)))
     return readouts
@@ -168,9 +173,7 @@ class TruthTableReport:
 def truth_table(nl: circuit.GateNetlist,
                 enc: PhaseEncoding | None = None) -> TruthTableReport:
     """Evaluate all eight input states in the canonical row order."""
-    enc = enc or PhaseEncoding()
-    states = [LogicState(bits) for bits in TABLE_ROW_ORDER]
-    return TruthTableReport(rows=tuple(read_out(nl, states, enc)))
+    return TruthTableReport(rows=tuple(read_out(nl, TABLE_STATES, enc)))
 
 
 def full_adder(a: int, b: int, cin: int) -> tuple[int, int]:

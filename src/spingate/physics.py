@@ -153,8 +153,10 @@ def calibrate_ms(ctx: ModeContext, f_target: float) -> float:
 
 def _wavenumbers(k) -> np.ndarray:
     """k (rad/m, scalar or array) as a flat array; none may be negative."""
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    if np.any(k_arr < 0):
+    k_arr = np.asarray(k, dtype=np.float64)
+    if not k_arr.ndim:
+        k_arr = k_arr.reshape(1)
+    if (k_arr < 0).any():
         raise ValueError("k must be nonnegative")
     return k_arr
 
@@ -197,12 +199,16 @@ def solve_k(ctx: ModeContext, f: float) -> float:
     k = kernels.solve_k(np.array([float(f)]), ctx.omega_h, ctx.omega_m,
                         ctx.film.d, ctx.branch)[0]
     if math.isnan(k):
-        lo, hi = band_limits(ctx)
-        raise BandError(
-            f"no propagating mode at {f:.6g} Hz "
-            f"(band {lo:.6g} .. {hi:.6g} Hz)"
-        )
+        raise stopband_error(ctx, f)
     return float(k)
+
+
+def stopband_error(ctx: ModeContext, f: float) -> BandError:
+    """The BandError of a frequency with no propagating mode, naming it
+    and the band."""
+    lo, hi = band_limits(ctx)
+    return BandError(f"no propagating mode at {f:.6g} Hz "
+                     f"(band {lo:.6g} .. {hi:.6g} Hz)")
 
 
 def solve_k_grid(ctx: ModeContext, f) -> np.ndarray:

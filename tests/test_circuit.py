@@ -619,6 +619,28 @@ class TestSerialization:
             assert path.read_text() == csv_table("f_hz,s21_db", f, db)
             assert peak == db.max()
 
+    @pytest.mark.parametrize("orientation", list(ph.Orientation))
+    @pytest.mark.parametrize("last", [0.5, 1.2])
+    def test_a_one_point_last_block_is_the_grid(self, tmp_path, monkeypatch,
+                                                 orientation, last):
+        # COMPUTE_ROWS + 1 frequencies from below the band: the last block
+        # is one point, which the kernels take through their one-point
+        # path, in the band (last = 0.5) or past it (1.2); the files and
+        # the peaks are those of one block over the whole grid, byte for
+        # byte
+        nl = reference_gate(orientation)
+        lo, hi = ph.band_limits(nl.ctx)
+        f = np.linspace(lo - 0.1 * (hi - lo), lo + last * (hi - lo),
+                        COMPUTE_ROWS + 1)
+        blocked = [tmp_path / f"blocked_{ch}.csv" for ch in ct.CHANNELS]
+        whole = [tmp_path / f"whole_{ch}.csv" for ch in ct.CHANNELS]
+        peaks = ct.spectrum_to_csv(nl, f, blocked, floor_db=-150.0)
+        monkeypatch.setattr(ct, "COMPUTE_ROWS", 2 * COMPUTE_ROWS)
+        assert peaks.tobytes() == ct.spectrum_to_csv(
+            nl, f, whole, floor_db=-150.0).tobytes()
+        for ours, theirs in zip(blocked, whole):
+            assert ours.read_bytes() == theirs.read_bytes()
+
     def test_grid_must_ascend_across_blocks(self, tmp_path):
         # each block's call checks only its own steps: a step back at a
         # block boundary is refused before any file is opened

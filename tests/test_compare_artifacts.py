@@ -245,6 +245,44 @@ def test_edge_jobs_leave_indeterminate_and_flagged_rows():
     assert [r.flagged for r in study.rows] == [False, False, True]
 
 
+def test_edge_flag_sets_put_the_carrier_by_a_band_edge():
+    # a flag set on each branch puts the carrier 1e-7 relative inside the
+    # band edge at the uniform-precession frequency, where k(f_c) is small
+    # and the backward-volume thickness factor nears 1
+    near = set()
+    for flags in compare_artifacts.FLAG_SETS.values():
+        args = cli.PARSER.parse_args(["calibrate", "--config", str(REFERENCE),
+                                      *flags])
+        setup = cli._load_config(args)
+        ctx = setup.context()
+        f_c = setup.settings.f_c
+        lo, hi = ph.band_limits(ctx)
+        assert lo < f_c < hi
+        if min(f_c - lo, hi - f_c) <= 1.1e-7 * f_c:
+            assert min(f_c - lo, hi - f_c) >= 0.9e-7 * f_c
+            assert ph.solve_k(ctx, f_c) * ctx.film.d < 1e-6
+            near.add(setup.bias.orientation)
+    assert near == set(ph.Orientation)
+
+
+def test_onepoint_jobs_end_on_a_one_point_block():
+    # the onepoint jobs compute both grids in one block of
+    # signal.COMPUTE_ROWS and a last block of one point, which the kernels
+    # take through their one-point path; the spectrum's last point lies in
+    # the backward-volume band
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-onepoint")} == {
+        "dispersion-onepoint": ["dispersion"],
+        "transmission-onepoint": ["transmission"]}
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.ONEPOINT))
+    for n in (cfg.spectrum.n_points, cfg.dispersion.n_points):
+        assert n == sig.COMPUTE_ROWS + 1
+    setup = cf.validate_config(cfg)
+    lo, hi = ph.band_limits(setup.context())
+    assert lo < setup.cfg.spectrum.grid()[-1] < hi
+
+
 def test_worst_difference_per_file(tmp_path, capsys):
     # the largest |x - y| / max(|x|, |y|) over the numbers of each file
     # that differs, after the listed differences; agreeing files get none

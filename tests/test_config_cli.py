@@ -207,6 +207,23 @@ class TestDispersionCommand:
         f = np.array([float(r[1]) for r in rows])
         assert np.all(np.diff(f) > 0)
 
+    @pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
+    def test_a_one_point_last_block_is_the_grid(self, tmp_path, monkeypatch,
+                                                mode):
+        # COMPUTE_ROWS + 1 wavenumbers: the last block is one point, which
+        # the kernels take through their one-point path; the table is that
+        # of one block over the whole grid, byte for byte
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"dispersion.n_points = {cli.COMPUTE_ROWS + 1}\n")
+        tables = []
+        for rows in (cli.COMPUTE_ROWS, 2 * cli.COMPUTE_ROWS):
+            monkeypatch.setattr(cli, "COMPUTE_ROWS", rows)
+            out = tmp_path / str(rows)
+            assert main(["dispersion", "--mode", mode, "--config", str(config),
+                         "--out", str(out)]) == 0
+            tables.append((out / "dispersion.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     @pytest.mark.parametrize("log_k", ["true", "false"])
     @pytest.mark.parametrize("mode", ["bvmsw", "mssw"])
     def test_memory_does_not_grow_with_the_grid(self, tmp_path, mode, log_k):
@@ -561,6 +578,32 @@ class TestCliPlumbing:
         assert code == 3
         assert err.startswith("physics error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("mode, fc, band", [
+        # 6.06 GHz is the uniform-precession frequency the film is fitted
+        # to: the top edge of the backward-volume band, the bottom of the
+        # surface band, where k(f_c) is NaN as well
+        ("bvmsw", "6.06e9", "4.0012e+09 .. 6.06e+09"),
+        ("bvmsw", "1e9", "4.0012e+09 .. 6.06e+09"),
+        ("mssw", "6.06e9", "6.06e+09 .. 6.58967e+09"),
+        ("mssw", "1e9", "6.06e+09 .. 6.58967e+09"),
+    ])
+    def test_carrier_outside_the_band_exit_code(self, tmp_path, capsys, mode,
+                                                fc, band):
+        # every calibrating command names the carrier and the band, where
+        # it said "channel i1 has no transmission" with no channel alive;
+        # the uncalibrated read-out of that gate stays indeterminate
+        for command in ("calibrate", "truthtable", "switch", "fulladder",
+                        "scale"):
+            code = main([command, "--mode", mode, "--fc", fc,
+                         "--out", str(tmp_path)])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                f"physics error: no propagating mode at {float(fc):.6g} Hz "
+                f"(band {band} Hz)\n")
+        code = main(["truthtable", "--no-calibrate", "--mode", mode,
+                     "--fc", fc, "--out", str(tmp_path)])
+        assert code == 4
 
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "cfg.txt"

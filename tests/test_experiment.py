@@ -182,6 +182,54 @@ class TestCalibrate:
         _, res = ex.calibrate(nl)
         assert res.residual_phase_error <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(coupling_db=st.tuples(*[st.floats(-6.0, 6.0)] * 3),
+           coupling_rad=st.tuples(*[st.floats(-math.pi, math.pi)] * 3),
+           atten_db=st.tuples(*[st.floats(0.0, 10.0)] * 3),
+           phase_rad=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+           orientation=st.sampled_from(list(ph.Orientation)),
+           scale=st.floats(0.05, 3.0))
+    def test_one_copy_is_the_two_steps(self, coupling_db, coupling_rad,
+                                       atten_db, phase_rad, orientation,
+                                       scale):
+        # calibrate aligns the phases at the leveled gains without making
+        # the leveled copy: the gate, its gains and the result are those of
+        # calibrate_phases after calibrate_amplitudes, bit for bit, with
+        # the residuals taken as numpy reductions over the gains
+        ctx = ph.ModeContext(make_ctx().film, ph.BiasField(0.1429, orientation))
+        f_c = FC if orientation is ph.Orientation.PARALLEL else 6.14e9
+        nl = build(geo=ct.DeviceGeometry(scale=scale), ctx=ctx, f_c=f_c,
+                   coupling_db=coupling_db, coupling_phase_rad=coupling_rad,
+                   attenuator_db=atten_db, phase_rad=phase_rad)
+        aligned, res = ex.calibrate(nl)
+        leveled, atten = ex.calibrate_amplitudes(nl)
+        stepped, offsets = ex.calibrate_phases(leveled)
+        assert aligned.settings == stepped.settings
+        assert aligned.carrier_gains.tobytes() == stepped.carrier_gains.tobytes()
+        assert (res.attenuator_db, res.phase_offsets_rad) == (atten, offsets)
+        gains = stepped.carrier_gains
+        mags = np.abs(gains)
+        ref = np.angle(gains[1])
+        assert res.residual_amplitude_imbalance == float(mags.max() / mags.min())
+        assert res.residual_phase_error == float(
+            max(abs(sig.wrap_phase(np.angle(g) - ref)) for g in gains))
+
+    @pytest.mark.parametrize("orientation, f_c", [
+        (ph.Orientation.PARALLEL, 1.0e9), (ph.Orientation.PARALLEL, 6.3e9),
+        (ph.Orientation.PERPENDICULAR, 6.0e9),
+        (ph.Orientation.PERPENDICULAR, 9.0e9)])
+    def test_carrier_outside_the_band_named(self, orientation, f_c):
+        # no channel propagates: the error names the carrier and the band
+        # as physics.solve_k does, not the first channel
+        ctx = ph.ModeContext(make_ctx().film, ph.BiasField(0.1429, orientation))
+        nl = build(ctx=ctx, f_c=f_c)
+        with pytest.raises(ph.BandError) as raised:
+            ph.solve_k(ctx, f_c)
+        for procedure in (ex.calibrate, ex.calibrate_amplitudes):
+            with pytest.raises(ph.BandError) as err:
+                procedure(nl)
+            assert str(err.value) == str(raised.value)
+
     def test_residuals(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5),
                    coupling_phase_rad=(0.7, -0.1, 2.2))

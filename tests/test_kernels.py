@@ -3,7 +3,8 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
@@ -237,3 +238,84 @@ def test_waveguide_gain_broadcasts_over_lengths():
             np.testing.assert_array_equal(rows[0], np.ones(f.size))
             if math.isnan(k_c):
                 assert not rows[1:].any()
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(film=films, u=band_fraction, branch=branches)
+def test_one_point_solve_is_the_grid_solve(film, u, branch):
+    # a one-point solve takes the float transcription, a grid the array
+    # path; the point's wavenumber is the grid's, bit for bit, in the band
+    # and just outside it
+    wh, wm, d = film
+    lo, hi = edges(wh, wm, branch)
+    f = np.array([lo * 0.999, lo, lo + u * (hi - lo), hi, hi * 1.001,
+                  lo + 0.5 * (hi - lo)])
+    grid = kernels.solve_k(f, wh, wm, d, branch)
+    for fi, ki in zip(f, grid):
+        assert bits(solve_one(fi, wh, wm, d, branch)) == bits(ki)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.floats(5e-324, 1.0, exclude_max=True),
+                   st.floats(1e-12, 1.0).map(lambda t: 10.0 ** -(12 * t)),
+                   st.floats(1e-16, 1e-1).map(lambda e: 1.0 - e)))
+@example(p=5e-324)
+@example(p=1e-310)
+@example(p=1.0 - 2.0 ** -53)
+def test_one_point_root_is_the_grid_root(p):
+    # the float Halley iteration returns the grid's root of P(x) = p,
+    # from a subnormal p (a NaN bracket) to p -> 1
+    if not 0.0 < p < 1.0:
+        return
+    grid = _core_py._bv_thickness_root(np.array([p, 0.5, 1e-3]))
+    assert bits(_core_py._bv_thickness_root_point(p)) == bits(grid[0])
+
+
+def test_one_point_is_selected_by_size(monkeypatch):
+    # one point never enters the array iteration; any grid does
+    calls = []
+    root = _core_py._bv_thickness_root
+    monkeypatch.setattr(_core_py, "_bv_thickness_root",
+                        lambda p: calls.append(p.size) or root(p))
+    kernels.solve_k(np.array([FC]), WH, WM, D, BRANCH_BV)
+    kernels.solve_k(np.array([[FC]]), WH, WM, D, BRANCH_BV)
+    assert calls == []
+    kernels.solve_k(np.array([FC, FC]), WH, WM, D, BRANCH_BV)
+    assert calls == [2]
+    # the one-point result keeps the input's shape
+    for shape in ((), (1,), (1, 1)):
+        f = np.full(shape, FC)
+        assert kernels.solve_k(f, WH, WM, D, BRANCH_S).shape == shape
+        assert kernels.dispersion_f(f * 0 + 1e4, WH, WM, D, BRANCH_S).shape == shape
+        assert kernels.group_velocity(f * 0 + 1e4, WH, WM, D, BRANCH_S).shape == shape
+
+
+@pytest.mark.parametrize("branch", [BRANCH_BV, BRANCH_S])
+@pytest.mark.parametrize("d", [D, 1e300])
+def test_one_point_dispersion_is_the_grid(branch, d):
+    # f(k) and v_g(k) at one k are the grid's bits at k = 0, on both sides
+    # of the thickness-factor guard and of the derivative's series, where
+    # k*d passes the float range, and on a 1e300 m film, with and without
+    # the caller's f
+    kd = [0.0, 5e-324, _core_py._P_GUARD_X, _core_py._P_DERIV_SERIES_X,
+          0.37, 40.0, 1e160, 1e300]
+    k = np.array(sorted({edge / D * s for edge in kd
+                         for s in (1.0 - 2e-16, 1.0, 1.0 + 2e-16)}
+                        | {1.0, 1e6, 1e308, np.inf}))
+    with np.errstate(all="raise", under="ignore"):
+        f = kernels.dispersion_f(k, WH, WM, d, branch)
+        vg = kernels.group_velocity(k, WH, WM, d, branch)
+        vg_f = kernels.group_velocity(k, WH, WM, d, branch, f)
+        for i, ki in enumerate(k):
+            one = np.array([ki])
+            assert bits(kernels.dispersion_f(one, WH, WM, d, branch)) == bits(f[i])
+            assert bits(kernels.group_velocity(one, WH, WM, d, branch)) == bits(vg[i])
+            assert bits(kernels.group_velocity(
+                one, WH, WM, d, branch, f[i:i + 1])) == bits(vg_f[i])
+    # the large-kd limits hold (an inf v_g where a 1e300 m film's k = 0
+    # limit overflows)
+    assert not np.isnan(f).any() and not np.isnan(vg).any()

@@ -25,7 +25,10 @@ appended, an analysis window of many drive blocks and low-pass chunks;
 ``switch-ragged`` runs ``switch`` with the RAGGED lines appended, a
 window whose last drive block and last CSV block are partial;
 ``switch-edge`` runs ``switch`` with the EDGE lines appended, a window
-with a drive block edge inside the ramp and the transit fill.
+with a drive block edge inside the ramp and the transit fill; the
+``*-onepoint`` jobs run ``dispersion`` and ``transmission`` with the
+ONEPOINT lines appended, grids whose last block of computed rows is one
+point, which the kernels take through their one-point path.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -81,6 +84,8 @@ JOBS = {
     "scale-fine": ["scale"],
     "switch-ragged": ["switch"],
     "switch-edge": ["switch"],
+    "dispersion-onepoint": ["dispersion"],
+    "transmission-onepoint": ["transmission"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -126,16 +131,27 @@ RAGGED = ("switching.dt_s = 3.3e-12",)
 # 200.96 ns, inside the 2 ns ramp from the 200 ns toggle and so inside the
 # transit fill that follows it
 EDGE = ("switching.dt_s = 1e-11",)
+# appended for the *-onepoint jobs: grids of 8,193 points, one block of
+# the 8192 rows the spectrum commands compute at a time and a last block
+# of one point; the spectrum's last point, 6.05 GHz, lies in the
+# backward-volume band and below the surface band
+ONEPOINT = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 6.05e9",
+            "spectrum.n_points = 8193", "spectrum.floor_db = -1000",
+            "dispersion.n_points = 8193")
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
-            "-ragged": RAGGED, "-edge": EDGE}
+            "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
     "fc6.0e9": ["--fc", "6.0e9"],
     "scale8": ["--scale", "8"],
     "field0.14": ["--field", "0.14"],
+    # carriers 1e-7 relative inside the band edge at the uniform-precession
+    # frequency (6.06 GHz, k -> 0) of each branch
+    "fc6.059999394e9": ["--fc", "6.059999394e9"],
+    "mssw_fc6.060000606e9": ["--mode", "mssw", "--fc", "6.060000606e9"],
 }
 # separators are compared as text; the tokens between them as numbers
 # when both sides parse as one
