@@ -6,7 +6,8 @@ envelopes and transfer functions), ``circuit`` (the gate record:
 microwave conditioning and film waveguides), ``logic`` (phase encoding
 and majority logic), ``experiment`` (calibration, switching and scaling
 procedures), ``config`` (the run configuration, its parser and the
-records every command runs on), ``cli`` (command-line front end).
+records every command runs on), ``table`` (the CSV writers of every
+artifact table), ``cli`` (command-line front end).
 """
 
 from ._kernels import backend_name

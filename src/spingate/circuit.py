@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import physics
 from ._kernels import kernels
-from .signal import COMPUTE_ROWS, MAX_LEVEL, phase_setting, write_rows
+from .signal import MAX_LEVEL, phase_setting
+from .table import write_rows
 
 CHANNELS = ("i1", "i2", "i3")
 # ceiling of each coupling gain, the one element of a channel that
@@ -373,31 +373,24 @@ def spectrum_to_csv(nl: GateNetlist, f_grid, paths,
     """Write the transmission_spectrum of each channel to its path as CSV
     with columns f_hz, s21_db, and return each channel's peak in dB.
 
-    The ascending grid is taken COMPUTE_ROWS frequencies at a time:
-    transmission_spectrum runs on each slice just before the writer
-    formats its rows, so no spectrum is ever whole in memory.  Every stage
-    of it is elementwise, so the bytes are those of one call on the whole
-    grid.  The whole grid is checked before a file is opened, as a slice's
-    call checks only its own steps.  The shared f_hz column is formatted
-    once for all the files.
+    The writer asks for the ascending grid table.COMPUTE_ROWS frequencies
+    at a time: transmission_spectrum runs on each slice just before the
+    writer formats its rows, so no spectrum is ever whole in memory.
+    Every stage of it is elementwise, so the bytes are those of one call
+    on the whole grid.  The whole grid is checked before a file is opened,
+    as a slice's call checks only its own steps.  The shared f_hz column
+    is formatted once for all the files.
     """
     f_grid = _ascending(f_grid)
     peaks = np.full(len(CHANNELS), -np.inf)
 
-    def blocks():
-        for start in range(0, f_grid.size, COMPUTE_ROWS):
-            f = f_grid[start:start + COMPUTE_ROWS]
-            spectra = transmission_spectrum(nl, f, floor_db)
-            # each peak from its own contiguous spectrum, not a strided
-            # column of the block
-            np.maximum(peaks, [db.max() for db in spectra], out=peaks)
-            block = np.column_stack([f, *spectra])
-            del spectra
-            yield block
-            del block
+    def columns(lo: int, hi: int):
+        f = f_grid[lo:hi]
+        spectra = transmission_spectrum(nl, f, floor_db)
+        # each peak from its own contiguous spectrum, not a strided
+        # column of the block
+        np.maximum(peaks, [db.max() for db in spectra], out=peaks)
+        return (f, *spectra)
 
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        write_rows(files, ["f_hz,s21_db"] * len(files), 1, [1] * len(files),
-                   blocks())
+    write_rows(paths, "f_hz,s21_db", 1, f_grid.size, columns)
     return peaks

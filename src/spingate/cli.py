@@ -23,8 +23,8 @@ import numpy as np
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, Setup, number, read_assignments,
                      read_config, validate_config)
-from .signal import (COMPUTE_ROWS, NoTransitionError, trace_to_csv, wrap_phase,
-                     write_rows)
+from .signal import NoTransitionError, trace_to_csv, wrap_phase
+from .table import write_csv, write_rows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,18 +36,6 @@ EXIT_INDETERMINATE = 4
 _FLAG_KEYS = {"mode": "field.orientation", "fc": "microwave.f_c_hz",
               "field": "field.mu0_h_t", "scale": "geometry.scale"}
 _ORIENTATIONS = {"bvmsw": "parallel", "mssw": "perpendicular"}
-
-
-def _csv(header: str, rows) -> str:
-    """CSV text of a header line and rows of values: a float is written
-    as %.12g, a bool as true/false and any other value as str."""
-    def cell(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return "%.12g" % value
-        return str(value)
-    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def _load_config(args) -> Setup:
@@ -79,20 +67,14 @@ def cmd_dispersion(setup: Setup, out: Path, args) -> int:
     else:
         k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
 
-    def blocks():
-        # f(k) and v_g per block of k, computed as the writer formats it,
+    def columns(lo: int, hi: int):
         # f(k) once for both
-        for start in range(0, k.size, COMPUTE_ROWS):
-            kb = k[start:start + COMPUTE_ROWS]
-            f = physics.dispersion_f(ctx, kb)
-            block = np.column_stack([kb, f, physics.group_velocity(ctx, kb, f)])
-            del f
-            yield block
-            del block
+        kb = k[lo:hi]
+        f = physics.dispersion_f(ctx, kb)
+        return kb, f, physics.group_velocity(ctx, kb, f)
 
     path = out / "dispersion.csv"
-    with path.open("wb") as file:
-        write_rows([file], ["k_rad_per_m,f_hz,v_g_m_per_s"], 0, [3], blocks())
+    write_rows([path], "k_rad_per_m,f_hz,v_g_m_per_s", 0, k.size, columns)
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
           f"branch={setup.cfg.field_.orientation} -> {path}")
     return EXIT_OK
@@ -176,8 +158,8 @@ def cmd_truthtable(setup: Setup, out: Path, args) -> int:
              "indeterminate" if r.decoded_bit is None else r.decoded_bit]
             for r in report.rows]
     path = out / "truthtable.csv"
-    path.write_text(_csv("in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,"
-                         "state,out_phase_rad,out_amp,decoded", rows))
+    write_csv(path, "in_phase_i1_rad,in_phase_i2_rad,in_phase_i3_rad,"
+              "state,out_phase_rad,out_amp,decoded", rows)
     decoded = "".join("x" if r.decoded_bit is None else str(r.decoded_bit)
                       for r in report.rows)
     print(f"truthtable decoded={decoded} "
@@ -208,7 +190,7 @@ def cmd_fulladder(setup: Setup, out: Path, args) -> int:
             for ro in readouts]
     spread = logic.amplitude_spread(readouts)
     path = out / "fulladder.csv"
-    path.write_text(_csv("a,b,cin,sum,cout,gate_amp", rows))
+    write_csv(path, "a,b,cin,sum,cout,gate_amp", rows)
     print(f"fulladder rows=8 amp_spread={spread:.4g} "
           f"cascadable={str(spread <= logic.CASCADE_TOLERANCE).lower()} -> {path}")
     return EXIT_OK
@@ -220,7 +202,7 @@ def cmd_scale(setup: Setup, out: Path, args) -> int:
                                      **setup.switching)
     rows = [[r.scale, r.t_rise, 1.0 / r.t_rise, r.flagged] for r in study.rows]
     path = out / "scaling.csv"
-    path.write_text(_csv("scale,t_rise_s,f_clock_hz,flagged", rows))
+    write_csv(path, "scale,t_rise_s,f_clock_hz,flagged", rows)
     print(f"scale floor_s={study.ramp_floor:.6g} slope_s={study.slope:.6g} "
           f"r_squared={study.r_squared:.6f} -> {path}")
     return EXIT_OK

@@ -1,0 +1,315 @@
+"""The CSV writers of every artifact table.
+
+write_rows writes the numeric tables as %.12g, from ranges of rows that
+its caller computes as the writer asks for them; write_csv writes the
+small result tables of mixed cells.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack
+from typing import Iterator
+
+import numpy as np
+
+# rows per formatted block.  Of 1024-8192, 4096 writes a 2^17-row trace
+# about 8% faster and the other tables within 3%, but it doubles the
+# writer's own peak (0.53 to 1.02 MiB for the three transmission files of
+# 32768 rows, beside the blocks they are given, 0.27 at 1024), and with
+# their rows computed block by block that peak is what the spectrum
+# commands peak on; 1024 is 3-30% slower
+BLOCK_ROWS = 2048
+# rows of slots squeezed and written at a time, a quarter of a block: the
+# squeeze's copy and its bytes stay below the formatter's temporaries
+_SQUEEZE_ROWS = 512
+# rows the transmission and dispersion tables compute per range the
+# writer asks for (the switching trace computes BLOCK_ROWS).  Each
+# transmission_spectrum call has a fixed cost of 0.07 ms on the surface
+# branch and 0.19 ms on the backward-volume one, its Halley loop (a
+# 2-point grid): against one block of the whole grid, a 32768-point
+# transmission job took 6-16% longer at 2048 rows, up to 12% at 4096 and
+# up to 5% at 8192 (best of 40 interleaved in-process runs, 2 CPUs).
+# Peak of that transmission (dispersion) command, grid included, on
+# either branch: 0.85 (0.69) MiB at 2048 rows, 0.92 (0.76) at 4096, 1.05
+# (0.85-0.88) at 8192, 1.37-1.46 (1.04-1.45) at 16384; 2.15 (1.56-2.34)
+# unstreamed
+COMPUTE_ROWS = 8192
+# a scaled value y at least this far from a rounding tie is rounded on the
+# fast path: y is |x| times a power of ten within an ulp of exact (numpy's
+# power), then rounded, so |error| < 1e12 * 3 * 2**-53 ~ 3.3e-4
+_TIE_MARGIN = 1e-3
+# the fast path takes a scaled value y in [1e11, _Y_TOP): its rounded 12
+# digits never carry into a 13th
+_Y_TOP = 1e12 - 1.0
+
+
+def _words(chars) -> np.ndarray:
+    """Rows of at most 8 byte values, each packed into a little-endian
+    uint64 (the first value in the lowest byte)."""
+    chars = np.asarray(chars)
+    out = np.zeros((chars.shape[0], 8), np.uint8)
+    out[:, :chars.shape[1]] = chars
+    return out.view("<u8").ravel()
+
+
+def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """table[index], an index outside the table clipped to its ends."""
+    return np.take(table, index, mode="clip")
+
+
+# the four decimal digits of each n < 10^4 as ASCII, and the same with its
+# trailing zeros left out (zero bytes), stacked: row n + 10^4 is stripped
+_QUAD = 48 + np.indices((10,) * 4).reshape(4, -1).T
+_QUAD_ZEROS = (_QUAD[:, ::-1] == 48).cumprod(axis=1)[:, ::-1].astype(bool)
+_QUAD_TEXT = np.concatenate([_words(_QUAD), _words(_QUAD * ~_QUAD_ZEROS)])
+_QUAD_TEXT_MID = _QUAD_TEXT << np.uint64(32)
+_STRIPPED = 10 ** 4
+# per decimal exponent X of _X (table index X + 297): the scale 10^(11-X)
+# that puts the 12 digits before the point, 0 at the two ends, so that an
+# index clipped to an end never scales into range
+_X = np.arange(-297, 310)
+_NX = _X.size
+_SCALE = 10.0 ** (11 - _X)
+_SCALE[[0, -1]] = 0.0
+_SMALL = (_X >= -4) & (_X < 0)
+_SCI = (_X < -4) | (_X >= 12)
+_INT_DIGITS = np.where(_SCI, 1, np.where(_SMALL, 0, _X + 1))
+# per (sign, X): "-" for the negative half, then the "0.00" of -4 <= X < 0
+_ZEROS_PREFIX = np.where(_SMALL[:, None] & (np.arange(5) < 1 - _X[:, None]),
+                         np.where(np.arange(5) == 1, ord("."), ord("0")), 0)
+_PREFIX = np.concatenate([
+    _words(_ZEROS_PREFIX),
+    _words(np.column_stack([np.full(_NX, ord("-")), _ZEROS_PREFIX]))])
+# per (separator, X): the "e+dd" of the exponent form (X < -4 or X >= 12),
+# then the separator after the column; the zero bytes between are squeezed
+_ABS_X = np.abs(_X)
+_EXP_DIGITS = 48 + _ABS_X[:, None] // np.array([100, 10, 1]) % 10
+_EXP_TEXT = _SCI[:, None] * np.column_stack([
+    np.full(_NX, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
+    np.where(_ABS_X >= 100, _EXP_DIGITS[:, 0], 0), _EXP_DIGITS[:, 1:]])
+_SEPARATORS = b",\n"
+_EXPONENT = np.concatenate([_words(np.column_stack([_EXP_TEXT, np.full(_NX, s)]))
+                            for s in _SEPARATORS])
+# per X, as (low, high) words of the 16-byte digit field: "0" in the bytes
+# before the point (under the digits, so a stripped zero comes back), the
+# bytes from the point on (moved up one for it) and the byte of the point;
+# -4 <= X < 0 has all three empty, its point is in the prefix
+_BYTE = np.arange(16)
+_POINT_AT = np.where(_SMALL, 16, _INT_DIGITS)[:, None]
+_FILL_LOW, _FILL_HIGH = np.where(_BYTE < _INT_DIGITS[:, None], ord("0"), 0).astype(
+    np.uint8).view("<u8").T.copy()
+_FRAC_LOW, _FRAC_HIGH = np.where(_BYTE >= _POINT_AT, 255, 0).astype(
+    np.uint8).view("<u8").T.copy()
+_POINT_LOW, _POINT_HIGH = np.where(_BYTE == _POINT_AT, 1, 0).astype(
+    np.uint8).view("<u8").T.copy()
+_U = {n: np.uint64(n) for n in (5, 46, 56, 255)}
+
+
+def _scaled(mag: np.ndarray, index: np.ndarray):
+    """y = mag * 10^(11-X) for the exponent indices, and the mask of the
+    values on the fast path: y in [1e11, _Y_TOP) and at least _TIE_MARGIN
+    from a rounding tie (a 0, nan or inf fails, and so does any index at or
+    past a table end)."""
+    y = _take(_SCALE, index)
+    np.multiply(mag, y, out=y)
+    r = np.rint(y)
+    fast = y >= 1e11
+    fast &= y < _Y_TOP
+    # |y - r| in place of y, which is not needed after it
+    np.subtract(y, r, out=y)
+    fast &= np.abs(y, out=y) <= 0.5 - _TIE_MARGIN
+    return r, fast
+
+
+def _digits(x: np.ndarray):
+    """Per value x: the index of its decimal exponent X in the per-X
+    tables, its 12 significant digits rounded to an integer, and the
+    indices of the values off the fast path, which '%.12g' % formats.
+
+    X comes from log10; where it is one off (at some powers of ten) y
+    misses [1e11, 1e12), and X is corrected on those values alone, as is
+    everything else that misses the fast path: 0 (given X = 0 and the
+    digits 0, which write "0"), nan, inf, values past the exponent range
+    of the tables and ties.  Its own function, so that its temporaries are
+    freed before the slots are made.
+    """
+    mag = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        index = np.log10(mag)
+        index += -_X[0]
+        np.floor(index, out=index)
+        index = index.astype(np.intp)
+        r, fast = _scaled(mag, index)
+        off = np.flatnonzero(~fast)
+        if off.size:
+            y = mag[off] * _take(_SCALE, index[off])
+            moved = index[off] + (y >= 1e12) - (y < 1e11)
+            r_off, fast_off = _scaled(mag[off], moved)
+            zero = x[off] == 0.0
+            moved[zero] = -_X[0]
+            r_off[zero] = 0.0
+            fast_off |= zero
+            index[off[fast_off]] = moved[fast_off]
+            r[off] = r_off
+            off = off[~fast_off]
+        return index, r.astype(np.int64), off
+
+
+def _point(word: np.ndarray, frac: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Move the bytes of word under the byte mask frac up one byte, in
+    place, and put a point in the byte the one-hot mask point marks where
+    the byte moved out of it is a digit.  Returns the moved bytes as they
+    were in word (frac and point are worked in place)."""
+    frac &= word
+    word += frac * _U[255]
+    point &= frac >> _U[5]
+    point *= _U[46]
+    word += point
+    return frac
+
+
+def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
+    """Slots of the ASCII bytes of the rows of values x (row-major; per
+    value the index of the separator after it in _SEPARATORS, times _NX).
+
+    Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
+    prefix | the digits with the point (two words) | exponent and
+    separator, with zero bytes between, which _squeeze drops.  The prefix
+    and the exponent are one gather each, from the (sign, X) and
+    (separator, X) tables; the digits are three gathers of four, each quad
+    stripped of its trailing zeros when all the quads after it are zero,
+    then the "0"s before the point put back and the bytes from the point on
+    moved up one byte, a point in front where a digit follows.  A value off
+    the fast path is written into its slot by '%.12g' % instead.
+
+    The two digit words are made, and their temporaries freed, before
+    the slots are: the call's tracemalloc peak is 7 arrays of x's length
+    beside x (the slots' four, the exponent indices and the two words).
+    """
+    index, digits, slow = _digits(x)
+    # the 12 digits as quads hi and mid (in work) and lo (worked in
+    # digits), each pointing at its stripped text where the quads after
+    # it are zero; low gathers hi, mid and the "0"s before the point
+    work = digits // 10 ** 8
+    digits -= work * 10 ** 8
+    work += (digits == 0) * _STRIPPED
+    low = _take(_QUAD_TEXT, work)
+    np.floor_divide(digits, 10 ** 4, out=work)
+    digits -= work * 10 ** 4
+    work += (digits == 0) * _STRIPPED
+    low |= _take(_QUAD_TEXT_MID, work)
+    del work
+    low |= _take(_FILL_LOW, index)
+    digits += _STRIPPED
+    high = _take(_QUAD_TEXT, digits)
+    del digits
+    high |= _take(_FILL_HIGH, index)
+    # x + 255*frac is x with its fraction bytes moved up one; a point goes
+    # where the first of them has a digit's 0x20 bit.  The high word goes
+    # first, so that the byte the low word moves into it is not moved again
+    _point(high, _take(_FRAC_HIGH, index), _take(_POINT_HIGH, index))
+    frac = _point(low, _take(_FRAC_LOW, index), _take(_POINT_LOW, index))
+    frac >>= _U[56]
+    high += frac
+    del frac
+    slots = np.empty((x.size, 4), "<u8")
+    slots[:, 1] = low
+    slots[:, 2] = high
+    del low, high
+    # the sign bit, so that -0.0 is "-0"
+    work = np.multiply(np.signbit(x), _NX)
+    work += index
+    slots[:, 0] = _take(_PREFIX, work)
+    np.add(index, sep_index, out=work)
+    slots[:, 3] = _take(_EXPONENT, work)
+    # the text of the values off the fast path, _SQUEEZE_ROWS values at a
+    # time: a block of zeros would otherwise make the text of all its
+    # values three times over
+    for start in range(0, slow.size, _SQUEEZE_ROWS):
+        part = slow[start:start + _SQUEEZE_ROWS]
+        text = ("%-24.12g" * part.size) % tuple(x[part].tolist())
+        slots[part, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
+                                        "<u8").reshape(-1, 3)
+        slots[part, 3] = _take(_EXPONENT, -_X[0] + sep_index[part])
+    return slots
+
+
+def _squeeze(slots: np.ndarray, pick=None) -> Iterator[bytes]:
+    """The bytes of slots (rows of value slots) with the zero bytes
+    squeezed out by bytes' own deletion, _SQUEEZE_ROWS rows at a time, of
+    the slot columns pick (all if None).
+
+    In parts, so that the copy tobytes makes and the squeezed bytes stay
+    a part long, not the slots' size each.  On the slots of 2048 rows of a
+    trace, the copy and the deletion cost about 38 ns per value (1.2 ns
+    per slot byte), a bytearray's translate 43 and a numpy boolean mask
+    over the bytes 54 (best of 2000 in-process runs, 2 CPUs): only fewer
+    bytes per slot would make the squeeze cheaper.
+    """
+    for start in range(0, len(slots), _SQUEEZE_ROWS):
+        part = slots[start:start + _SQUEEZE_ROWS]
+        if pick is not None:
+            part = np.take(part, pick, axis=1)
+        yield part.tobytes().translate(None, b"\0")
+
+
+def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
+               rows: int | None = None) -> None:
+    """Write one CSV table of n_rows rows to each path: the header line,
+    then the rows.  A row holds the n_shared columns all the files share,
+    then each file's own, the header's columns after the shared ones.
+
+    Every value is written as '%.12g' % v (and f"{v:.12g}") would write
+    it, byte for byte.  columns(lo, hi) returns the columns of rows lo to
+    hi, the shared ones, then each file's in path order.  It is called
+    for rows (COMPUTE_ROWS if None) rows at a time as the writer formats
+    them, so that no column need be whole in memory.  Each range is
+    formatted BLOCK_ROWS rows at a time by one _format_block call, so a
+    shared column is formatted once for all the files; each file's
+    columns of the slots are picked (np.take), squeezed and written
+    _SQUEEZE_ROWS rows at a time.
+    """
+    n_own = header.count(",") + 1 - n_shared
+    if not paths or n_own < 1:
+        raise ValueError("need files, and a header with each file's columns")
+    n_cols = n_shared + len(paths) * n_own
+    # the separator after each column, and the columns of each file's rows
+    seps = [0] * n_shared + ([0] * (n_own - 1) + [1]) * len(paths)
+    picks = [np.r_[:n_shared, start:start + n_own]
+             for start in range(n_shared, n_cols, n_own)]
+    sep_index = np.tile(np.array(seps) * _NX, BLOCK_ROWS)
+    rows = rows or COMPUTE_ROWS
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for file in files:
+            file.write(header.encode() + b"\n")
+        for lo in range(0, n_rows, rows):
+            hi = min(lo + rows, n_rows)
+            block = np.asarray(np.column_stack(columns(lo, hi)), dtype=np.float64)
+            if block.shape != (hi - lo, n_cols):
+                raise ValueError(f"columns({lo}, {hi}) must give {n_cols} columns")
+            for start in range(0, hi - lo, BLOCK_ROWS):
+                values = block[start:start + BLOCK_ROWS].ravel()
+                slots = _format_block(values, sep_index[:values.size]).reshape(
+                    -1, n_cols, 4)
+                for file, pick in zip(files, picks):
+                    file.writelines(
+                        _squeeze(slots, pick if len(files) > 1 else None))
+                # the slots go before the next rows are formatted
+                del slots
+            # the block goes before the next one is computed
+            del block, values
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a CSV table of a header line and rows of values to path: a
+    float as %.12g, a bool as true/false and any other value as str."""
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return "%.12g" % value
+        return str(value)
+    with open(path, "w") as file:
+        file.write(header + "\n")
+        file.writelines(",".join(map(cell, row)) + "\n" for row in rows)

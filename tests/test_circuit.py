@@ -11,8 +11,9 @@ from oracles import chain_product, csv_table, fd_group_velocity, group_speed
 from spingate import circuit as ct
 from spingate import physics as ph
 from spingate._kernels import kernels
+from spingate import table
 from spingate.cli import main
-from spingate.signal import COMPUTE_ROWS
+from spingate.table import COMPUTE_ROWS
 
 FC = 6.035e9
 
@@ -635,7 +636,7 @@ class TestSerialization:
         blocked = [tmp_path / f"blocked_{ch}.csv" for ch in ct.CHANNELS]
         whole = [tmp_path / f"whole_{ch}.csv" for ch in ct.CHANNELS]
         peaks = ct.spectrum_to_csv(nl, f, blocked, floor_db=-150.0)
-        monkeypatch.setattr(ct, "COMPUTE_ROWS", 2 * COMPUTE_ROWS)
+        monkeypatch.setattr(table, "COMPUTE_ROWS", 2 * COMPUTE_ROWS)
         assert peaks.tobytes() == ct.spectrum_to_csv(
             nl, f, whole, floor_db=-150.0).tobytes()
         for ours, theirs in zip(blocked, whole):

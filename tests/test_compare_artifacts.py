@@ -12,6 +12,7 @@ from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
+from spingate import table
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
 REFERENCE = TOOL.parent.parent / "configs" / "reference.txt"
@@ -128,7 +129,7 @@ def test_dense_jobs_span_blocks_and_band_edges():
         "transmission-dense": ["transmission"]}
     cfg = cf.parse_config(REFERENCE.read_text()
                           + "\n".join(compare_artifacts.DENSE))
-    assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * sig._BLOCK_ROWS
+    assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * table.BLOCK_ROWS
     for orientation in ("parallel", "perpendicular"):
         field = replace(cfg.field_, orientation=orientation)
         lo, hi = ph.band_limits(
@@ -138,7 +139,7 @@ def test_dense_jobs_span_blocks_and_band_edges():
 
 def test_wide_jobs_span_compute_blocks():
     # the wide jobs compute both grids in more than three blocks of
-    # signal.COMPUTE_ROWS, the last one partial for the writer's blocks
+    # table.COMPUTE_ROWS, the last one partial for the writer's blocks
     # too, where a dense grid fits in one
     jobs = compare_artifacts.JOBS
     assert {job: jobs[job] for job in jobs if job.endswith("-wide")} == {
@@ -147,11 +148,11 @@ def test_wide_jobs_span_compute_blocks():
     cfg = cf.parse_config(REFERENCE.read_text()
                           + "\n".join(compare_artifacts.WIDE))
     for n in (cfg.spectrum.n_points, cfg.dispersion.n_points):
-        assert n > 3 * sig.COMPUTE_ROWS
-        assert n % sig.COMPUTE_ROWS and n % sig._BLOCK_ROWS
+        assert n > 3 * table.COMPUTE_ROWS
+        assert n % table.COMPUTE_ROWS and n % table.BLOCK_ROWS
     dense = cf.parse_config(REFERENCE.read_text()
                             + "\n".join(compare_artifacts.DENSE))
-    assert dense.spectrum.n_points < sig.COMPUTE_ROWS
+    assert dense.spectrum.n_points < table.COMPUTE_ROWS
     for orientation in ("parallel", "perpendicular"):
         field = replace(cfg.field_, orientation=orientation)
         lo, hi = ph.band_limits(
@@ -203,7 +204,7 @@ def test_ragged_job_ends_on_partial_blocks():
                           + "\n".join(compare_artifacts.RAGGED))
     lo, hi = cf.validate_config(cfg).switching["timing"].window
     assert hi - lo > 8 * sig._DRIVE_BLOCK
-    assert (hi - lo) % sig._DRIVE_BLOCK and (hi - lo) % sig._BLOCK_ROWS
+    assert (hi - lo) % sig._DRIVE_BLOCK and (hi - lo) % table.BLOCK_ROWS
 
 
 def test_edge_job_has_a_block_edge_inside_the_ramp_and_the_fill():
@@ -267,7 +268,7 @@ def test_edge_flag_sets_put_the_carrier_by_a_band_edge():
 
 def test_onepoint_jobs_end_on_a_one_point_block():
     # the onepoint jobs compute both grids in one block of
-    # signal.COMPUTE_ROWS and a last block of one point, which the kernels
+    # table.COMPUTE_ROWS and a last block of one point, which the kernels
     # take through their one-point path; the spectrum's last point lies in
     # the backward-volume band
     jobs = compare_artifacts.JOBS
@@ -277,7 +278,7 @@ def test_onepoint_jobs_end_on_a_one_point_block():
     cfg = cf.parse_config(REFERENCE.read_text()
                           + "\n".join(compare_artifacts.ONEPOINT))
     for n in (cfg.spectrum.n_points, cfg.dispersion.n_points):
-        assert n == sig.COMPUTE_ROWS + 1
+        assert n == table.COMPUTE_ROWS + 1
     setup = cf.validate_config(cfg)
     lo, hi = ph.band_limits(setup.context())
     assert lo < setup.cfg.spectrum.grid()[-1] < hi

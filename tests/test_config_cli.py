@@ -20,6 +20,7 @@ from spingate import config as cf
 from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
+from spingate import table
 from spingate.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.txt"
@@ -214,10 +215,10 @@ class TestDispersionCommand:
         # the kernels take through their one-point path; the table is that
         # of one block over the whole grid, byte for byte
         config = tmp_path / "cfg.txt"
-        config.write_text(f"dispersion.n_points = {cli.COMPUTE_ROWS + 1}\n")
+        config.write_text(f"dispersion.n_points = {table.COMPUTE_ROWS + 1}\n")
         tables = []
-        for rows in (cli.COMPUTE_ROWS, 2 * cli.COMPUTE_ROWS):
-            monkeypatch.setattr(cli, "COMPUTE_ROWS", rows)
+        for rows in (table.COMPUTE_ROWS, 2 * table.COMPUTE_ROWS):
+            monkeypatch.setattr(table, "COMPUTE_ROWS", rows)
             out = tmp_path / str(rows)
             assert main(["dispersion", "--mode", mode, "--config", str(config),
                          "--out", str(out)]) == 0

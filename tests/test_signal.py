@@ -1,5 +1,5 @@
-import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (csv_table, delay, detect, drive_window,
                      step_phase_moving_average, transit_fill_factor)
 from spingate import signal as sig
+from spingate import table
 
 FC = 6.035e9
 DT = 1.0e-10
@@ -441,7 +442,7 @@ class TestCsvExport:
         sig.trace_to_csv(trace, path)
         tracemalloc.start()
         try:
-            sig.trace_to_csv(trace, path)
+            sig.trace_to_csv(trace, os.devnull)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,32 +460,32 @@ table_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
                          st.sampled_from(SPECIAL_FLOATS))
 
 
-BLOCK = sig._BLOCK_ROWS
+BLOCK = table.BLOCK_ROWS
 
 
-def row_blocks(columns, size=BLOCK):
-    """The rows of the equal-length columns as 2-D blocks of size rows."""
-    n = len(columns[0])
-    return (np.column_stack([c[start:start + size] for c in columns])
-            for start in range(0, n, size))
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
 
 
-def write_table(file, header, *columns):
+def write_tables(paths, header, shared, own, rows=BLOCK):
+    """Files sharing the leading columns, then each with its own: the
+    writer asks for rows rows of them at a time."""
+    columns = [*shared, *(c for group in own for c in group)]
+    table.write_rows(paths, header, len(shared), len(columns[0]),
+                     lambda lo, hi: [c[lo:hi] for c in columns], rows)
+
+
+def write_table(path, header, *columns):
     """One file, every column its own."""
-    sig.write_rows([file], [header], 0, [len(columns)], row_blocks(columns))
+    write_tables([path], header, [], [columns])
 
 
-def write_tables(files, headers, shared, own):
-    """Files sharing the leading columns, then each with its own."""
-    sig.write_rows(files, headers, len(shared), [len(group) for group in own],
-                   row_blocks([*shared, *(c for group in own for c in group)]))
-
-
-def assert_table_matches(columns):
+def assert_table_matches(directory, columns):
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    file = io.BytesIO()
-    write_table(file, header, *columns)
-    got = file.getvalue().decode().split("\n")
+    path = directory / "table.csv"
+    write_table(path, header, *columns)
+    got = path.read_text().split("\n")
     want = csv_table(header, *columns).split("\n")
     # report the first differing line: diffing two whole tables on every
     # failing call would make shrinking take minutes
@@ -497,12 +498,13 @@ def assert_table_matches(columns):
 @given(values=st.lists(table_values, min_size=1, max_size=64),
        n_rows=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 9000]),
        n_cols=st.integers(1, 3))
-def test_format_table_matches_per_value_writer(values, n_rows, n_cols):
+def test_format_table_matches_per_value_writer(table_dir, values, n_rows,
+                                               n_cols):
     # the block boundary: one short, exact, one over, and many blocks.
     # The drawn values repeat through the table, so a failure shrinks to a
     # short list instead of a 9000-row array.
-    assert_table_matches(np.resize(np.array(values, dtype=np.float64),
-                                   (n_cols, n_rows)))
+    assert_table_matches(table_dir, np.resize(
+        np.array(values, dtype=np.float64), (n_cols, n_rows)))
 
 
 def neighbours(x):
@@ -531,24 +533,25 @@ hard_values = st.one_of(ties, powers, switches, shorts, st.just(-150.0)).flatmap
 @given(values=st.lists(st.one_of(hard_values, table_values), min_size=1,
                        max_size=64),
        n_cols=st.integers(1, 3))
-def test_write_table_hard_cases(values, n_cols):
+def test_write_table_hard_cases(table_dir, values, n_cols):
     # ties, powers of ten and the fixed/exponent switches, mixed in one
     # block with plain values: fast and fallback rows keep their order
     n_rows = -(-len(values) // n_cols)
-    assert_table_matches(np.resize(np.array(values, dtype=np.float64),
-                                   (n_cols, n_rows)))
+    assert_table_matches(table_dir, np.resize(
+        np.array(values, dtype=np.float64), (n_cols, n_rows)))
 
 
-def test_write_table_ties_in_bulk():
+def test_write_table_ties_in_bulk(table_dir):
     # 30000 near-ties across the exponent range and their neighbours: a
     # fast path that took ties (no margin) misrounds about 0.3% of them
     rng = np.random.default_rng(5)
     ties = ((rng.integers(10 ** 11, 10 ** 12, 10000) * 10 + 5).astype(np.float64)
             * 10.0 ** rng.integers(-290, 290, 10000))
-    assert_table_matches([np.nextafter(ties, 0), ties, np.nextafter(ties, np.inf)])
+    assert_table_matches(table_dir, [np.nextafter(ties, 0), ties,
+                                     np.nextafter(ties, np.inf)])
 
 
-def test_write_table_short_decimals_in_bulk():
+def test_write_table_short_decimals_in_bulk(table_dir):
     # blocks of m * 10^j for m < 1000 across the exponent range, both
     # signs, beside a column at the stopband floor: most values take the
     # trailing-zero count past the low quad, and those at a power of ten
@@ -559,20 +562,16 @@ def test_write_table_short_decimals_in_bulk():
                       zip(rng.integers(1, 1000, n), rng.integers(-326, 305, n))])
     short *= rng.choice([-1.0, 1.0], n)
     floor = np.where(rng.random(n) < 0.5, -150.0, short[::-1])
-    assert_table_matches([short, floor])
+    assert_table_matches(table_dir, [short, floor])
 
 
 def test_write_tables_streams():
     # the writer holds one block at a time: its tracemalloc peak does not
     # grow with the row count, and stays within what a block's slots and
     # their temporaries take, for one file of two columns and for three
-    # files sharing the frequency column: 0.30 and 0.60 MB, where a
-    # temporary per operation and the slots squeezed whole took 0.46 and
-    # 0.86
-    class Sink:
-        def write(self, data):
-            pass
-
+    # files sharing the frequency column: 0.31 and 0.62 MB with the files'
+    # buffers, where a temporary per operation and the slots squeezed
+    # whole took 0.46 and 0.86
     def peak(write):
         tracemalloc.start()
         try:
@@ -586,8 +585,8 @@ def test_write_tables_streams():
         f = np.linspace(5.9e9, 6.1e9, n)
         spectra = [np.sin(f * k / 1e9) * 40.0 - 60.0 for k in (1, 2, 3)]
         peaks.append((
-            peak(lambda: write_table(Sink(), "f_hz,s21_db", f, spectra[0])),
-            peak(lambda: write_tables([Sink()] * 3, ["f_hz,s21_db"] * 3,
+            peak(lambda: write_table(os.devnull, "f_hz,s21_db", f, spectra[0])),
+            peak(lambda: write_tables([os.devnull] * 3, "f_hz,s21_db",
                                       [f], [[s] for s in spectra]))))
     (one_small, three_small), (one_large, three_large) = peaks
     assert one_large <= 1.02 * one_small
@@ -596,7 +595,7 @@ def test_write_tables_streams():
     assert three_large <= 0.7e6
 
 
-def test_zeros_take_the_fast_path():
+def test_zeros_take_the_fast_path(table_dir):
     # exact zeros of either sign among plain values, across blocks: each
     # written "0" or "-0" as f"{v:.12g}" writes it, and none sent to the
     # per-value fallback
@@ -607,23 +606,25 @@ def test_zeros_take_the_fast_path():
     values[rng.random(n) < 0.2] = -0.0
     zeros = np.flatnonzero(values == 0.0)
     assert np.signbit(values[zeros]).any() and not np.signbit(values[zeros]).all()
-    assert not np.isin(zeros, sig._digits(values)[2]).any()
-    assert_table_matches([values, values[::-1], np.zeros(n), -np.zeros(n)])
+    assert not np.isin(zeros, table._digits(values)[2]).any()
+    assert_table_matches(table_dir, [values, values[::-1], np.zeros(n), -np.zeros(n)])
 
 
 def test_powers_of_ten_within_an_ulp():
     # the error bound behind the writer's tie margin assumes it
     # (the scales 10^(11-X) between the two zero ends of the table)
-    exact = np.array([float(f"1e{11 - x}") for x in sig._X[1:-1]])
-    assert np.all(np.abs(sig._SCALE[1:-1] - exact) <= np.spacing(exact))
-    assert not sig._SCALE[[0, -1]].any()
+    exact = np.array([float(f"1e{11 - x}") for x in table._X[1:-1]])
+    assert np.all(np.abs(table._SCALE[1:-1] - exact) <= np.spacing(exact))
+    assert not table._SCALE[[0, -1]].any()
 
 
-def test_write_table_rejects_ragged_columns():
-    # a block must hold a value of every column in each of its rows
-    for block in (np.ones((2, 3)), np.ones((2, 1)), np.ones(2)):
-        with pytest.raises(ValueError, match="2-D with 2 columns"):
-            sig.write_rows([io.BytesIO()], ["a,b"], 0, [2], [block])
+def test_write_table_rejects_ragged_columns(tmp_path):
+    # columns(lo, hi) must give a value of every column in each row
+    for columns in ([np.ones(2)] * 3, [np.ones(2)], [np.ones(2), np.ones(3)],
+                    [np.ones(1), np.ones(1)]):
+        with pytest.raises(ValueError):
+            table.write_rows([tmp_path / "t.csv"], "a,b", 0, 2,
+                             lambda lo, hi: columns)
 
 
 # values the writer formats by '%.12g' % instead (nan, infinities and
@@ -635,10 +636,11 @@ FALLBACKS = (0.0, -0.0, math.nan, math.inf, -math.inf,
 
 @pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("n_shared", [0, 1, 2])
-def test_shared_columns_match_one_table_per_file(n_rows, n_shared):
-    # three files of one, two and one own columns after the shared ones:
-    # the bytes of each equal write_table's on that file's columns, with
-    # the fallback values in every column, at the block boundary too
+def test_shared_columns_match_one_table_per_file(tmp_path, n_rows, n_shared):
+    # three files of as many own columns (one or two, drawn) after the
+    # shared ones: the bytes of each equal write_table's on that file's
+    # columns, with the fallback values in every column, at the block
+    # boundary too
     rng = np.random.default_rng(n_rows + n_shared)
 
     def column():
@@ -648,41 +650,51 @@ def test_shared_columns_match_one_table_per_file(n_rows, n_shared):
         values[rows] = rng.choice(FALLBACKS, rows.size)
         return values
 
+    n_own = int(rng.integers(1, 3))
     shared = [column() for _ in range(n_shared)]
-    own = [[column()], [column(), column()], [column()]]
-    files = [io.BytesIO() for _ in own]
-    headers = [f"h{i}" for i in range(len(own))]
-    write_tables(files, headers, shared, own)
-    for file, header, columns in zip(files, headers, own):
-        one = io.BytesIO()
-        write_table(one, header, *shared, *columns)
-        assert file.getvalue() == one.getvalue()
-    assert_table_matches([*shared, *own[1]])
+    own = [[column() for _ in range(n_own)] for _ in range(3)]
+    header = ",".join(f"h{i}" for i in range(n_shared + n_own))
+    paths = [tmp_path / f"t{i}.csv" for i in range(len(own))]
+    write_tables(paths, header, shared, own)
+    for path, columns in zip(paths, own):
+        write_table(tmp_path / "one.csv", header, *shared, *columns)
+        assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert_table_matches(tmp_path, [*shared, *own[1]])
 
 
-def test_write_tables_needs_own_columns():
-    for headers, n_own in ((["a"], [0]), (["a", "b"], [1]), ([], [])):
-        with pytest.raises(ValueError, match="own columns"):
-            sig.write_rows([io.BytesIO()] * len(n_own), headers, 1, n_own,
-                           [np.ones((1, 2))])
+def test_write_tables_needs_own_columns(tmp_path):
+    # each file's own columns are those of the header after the shared
+    # ones: a header with none, or no file, is refused before a file opens
+    path = tmp_path / "t.csv"
+    for paths, header in (([path], "a"), ([], "a,b")):
+        with pytest.raises(ValueError, match="columns"):
+            table.write_rows(paths, header, 1, 1,
+                             lambda lo, hi: [np.ones(1)] * 2)
+    assert not path.exists()
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes=st.lists(st.integers(1, 3 * BLOCK), min_size=1, max_size=4),
+@given(rows=st.integers(1, 3 * BLOCK), n=st.integers(1, 4 * BLOCK),
        n_files=st.integers(1, 3))
-def test_blocks_of_any_size_write_the_same_bytes(sizes, n_files):
-    # a producer may hand the writer blocks of any size (the spectrum
-    # commands compute signal.COMPUTE_ROWS rows at a time, ragged at the
-    # end), and the bytes are the same
-    rng = np.random.default_rng(sum(sizes))
-    n = sum(sizes)
+def test_blocks_of_any_size_write_the_same_bytes(table_dir, rows, n, n_files):
+    # the writer may ask for any number of rows at a time (the spectrum
+    # commands compute table.COMPUTE_ROWS, ragged at the end), and the
+    # bytes are the same
+    rng = np.random.default_rng(rows + n)
     shared = [rng.standard_normal(n) * 1e9]
     own = [[rng.standard_normal(n) * 10.0 ** i] for i in range(n_files)]
-    columns = np.column_stack([*shared, *(g[0] for g in own)])
-    cuts = np.cumsum([0, *sizes])
-    files = [io.BytesIO() for _ in own]
-    headers = [f"h{i}" for i in range(n_files)]
-    sig.write_rows(files, headers, 1, [1] * n_files,
-                   (columns[a:b] for a, b in zip(cuts[:-1], cuts[1:])))
-    for file, header, group in zip(files, headers, own):
-        assert file.getvalue().decode() == csv_table(header, *shared, *group)
+    paths = [table_dir / f"t{i}.csv" for i in range(n_files)]
+    write_tables(paths, "h0,h1", shared, own, rows)
+    for path, group in zip(paths, own):
+        assert path.read_text() == csv_table("h0,h1", *shared, *group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(table_values, hard_values))
+def test_both_writers_write_a_float_alike(table_dir, value):
+    # the small result tables (write_csv) and the numeric ones
+    # (write_rows) write the cell of one float with the same bytes
+    rows, csv = table_dir / "rows.csv", table_dir / "csv.csv"
+    table.write_rows([rows], "v", 0, 1, lambda lo, hi: [np.array([value])])
+    table.write_csv(csv, "v", [[value]])
+    assert csv.read_bytes() == rows.read_bytes()

@@ -12,7 +12,7 @@ FLAG_SETS), each in a fresh interpreter.  The ``*-dense`` jobs run
 ``dispersion`` and ``transmission`` on that config with the DENSE lines
 appended, grids that span several blocks of the CSV writer, and the
 ``*-wide`` jobs with the WIDE lines appended, grids of several blocks
-of rows computed at a time (signal.COMPUTE_ROWS), the last one partial; the
+of rows computed at a time (table.COMPUTE_ROWS), the last one partial; the
 ``*-long`` jobs run ``switch`` and ``scale`` with the LONG lines
 appended, a record whose analysis window ends before it does; the
 ``*-phi0`` jobs run ``truthtable`` and ``fulladder`` with the PHI0 lines
