@@ -333,18 +333,22 @@ def solve_k(f, wh, wm, d, branch):
             np.divide(np.multiply(np.subtract(target, wh * (wh + wm), out=target),
                                   4.0, out=target), wm * wm, out=target)
     inband = (target > 0.0) & (target < 1.0) & (f > 0.0)
-    target = target[inband]
-    out = np.full(f.shape, np.nan)
-    if target.size:
+    # the in-band targets, then their wavenumbers
+    k = target[inband]
+    del target
+    if k.size:
         # a wavenumber past the float range (a subnormal film thickness)
         # is out of band as well
         with np.errstate(over="ignore"):
             if branch == BRANCH_BV:
-                k = np.divide(_bv_thickness_root(target), d)
+                k = np.divide(_bv_thickness_root(k), d)
             else:
-                k = -np.log1p(-target) / (2.0 * d)
+                k = -np.log1p(-k) / (2.0 * d)
         k[np.isinf(k)] = np.nan
-        out[inband] = k
+    # made after the solve, so that the output is not held beside the
+    # Halley iteration's buffers
+    out = np.full(f.shape, np.nan)
+    out[inband] = k
     return out
 
 

@@ -368,29 +368,32 @@ def build_majority_gate(geometry: DeviceGeometry, ctx: physics.ModeContext,
                        settings=settings or MicrowaveSettings())
 
 
-def spectrum_to_csv(nl: GateNetlist, f_grid, paths,
+def spectrum_to_csv(nl: GateNetlist, grid, paths,
                     floor_db: float = -80.0) -> np.ndarray:
-    """Write the transmission_spectrum of each channel to its path as CSV
-    with columns f_hz, s21_db, and return each channel's peak in dB.
+    """Write the transmission_spectrum of each channel over a frequency
+    grid (a config.Grid) to its path as CSV with columns f_hz, s21_db, and
+    return each channel's peak in dB.
 
     The writer asks for the ascending grid table.COMPUTE_ROWS frequencies
-    at a time: transmission_spectrum runs on each slice just before the
-    writer formats its rows, so no spectrum is ever whole in memory.
-    Every stage of it is elementwise, so the bytes are those of one call
-    on the whole grid.  The whole grid is checked before a file is opened,
-    as a slice's call checks only its own steps.  The shared f_hz column
-    is formatted once for all the files.
+    at a time: the grid computes each range, and transmission_spectrum
+    runs on it, just before the writer formats its rows, so neither the
+    grid nor any spectrum is ever whole in memory.  Every stage of it is
+    elementwise, so the bytes are those of one call on the whole grid.
+    The grid's ascent is checked before a file is opened, as a range's
+    call checks only its own steps.  The shared f_hz column is formatted
+    once for all the files.
     """
-    f_grid = _ascending(f_grid)
+    if not grid.ascends():
+        raise ValueError("frequency grid must be ascending")
     peaks = np.full(len(CHANNELS), -np.inf)
 
     def columns(lo: int, hi: int):
-        f = f_grid[lo:hi]
+        f = grid.points(lo, hi)
         spectra = transmission_spectrum(nl, f, floor_db)
         # each peak from its own contiguous spectrum, not a strided
         # column of the block
         np.maximum(peaks, [db.max() for db in spectra], out=peaks)
         return (f, *spectra)
 
-    write_rows(paths, "f_hz,s21_db", 1, f_grid.size, columns)
+    write_rows(paths, "f_hz,s21_db", 1, grid.n, columns)
     return peaks

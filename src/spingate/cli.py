@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, Setup, number, read_assignments,
                      read_config, validate_config)
@@ -59,22 +57,16 @@ def _load_config(args) -> Setup:
 def cmd_dispersion(setup: Setup, out: Path, args) -> int:
     ctx = setup.context()
     d = setup.cfg.dispersion
-    if d.log_k:
-        # np.logspace's powers, bit for bit, taken in place of the exponents
-        k = np.linspace(np.log10(d.k_start_rad_per_m),
-                        np.log10(d.k_stop_rad_per_m), d.n_points)
-        np.power(10.0, k, out=k)
-    else:
-        k = np.linspace(d.k_start_rad_per_m, d.k_stop_rad_per_m, d.n_points)
+    grid = d.grid()
 
     def columns(lo: int, hi: int):
         # f(k) once for both
-        kb = k[lo:hi]
-        f = physics.dispersion_f(ctx, kb)
-        return kb, f, physics.group_velocity(ctx, kb, f)
+        k = grid.points(lo, hi)
+        f = physics.dispersion_f(ctx, k)
+        return k, f, physics.group_velocity(ctx, k, f)
 
     path = out / "dispersion.csv"
-    write_rows([path], "k_rad_per_m,f_hz,v_g_m_per_s", 0, k.size, columns)
+    write_rows([path], "k_rad_per_m,f_hz,v_g_m_per_s", 0, grid.n, columns)
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
           f"branch={setup.cfg.field_.orientation} -> {path}")
     return EXIT_OK

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import circuit, experiment, logic, physics, signal
+from . import circuit, experiment, logic, physics, signal, table
 
 
 class ConfigError(ValueError):
@@ -90,15 +90,79 @@ class SwitchingConfig:
 
 
 @dataclass(frozen=True)
+class Grid:
+    """The n points np.linspace(start, stop, n) spaces, or, if log, their
+    powers of ten (np.logspace's, when start and stop are np.log10 of its
+    ends), computed a range at a time: the grids of the spectrum commands
+    are never whole in memory."""
+
+    start: float
+    stop: float
+    n: int
+    log: bool = False
+
+    def points(self, lo: int, hi: int) -> np.ndarray:
+        """Points lo to hi of the grid, bit for bit those of the whole.
+
+        np.linspace's float64 formula (numpy 2.4), on the indices lo to hi
+        alone: index * step + start, or index / div * delta where the step
+        underflows to 0, index * delta on a one-point grid, and the last
+        point set to stop.  A log grid takes np.power(10, .) in place.
+        """
+        y = np.arange(lo, hi, dtype=np.float64)
+        delta = self.stop - self.start
+        div = self.n - 1
+        if div > 0:
+            step = delta / div
+            if step == 0:
+                y /= div
+                y *= delta
+            else:
+                y *= step
+        else:
+            y *= delta
+        y += self.start
+        # a nonempty range that ends a grid of two or more points
+        if lo < hi == self.n > 1:
+            y[-1] = self.stop
+        if self.log:
+            np.power(10.0, y, out=y)
+        return y
+
+    def ascends(self) -> bool:
+        """Whether each point lies above the one before it (a NaN lies
+        above nothing, and nothing above it).
+
+        np.linspace rounds each point by at most about two ulps of the
+        larger end, so a finite step of more than 16 ulps ascends; a finer
+        linear grid, or a log one, is checked point by point,
+        table.COMPUTE_ROWS points at a time.
+        """
+        if self.n > 1 and not self.log:
+            step = (self.stop - self.start) / (self.n - 1)
+            ulp = math.ulp(max(abs(self.start), abs(self.stop)))
+            if 16.0 * ulp < step < math.inf:
+                return True
+        rows = table.COMPUTE_ROWS
+        # each range reaches one point into the next, which checks the
+        # step across their boundary
+        for lo in range(0, self.n - 1, rows):
+            y = self.points(lo, min(lo + rows, self.n - 1) + 1)
+            if not np.all(y[1:] > y[:-1]):
+                return False
+        return True
+
+
+@dataclass(frozen=True)
 class SpectrumConfig:
     f_start_hz: float = 5.9e9
     f_stop_hz: float = 6.12e9
     n_points: int = 441
     floor_db: float = -80.0
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> Grid:
         """The frequencies (Hz) transmission runs on."""
-        return np.linspace(self.f_start_hz, self.f_stop_hz, self.n_points)
+        return Grid(self.f_start_hz, self.f_stop_hz, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -107,6 +171,16 @@ class DispersionConfig:
     k_stop_rad_per_m: float = 2.0e5
     n_points: int = 400
     log_k: bool = True
+
+    def grid(self) -> Grid:
+        """The wavenumbers (rad/m) dispersion runs on: np.logspace's
+        between the ends if log_k, else np.linspace's."""
+        if self.log_k:
+            return Grid(float(np.log10(self.k_start_rad_per_m)),
+                        float(np.log10(self.k_stop_rad_per_m)),
+                        self.n_points, log=True)
+        return Grid(self.k_start_rad_per_m, self.k_stop_rad_per_m,
+                    self.n_points)
 
 
 @dataclass(frozen=True)
@@ -350,18 +424,12 @@ def validate_config(cfg: RunConfig) -> Setup:
     if sp.f_stop_hz <= sp.f_start_hz:
         raise ConfigError("spectrum.f_stop_hz must exceed spectrum.f_start_hz")
     # transmission writes its files block by block, so a grid that does
-    # not ascend is refused here, before any block is written.  np.linspace
-    # rounds each point by at most about two ulps of the larger end, so a
-    # finite step of more than 16 ulps ascends; only a finer grid is made
-    step = (sp.f_stop_hz - sp.f_start_hz) / (sp.n_points - 1)
-    ulp = math.ulp(max(abs(sp.f_start_hz), abs(sp.f_stop_hz)))
-    if not 16.0 * ulp < step < math.inf:
-        f_grid = sp.grid()
-        if not np.all(f_grid[1:] > f_grid[:-1]):
-            raise ConfigError(
-                f"spectrum.n_points = {sp.n_points} makes a grid from "
-                "spectrum.f_start_hz to spectrum.f_stop_hz that does not "
-                "ascend strictly in float64")
+    # not ascend is refused here, before any block is written
+    if not sp.grid().ascends():
+        raise ConfigError(
+            f"spectrum.n_points = {sp.n_points} makes a grid from "
+            "spectrum.f_start_hz to spectrum.f_stop_hz that does not "
+            "ascend strictly in float64")
     if disp.k_start_rad_per_m <= 0:
         raise ConfigError("dispersion.k_start_rad_per_m must be positive")
     if disp.k_stop_rad_per_m <= disp.k_start_rad_per_m:

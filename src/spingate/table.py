@@ -29,10 +29,12 @@ _SQUEEZE_ROWS = 512
 # 2-point grid): against one block of the whole grid, a 32768-point
 # transmission job took 6-16% longer at 2048 rows, up to 12% at 4096 and
 # up to 5% at 8192 (best of 40 interleaved in-process runs, 2 CPUs).
-# Peak of that transmission (dispersion) command, grid included, on
-# either branch: 0.85 (0.69) MiB at 2048 rows, 0.92 (0.76) at 4096, 1.05
-# (0.85-0.88) at 8192, 1.37-1.46 (1.04-1.45) at 16384; 2.15 (1.56-2.34)
-# unstreamed
+# Peak of that transmission (dispersion) command on either branch, with
+# its grid still whole (0.25 MiB): 0.85 (0.69) MiB at 2048 rows, 0.92
+# (0.76) at 4096, 1.05 (0.85-0.88) at 8192, 1.37-1.46 (1.04-1.45) at
+# 16384; 2.15 (1.56-2.34) unstreamed.  With the grid computed a range at
+# a time (config.Grid) the 8192-row peaks are 0.78 (0.58-0.70) MiB, the
+# writer's slots beside one block
 COMPUTE_ROWS = 8192
 # a scaled value y at least this far from a rounding tie is rounded on the
 # fast path: y is |x| times a power of ten within an ulp of exact (numpy's

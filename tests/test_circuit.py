@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import chain_product, csv_table, fd_group_velocity, group_speed
 from spingate import circuit as ct
+from spingate import config as cf
 from spingate import physics as ph
 from spingate._kernels import kernels
 from spingate import table
@@ -598,7 +599,8 @@ class TestSerialization:
         # returned for the summary line
         nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
         paths = [tmp_path / f"s21_{ch}.csv" for ch in ct.CHANNELS]
-        peaks = ct.spectrum_to_csv(nl, [7.0e9], paths, floor_db=-33.25)
+        peaks = ct.spectrum_to_csv(nl, cf.Grid(7.0e9, 7.0e9, 1), paths,
+                                   floor_db=-33.25)
         for path in paths:
             lines = path.read_text().strip().split("\n")
             assert lines == ["f_hz,s21_db", "7000000000,-33.25"]
@@ -611,10 +613,11 @@ class TestSerialization:
         # for byte, and the peaks are theirs
         nl = reference_gate(orientation)
         lo, hi = ph.band_limits(nl.ctx)
-        f = np.linspace(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
-                        2 * COMPUTE_ROWS + 777)
+        grid = cf.Grid(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo),
+                       2 * COMPUTE_ROWS + 777)
+        f = np.linspace(grid.start, grid.stop, grid.n)
         paths = [tmp_path / f"s21_{ch}.csv" for ch in ct.CHANNELS]
-        peaks = ct.spectrum_to_csv(nl, f, paths, floor_db=-150.0)
+        peaks = ct.spectrum_to_csv(nl, grid, paths, floor_db=-150.0)
         spectra = ct.transmission_spectrum(nl, f, floor_db=-150.0)
         for path, db, peak in zip(paths, spectra, peaks):
             assert path.read_text() == csv_table("f_hz,s21_db", f, db)
@@ -631,39 +634,45 @@ class TestSerialization:
         # byte
         nl = reference_gate(orientation)
         lo, hi = ph.band_limits(nl.ctx)
-        f = np.linspace(lo - 0.1 * (hi - lo), lo + last * (hi - lo),
-                        COMPUTE_ROWS + 1)
+        grid = cf.Grid(lo - 0.1 * (hi - lo), lo + last * (hi - lo),
+                       COMPUTE_ROWS + 1)
         blocked = [tmp_path / f"blocked_{ch}.csv" for ch in ct.CHANNELS]
         whole = [tmp_path / f"whole_{ch}.csv" for ch in ct.CHANNELS]
-        peaks = ct.spectrum_to_csv(nl, f, blocked, floor_db=-150.0)
+        peaks = ct.spectrum_to_csv(nl, grid, blocked, floor_db=-150.0)
         monkeypatch.setattr(table, "COMPUTE_ROWS", 2 * COMPUTE_ROWS)
         assert peaks.tobytes() == ct.spectrum_to_csv(
-            nl, f, whole, floor_db=-150.0).tobytes()
+            nl, grid, whole, floor_db=-150.0).tobytes()
         for ours, theirs in zip(blocked, whole):
             assert ours.read_bytes() == theirs.read_bytes()
 
-    def test_grid_must_ascend_across_blocks(self, tmp_path):
-        # each block's call checks only its own steps: a step back at a
-        # block boundary is refused before any file is opened
+    def test_grid_must_ascend_across_blocks(self, tmp_path, monkeypatch):
+        # a grid of half-ulp steps above 2.0, whose first repeated point
+        # is put across a block boundary: each block's call checks only
+        # its own steps, and the repeat is refused before any file is
+        # opened
         nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
-        f = np.linspace(5.9e9, 6.1e9, 2 * COMPUTE_ROWS)
-        f[COMPUTE_ROWS] = f[COMPUTE_ROWS - 1]
+        grid = cf.Grid(2.0, 2.0 + 0.5 * math.ulp(2.0) * 99, 100)
+        f = np.linspace(grid.start, grid.stop, grid.n)
+        first = int(np.flatnonzero(f[1:] <= f[:-1])[0])
+        assert first > 0
+        monkeypatch.setattr(table, "COMPUTE_ROWS", first + 1)
         path = tmp_path / "s21.csv"
         with pytest.raises(ValueError, match="ascending"):
-            ct.spectrum_to_csv(nl, f, [path] * 3)
+            ct.spectrum_to_csv(nl, grid, [path] * 3)
         assert not path.exists()
 
-    @pytest.mark.parametrize("f", [[6.0e9, math.nan, 6.01e9],
-                                   [math.nan, 6.0e9], [6.0e9, math.nan]])
+    # the (start, stop, n) of grids [6e9, nan, nan], [nan, 6e9], [6e9, nan]
+    @pytest.mark.parametrize("f", [(6.0e9, math.nan, 3), (math.nan, 6.0e9, 2),
+                                   (6.0e9, math.nan, 2)])
     def test_a_nan_grid_does_not_ascend(self, tmp_path, f):
         # one rule for both: np.diff(f) <= 0 is False at a NaN, so
         # transmission_spectrum returned the floor there as if it were
         # stopband, while spectrum_to_csv refused the grid
         nl = ct.build_majority_gate(ct.DeviceGeometry(), CTX)
+        grid = cf.Grid(*f)
         with pytest.raises(ValueError, match="ascending"):
-            ct.transmission_spectrum(nl, f)
+            ct.transmission_spectrum(nl, grid.points(0, grid.n))
         path = tmp_path / "s21.csv"
         with pytest.raises(ValueError, match="ascending"):
-            ct.spectrum_to_csv(nl, f, [path] * 3)
+            ct.spectrum_to_csv(nl, grid, [path] * 3)
         assert not path.exists()
-

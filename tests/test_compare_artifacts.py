@@ -160,6 +160,22 @@ def test_wide_jobs_span_compute_blocks():
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
+def test_linear_job_spans_compute_blocks_of_a_linear_k_grid():
+    # the other dispersion jobs run on log_k grids; the linear one runs
+    # the wide grid of k spaced evenly, in more than three blocks of
+    # table.COMPUTE_ROWS, the last one partial
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-linear")} == {
+        "dispersion-linear": ["dispersion"]}
+    assert compare_artifacts.LINEAR[:-1] == compare_artifacts.WIDE
+    cfg = cf.parse_config(REFERENCE.read_text()
+                          + "\n".join(compare_artifacts.LINEAR))
+    assert cf.parse_config(REFERENCE.read_text()).dispersion.log_k
+    assert not cfg.dispersion.log_k
+    n = cfg.dispersion.n_points
+    assert n > 3 * table.COMPUTE_ROWS and n % table.COMPUTE_ROWS
+
+
 def test_long_jobs_reach_the_window_tail():
     # the long jobs run switch and scale on a record whose analysis window
     # closes WINDOW_TAIL after the toggle, before the record's end; on the
@@ -281,7 +297,8 @@ def test_onepoint_jobs_end_on_a_one_point_block():
         assert n == table.COMPUTE_ROWS + 1
     setup = cf.validate_config(cfg)
     lo, hi = ph.band_limits(setup.context())
-    assert lo < setup.cfg.spectrum.grid()[-1] < hi
+    n = setup.cfg.spectrum.n_points
+    assert lo < setup.cfg.spectrum.grid().points(n - 1, n)[0] < hi
 
 
 def test_worst_difference_per_file(tmp_path, capsys):
