@@ -392,32 +392,16 @@ def waveguide_gain(k, speed, k_c, length, eta, branch):
     length/|v_g| on both; amplitude decay exp(-eta*length/speed).  Bins
     outside the propagating band return exactly 0; length 0 returns 1 at
     every bin; an out-of-band carrier kills the whole segment.  length may
-    be an array that broadcasts against k (say one length per row), and
-    the result has the broadcast shape.  Works in place on one complex and
-    one real array of that shape, each operation with the operands of the
-    formula in its order: numpy's complex multiply is not bitwise
-    commutative.
+    be an array that broadcasts against k (say one length per channel),
+    and the result has the broadcast shape.
     """
     k = np.asarray(k, dtype=np.float64)
     length = np.asarray(length, dtype=np.float64)
-    shape = np.broadcast(length, k).shape
-    gain = np.empty(shape, dtype=np.complex128)
-    work = np.empty(shape)
+    s = 1.0 if branch == BRANCH_BV else -1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # phase = -(k_c * length) + s * (k - k_c) * length; a NaN k_c makes
-        # every bin NaN, zeroed below
-        if branch == BRANCH_BV:
-            np.subtract(k, k_c, out=work)
-        else:
-            np.subtract(k_c, k, out=work)
-        np.multiply(work, length, out=work)
-        np.add(-(k_c * length), work, out=work)
-        # gain = exp(-eta * (length / speed)) * (cos(phase) + 1j * sin(phase))
-        np.cos(work, out=gain.real)
-        np.sin(work, out=gain.imag)
-        np.divide(length, speed, out=work)
-        np.exp(np.multiply(-eta, work, out=work), out=work)
-        np.multiply(work, gain, out=gain)
+        # a NaN k_c makes every bin NaN, zeroed below
+        phase = -(k_c * length) + s * (k - k_c) * length
+        gain = np.exp(-eta * (length / speed)) * (np.cos(phase) + 1j * np.sin(phase))
     gain[~np.isfinite(gain)] = 0.0
     if not length.all():
         np.copyto(gain, 1.0, where=length == 0.0)

@@ -182,9 +182,8 @@ class GateNetlist:
         """The three channels' film gains at the carrier, one kernel call
         over their summed lengths."""
         prop = self.carrier
-        lengths = np.array(self.lengths)[:, np.newaxis]
-        return waveguide_transfer(self.ctx, lengths, prop.k, prop.speed,
-                                  prop.k[0])[:, 0]
+        return waveguide_transfer(self.ctx, self.lengths, prop.k, prop.speed,
+                                  prop.k[0])
 
     def _gains(self, constants) -> np.ndarray:
         """Read-only vector product constants x film x shape."""

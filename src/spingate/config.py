@@ -108,7 +108,11 @@ class Grid:
         alone: index * step + start, or index / div * delta where the step
         underflows to 0, index * delta on a one-point grid, and the last
         point set to stop.  A log grid takes np.power(10, .) in place.
+        Raises ValueError unless 0 <= lo <= hi <= n.
         """
+        if not 0 <= lo <= hi <= self.n:
+            raise ValueError(
+                f"points {lo} to {hi} are not a range of {self.n} points")
         y = np.arange(lo, hi, dtype=np.float64)
         delta = self.stop - self.start
         div = self.n - 1

@@ -164,8 +164,7 @@ class SwitchTiming:
     every range, and that the window holds 2 to MAX_SAMPLES samples.
     The transit fill time of run_switching must end the transition
     before the plateau from which rise_time reads the settled level (see
-    admits): at most 145.2 ns at the defaults, and 168 ns at a 2 ns ramp
-    in a record that outlasts the window.
+    runway).
     """
 
     dt: float = 1.0e-10
@@ -207,10 +206,13 @@ class SwitchTiming:
         lo, hi = self.window
         return (lo + plateau_start(hi - lo)) * self.dt
 
-    def admits(self, fill: float) -> bool:
-        """Whether a transit fill time ends the transition (toggle, ramp,
-        fill) before the plateau; no fill always passes."""
-        return fill == 0.0 or self.t_toggle + self.ramp + fill < self.plateau
+    @property
+    def runway(self) -> float:
+        """Time from the end of the toggle's ramp to the plateau, the
+        longest transit fill time the transition may take: 145.2 ns at the
+        defaults, 168 ns at a 2 ns ramp in a record that outlasts the
+        window, and negative when the ramp ends inside the plateau."""
+        return self.plateau - self.t_toggle - self.ramp
 
 
 @dataclass(frozen=True)
@@ -255,9 +257,9 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     steady i1 and i3 outputs and the reference are one complex constant,
     and the detector's low-pass is pre-charged at the window's first
     sample, where the input is still steady since the window opens before
-    the toggle.  A fill time the timing does not admit, which would end
-    the transition inside the trailing plateau and pull the settled level
-    down, raises RunwayError.
+    the toggle.  A nonzero path longer than the timing's runway times
+    |vg(k_c)|, whose fill would end the transition inside the trailing
+    plateau and pull the settled level down, raises RunwayError.
 
     The window runs through the signal layer's stages in turn: each
     block step_phase_drive yields is scaled by the i2 gain and offset in
@@ -276,7 +278,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
     phase0 = logic.encode(0, enc)
     phase1 = logic.encode(1, enc)
     fill = effective_path / float(nl.carrier.speed[0])
-    if not timing.admits(fill):
+    if effective_path > max(0.0, _longest_path(nl, timing)):
         raise RunwayError(
             f"transit fill time {fill:.4g} s of the {effective_path:.4g} m "
             f"effective path ends the transition at "
@@ -316,7 +318,7 @@ def run_switching(nl: circuit.GateNetlist, enc: logic.PhaseEncoding | None = Non
 
 # bracket of effective paths fit_effective_path searches; the top, which
 # spans rise times up to ~34 ns at the reference point, is clamped to the
-# longest path the timing admits
+# longest path the timing's runway carries
 FIT_PATH_MIN = 1.0e-5
 FIT_PATH_MAX = 4.0e-3
 
@@ -329,8 +331,8 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 
     Illinois regula falsi on the monotone, nearly linear residual
     t_rise(length) - target over the bracket [FIT_PATH_MIN, FIT_PATH_MAX],
-    its top clamped to the longest path whose transit fill time the
-    timing admits; raises CalibrationError when the target is not
+    its top clamped to the longest path whose transit fill fits the
+    timing's runway; raises CalibrationError when the target is not
     bracketed.  Stops once a run lands within rtol/2 of the target or
     the bracket is at most rtol*hi wide, and returns the evaluated length
     closest to the target, so re-running it reproduces that rise time
@@ -376,19 +378,9 @@ def fit_effective_path(nl: circuit.GateNetlist, target_t_rise: float,
 
 
 def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
-    """Longest effective path whose fill time the timing admits; at most
-    0 when only the zero path is."""
-    speed = float(nl.carrier.speed[0])
-    path = (timing.plateau - timing.t_toggle - timing.ramp) * speed
-    if path <= 0.0:
-        return path
-    # the product and the fill round either way: walk to the last float
-    # that passes
-    while not timing.admits(path / speed):
-        path = math.nextafter(path, 0.0)
-    while timing.admits(math.nextafter(path, math.inf) / speed):
-        path = math.nextafter(path, math.inf)
-    return path
+    """Longest effective path whose fill time fits the timing's runway:
+    the runway times |vg(k_c)|, at most 0 when only the zero path does."""
+    return timing.runway * float(nl.carrier.speed[0])
 
 
 @dataclass(frozen=True)
@@ -450,8 +442,8 @@ def scaling_study(nl: circuit.GateNetlist, scales, effective_path: float,
     GateNetlist.rescaled).  Each scaled gate keeps the netlist's settings
     (its calibrated controls, when it was calibrated) and is calibrated
     again before the run, since the losses change with the lengths.
-    Rows that fail (band violation, no transition, a fill the timing
-    does not admit) are flagged rather than fatal.  The ramp
+    Rows that fail (band violation, no transition, a path past the
+    timing's runway) are flagged rather than fatal.  The ramp
     floor, the zero-length rise time of the same pipeline, is what every
     row is measured against, so its failure is fatal, as it is to a
     ``switch`` run (at a reference phase of 2.0 both raise

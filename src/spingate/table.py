@@ -269,18 +269,21 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
     formatted BLOCK_ROWS rows at a time by one _format_block call, so a
     shared column is formatted once for all the files; each file's
     columns of the slots are picked (np.take), squeezed and written
-    _SQUEEZE_ROWS rows at a time.
+    _SQUEEZE_ROWS rows at a time.  Raises ValueError, before a file
+    opens, when rows is below 1.
     """
     n_own = header.count(",") + 1 - n_shared
     if not paths or n_own < 1:
         raise ValueError("need files, and a header with each file's columns")
+    rows = COMPUTE_ROWS if rows is None else rows
+    if rows < 1:
+        raise ValueError(f"rows must be at least 1, not {rows}")
     n_cols = n_shared + len(paths) * n_own
     # the separator after each column, and the columns of each file's rows
     seps = [0] * n_shared + ([0] * (n_own - 1) + [1]) * len(paths)
     picks = [np.r_[:n_shared, start:start + n_own]
              for start in range(n_shared, n_cols, n_own)]
     sep_index = np.tile(np.array(seps) * _NX, BLOCK_ROWS)
-    rows = rows or COMPUTE_ROWS
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for file in files:

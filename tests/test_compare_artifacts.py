@@ -301,6 +301,24 @@ def test_onepoint_jobs_end_on_a_one_point_block():
     assert lo < setup.cfg.spectrum.grid().points(n - 1, n)[0] < hi
 
 
+def test_runway_jobs_straddle_the_reference_bound():
+    # the runway job's path runs and the overrun job's is refused: the
+    # longest path the reference timing carries lies strictly between them
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs
+            if job.endswith(("-runway", "-overrun"))} == {
+        "switch-runway": ["switch"], "switch-overrun": ["switch"]}
+    paths = []
+    for lines in (compare_artifacts.RUNWAY, compare_artifacts.OVERRUN):
+        setup = cf.validate_config(cf.parse_config(REFERENCE.read_text()
+                                                   + "\n".join(lines)))
+        paths.append(setup.switching["effective_path"])
+    nl, _ = ex.calibrate(setup.netlist())
+    bound = ex._longest_path(nl, setup.switching["timing"])
+    assert paths[0] < bound < paths[1]
+    assert bound == pytest.approx(4.1452e-3, rel=1e-4)
+
+
 def test_worst_difference_per_file(tmp_path, capsys):
     # the largest |x - y| / max(|x|, |y|) over the numbers of each file
     # that differs, after the listed differences; agreeing files get none

@@ -206,6 +206,16 @@ def test_grid_points_are_linspace_bit_for_bit(ends, span):
     assert points.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("lo, hi", [(3, 8), (4, 2), (-1, 2), (0, 6)])
+def test_grid_points_refuse_a_range_outside_the_grid(lo, hi):
+    # points past stop (the last one not pinned to it), a reversed range
+    # and a negative index are no range of the grid; empty ranges are
+    grid = cf.Grid(0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="not a range of 5 points"):
+        grid.points(lo, hi)
+    assert grid.points(0, 0).size == grid.points(5, 5).size == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(ends=st.tuples(*[st.floats(1e-300, 1e300)] * 2), span=grid_range())
 def test_log_grid_points_are_the_dispersion_wavenumbers(ends, span):

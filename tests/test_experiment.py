@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import tracemalloc
@@ -341,8 +342,26 @@ class TestSwitchTiming:
         assert longer.window == (1600, 4400)
         assert longer.plateau == pytest.approx(370e-9)
         # toggle and ramp end at 202 ns: 168 ns of fill reach the plateau
-        assert longer.admits(0.0) and longer.admits(167.9e-9)
-        assert not longer.admits(168.1e-9)
+        assert longer.runway == pytest.approx(168e-9)
+
+
+@functools.cache
+def branch_gate(orientation, f_c):
+    """The calibrated reference gate on the given branch and carrier."""
+    cfg = cf.RunConfig()
+    cfg = replace(cfg, field_=replace(cfg.field_, orientation=orientation),
+                  microwave=replace(cfg.microwave, f_c_hz=f_c))
+    return ex.calibrate(cf.build_netlist(cfg))[0]
+
+
+@st.composite
+def switch_timings(draw):
+    """A valid SwitchTiming at the default dt: a record of 20 ns to 1 us,
+    the toggle anywhere inside it and a ramp of up to its rest."""
+    duration = draw(st.floats(2.0e-8, 1.0e-6))
+    t_toggle = duration * draw(st.floats(0.01, 0.99))
+    ramp = (duration - t_toggle) * draw(st.floats(1.0e-3, 1.0))
+    return ex.SwitchTiming(duration=duration, t_toggle=t_toggle, ramp=ramp)
 
 
 class TestRunSwitching:
@@ -445,7 +464,7 @@ class TestRunSwitching:
         with pytest.raises(ex.RunwayError, match=r"3\.472e-07 s of the plateau"):
             ex.run_switching(nl, timing=timing, effective_path=6.0e-3)
         # the window closes WINDOW_TAIL after the toggle: a later toggle in
-        # a longer record admits 168 ns of fill, still short of 6 mm ...
+        # a longer record has a runway of 168 ns, still short of 6 mm ...
         later = ex.SwitchTiming(duration=8.192e-7, t_toggle=3.0e-7)
         with pytest.raises(ex.RunwayError, match=r"4\.7e-07 s of the plateau"):
             ex.run_switching(nl, timing=later, effective_path=6.0e-3)
@@ -488,17 +507,17 @@ class TestRunSwitching:
 
     @pytest.mark.parametrize("orientation, f_c", [("parallel", 6.035e9),
                                                   ("perpendicular", 6.14e9)])
-    @pytest.mark.parametrize("duration", [4.096e-7, 3.2e-7])
-    def test_run_and_fit_share_the_runway(self, orientation, f_c, duration):
+    @settings(max_examples=30, deadline=None)
+    @given(timing=switch_timings())
+    @example(timing=ex.SwitchTiming(duration=4.096e-7))
+    @example(timing=ex.SwitchTiming(duration=3.2e-7))
+    def test_run_and_fit_share_the_runway(self, orientation, f_c, timing):
         # the longest path the fit may search runs, and the next float
-        # above it is refused: both procedures ask SwitchTiming.admits
-        cfg = cf.RunConfig()
-        cfg = replace(cfg, field_=replace(cfg.field_, orientation=orientation),
-                      microwave=replace(cfg.microwave, f_c_hz=f_c))
-        nl, _ = ex.calibrate(cf.build_netlist(cfg))
-        timing = ex.SwitchTiming(duration=duration)
+        # above it is refused: both procedures read the one bound,
+        # SwitchTiming.runway times |vg(k_c)|
+        nl = branch_gate(orientation, f_c)
         path = ex._longest_path(nl, timing)
-        assert path > 0.0
+        assume(path > 0.0)
         res = ex.run_switching(nl, timing=timing, effective_path=path)
         assert math.isfinite(res.t_rise)
         with pytest.raises(ex.RunwayError, match="plateau"):

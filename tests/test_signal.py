@@ -673,6 +673,17 @@ def test_write_tables_needs_own_columns(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rows", [0, -3])
+def test_write_rows_needs_at_least_one_row_at_a_time(tmp_path, rows):
+    # rows is how many rows columns() gives at a time: a count below 1
+    # is refused before a file opens, 0 included (None is the default)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="rows must be at least 1"):
+        table.write_rows([path], "a,b", 0, 5,
+                         lambda lo, hi: [np.ones(hi - lo)] * 2, rows=rows)
+    assert not path.exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 3 * BLOCK), n=st.integers(1, 4 * BLOCK),
        n_files=st.integers(1, 3))

@@ -31,7 +31,10 @@ window whose last drive block and last CSV block are partial;
 with a drive block edge inside the ramp and the transit fill; the
 ``*-onepoint`` jobs run ``dispersion`` and ``transmission`` with the
 ONEPOINT lines appended, grids whose last block of computed rows is one
-point, which the kernels take through their one-point path.
+point, which the kernels take through their one-point path;
+``switch-runway`` and ``switch-overrun`` run ``switch`` with the RUNWAY
+and OVERRUN lines appended, effective paths just below and just above
+the longest one the reference timing's runway carries.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -100,6 +103,8 @@ JOBS = {
     "switch-edge": ["switch"],
     "dispersion-onepoint": ["dispersion"],
     "transmission-onepoint": ["transmission"],
+    "switch-runway": ["switch"],
+    "switch-overrun": ["switch"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -156,11 +161,18 @@ EDGE = ("switching.dt_s = 1e-11",)
 ONEPOINT = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 6.05e9",
             "spectrum.n_points = 8193", "spectrum.floor_db = -1000",
             "dispersion.n_points = 8193")
+# appended for the *-runway and *-overrun jobs: effective paths on either
+# side of the 4.1452 mm the reference timing's 145.2 ns runway carries at
+# the reference carrier, so the first job runs the longest fill of any
+# job (t_rise 34.3 ns) and the second exits 3 with RunwayError
+RUNWAY = ("switching.effective_path_m = 4.1e-3",)
+OVERRUN = ("switching.effective_path_m = 4.2e-3",)
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-linear": LINEAR,
             "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
-            "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT}
+            "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT,
+            "-runway": RUNWAY, "-overrun": OVERRUN}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
