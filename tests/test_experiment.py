@@ -507,14 +507,27 @@ class TestRunSwitching:
 
     @pytest.mark.parametrize("orientation, f_c", [("parallel", 6.035e9),
                                                   ("perpendicular", 6.14e9)])
-    @settings(max_examples=30, deadline=None)
-    @given(timing=switch_timings())
-    @example(timing=ex.SwitchTiming(duration=4.096e-7))
-    @example(timing=ex.SwitchTiming(duration=3.2e-7))
-    def test_run_and_fit_share_the_runway(self, orientation, f_c, timing):
+    @pytest.mark.parametrize("duration", [4.096e-7, 3.2e-7])
+    def test_run_and_fit_share_the_runway(self, orientation, f_c, duration):
         # the longest path the fit may search runs, and the next float
         # above it is refused: both procedures read the one bound,
         # SwitchTiming.runway times |vg(k_c)|
+        nl = branch_gate(orientation, f_c)
+        timing = ex.SwitchTiming(duration=duration)
+        path = ex._longest_path(nl, timing)
+        assert path > 0.0
+        res = ex.run_switching(nl, timing=timing, effective_path=path)
+        assert math.isfinite(res.t_rise)
+        with pytest.raises(ex.RunwayError, match="plateau"):
+            ex.run_switching(nl, timing=timing,
+                             effective_path=math.nextafter(path, math.inf))
+
+    @pytest.mark.parametrize("orientation, f_c", [("parallel", 6.035e9),
+                                                  ("perpendicular", 6.14e9)])
+    @settings(max_examples=30, deadline=None)
+    @given(timing=switch_timings())
+    def test_any_timing_shares_the_runway(self, orientation, f_c, timing):
+        # the same bound holds for a drawn record length, toggle and ramp
         nl = branch_gate(orientation, f_c)
         path = ex._longest_path(nl, timing)
         assume(path > 0.0)
