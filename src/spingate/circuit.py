@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from . import physics
 from ._kernels import kernels
+from .record import record, replace
 from .signal import MAX_LEVEL, phase_setting
 from .table import write_rows
 
@@ -36,7 +36,7 @@ def _loss_amp(db: float) -> float:
     return 10.0 ** (-db / 20.0)
 
 
-@dataclass(frozen=True)
+@record
 class DeviceGeometry:
     """Antenna width and per-segment path lengths of the three-arm gate.
 
@@ -68,7 +68,7 @@ class DeviceGeometry:
         return replace(self, scale=self.scale * factor)
 
 
-@dataclass(frozen=True)
+@record
 class MicrowaveSettings:
     """Per-channel conditioning and drive parameters.
 
@@ -101,7 +101,7 @@ class MicrowaveSettings:
                 raise ValueError(f"{name} must not exceed {MAX_GAIN_DB:g} dB")
 
 
-@dataclass(frozen=True)
+@record
 class Propagation:
     """What the film and the antennas set on a frequency grid, the same
     for the three channels.
@@ -117,7 +117,7 @@ class Propagation:
     shape: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class GateNetlist:
     """The three-input gate: three input arms merging into one output arm.
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import circuit, experiment, logic, physics
 from .config import (ConfigError, RunConfig, Setup, number, read_assignments,
                      read_config, validate_config)
+from .record import replace
 from .signal import NoTransitionError, trace_to_csv, wrap_phase
 from .table import write_csv, write_rows
 

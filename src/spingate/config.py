@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import circuit, experiment, logic, physics, signal, table
+from .record import fields, record
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration input."""
 
 
-@dataclass(frozen=True)
+@record
 class FilmConfig:
     mu0_ms_t: float = 0.176
     thickness_m: float = 5.4e-6
@@ -36,13 +36,13 @@ class FilmConfig:
     fit_fmr_hz: float = 6.06e9
 
 
-@dataclass(frozen=True)
+@record
 class FieldConfig:
     mu0_h_t: float = 0.1429
     orientation: str = "parallel"
 
 
-@dataclass(frozen=True)
+@record
 class GeometryConfig:
     w_a_m: float = 7.5e-5
     l_in_m: tuple[float, float, float] = (10.0e-3, 10.0e-3, 10.0e-3)
@@ -52,7 +52,7 @@ class GeometryConfig:
     scale: float = 1.0
 
 
-@dataclass(frozen=True)
+@record
 class MicrowaveConfig:
     f_c_hz: float = 6.035e9
     drive_amplitude: float = 1.0
@@ -65,19 +65,19 @@ class MicrowaveConfig:
     output_coupling_db: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class DetectorConfig:
     responsivity_v: float = 1.0
     lp_cutoff_hz: float = 5.0e8
 
 
-@dataclass(frozen=True)
+@record
 class EncodingConfig:
     phi0_rad: float = 0.0
     guard_rad: float = 0.5 * math.pi - 0.01
 
 
-@dataclass(frozen=True)
+@record
 class SwitchingConfig:
     dt_s: float = 1.0e-10
     duration_s: float = 4.096e-7
@@ -89,7 +89,7 @@ class SwitchingConfig:
     effective_path_m: float = 1.34872e-3
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """The n points np.linspace(start, stop, n) spaces, or, if log, their
     powers of ten (np.logspace's, when start and stop are np.log10 of its
@@ -157,7 +157,7 @@ class Grid:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumConfig:
     f_start_hz: float = 5.9e9
     f_stop_hz: float = 6.12e9
@@ -169,7 +169,7 @@ class SpectrumConfig:
         return Grid(self.f_start_hz, self.f_stop_hz, self.n_points)
 
 
-@dataclass(frozen=True)
+@record
 class DispersionConfig:
     k_start_rad_per_m: float = 50.0
     k_stop_rad_per_m: float = 2.0e5
@@ -187,27 +187,29 @@ class DispersionConfig:
                     self.n_points)
 
 
-@dataclass(frozen=True)
+@record
 class ScalingConfig:
     scales: tuple[float, ...] = (1.0, 0.5, 0.2, 0.1, 0.05)
 
 
-@dataclass(frozen=True)
+# the default sections are shared by every RunConfig: records are frozen
+@record
 class RunConfig:
-    film: FilmConfig = field(default_factory=FilmConfig)
-    field_: FieldConfig = field(default_factory=FieldConfig)
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    microwave: MicrowaveConfig = field(default_factory=MicrowaveConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    encoding: EncodingConfig = field(default_factory=EncodingConfig)
-    switching: SwitchingConfig = field(default_factory=SwitchingConfig)
-    spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
-    dispersion: DispersionConfig = field(default_factory=DispersionConfig)
-    scaling: ScalingConfig = field(default_factory=ScalingConfig)
+    film: FilmConfig = FilmConfig()
+    field_: FieldConfig = FieldConfig()
+    geometry: GeometryConfig = GeometryConfig()
+    microwave: MicrowaveConfig = MicrowaveConfig()
+    detector: DetectorConfig = DetectorConfig()
+    encoding: EncodingConfig = EncodingConfig()
+    switching: SwitchingConfig = SwitchingConfig()
+    spectrum: SpectrumConfig = SpectrumConfig()
+    dispersion: DispersionConfig = DispersionConfig()
+    scaling: ScalingConfig = ScalingConfig()
 
 
-# section name -> RunConfig attribute (field_ dodges the dataclass name)
-_SECTIONS = {f.name.rstrip("_"): f.name for f in fields(RunConfig)}
+# section name -> RunConfig attribute (the field section is the attribute
+# field_, the name cli and the tests read it by)
+_SECTIONS = {name.rstrip("_"): name for name in fields(RunConfig)}
 
 
 def number(raw: str, kind=float):
@@ -264,7 +266,7 @@ def _format_value(value) -> str:
 
 # section -> its default object, keyed by field name
 _DEFAULTS = {name: getattr(RunConfig(), attr) for name, attr in _SECTIONS.items()}
-_FIELDS = {name: {f.name for f in fields(obj)} for name, obj in _DEFAULTS.items()}
+_FIELDS = {name: set(fields(obj)) for name, obj in _DEFAULTS.items()}
 
 
 def read_assignments(text: str, where: str = "line"):
@@ -324,8 +326,8 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for section, attr in _SECTIONS.items():
         obj = getattr(cfg, attr)
-        for f in fields(obj):
-            lines.append(f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}")
+        for name in fields(obj):
+            lines.append(f"{section}.{name} = {_format_value(getattr(obj, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,7 +376,7 @@ def _build(cls, section, table: dict, **values):
                | values)
 
 
-@dataclass(frozen=True)
+@record
 class Setup:
     """The records validate_config built from one config, which every
     command runs on: the film as configured (before any Ms fit), the bias

@@ -11,11 +11,11 @@ adjusted copies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit, logic, physics
+from .record import record
 from .signal import (DetectedTrace, diode_detect, phase_setting,
                      plateau_start, rise_time, step_phase_drive, wrap_phase)
 
@@ -37,7 +37,7 @@ class RunwayError(ValueError):
     """Transit fill time ends the transition inside the settled plateau."""
 
 
-@dataclass(frozen=True)
+@record
 class CalibrationResult:
     attenuator_db: tuple[float, float, float]
     phase_offsets_rad: tuple[float, float, float]
@@ -154,7 +154,7 @@ WINDOW_LEAD = 4.0e-8
 WINDOW_TAIL = 2.4e-7
 
 
-@dataclass(frozen=True)
+@record
 class SwitchTiming:
     """Grid and toggle layout of the switching transient.
 
@@ -215,7 +215,7 @@ class SwitchTiming:
         return self.plateau - self.t_toggle - self.ramp
 
 
-@dataclass(frozen=True)
+@record
 class SwitchingResult:
     trace: DetectedTrace
     t_rise: float
@@ -383,14 +383,14 @@ def _longest_path(nl: circuit.GateNetlist, timing: SwitchTiming) -> float:
     return timing.runway * float(nl.carrier.speed[0])
 
 
-@dataclass(frozen=True)
+@record
 class ScalingRow:
     scale: float
     t_rise: float
     flagged: bool
 
 
-@dataclass(frozen=True)
+@record
 class ScalingStudy:
     rows: tuple[ScalingRow, ...]
     ramp_floor: float

@@ -9,12 +9,12 @@ phase and reporting the margin to the decision boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import circuit
+from .record import record
 from .signal import phase_setting, wrap_phase
 
 TABLE_ROW_ORDER = (
@@ -29,7 +29,7 @@ REL_FLOOR = 1e-12
 CASCADE_TOLERANCE = 1.5
 
 
-@dataclass(frozen=True)
+@record
 class PhaseEncoding:
     """Code phases for the two logic levels plus the decode half-window;
     a phi0 outside (-pi, pi] is kept as its phasor's angle."""
@@ -47,7 +47,7 @@ class PhaseEncoding:
         return float(wrap_phase(self.phi0 + math.pi))
 
 
-@dataclass(frozen=True)
+@record
 class LogicState:
     bits: tuple[int, int, int]
 
@@ -63,7 +63,7 @@ class LogicState:
 TABLE_STATES = tuple(LogicState(bits) for bits in TABLE_ROW_ORDER)
 
 
-@dataclass(frozen=True)
+@record
 class GateReadout:
     """Input state, output amplitude, phase and decoded bit of one gate
     evaluation.
@@ -155,7 +155,7 @@ def amplitude_spread(readouts) -> float:
     return math.inf if lo == 0 else max(amps) / lo
 
 
-@dataclass(frozen=True)
+@record
 class TruthTableReport:
     """The read-outs of the eight input states under one encoding."""
 

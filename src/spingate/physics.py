@@ -21,12 +21,12 @@ so phase and group velocities are antiparallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from ._kernels import BRANCH_BV, BRANCH_S, kernels
+from .record import record, replace
 
 MU0 = 4.0e-7 * math.pi  # vacuum permeability (T*m/A)
 
@@ -49,7 +49,7 @@ class Orientation(Enum):
         return BRANCH_BV if self is Orientation.PARALLEL else BRANCH_S
 
 
-@dataclass(frozen=True)
+@record
 class FilmParams:
     """Magnetic film constants.
 
@@ -72,7 +72,7 @@ class FilmParams:
             raise ValueError("mu0_dh0 must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class BiasField:
     """Externally applied static field."""
 
@@ -84,7 +84,7 @@ class BiasField:
             raise ValueError("mu0_h must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class ModeContext:
     """Film plus bias field; the argument of every dispersion call.
 

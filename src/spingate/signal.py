@@ -12,12 +12,12 @@ applied that way is the oracle of the drive's time-domain average.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
 
 from ._kernels import kernels
+from .record import fields, record
 from .table import BLOCK_ROWS, write_rows
 
 TWO_PI = 2.0 * math.pi
@@ -62,7 +62,7 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
+@record
 class ComplexEnvelope:
     """Sampled complex amplitude about a carrier frequency.
 
@@ -90,7 +90,7 @@ class ComplexEnvelope:
         return self.samples.size
 
 
-@dataclass(frozen=True)
+@record
 class DetectedTrace:
     """Real nonnegative detector voltage samples."""
 
@@ -138,11 +138,11 @@ def _adopted(cls, *values):
     """cls(*values) without the copy cls makes of its sample array, with
     the same checks; the array is frozen in place.  For a producer in
     this package that hands over an array it made and holds no more."""
-    record = object.__new__(cls)
-    for field, value in zip(fields(cls), values):
-        object.__setattr__(record, field.name, value)
-    record.__post_init__(copy=False)
-    return record
+    obj = object.__new__(cls)
+    for name, value in zip(fields(cls), values):
+        object.__setattr__(obj, name, value)
+    obj.__post_init__(copy=False)
+    return obj
 
 
 # trapezoid nodes per record sample over the ramp: the error of the
@@ -370,7 +370,7 @@ def diode_detect(blocks, n: int, dt: float, lp_cutoff: float | None = 5.0e8,
     return _adopted(DetectedTrace, dt, power)
 
 
-@dataclass(frozen=True)
+@record
 class RiseTimeResult:
     t_rise: float
     v_max: float

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from spingate import physics as ph
 from spingate._kernels import kernels
 from spingate import table
 from spingate.cli import main
+from spingate.record import replace
 from spingate.table import COMPUTE_ROWS
 
 FC = 6.035e9

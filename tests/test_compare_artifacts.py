@@ -1,6 +1,5 @@
 import importlib.util
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
 from spingate import table
+from spingate.record import replace
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_artifacts.py"
 REFERENCE = TOOL.parent.parent / "configs" / "reference.txt"

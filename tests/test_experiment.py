@@ -2,7 +2,6 @@ import functools
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
 from spingate._kernels import kernels
+from spingate.record import replace
 
 FC = 6.035e9
 

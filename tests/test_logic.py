@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from spingate import config as cf
 from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
+from spingate.record import replace
 
 FC = 6.035e9
 

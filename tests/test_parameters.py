@@ -9,7 +9,6 @@ them and runs the gate, with warnings as errors.
 
 import math
 import warnings
-from dataclasses import fields
 
 import numpy as np
 from hypothesis import event, given, settings
@@ -20,10 +19,11 @@ from spingate import experiment as ex
 from spingate import logic as lg
 from spingate import physics as ph
 from spingate import signal as sig
+from spingate.record import fields
 
 RECORDS = (ph.FilmParams, ph.BiasField, ct.DeviceGeometry,
            ct.MicrowaveSettings, lg.PhaseEncoding, ex.SwitchTiming)
-FIELDS = {f.name for record in RECORDS for f in fields(record)}
+FIELDS = {name for record in RECORDS for name in fields(record)}
 ARGUMENTS = {"lp_cutoff", "responsivity", "effective_path", "scales"}
 PHYSICS = (ph.BandError, ex.CalibrationError, ex.RunwayError,
            sig.NoTransitionError)
