@@ -8,16 +8,17 @@ small result tables of mixed cells.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
 # rows per formatted block.  Of 1024-8192, 4096 writes a 2^17-row trace
 # about 8% faster and the other tables within 3%, but it doubles the
-# writer's own peak (0.53 to 1.02 MiB for the three transmission files of
-# 32768 rows, beside the blocks they are given, 0.27 at 1024), and with
-# their rows computed block by block that peak is what the spectrum
-# commands peak on; 1024 is 3-30% slower
+# writer's own peak (0.46 to 0.89 MiB for the three transmission files of
+# 32768 rows in two-word slots, beside the range of rows they are given,
+# 0.24 at 1024), and with their rows computed range by range that peak is
+# what the spectrum commands peak on; 1024 is 3-30% slower
 BLOCK_ROWS = 2048
 # rows of slots squeezed and written at a time, a quarter of a block: the
 # squeeze's copy and its bytes stay below the formatter's temporaries
@@ -29,12 +30,13 @@ _SQUEEZE_ROWS = 512
 # 2-point grid): against one block of the whole grid, a 32768-point
 # transmission job took 6-16% longer at 2048 rows, up to 12% at 4096 and
 # up to 5% at 8192 (best of 40 interleaved in-process runs, 2 CPUs).
-# Peak of that transmission (dispersion) command on either branch, with
-# its grid still whole (0.25 MiB): 0.85 (0.69) MiB at 2048 rows, 0.92
-# (0.76) at 4096, 1.05 (0.85-0.88) at 8192, 1.37-1.46 (1.04-1.45) at
-# 16384; 2.15 (1.56-2.34) unstreamed.  With the grid computed a range at
-# a time (config.Grid) the 8192-row peaks are 0.78 (0.58-0.70) MiB, the
-# writer's slots beside one block
+# Peak of that transmission (dispersion) command at 32768 points on
+# either branch, its grid computed a range at a time (config.Grid) and
+# its blocks in two-word slots: 0.54 (0.40) MiB at 2048 rows, 0.60 (0.44)
+# at 4096, 0.72-0.80 (0.54-0.70) at 8192, 1.23-1.42 (0.81-1.33) at 16384
+# and 2.12-2.53 (1.56-2.34) in one range.  At 8192 rows that is the
+# writer's slots beside one range on the surface branch; on the
+# backward-volume one the k-solve peaks above them
 COMPUTE_ROWS = 8192
 # a scaled value y at least this far from a rounding tie is rounded on the
 # fast path: y is |x| times a power of ten within an ulp of exact (numpy's
@@ -56,7 +58,7 @@ def _words(chars) -> np.ndarray:
 
 def _take(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """table[index], an index outside the table clipped to its ends."""
-    return np.take(table, index, mode="clip")
+    return table.take(index, mode="clip")
 
 
 # the four decimal digits of each n < 10^4 as ASCII, and the same with its
@@ -104,7 +106,16 @@ _FRAC_LOW, _FRAC_HIGH = np.where(_BYTE >= _POINT_AT, 255, 0).astype(
     np.uint8).view("<u8").T.copy()
 _POINT_LOW, _POINT_HIGH = np.where(_BYTE == _POINT_AT, 1, 0).astype(
     np.uint8).view("<u8").T.copy()
-_U = {n: np.uint64(n) for n in (5, 46, 56, 255)}
+_U = {n: np.uint64(n) for n in (5, 8, 46, 56, 255)}
+# the table indices of the exponents 0 <= X < 12, which write neither a
+# prefix nor an exponent: where every value of a block has one, the sign,
+# the digit field and the separator of each fit two words
+_PLAIN_LO = -_X[0]
+_PLAIN_HI = _PLAIN_LO + 12
+# per separator index (0 or _NX): the separator in a word's top byte
+_SEPARATOR_TOP = np.zeros(_NX + 1, "<u8")
+_SEPARATOR_TOP[[0, _NX]] = np.frombuffer(_SEPARATORS, np.uint8).astype(
+    "<u8") << _U[56]
 
 
 def _scaled(mag: np.ndarray, index: np.ndarray):
@@ -126,7 +137,9 @@ def _scaled(mag: np.ndarray, index: np.ndarray):
 def _digits(x: np.ndarray):
     """Per value x: the index of its decimal exponent X in the per-X
     tables, its 12 significant digits rounded to an integer, and the
-    indices of the values off the fast path, which '%.12g' % formats.
+    indices of the values off the fast path, which '%.12g' % formats
+    (their index is X = 0's, so that the exponent word of their slot is
+    the separator alone and they leave a block's layout to their text).
 
     X comes from log10; where it is one off (at some powers of ten) y
     misses [1e11, 1e12), and X is corrected on those values alone, as is
@@ -154,6 +167,7 @@ def _digits(x: np.ndarray):
             index[off[fast_off]] = moved[fast_off]
             r[off] = r_off
             off = off[~fast_off]
+            index[off] = -_X[0]
         return index, r.astype(np.int64), off
 
 
@@ -170,23 +184,51 @@ def _point(word: np.ndarray, frac: np.ndarray, point: np.ndarray) -> np.ndarray:
     return frac
 
 
+def _fallback_texts(x: np.ndarray, slow: np.ndarray):
+    """Per part of _SQUEEZE_ROWS indices of slow: the part, and the
+    '%.12g' % texts of x there as rows of 24 bytes, zero-padded.
+
+    A generator, so that a caller iterating it once holds one part's
+    texts at a time: a block of nan would otherwise hold the text of all
+    its values three times over.
+    """
+    for start in range(0, slow.size, _SQUEEZE_ROWS):
+        part = slow[start:start + _SQUEEZE_ROWS]
+        text = ("%-24.12g" * part.size) % tuple(x[part].tolist())
+        yield part, np.frombuffer(text.replace(" ", "\0").encode(),
+                                  np.uint8).reshape(-1, 24)
+
+
 def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     """Slots of the ASCII bytes of the rows of values x (row-major; per
     value the index of the separator after it in _SEPARATORS, times _NX).
 
-    Each value gets a 32-byte slot of four uint64 words: sign and "0.00"
-    prefix | the digits with the point (two words) | exponent and
-    separator, with zero bytes between, which _squeeze drops.  The prefix
-    and the exponent are one gather each, from the (sign, X) and
-    (separator, X) tables; the digits are three gathers of four, each quad
+    A slot is two or four uint64 words, its bytes in order with zero
+    bytes between, which _squeeze drops.  The digits and the point take a
+    16-byte field of two words: three gathers of four digits, each quad
     stripped of its trailing zeros when all the quads after it are zero,
-    then the "0"s before the point put back and the bytes from the point on
-    moved up one byte, a point in front where a digit follows.  A value off
-    the fast path is written into its slot by '%.12g' % instead.
+    then the "0"s before the point put back and the bytes from the point
+    on moved up one byte, a point in front where a digit follows.  A value
+    off the fast path is written into its slot by '%.12g' % instead, its
+    text made once.
+
+    Where every fast value has a decimal exponent 0 <= X < 12 and every
+    '%.12g' % text is at most 15 bytes (a plain block), the slot is that
+    field moved up one byte: its sign ("-" or a zero byte) in the low
+    byte and the separator after the column in the top one.  Any other
+    block takes four words: sign and "0.00" prefix (one gather from the
+    (sign, X) table) | the digit field | exponent and separator (one
+    from the (separator, X) table).  The layout is chosen from the values
+    alone, by two reductions over the exponent indices and, for a block
+    that passes them, a look at byte 15 of its fallback texts.
 
     The two digit words are made, and their temporaries freed, before
-    the slots are: the call's tracemalloc peak is 7 arrays of x's length
-    beside x (the slots' four, the exponent indices and the two words).
+    the fallback texts and the slots are: the call's tracemalloc peak is 7
+    arrays of x's length beside x on four words (the slots' four, the
+    exponent indices and the two digit words) and 6 on two (while the
+    point goes in, the exponent indices, the two digit words and three
+    masks the same length); a block where every value falls back peaks
+    at 9.4 on either layout.
     """
     index, digits, slow = _digits(x)
     # the 12 digits as quads hi and mid (in work) and lo (worked in
@@ -214,6 +256,35 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     frac >>= _U[56]
     high += frac
     del frac
+    # the fallback texts read to choose the layout are kept for its slots,
+    # so that each is made once; they are read up to the first long one,
+    # so that a block it sends to four words makes the rest a part at a
+    # time, and a block its exponents send there allocates nothing for it
+    fallback = None
+    if index.min() >= _PLAIN_LO and index.max() < _PLAIN_HI:
+        pending = _fallback_texts(x, slow)
+        texts = []
+        for part, text in pending:
+            texts.append((part, text))
+            if text[:, 15].any():
+                fallback = chain(texts, pending)
+                break
+        else:
+            del index
+            # the field (at most 13 bytes) moved up one byte, under the
+            # separator; the sign bit in the low byte, so -0.0 is "-0"
+            high <<= _U[8]
+            high |= low >> _U[56]
+            low <<= _U[8]
+            low |= np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+            slots = np.empty((x.size, 2), "<u8")
+            slots[:, 0] = low
+            slots[:, 1] = high
+            del low, high
+            for part, text in texts:
+                slots[part] = text[:, :16].view("<u8")
+            slots[:, 1] |= _take(_SEPARATOR_TOP, sep_index)
+            return slots
     slots = np.empty((x.size, 4), "<u8")
     slots[:, 1] = low
     slots[:, 2] = high
@@ -224,15 +295,9 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     slots[:, 0] = _take(_PREFIX, work)
     np.add(index, sep_index, out=work)
     slots[:, 3] = _take(_EXPONENT, work)
-    # the text of the values off the fast path, _SQUEEZE_ROWS values at a
-    # time: a block of zeros would otherwise make the text of all its
-    # values three times over
-    for start in range(0, slow.size, _SQUEEZE_ROWS):
-        part = slow[start:start + _SQUEEZE_ROWS]
-        text = ("%-24.12g" * part.size) % tuple(x[part].tolist())
-        slots[part, :3] = np.frombuffer(text.replace(" ", "\0").encode(),
-                                        "<u8").reshape(-1, 3)
-        slots[part, 3] = _take(_EXPONENT, -_X[0] + sep_index[part])
+    # a fallback value's X is 0, so its exponent word is the separator
+    for part, text in fallback or _fallback_texts(x, slow):
+        slots[part, :3] = text.view("<u8")
     return slots
 
 
@@ -242,16 +307,17 @@ def _squeeze(slots: np.ndarray, pick=None) -> Iterator[bytes]:
     the slot columns pick (all if None).
 
     In parts, so that the copy tobytes makes and the squeezed bytes stay
-    a part long, not the slots' size each.  On the slots of 2048 rows of a
-    trace, the copy and the deletion cost about 38 ns per value (1.2 ns
-    per slot byte), a bytearray's translate 43 and a numpy boolean mask
-    over the bytes 54 (best of 2000 in-process runs, 2 CPUs): only fewer
-    bytes per slot would make the squeeze cheaper.
+    a part long, not the slots' size each.  The deletion reads every slot
+    byte: on 2048 rows of two columns, the copy and the deletion cost
+    about 29 ns per value in four-word slots (a trace) and 13 in two-word
+    ones (a transmission table), 0.8-0.9 ns per slot byte either way
+    (best of 2000 in-process runs, 2 CPUs); a bytearray's translate and a
+    numpy boolean mask over the bytes were slower.
     """
     for start in range(0, len(slots), _SQUEEZE_ROWS):
         part = slots[start:start + _SQUEEZE_ROWS]
         if pick is not None:
-            part = np.take(part, pick, axis=1)
+            part = part.take(pick, axis=1)
         yield part.tobytes().translate(None, b"\0")
 
 
@@ -268,9 +334,9 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
     them, so that no column need be whole in memory.  Each range is
     formatted BLOCK_ROWS rows at a time by one _format_block call, so a
     shared column is formatted once for all the files; each file's
-    columns of the slots are picked (np.take), squeezed and written
-    _SQUEEZE_ROWS rows at a time.  Raises ValueError, before a file
-    opens, when rows is below 1.
+    columns of the slots (two or four words each) are picked
+    (ndarray.take), squeezed and written _SQUEEZE_ROWS rows at a time.
+    Raises ValueError, before a file opens, when rows is below 1.
     """
     n_own = header.count(",") + 1 - n_shared
     if not paths or n_own < 1:
@@ -295,8 +361,8 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
                 raise ValueError(f"columns({lo}, {hi}) must give {n_cols} columns")
             for start in range(0, hi - lo, BLOCK_ROWS):
                 values = block[start:start + BLOCK_ROWS].ravel()
-                slots = _format_block(values, sep_index[:values.size]).reshape(
-                    -1, n_cols, 4)
+                slots = _format_block(values, sep_index[:values.size])
+                slots = slots.reshape(-1, n_cols, slots.shape[1])
                 for file, pick in zip(files, picks):
                     file.writelines(
                         _squeeze(slots, pick if len(files) > 1 else None))

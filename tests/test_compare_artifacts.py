@@ -195,6 +195,37 @@ def test_long_jobs_reach_the_window_tail():
     assert base.t_toggle + ex.WINDOW_TAIL > base.duration
 
 
+def test_small_k_job_mixes_both_slot_layouts(tmp_path, monkeypatch):
+    # the small-k job's one backward-volume file, negative v_g, takes the
+    # CSV writer's four-word slots for its first two blocks (k below 1)
+    # and its two-word slots for the last three, every value of those
+    # with a decimal exponent 0 <= X < 12
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-small-k")} == {
+        "dispersion-small-k": ["dispersion"]}
+    config = tmp_path / "small-k.txt"
+    config.write_text(REFERENCE.read_text()
+                      + "\n".join(compare_artifacts.SMALL_K) + "\n")
+    cfg = cf.parse_config(config.read_text())
+    assert cfg.dispersion.k_start_rad_per_m == 1e-3
+    assert cfg.dispersion.n_points == 9000
+    widths = []
+    format_block = table._format_block
+
+    def recorded(x, sep_index):
+        slots = format_block(x, sep_index)
+        widths.append(slots.shape[1])
+        return slots
+
+    monkeypatch.setattr(table, "_format_block", recorded)
+    assert cli.main(["dispersion", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert widths == [4, 4, 2, 2, 2]
+    v_g = np.loadtxt(tmp_path / "dispersion.csv", delimiter=",",
+                     skiprows=1)[:, 2]
+    assert v_g.size == 9000 and (v_g < 0).all()
+
+
 def test_fine_jobs_span_many_drive_blocks():
     # the fine jobs run switch and scale on a window of many of
     # step_phase_drive's blocks; the reference window fits in one

@@ -595,6 +595,110 @@ def test_write_tables_streams():
     assert three_large <= 0.7e6
 
 
+def slot_widths(write):
+    """The slot width, in words, of each block write() formats, in order."""
+    widths = []
+    format_block = table._format_block
+
+    def recorded(x, sep_index):
+        slots = format_block(x, sep_index)
+        widths.append(slots.shape[1])
+        return slots
+
+    table._format_block = recorded
+    try:
+        write()
+    finally:
+        table._format_block = format_block
+    return widths
+
+
+def percent_table(header, columns):
+    """CSV bytes with each value written by '%.12g' %, row by row."""
+    return "".join([header + "\n", *(",".join("%.12g" % v for v in row) + "\n"
+                                     for row in zip(*columns))]).encode()
+
+
+# values whose blocks take the writer's two-word slots: magnitudes in
+# [1, 999999999999.5) whatever their digits, 12th-digit ties there, the
+# neighbours of the exponent edges (999999999999.5 writes "1e+12" as a
+# fallback text), and the fallback values with a short text.  The last
+# floats below 1e12, whose log10 is 12, write "1e+12" on the fast path,
+# with an exponent word (see the four-word test)
+plain_ties = st.builds("{}5e{}".format, st.integers(10 ** 11, 10 ** 12 - 1),
+                       st.integers(-12, -1)).map(float)
+plain_edges = st.sampled_from([1.0, 10.0, 1e11, 999999999999.5]).flatmap(
+    lambda x: st.sampled_from(neighbours(x)))
+plain_values = st.one_of(
+    st.floats(1.0, 999999999999.5, exclude_max=True).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.one_of(plain_ties, plain_edges).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(plain_values, min_size=1, max_size=64),
+       n_rows=st.sampled_from([1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 5000]),
+       n_cols=st.integers(1, 3))
+def test_plain_tables_take_two_word_slots(table_dir, values, n_rows, n_cols):
+    # every block of a table of plain values is written in two-word slots,
+    # with the bytes of '%.12g' %
+    columns = np.resize(np.array(values, dtype=np.float64), (n_cols, n_rows))
+    header = ",".join(f"c{i}" for i in range(n_cols))
+    path = table_dir / "plain.csv"
+    widths = slot_widths(lambda: write_table(path, header, *columns))
+    assert widths == [2] * -(-n_rows // BLOCK)
+    assert path.read_bytes() == percent_table(header, columns)
+
+
+@pytest.mark.parametrize(
+    "value", [1e-5, 1e15, -1e12, 999999999999.9999, 0.5, 1.234567890125e-300])
+def test_one_exponent_value_sends_only_its_block_to_four_words(tmp_path,
+                                                                value):
+    # a value with a prefix or an exponent (or a fallback text of more
+    # than 15 bytes) in the second block of a plain table: that block
+    # takes four-word slots, the others two, and the bytes are the same
+    rng = np.random.default_rng(3)
+    n = 3 * BLOCK + 100
+    columns = [np.linspace(5.9e9, 6.1e9, n), rng.uniform(-150.0, -1.0, n)]
+    columns[1][BLOCK + 17] = value
+    path = tmp_path / "t.csv"
+    widths = slot_widths(lambda: write_table(path, "f_hz,s21_db", *columns))
+    assert widths == [2, 4, 2, 2]
+    assert path.read_bytes() == percent_table("f_hz,s21_db", columns)
+
+
+def test_plain_blocks_peak_below_four_word_ones():
+    # the three transmission files sharing the frequency column, one block
+    # of rows: the writer's tracemalloc peak on plain values is below its
+    # peak on the same table with one exponent-form value in it, by at
+    # least half a word per value (it is one, 6 arrays of the block's 8192
+    # values where four-word slots take 7)
+    f = np.linspace(5.9e9, 6.1e9, BLOCK)
+    spectra = [np.sin(f * k / 1e9) * 40.0 - 60.0 for k in (1, 2, 3)]
+
+    def peak(spectra):
+        def write():
+            write_tables([os.devnull] * 3, "f_hz,s21_db", [f],
+                         [[s] for s in spectra])
+        write()
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = peak(spectra)
+    spectra[1] = spectra[1].copy()
+    spectra[1][BLOCK // 2] = 1e-5
+    assert slot_widths(lambda: write_tables(
+        [os.devnull] * 3, "f_hz,s21_db", [f], [[s] for s in spectra])) == [4]
+    n_values = 4 * BLOCK
+    assert plain < peak(spectra) - 4 * n_values
+
+
 def test_zeros_take_the_fast_path(table_dir):
     # exact zeros of either sign among plain values, across blocks: each
     # written "0" or "-0" as f"{v:.12g}" writes it, and none sent to the

@@ -34,7 +34,11 @@ ONEPOINT lines appended, grids whose last block of computed rows is one
 point, which the kernels take through their one-point path;
 ``switch-runway`` and ``switch-overrun`` run ``switch`` with the RUNWAY
 and OVERRUN lines appended, effective paths just below and just above
-the longest one the reference timing's runway carries.
+the longest one the reference timing's runway carries;
+``dispersion-small-k`` runs ``dispersion`` with the SMALL_K lines
+appended, wavenumbers from 1e-3 rad/m, whose first blocks of rows the
+CSV writer writes in its four-word slots and whose last ones in its
+two-word slots.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -105,6 +109,7 @@ JOBS = {
     "transmission-onepoint": ["transmission"],
     "switch-runway": ["switch"],
     "switch-overrun": ["switch"],
+    "dispersion-small-k": ["dispersion"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -167,12 +172,18 @@ ONEPOINT = ("spectrum.f_start_hz = 3.5e9", "spectrum.f_stop_hz = 6.05e9",
 # job (t_rise 34.3 ns) and the second exits 3 with RunwayError
 RUNWAY = ("switching.effective_path_m = 4.1e-3",)
 OVERRUN = ("switching.effective_path_m = 4.2e-3",)
+# appended for the *-small-k job: a log grid of 9,000 wavenumbers from
+# 1e-3 rad/m, five blocks of the CSV writer; a k below 1 (a negative
+# decimal exponent) sends the first blocks to the writer's four-word
+# slots, and the last ones, every value with 0 <= exponent < 12, take its
+# two-word slots
+SMALL_K = ("dispersion.k_start_rad_per_m = 1e-3", "dispersion.n_points = 9000")
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-linear": LINEAR,
             "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
             "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT,
-            "-runway": RUNWAY, "-overrun": OVERRUN}
+            "-runway": RUNWAY, "-overrun": OVERRUN, "-small-k": SMALL_K}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
