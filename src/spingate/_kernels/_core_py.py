@@ -352,22 +352,17 @@ def solve_k(f, wh, wm, d, branch):
     return out
 
 
-def lowpass_1pole(x, a, y0, out=None):
-    """Single-pole IIR low-pass: y[n] = a*y[n-1] + (1-a)*x[n], y[-1] = y0.
+def lowpass_1pole(x, a, y0):
+    """Single-pole IIR low-pass: y[n] = a*y[n-1] + (1-a)*x[n], y[-1] = y0,
+    for 0 < a <= 1.
 
     The sequential recurrence is unrolled in exponentially rescaled chunks
     so the scan stays vectorized without overflowing a**(-n); the powers
     of a and the two weights are computed once per call.  y is written
-    into out (a float64 array of x's size, made if None), which may be x
-    itself: each chunk of x is read before it is overwritten.
+    over x, a float64 array, and returned: each chunk of x is read before
+    it is overwritten.
     """
-    x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if out is None:
-        out = np.empty(n)
-    if a <= 0.0:
-        np.multiply(1.0 - a, x, out=out)
-        return out
     # keep a**(-chunk) finite: |chunk * ln a| < 600
     chunk = max(1, min(4096, int(600.0 / max(1e-12, -math.log(a)))))
     q = a ** np.arange(min(chunk, n))
@@ -377,9 +372,9 @@ def lowpass_1pole(x, a, y0, out=None):
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
         z = np.cumsum(x[start:start + m] / q[:m])
-        out[start:start + m] = carry_weight[:m] * carry + input_weight[:m] * z
-        carry = out[start + m - 1]
-    return out
+        x[start:start + m] = carry_weight[:m] * carry + input_weight[:m] * z
+        carry = x[start + m - 1]
+    return x
 
 
 def waveguide_gain(k, speed, k_c, length, eta, branch):

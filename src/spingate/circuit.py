@@ -165,6 +165,20 @@ class GateNetlist:
             constants.append(const)
         return tuple(constants)
 
+    def chain_floor_db(self, attenuator_db) -> tuple[float, float, float]:
+        """Lowest level, in dB, of each channel's frequency-flat chain
+        ahead of the output coupling at the given attenuator settings:
+        after the attenuator, or after the coupling and the bend loss
+        that follow it in _constants, whichever is lower."""
+        s, g = self.settings, self.geometry
+        floors = []
+        for i in range(len(CHANNELS)):
+            inner_db = s.coupling_db[i]
+            if g.l_skew[i] * g.scale > 0.0:
+                inner_db -= g.bend_loss_db
+            floors.append(min(0.0, inner_db) - attenuator_db[i])
+        return tuple(floors)
+
     @cached_property
     def constants(self) -> tuple[complex, complex, complex]:
         """Frequency-flat gain of each channel at its settings."""

@@ -68,7 +68,7 @@ def cmd_dispersion(setup: Setup, out: Path, args) -> int:
     path = out / "dispersion.csv"
     write_rows([path], "k_rad_per_m,f_hz,v_g_m_per_s", 0, grid.n, columns)
     print(f"dispersion n={d.n_points} f_fmr_hz={physics.fmr_frequency(ctx):.6g} "
-          f"branch={setup.cfg.field_.orientation} -> {path}")
+          f"branch={setup.cfg.field.orientation} -> {path}")
     return EXIT_OK
 
 

@@ -196,7 +196,7 @@ class ScalingConfig:
 @record
 class RunConfig:
     film: FilmConfig = FilmConfig()
-    field_: FieldConfig = FieldConfig()
+    field: FieldConfig = FieldConfig()
     geometry: GeometryConfig = GeometryConfig()
     microwave: MicrowaveConfig = MicrowaveConfig()
     detector: DetectorConfig = DetectorConfig()
@@ -207,9 +207,8 @@ class RunConfig:
     scaling: ScalingConfig = ScalingConfig()
 
 
-# section name -> RunConfig attribute (the field section is the attribute
-# field_, the name cli and the tests read it by)
-_SECTIONS = {name.rstrip("_"): name for name in fields(RunConfig)}
+# the section names, RunConfig's attributes in order
+_SECTIONS = fields(RunConfig)
 
 
 def number(raw: str, kind=float):
@@ -265,7 +264,7 @@ def _format_value(value) -> str:
 
 
 # section -> its default object, keyed by field name
-_DEFAULTS = {name: getattr(RunConfig(), attr) for name, attr in _SECTIONS.items()}
+_DEFAULTS = {name: getattr(RunConfig(), name) for name in _SECTIONS}
 _FIELDS = {name: set(fields(obj)) for name, obj in _DEFAULTS.items()}
 
 
@@ -310,8 +309,8 @@ def read_config(text: str, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         section, attr = key.split(".", 1)
         values[section][attr] = value
-    return RunConfig(**{attr: type(_DEFAULTS[name])(**values[name])
-                        for name, attr in _SECTIONS.items()})
+    return RunConfig(**{name: type(_DEFAULTS[name])(**values[name])
+                        for name in _SECTIONS})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -324,8 +323,8 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Dump a RunConfig to the flat text format, sections in fixed order."""
     lines = []
-    for section, attr in _SECTIONS.items():
-        obj = getattr(cfg, attr)
+    for section in _SECTIONS:
+        obj = getattr(cfg, section)
         for name in fields(obj):
             lines.append(f"{section}.{name} = {_format_value(getattr(obj, name))}")
     return "\n".join(lines) + "\n"
@@ -333,8 +332,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def _non_finite_key(cfg: RunConfig) -> str | None:
     """First dotted key holding a NaN or infinite number, if any."""
-    for section, attr in _SECTIONS.items():
-        for name, value in vars(getattr(cfg, attr)).items():
+    for section in _SECTIONS:
+        for name, value in vars(getattr(cfg, section)).items():
             if isinstance(value, tuple):
                 if not all(map(math.isfinite, value)):
                     return f"{section}.{name}"
@@ -418,7 +417,7 @@ def validate_config(cfg: RunConfig) -> Setup:
     bad = _non_finite_key(cfg)
     if bad:
         raise ConfigError(f"{bad} must be finite")
-    if cfg.field_.orientation not in ("parallel", "perpendicular"):
+    if cfg.field.orientation not in ("parallel", "perpendicular"):
         raise ConfigError("field.orientation must be parallel or perpendicular")
     if cfg.film.fit_fmr_hz < 0:
         raise ConfigError("film.fit_fmr_hz must be nonnegative")
@@ -447,8 +446,8 @@ def validate_config(cfg: RunConfig) -> Setup:
             cfg,
             _build(physics.FilmParams, cfg.film, _FILM,
                    Ms=cfg.film.mu0_ms_t / physics.MU0),
-            _build(physics.BiasField, cfg.field_, _FIELD,
-                   orientation=physics.Orientation(cfg.field_.orientation)),
+            _build(physics.BiasField, cfg.field, _FIELD,
+                   orientation=physics.Orientation(cfg.field.orientation)),
             _build(circuit.DeviceGeometry, cfg.geometry, _GEOMETRY),
             _build(circuit.MicrowaveSettings, cfg.microwave, _MICROWAVE),
             _build(dict, cfg.detector, _DETECTOR,

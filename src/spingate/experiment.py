@@ -1,10 +1,11 @@
 """Measurement procedures on a gate netlist.
 
-Reproduces the bench workflow: level the three channel amplitudes with
-the attenuators, pin the per-channel phase offsets against the reference
-channel i2 by maximizing two-channel interference, then run the logic
-truth table, the phase-toggle switching transient and the miniaturization
-scaling sweep.  Procedures never mutate their input netlist; they return
+Reproduces the bench workflow: calibrate levels the three channel
+amplitudes with the attenuators and pins the per-channel phase offsets
+against the reference channel i2 by maximizing two-channel interference,
+both in closed form; the other procedures run the logic truth table,
+the phase-toggle switching transient and the miniaturization scaling
+sweep.  Procedures never mutate their input netlist; they return
 adjusted copies.
 """
 
@@ -30,7 +31,8 @@ MAX_SAMPLES = 2 ** 20
 
 
 class CalibrationError(RuntimeError):
-    """A channel cannot be calibrated (no transmission, flat objective)."""
+    """A channel cannot be calibrated (no transmission, or gains too far
+    apart to level)."""
 
 
 class RunwayError(ValueError):
@@ -45,8 +47,8 @@ class CalibrationResult:
     residual_phase_error: float
 
 
-# the smallest normal float: a gain below it has lost its precision, and
-# dividing by it overflows
+# the smallest normal float: a gain or a partial product of one below it
+# has lost its precision, and dividing by it overflows
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -55,8 +57,9 @@ def _leveled_attenuation(nl: circuit.GateNetlist) -> tuple[float, float, float]:
     each channel attenuated down to the weakest, in closed form.
 
     A carrier outside the band raises physics.BandError naming it and
-    the band; a channel below _TINY or gains too far apart to divide,
-    CalibrationError.
+    the band; a channel below _TINY, or one whose leveled chain falls
+    below it ahead of the output coupling, CalibrationError naming the
+    channel.
     """
     if math.isnan(nl.carrier.k[0]):
         raise physics.stopband_error(nl.ctx, nl.settings.f_c)
@@ -65,83 +68,53 @@ def _leveled_attenuation(nl: circuit.GateNetlist) -> tuple[float, float, float]:
         if g < _TINY:
             raise CalibrationError(f"channel {ch} has no transmission")
     weakest = min(gains)
-    ratios = [g / weakest for g in gains]
-    if not all(map(math.isfinite, ratios)):
-        raise CalibrationError("channel gains lie too far apart to level")
-    return tuple(current + 20.0 * math.log10(r)
-                 for current, r in zip(nl.settings.attenuator_db, ratios))
-
-
-def _aligned_phases(gains: np.ndarray, phase_rad) -> tuple[list[float], tuple[float, float, float]]:
-    """Phase shifter settings that align i1 and i3 with i2 at the given
-    carrier gains, from the settings phase_rad, and the offsets they
-    give (see calibrate_phases)."""
-    if not np.abs(gains).all():
-        raise CalibrationError("dead channel: calibrate amplitudes first")
-    g1, g2, g3 = gains.tolist()
-    for g, ch in ((g1, "i1"), (g3, "i3")):
-        if 2.0 * min(abs(g), abs(g2)) <= 1e-12 * (abs(g) + abs(g2)):
-            weaker = ch if abs(g) <= abs(g2) else "i2"
-            raise CalibrationError(f"flat calibration objective on {weaker}")
-    # arg(g2) - arg(g) of each channel, one quotient and one angle each
-    turns = np.angle(gains[1] / gains).tolist()
-    phases = list(phase_rad)
-    for idx in (0, 2):
-        phases[idx] = wrap_phase(phases[idx] + turns[idx])
-    return phases, (phases[0], wrap_phase(phases[1]), phases[2])
-
-
-def calibrate_amplitudes(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
-    """Level the three single-channel output amplitudes.
-
-    Each channel is measured alone (the others muted) and attenuated down
-    to the weakest one; in the linear model the needed attenuation is the
-    closed-form dB ratio.  Returns the adjusted netlist and the resulting
-    total attenuator settings.  A gain below the smallest normal float
-    has lost its precision (and dividing by it overflows): no
-    transmission.  A carrier outside the band raises physics.BandError,
-    naming the carrier and the band.
-    """
-    atten = _leveled_attenuation(nl)
-    return nl.with_controls(attenuator_db=atten), atten
-
-
-def calibrate_phases(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, tuple[float, float, float]]:
-    """Align each outer channel's phase shifter with the reference channel.
-
-    With i2 held at its current setting, each of i1 and i3 in turn is
-    driven together with i2, and its shifter is set where the two-channel
-    output amplitude |g2 + g*e^(i*theta)| peaks: theta = arg(g2) - arg(g),
-    in closed form, with the whole carrier gain g rotated.  That setting
-    is the channel's logic-0 offset; the residual phase error is at
-    rounding level, so recalibrating a calibrated gate leaves the
-    settings in place.  A dead channel, or an objective that swings by
-    2*min(|g|, |g2|) <= 1e-12 of its peak |g| + |g2|, raises
-    CalibrationError naming the weaker of the two channels.  Amplitudes
-    should be leveled first.
-    """
-    phases, offsets = _aligned_phases(nl.carrier_gains, nl.settings.phase_rad)
-    return nl.with_controls(phase_rad=phases), offsets
+    atten = tuple(current + 20.0 * math.log10(g / weakest)
+                  for current, g in zip(nl.settings.attenuator_db, gains))
+    for ch, floor_db in zip(circuit.CHANNELS, nl.chain_floor_db(atten)):
+        # an infinite ratio gives an infinite dB and a factor of 0
+        if not 10.0 ** (floor_db / 20.0) >= _TINY:
+            raise CalibrationError(
+                f"channel gains lie too far apart to level {ch}")
+    return atten
 
 
 def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, CalibrationResult]:
     """Amplitude then phase calibration, with measured residuals.
 
-    The phases are aligned at the leveled gains, which the netlist gives
-    for the new attenuator settings without a copy, and the one copy
-    takes both settings: bit for bit calibrate_phases after
-    calibrate_amplitudes.
+    Each channel is measured alone (the others muted) and attenuated
+    down to the weakest one, by the closed-form dB ratio of the linear
+    model.  A gain below the smallest normal float has lost its
+    precision (and dividing by it overflows): no transmission.  So has a
+    leveled channel whose attenuator factor, or whose amplitude after
+    its coupling and bend, falls below it, which the output coupling
+    would scale back up into a mis-leveled gain: the gains lie too far
+    apart to level.  Either raises CalibrationError naming the channel,
+    and a carrier outside the band physics.BandError naming the carrier
+    and the band.  Otherwise the weakest channel keeps its gain and every
+    other leveled gain equals it to rounding.
+
+    At the leveled gains, which the netlist gives without a copy, each
+    of i1 and i3 is set against i2 where the two-channel amplitude
+    |g2 + g*e^(i*theta)| peaks: theta = arg(g2) - arg(g), in closed form.
+    That setting is the channel's logic-0 offset; the residual phase
+    error is at rounding level, so recalibrating a calibrated gate
+    leaves the settings in place.  The one copy returned takes both
+    settings.
     """
     atten = _leveled_attenuation(nl)
-    phases, offsets = _aligned_phases(nl.carrier_gains_at(atten),
-                                 nl.settings.phase_rad)
+    gains = nl.carrier_gains_at(atten)
+    # arg(g2) - arg(g) of each channel, one quotient and one angle each
+    turns = np.angle(gains[1] / gains).tolist()
+    phases = list(nl.settings.phase_rad)
+    for idx in (0, 2):
+        phases[idx] = wrap_phase(phases[idx] + turns[idx])
     aligned = nl.with_controls(attenuator_db=atten, phase_rad=phases)
     gains = aligned.carrier_gains
     mags = np.abs(gains).tolist()
     angles = np.angle(gains).tolist()
     return aligned, CalibrationResult(
         attenuator_db=atten,
-        phase_offsets_rad=offsets,
+        phase_offsets_rad=(phases[0], wrap_phase(phases[1]), phases[2]),
         residual_amplitude_imbalance=max(mags) / min(mags),
         residual_phase_error=max(abs(wrap_phase(angle - angles[1]))
                                  for angle in angles),

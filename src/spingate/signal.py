@@ -366,7 +366,7 @@ def diode_detect(blocks, n: int, dt: float, lp_cutoff: float | None = 5.0e8,
                          "blocks hold")
     if lp_cutoff is not None:
         a = math.exp(-TWO_PI * lp_cutoff * dt)
-        kernels.lowpass_1pole(power, a, float(power[0]), out=power)
+        kernels.lowpass_1pole(power, a, float(power[0]))
     return _adopted(DetectedTrace, dt, power)
 
 

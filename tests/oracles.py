@@ -9,8 +9,10 @@ element, one film segment and one transducer at a time, which is the
 product circuit.channel_transfer folds into a single evaluation; each
 segment is written out from k, the group velocity and the damping rate.  The CSV
 writer formats one value at a time with an f-string, as the package's
-block formatter must reproduce byte for byte.  The ideal delay is the
-transfer function whose spectral application must equal a time shift.
+block formatter must reproduce byte for byte.  The calibration oracles
+level and align given gains by the closed forms of the bench procedure.
+The ideal delay is the transfer function whose spectral application must
+equal a time shift.
 The transit fill has two oracles: its spectral form, applied by FFT, and
 the continuous moving average of the analytic step-phase drive with the
 ramp integrated by adaptive quadrature.  Two adapters give the signal
@@ -18,6 +20,7 @@ layer's block-streamed drive and detector a whole-window form: the drive
 window as one array, and the detection of one envelope.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -108,6 +111,23 @@ def chain_product(nl, channel, f):
     for element in elements:
         gain = gain * element
     return gain
+
+
+def leveled_attenuation(attenuator_db, gains):
+    """Attenuator settings that level the gains: each channel's setting
+    plus 20*log10(|g_i| / min|g|)."""
+    mags = [abs(complex(g)) for g in gains]
+    return tuple(db + 20.0 * math.log10(m / min(mags))
+                 for db, m in zip(attenuator_db, mags))
+
+
+def aligned_phases(phase_rad, gains):
+    """Shifter settings that align i1 and i3 with i2 at the gains:
+    phase_i + arg(g2 / g_i), wrapped to (-pi, pi], and i2's setting
+    wrapped."""
+    g2 = complex(gains[1])
+    return tuple(cmath.phase(cmath.rect(1.0, rad + cmath.phase(g2 / complex(g))))
+                 for rad, g in zip(phase_rad, gains))
 
 
 def delay(tau):

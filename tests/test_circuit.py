@@ -559,6 +559,16 @@ class TestBuildMajorityGate:
         bend = 10 ** (-3.0 / 20.0)
         assert nl.constants == pytest.approx((bend, 1.0, bend), rel=1e-15)
 
+    def test_chain_floor_is_the_lowest_flat_level(self):
+        # after the attenuator, or after the coupling and the bend loss of
+        # a skewed arm, whichever is lower: i1 gains 2 dB past its bend,
+        # i2 has no bend, i3 ends 2 dB down
+        nl = ct.build_majority_gate(
+            ct.DeviceGeometry(), CTX,
+            ct.MicrowaveSettings(coupling_db=(5.0, -2.0, 1.0)))
+        assert nl.chain_floor_db((1.0, 2.0, 3.0)) == (-1.0, -4.0, -5.0)
+        assert nl.chain_floor_db((math.inf, 0.0, 0.0))[0] == -math.inf
+
     def test_scale_multiplies_lengths(self):
         geo = ct.DeviceGeometry()
         scaled = geo.rescaled(0.05)

@@ -131,9 +131,9 @@ def test_dense_jobs_span_blocks_and_band_edges():
                           + "\n".join(compare_artifacts.DENSE))
     assert min(cfg.spectrum.n_points, cfg.dispersion.n_points) > 2 * table.BLOCK_ROWS
     for orientation in ("parallel", "perpendicular"):
-        field = replace(cfg.field_, orientation=orientation)
+        field = replace(cfg.field, orientation=orientation)
         lo, hi = ph.band_limits(
-            cf.validate_config(replace(cfg, field_=field)).context())
+            cf.validate_config(replace(cfg, field=field)).context())
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
@@ -154,9 +154,9 @@ def test_wide_jobs_span_compute_blocks():
                             + "\n".join(compare_artifacts.DENSE))
     assert dense.spectrum.n_points < table.COMPUTE_ROWS
     for orientation in ("parallel", "perpendicular"):
-        field = replace(cfg.field_, orientation=orientation)
+        field = replace(cfg.field, orientation=orientation)
         lo, hi = ph.band_limits(
-            cf.validate_config(replace(cfg, field_=field)).context())
+            cf.validate_config(replace(cfg, field=field)).context())
         assert cfg.spectrum.f_start_hz < lo < hi < cfg.spectrum.f_stop_hz
 
 
@@ -375,3 +375,26 @@ def test_worst_difference_per_file(tmp_path, capsys):
         "plain/calibrate.run: largest relative difference inf",
         "plain/switch/switch_trace.csv: largest relative difference 1",
         "3 differences over 3 files (rtol 1e-10), 0 byte-identical"]
+
+
+def test_level_job_is_refused(tmp_path, capsys):
+    # the level job's i1 would take an attenuator factor below the
+    # smallest normal float: every flag set exits 3 with one line, the
+    # scale8 set's 8x longer arms leaving i2 no transmission at all
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-level")} == {
+        "calibrate-level": ["calibrate"]}
+    config = tmp_path / "level.txt"
+    config.write_text(REFERENCE.read_text()
+                      + "\n".join(compare_artifacts.LEVEL) + "\n")
+    for name, flags in compare_artifacts.FLAG_SETS.items():
+        code = cli.main(["calibrate", "--config", str(config),
+                         "--out", str(tmp_path / name), *flags])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "physics error: channel i2 has no transmission\n"
+            if name == "scale8" else
+            "physics error: channel gains lie too far apart to level i1\n")
+        assert not (tmp_path / name / "calibration.txt").exists()

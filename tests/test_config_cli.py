@@ -36,9 +36,9 @@ def read_csv(path):
 class TestConfigParsing:
     def test_defaults_reproduce_operating_point(self):
         cfg = cf.RunConfig()
-        assert cfg.field_.mu0_h_t == pytest.approx(0.1429)
+        assert cfg.field.mu0_h_t == pytest.approx(0.1429)
         assert cfg.microwave.f_c_hz == pytest.approx(6.035e9)
-        assert cfg.field_.orientation == "parallel"
+        assert cfg.field.orientation == "parallel"
         ctx = cf.validate_config(cfg).context()
         assert ph.fmr_frequency(ctx) == pytest.approx(6.06e9, rel=1e-9)
 
@@ -58,7 +58,7 @@ class TestConfigParsing:
             "geometry.l_skew_m = 0.004, 0, 0.004\n"
             "dispersion.log_k = false\n"
         )
-        assert cfg.field_.mu0_h_t == 0.15
+        assert cfg.field.mu0_h_t == 0.15
         assert cfg.microwave.f_c_hz == 6.2e9
         assert cfg.geometry.l_skew_m == (0.004, 0.0, 0.004)
         assert cfg.dispersion.log_k is False
@@ -151,7 +151,7 @@ class TestConfigParsing:
                               "scaling.scales = 1, 0.5\n"
                               "field.mu0_h_t = 0.15\nfield.mu0_h_t = 0.16\n")
         assert cfg.scaling.scales == (1.0, 0.5)
-        assert cfg.field_.mu0_h_t == 0.16
+        assert cfg.field.mu0_h_t == 0.16
 
     def test_build_netlist_ignores_include_switch(self):
         cfg = cf.RunConfig()
@@ -497,6 +497,35 @@ class TestCalibrateCommand:
         for line in text.splitlines():
             if line.startswith("microwave."):
                 assert abs(float(line.split("=")[1])) < 1e-6
+
+
+    @pytest.mark.parametrize("atten_i1, coupling", [
+        (307.5, -6271.5), (310.0, -6274.5)])
+    def test_unlevelable_gains_exit_code(self, tmp_path, capsys, atten_i1,
+                                         coupling):
+        # i1's leveled attenuator factor falls below the smallest normal
+        # float, which the +200 dB couplings scale back up: the first gate
+        # calibrated with imbalance 2.63 and truthtable exited 0 reading
+        # matches_majority=false, the second exited 3 with "dead channel:
+        # calibrate amplitudes first"; every calibrating command now
+        # refuses both, naming i1
+        config = tmp_path / "cfg.txt"
+        config.write_text(
+            REFERENCE.read_text()
+            + "microwave.output_coupling_db = 200\n"
+            + f"microwave.coupling_db = 200, {coupling}, {coupling}\n"
+            + f"microwave.attenuator_db = {atten_i1}, 0, 0\n")
+        for command in ("calibrate", "truthtable", "switch", "fulladder",
+                        "scale"):
+            code = main([command, "--config", str(config),
+                         "--out", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err == ("physics error: channel gains lie too "
+                                    "far apart to level i1\n")
+        assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "calibration.txt").exists()
 
 
 class TestSettingsFile:

@@ -2,13 +2,15 @@ import functools
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import detect, drive_window, transit_fill_factor
+from oracles import (aligned_phases, detect, drive_window,
+                     leveled_attenuation, transit_fill_factor)
 from spingate import circuit as ct
 from spingate import cli
 from spingate import config as cf
@@ -20,6 +22,7 @@ from spingate._kernels import kernels
 from spingate.record import replace
 
 FC = 6.035e9
+REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.txt"
 
 
 def make_ctx(linewidth=6.2e-5):
@@ -50,22 +53,44 @@ def analytic_ramp_rise(t_ramp):
     return t_of_level(2.0 / 3.0) - t_of_level(1.0 / 3.0)
 
 
+@st.composite
+def far_gates(draw):
+    """A gate anywhere in the float range: attenuators and the bend loss
+    log-uniform up to 7000 dB, couplings from -7000 to +200 dB, any
+    phases and a scale of 0.05 to 3."""
+    loss = st.floats(-3.0, math.log10(7000.0)).map(lambda e: 10.0 ** e)
+    coupling = st.floats(-7000.0, 200.0)
+    phase = st.floats(-math.pi, math.pi)
+    geo = ct.DeviceGeometry(bend_loss_db=draw(loss),
+                            scale=draw(st.floats(0.05, 3.0)))
+    return build(geo=geo, attenuator_db=draw(st.tuples(loss, loss, loss)),
+                 coupling_db=draw(st.tuples(coupling, coupling, coupling)),
+                 output_coupling_db=draw(coupling),
+                 coupling_phase_rad=draw(st.tuples(phase, phase, phase)),
+                 phase_rad=draw(st.tuples(phase, phase, phase)))
+
+
 class TestCalibrateAmplitudes:
+    # calibrate's leveling: its attenuator settings and leveled gains
     def test_symmetric_gate_needs_nothing(self):
-        nl, atten = ex.calibrate_amplitudes(symmetric())
-        assert atten == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
+        _, res = ex.calibrate(symmetric())
+        assert res.attenuator_db == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
     def test_known_gain_ladder(self):
         # single-channel gains 1 : 0.5 : 0.25 -> 12.04 / 6.02 / 0 dB by hand
         nl = symmetric(coupling_db=(0.0, -6.0205999132796, -12.041199826559))
-        _, atten = ex.calibrate_amplitudes(nl)
+        _, res = ex.calibrate(nl)
+        atten = res.attenuator_db
         assert atten[0] == pytest.approx(12.0412, abs=1e-3)
         assert atten[1] == pytest.approx(6.0206, abs=1e-3)
         assert atten[2] == pytest.approx(0.0, abs=1e-9)
+        assert atten == pytest.approx(
+            leveled_attenuation(nl.settings.attenuator_db, nl.carrier_gains),
+            rel=0.0, abs=1e-12)
 
     def test_post_calibration_imbalance(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5))
-        leveled, _ = ex.calibrate_amplitudes(nl)
+        leveled, _ = ex.calibrate(nl)
         gains = np.abs(leveled.carrier_gains)
         assert gains.max() / gains.min() <= 1.001
 
@@ -73,69 +98,58 @@ class TestCalibrateAmplitudes:
         # four metres of skew decay the channel below the float64 floor
         nl = build(geo=ct.DeviceGeometry(l_skew=(4.0, 0.0, 6.0e-3)))
         with pytest.raises(ex.CalibrationError, match="no transmission"):
-            ex.calibrate_amplitudes(nl)
+            ex.calibrate(nl)
 
     def test_returns_copy(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5))
         before = nl.settings
-        ex.calibrate_amplitudes(nl)
+        ex.calibrate(nl)
         assert nl.settings is before
         assert nl.settings.attenuator_db == (0.0, 0.0, 0.0)
 
 
 class TestCalibratePhases:
+    # calibrate's phase setting, made at the leveled gains
     def test_symmetric_gate_zero_offsets(self):
-        leveled, _ = ex.calibrate_amplitudes(symmetric())
-        _, offsets = ex.calibrate_phases(leveled)
-        assert offsets == pytest.approx((0.0, 0.0, 0.0), abs=1e-6)
+        _, res = ex.calibrate(symmetric())
+        assert res.phase_offsets_rad == pytest.approx((0.0, 0.0, 0.0), abs=1e-6)
 
     def test_recovers_injected_offsets(self):
         # hardware phases on i1/i3; the shifter must cancel them w.r.t. i2
         nl = symmetric(coupling_phase_rad=(0.7, 0.0, -1.2))
-        leveled, _ = ex.calibrate_amplitudes(nl)
-        aligned, offsets = ex.calibrate_phases(leveled)
+        aligned, res = ex.calibrate(nl)
         gains = aligned.carrier_gains
         for g in gains:
             err = float(np.angle(g / gains[1]))
             assert abs(err) < 1e-12
         # closed-form oracle: the shifter setting is minus the injected phase
+        offsets = res.phase_offsets_rad
         assert offsets[0] == pytest.approx(-0.7, abs=1e-12)
         assert offsets[2] == pytest.approx(1.2, abs=1e-12)
 
     def test_brute_force_scan_oracle(self):
         nl = symmetric(coupling_phase_rad=(2.1, 0.0, 0.4))
-        leveled, _ = ex.calibrate_amplitudes(nl)
-        _, offsets = ex.calibrate_phases(leveled)
-        gains = leveled.carrier_gains
+        _, res = ex.calibrate(nl)
+        gains = nl.carrier_gains_at(res.attenuator_db)
         theta = np.linspace(-math.pi, math.pi, 2_000_001)
         for idx in (0, 2):
             objective = np.abs(gains[1] + gains[idx] * np.exp(1j * theta))
             best = theta[int(np.argmax(objective))]
-            assert abs(float(sig.wrap_phase(offsets[idx] - best))) < 1e-3
+            assert abs(float(sig.wrap_phase(res.phase_offsets_rad[idx]
+                                            - best))) < 1e-3
 
     def test_maximize_minimize_differ_by_pi(self):
         nl = symmetric(coupling_phase_rad=(0.9, 0.0, 0.0))
-        leveled, _ = ex.calibrate_amplitudes(nl)
-        _, offsets = ex.calibrate_phases(leveled)
-        gains = leveled.carrier_gains
+        _, res = ex.calibrate(nl)
+        gains = nl.carrier_gains_at(res.attenuator_db)
+        offset = res.phase_offsets_rad[0]
 
         def two_channel(theta):
             return abs(gains[1] + gains[0] * np.exp(1j * theta))
 
-        assert two_channel(offsets[0]) == pytest.approx(
+        assert two_channel(offset) == pytest.approx(
             2.0 * abs(gains[1]), rel=1e-6)
-        assert two_channel(offsets[0] + math.pi) == pytest.approx(0.0, abs=1e-6)
-
-    def test_flat_objective_rejected(self):
-        # kill one channel: turning a shifter against it, or against a
-        # dead reference i2, changes nothing; the dead channel is named
-        for dead_ch in ct.CHANNELS:
-            coupling = tuple(-2000.0 if ch == dead_ch else 0.0
-                             for ch in ct.CHANNELS)
-            dead = symmetric(drive_amplitude=1.0, coupling_db=coupling)
-            with pytest.raises(ex.CalibrationError,
-                               match=f"flat calibration objective on {dead_ch}"):
-                ex.calibrate_phases(dead)
+        assert two_channel(offset + math.pi) == pytest.approx(0.0, abs=1e-6)
 
 
 class TestCalibrate:
@@ -190,30 +204,68 @@ class TestCalibrate:
            phase_rad=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
            orientation=st.sampled_from(list(ph.Orientation)),
            scale=st.floats(0.05, 3.0))
-    def test_one_copy_is_the_two_steps(self, coupling_db, coupling_rad,
-                                       atten_db, phase_rad, orientation,
-                                       scale):
-        # calibrate aligns the phases at the leveled gains without making
-        # the leveled copy: the gate, its gains and the result are those of
-        # calibrate_phases after calibrate_amplitudes, bit for bit, with
-        # the residuals taken as numpy reductions over the gains
+    def test_one_copy_takes_the_closed_forms(self, coupling_db, coupling_rad,
+                                            atten_db, phase_rad, orientation,
+                                            scale):
+        # the settings are the closed-form leveling of the netlist's gains
+        # and the closed-form alignment at the leveled ones; the gate
+        # returned is the netlist's with_controls copy of them (i2's
+        # shifter as set), bit for bit, with the residuals taken as numpy
+        # reductions over its gains
         ctx = ph.ModeContext(make_ctx().film, ph.BiasField(0.1429, orientation))
         f_c = FC if orientation is ph.Orientation.PARALLEL else 6.14e9
         nl = build(geo=ct.DeviceGeometry(scale=scale), ctx=ctx, f_c=f_c,
                    coupling_db=coupling_db, coupling_phase_rad=coupling_rad,
                    attenuator_db=atten_db, phase_rad=phase_rad)
         aligned, res = ex.calibrate(nl)
-        leveled, atten = ex.calibrate_amplitudes(nl)
-        stepped, offsets = ex.calibrate_phases(leveled)
-        assert aligned.settings == stepped.settings
-        assert aligned.carrier_gains.tobytes() == stepped.carrier_gains.tobytes()
-        assert (res.attenuator_db, res.phase_offsets_rad) == (atten, offsets)
-        gains = stepped.carrier_gains
+        np.testing.assert_allclose(
+            res.attenuator_db,
+            leveled_attenuation(nl.settings.attenuator_db, nl.carrier_gains),
+            rtol=1e-13, atol=1e-12)
+        want = aligned_phases(nl.settings.phase_rad,
+                              nl.carrier_gains_at(res.attenuator_db))
+        moved = sig.wrap_phase(np.subtract(res.phase_offsets_rad, want))
+        assert np.all(np.abs(moved) <= 1e-12)
+        offsets = res.phase_offsets_rad
+        copy = nl.with_controls(
+            attenuator_db=res.attenuator_db,
+            phase_rad=(offsets[0], nl.settings.phase_rad[1], offsets[2]))
+        assert aligned.settings == copy.settings
+        assert aligned.carrier_gains.tobytes() == copy.carrier_gains.tobytes()
+        gains = copy.carrier_gains
         mags = np.abs(gains)
         ref = np.angle(gains[1])
         assert res.residual_amplitude_imbalance == float(mags.max() / mags.min())
         assert res.residual_phase_error == float(
             max(abs(sig.wrap_phase(np.angle(g) - ref)) for g in gains))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nl=far_gates())
+    @example(nl=cf.validate_config(cf.parse_config(
+        REFERENCE.read_text()
+        + "microwave.output_coupling_db = 200\n"
+        + "microwave.coupling_db = 200, -6271.5, -6271.5\n"
+        + "microwave.attenuator_db = 307.5, 0, 0\n")).netlist())
+    @example(nl=build(geo=ct.DeviceGeometry(scale=0.05),
+                      attenuator_db=(5.0, 0.0, 0.3),
+                      coupling_db=(-6320.0, -6320.0, -6320.1),
+                      coupling_phase_rad=(0.3, 1.1, -2.0),
+                      output_coupling_db=200.0))
+    def test_levels_or_refuses(self, nl):
+        # at the float range's floor a gate is refused or leveled and
+        # aligned to rounding.  The first example's i1 would take a
+        # subnormal attenuator factor, which its +200 dB couplings scale
+        # back up (imbalance 2.63 where it was leveled); in the second,
+        # every arm is subnormal after its coupling, which the output
+        # coupling scales back up into normal gains (imbalance - 1 8e-8
+        # and a phase error of 2e-7 where attenuator factors alone were
+        # held to the normal range)
+        try:
+            _, res = ex.calibrate(nl)
+        except (ex.CalibrationError, ph.BandError):
+            return
+        assert res.residual_amplitude_imbalance - 1.0 <= 1e-9
+        assert res.residual_phase_error <= 1e-12
 
     @pytest.mark.parametrize("orientation, f_c", [
         (ph.Orientation.PARALLEL, 1.0e9), (ph.Orientation.PARALLEL, 6.3e9),
@@ -226,10 +278,9 @@ class TestCalibrate:
         nl = build(ctx=ctx, f_c=f_c)
         with pytest.raises(ph.BandError) as raised:
             ph.solve_k(ctx, f_c)
-        for procedure in (ex.calibrate, ex.calibrate_amplitudes):
-            with pytest.raises(ph.BandError) as err:
-                procedure(nl)
-            assert str(err.value) == str(raised.value)
+        with pytest.raises(ph.BandError) as err:
+            ex.calibrate(nl)
+        assert str(err.value) == str(raised.value)
 
     def test_residuals(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5),
@@ -349,7 +400,7 @@ class TestSwitchTiming:
 def branch_gate(orientation, f_c):
     """The calibrated reference gate on the given branch and carrier."""
     cfg = cf.RunConfig()
-    cfg = replace(cfg, field_=replace(cfg.field_, orientation=orientation),
+    cfg = replace(cfg, field=replace(cfg.field, orientation=orientation),
                   microwave=replace(cfg.microwave, f_c_hz=f_c))
     return ex.calibrate(cf.build_netlist(cfg))[0]
 

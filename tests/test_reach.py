@@ -17,10 +17,6 @@ ALLOWED = {
     "config.parse_config": "perfbench's path fit (C6)",
     "config.build_netlist": "perfbench's path fit (C6)",
     "experiment.fit_effective_path": "perfbench's path fit (C6)",
-    "experiment.calibrate_amplitudes":
-        "the reference of calibrate in test_one_copy_is_the_two_steps",
-    "experiment.calibrate_phases":
-        "the reference of calibrate in test_one_copy_is_the_two_steps",
     "physics.solve_k": "C4's scalar solve that raises BandError; a perfbench "
                        "span",
     "_kernels.backend_name": "perfbench's environment record",

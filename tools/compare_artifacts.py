@@ -38,7 +38,8 @@ the longest one the reference timing's runway carries;
 ``dispersion-small-k`` runs ``dispersion`` with the SMALL_K lines
 appended, wavenumbers from 1e-3 rad/m, whose first blocks of rows the
 CSV writer writes in its four-word slots and whose last ones in its
-two-word slots.
+two-word slots; ``calibrate-level`` runs ``calibrate`` with the LEVEL
+lines appended, gains that calibrate cannot level.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -58,12 +59,11 @@ whose bytes are the same in both trees.
 Byte identity is expected only between trees written with one numpy
 build on one SIMD dispatch.  numpy's abs of a complex array (its SIMD
 loop) and abs of one complex scalar (hypot) differ in the last bit for
-about a third of values on an x86-64 host with AVX-512, and the package
-takes both forms of the same carrier gains: the array form in
-experiment's leveling and residual imbalance and in logic.read_out's
-floor, the scalar form in experiment's flat-objective test and
-read_out's amplitudes.  Trees from different machines agree to RTOL,
-not byte for byte.
+about a third of values on an x86-64 host with AVX-512.  Every
+magnitude of the carrier gains is the array form (experiment's leveling
+and residual imbalance), but the outputs take both: the array form in
+logic.read_out's floor, the scalar form in read_out's amplitudes.
+Trees from different machines agree to RTOL, not byte for byte.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ JOBS = {
     "switch-runway": ["switch"],
     "switch-overrun": ["switch"],
     "dispersion-small-k": ["dispersion"],
+    "calibrate-level": ["calibrate"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -178,12 +179,21 @@ OVERRUN = ("switching.effective_path_m = 4.2e-3",)
 # slots, and the last ones, every value with 0 <= exponent < 12, take its
 # two-word slots
 SMALL_K = ("dispersion.k_start_rad_per_m = 1e-3", "dispersion.n_points = 9000")
+# appended for the *-level job: i1 coupled in at +200 dB and i2 and i3
+# at -6271.5 dB, near the float floor, behind a +200 dB output coupling,
+# so leveling i1 down to them takes 6471.5 dB, an attenuator factor below
+# the smallest normal float, which the couplings would scale back up;
+# calibrate exits 3 naming i1
+LEVEL = ("microwave.output_coupling_db = 200",
+         "microwave.coupling_db = 200, -6271.5, -6271.5",
+         "microwave.attenuator_db = 307.5, 0, 0")
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-linear": LINEAR,
             "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
             "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT,
-            "-runway": RUNWAY, "-overrun": OVERRUN, "-small-k": SMALL_K}
+            "-runway": RUNWAY, "-overrun": OVERRUN, "-small-k": SMALL_K,
+            "-level": LEVEL}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
