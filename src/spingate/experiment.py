@@ -31,8 +31,8 @@ MAX_SAMPLES = 2 ** 20
 
 
 class CalibrationError(RuntimeError):
-    """A channel cannot be calibrated (no transmission, or gains too far
-    apart to level)."""
+    """A channel cannot be calibrated (no transmission, gains too far
+    apart to level, or a chain below the float floor)."""
 
 
 class RunwayError(ValueError):
@@ -59,7 +59,8 @@ def _leveled_attenuation(nl: circuit.GateNetlist) -> tuple[float, float, float]:
     A carrier outside the band raises physics.BandError naming it and
     the band; a channel below _TINY, or one whose leveled chain falls
     below it ahead of the output coupling, CalibrationError naming the
-    channel.
+    channel: the float floor where its chain is below _TINY already at
+    its current attenuator, the gains' spread where leveling put it there.
     """
     if math.isnan(nl.carrier.k[0]):
         raise physics.stopband_error(nl.ctx, nl.settings.f_c)
@@ -70,9 +71,15 @@ def _leveled_attenuation(nl: circuit.GateNetlist) -> tuple[float, float, float]:
     weakest = min(gains)
     atten = tuple(current + 20.0 * math.log10(g / weakest)
                   for current, g in zip(nl.settings.attenuator_db, gains))
-    for ch, floor_db in zip(circuit.CHANNELS, nl.chain_floor_db(atten)):
+    for i, floor_db in enumerate(nl.chain_floor_db(atten)):
         # an infinite ratio gives an infinite dB and a factor of 0
         if not 10.0 ** (floor_db / 20.0) >= _TINY:
+            ch = circuit.CHANNELS[i]
+            current_db = nl.chain_floor_db(nl.settings.attenuator_db)[i]
+            if not 10.0 ** (current_db / 20.0) >= _TINY:
+                raise CalibrationError(
+                    f"channel {ch} falls below the smallest normal float "
+                    "ahead of its output coupling")
             raise CalibrationError(
                 f"channel gains lie too far apart to level {ch}")
     return atten
@@ -88,10 +95,11 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
     leveled channel whose attenuator factor, or whose amplitude after
     its coupling and bend, falls below it, which the output coupling
     would scale back up into a mis-leveled gain: the gains lie too far
-    apart to level.  Either raises CalibrationError naming the channel,
-    and a carrier outside the band physics.BandError naming the carrier
-    and the band.  Otherwise the weakest channel keeps its gain and every
-    other leveled gain equals it to rounding.
+    apart to level, or, where that chain is below it before leveling,
+    the channel is below the float floor.  Each raises CalibrationError
+    naming the channel, and a carrier outside the band physics.BandError
+    naming the carrier and the band.  Otherwise the weakest channel
+    keeps its gain and every other leveled gain equals it to rounding.
 
     At the leveled gains, which the netlist gives without a copy, each
     of i1 and i3 is set against i2 where the two-channel amplitude
@@ -114,7 +122,7 @@ def calibrate(nl: circuit.GateNetlist) -> tuple[circuit.GateNetlist, Calibration
     angles = np.angle(gains).tolist()
     return aligned, CalibrationResult(
         attenuator_db=atten,
-        phase_offsets_rad=(phases[0], wrap_phase(phases[1]), phases[2]),
+        phase_offsets_rad=aligned.settings.phase_rad,
         residual_amplitude_imbalance=max(mags) / min(mags),
         residual_phase_error=max(abs(wrap_phase(angle - angles[1]))
                                  for angle in angles),

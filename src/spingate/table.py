@@ -7,6 +7,7 @@ small result tables of mixed cells.
 
 from __future__ import annotations
 
+import os
 from contextlib import ExitStack
 from itertools import chain
 from typing import Iterator
@@ -14,15 +15,22 @@ from typing import Iterator
 import numpy as np
 
 # rows per formatted block.  Of 1024-8192, 4096 writes a 2^17-row trace
-# about 8% faster and the other tables within 3%, but it doubles the
-# writer's own peak (0.46 to 0.89 MiB for the three transmission files of
-# 32768 rows in two-word slots, beside the range of rows they are given,
-# 0.24 at 1024), and with their rows computed range by range that peak is
-# what the spectrum commands peak on; 1024 is 3-30% slower
+# in three-word slots about 13% faster (and 8% in four-word ones) and the
+# other tables within 3%, but it doubles the writer's own peak (0.46 to
+# 0.89 MiB for the three transmission files of 32768 rows in two-word
+# slots, beside the range of rows they are given, 0.24 at 1024; 0.29 to
+# 0.57 MiB for the trace), and with their rows computed range by range
+# that peak is what the spectrum commands peak on; 1024 is 3-30% slower
 BLOCK_ROWS = 2048
-# rows of slots squeezed and written at a time, a quarter of a block: the
-# squeeze's copy and its bytes stay below the formatter's temporaries
+# rows of slots squeezed at a time, a quarter of a block: the squeeze's
+# copy and its bytes stay below the formatter's temporaries
 _SQUEEZE_ROWS = 512
+# rows of squeezed bytes written by one os.writev call, half a block: the
+# squeezed parts of a whole block held beside its four-word slots raised
+# the writer's peak on a 79,872-row trace of "0.00"-prefix levels from
+# 0.293 to 0.299 MiB, above the buffered writer it replaced (0.293); at
+# half a block it is 0.289
+_WRITE_ROWS = 1024
 # rows the transmission and dispersion tables compute per range the
 # writer asks for (the switching trace computes BLOCK_ROWS).  Each
 # transmission_spectrum call has a fixed cost of 0.07 ms on the surface
@@ -106,12 +114,19 @@ _FRAC_LOW, _FRAC_HIGH = np.where(_BYTE >= _POINT_AT, 255, 0).astype(
     np.uint8).view("<u8").T.copy()
 _POINT_LOW, _POINT_HIGH = np.where(_BYTE == _POINT_AT, 1, 0).astype(
     np.uint8).view("<u8").T.copy()
-_U = {n: np.uint64(n) for n in (5, 8, 46, 56, 255)}
+_U = {n: np.uint64(n) for n in (5, 8, 16, 46, 48, 56, 63, 255, ord("-"),
+                                 0x170, 0x2000, 0x3000, 0xFF00,
+                                 0xFFFFFFFFFF000000)}
 # the table indices of the exponents 0 <= X < 12, which write neither a
 # prefix nor an exponent: where every value of a block has one, the sign,
 # the digit field and the separator of each fit two words
 _PLAIN_LO = -_X[0]
 _PLAIN_HI = _PLAIN_LO + 12
+# per X, whether a point follows the first digit (the exponent form and
+# X = 0, which writes no exponent): where every value of a block has
+# one, the sign, the first digit, the point and digits 1-5 fit one word,
+# digits 6-11 a second and the exponent word is the third
+_POINT_SECOND = _SCI | (_X == 0)
 # per separator index (0 or _NX): the separator in a word's top byte
 _SEPARATOR_TOP = np.zeros(_NX + 1, "<u8")
 _SEPARATOR_TOP[[0, _NX]] = np.frombuffer(_SEPARATORS, np.uint8).astype(
@@ -199,41 +214,71 @@ def _fallback_texts(x: np.ndarray, slow: np.ndarray):
                                   np.uint8).reshape(-1, 24)
 
 
+def _place_points(index: np.ndarray, low: np.ndarray,
+                  high: np.ndarray) -> None:
+    """Put the point into the digit words low and high of the exponent
+    indices, in place: the "0"s before it (under the digits, so a stripped
+    zero comes back), and the bytes from it on moved up one byte, a point
+    in front where a digit follows."""
+    low |= _take(_FILL_LOW, index)
+    high |= _take(_FILL_HIGH, index)
+    # x + 255*frac is x with its fraction bytes moved up one; a point goes
+    # where the first of them has a digit's 0x20 bit.  The high word goes
+    # first, so that the byte the low word moves into it is not moved again
+    _point(high, _take(_FRAC_HIGH, index), _take(_POINT_HIGH, index))
+    frac = _point(low, _take(_FRAC_LOW, index), _take(_POINT_LOW, index))
+    frac >>= _U[56]
+    high += frac
+
+
 def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     """Slots of the ASCII bytes of the rows of values x (row-major; per
     value the index of the separator after it in _SEPARATORS, times _NX).
 
-    A slot is two or four uint64 words, its bytes in order with zero
-    bytes between, which _squeeze drops.  The digits and the point take a
-    16-byte field of two words: three gathers of four digits, each quad
-    stripped of its trailing zeros when all the quads after it are zero,
-    then the "0"s before the point put back and the bytes from the point
-    on moved up one byte, a point in front where a digit follows.  A value
-    off the fast path is written into its slot by '%.12g' % instead, its
-    text made once.
+    A slot is two, three or four uint64 words, its bytes in order with
+    zero bytes between, which _squeeze drops.  The 12 digits come from
+    three gathers of four digits, each quad stripped of its trailing
+    zeros when all the quads after it are zero, into two words: digits
+    0-7 (low) and 8-11 (high).  A value off the fast path is written into
+    its slot by '%.12g' % instead, its text made once.  The layout is
+    chosen from the values alone, the first that fits:
 
-    Where every fast value has a decimal exponent 0 <= X < 12 and every
-    '%.12g' % text is at most 15 bytes (a plain block), the slot is that
-    field moved up one byte: its sign ("-" or a zero byte) in the low
-    byte and the separator after the column in the top one.  Any other
-    block takes four words: sign and "0.00" prefix (one gather from the
-    (sign, X) table) | the digit field | exponent and separator (one
-    from the (separator, X) table).  The layout is chosen from the values
-    alone, by two reductions over the exponent indices and, for a block
-    that passes them, a look at byte 15 of its fallback texts.
+    - plain, two words: every fast value has a decimal exponent
+      0 <= X < 12 and every '%.12g' % text is at most 15 bytes.  The
+      slot is the 16-byte digit field (below) moved up one byte: the
+      sign ("-" or a zero byte) in the low byte, the separator after the
+      column in the top one.
+    - exponent form, three words: every value has X < -4, X = 0 or
+      X >= 12, so that a point, if any, follows the first digit, and a
+      fast one has X < -4 or X >= 12 (a block of X = 0 alone is plain,
+      or takes four words for a long text).  Word 0 holds the sign,
+      the first digit, the point and digits 1-5 and word 1 digits 6-11,
+      both made from low and high by shifts and masks, with no gather
+      per X; word 2 is the exponent and the separator (one gather from
+      the (separator, X) table).  A fallback text fills all 24 bytes,
+      the separator in the last.
+    - any other block, four words: sign and "0.00" prefix (one gather
+      from the (sign, X) table) | the digit field | exponent and
+      separator.
 
-    The two digit words are made, and their temporaries freed, before
-    the fallback texts and the slots are: the call's tracemalloc peak is 7
-    arrays of x's length beside x on four words (the slots' four, the
-    exponent indices and the two digit words) and 6 on two (while the
-    point goes in, the exponent indices, the two digit words and three
-    masks the same length); a block where every value falls back peaks
-    at 9.4 on either layout.
+    The digit field of the two-word and four-word layouts is 16 bytes of
+    two words, its points placed by six gathers from per-X tables
+    (_place_points).  The choice costs two reductions over the exponent
+    indices, for a block that passes them a look at byte 15 of its
+    fallback texts, and for one that fails them the gather of a flag per
+    X.
+
+    The call's tracemalloc peak is 7 arrays of x's length beside x on
+    four words (the slots' four, the exponent indices and the two digit
+    words), 6 on two (while the points go in, the exponent indices, the
+    two digit words and three masks the same length) and 6 on three (the
+    slots' three, the two digit words and one temporary); a block where
+    every value falls back peaks at 9.4 on two or four words.
     """
     index, digits, slow = _digits(x)
     # the 12 digits as quads hi and mid (in work) and lo (worked in
     # digits), each pointing at its stripped text where the quads after
-    # it are zero; low gathers hi, mid and the "0"s before the point
+    # it are zero; low gathers hi and mid
     work = digits // 10 ** 8
     digits -= work * 10 ** 8
     work += (digits == 0) * _STRIPPED
@@ -243,25 +288,16 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
     work += (digits == 0) * _STRIPPED
     low |= _take(_QUAD_TEXT_MID, work)
     del work
-    low |= _take(_FILL_LOW, index)
     digits += _STRIPPED
     high = _take(_QUAD_TEXT, digits)
     del digits
-    high |= _take(_FILL_HIGH, index)
-    # x + 255*frac is x with its fraction bytes moved up one; a point goes
-    # where the first of them has a digit's 0x20 bit.  The high word goes
-    # first, so that the byte the low word moves into it is not moved again
-    _point(high, _take(_FRAC_HIGH, index), _take(_POINT_HIGH, index))
-    frac = _point(low, _take(_FRAC_LOW, index), _take(_POINT_LOW, index))
-    frac >>= _U[56]
-    high += frac
-    del frac
     # the fallback texts read to choose the layout are kept for its slots,
     # so that each is made once; they are read up to the first long one,
     # so that a block it sends to four words makes the rest a part at a
     # time, and a block its exponents send there allocates nothing for it
     fallback = None
     if index.min() >= _PLAIN_LO and index.max() < _PLAIN_HI:
+        _place_points(index, low, high)
         pending = _fallback_texts(x, slow)
         texts = []
         for part, text in pending:
@@ -285,6 +321,43 @@ def _format_block(x: np.ndarray, sep_index: np.ndarray) -> np.ndarray:
                 slots[part] = text[:, :16].view("<u8")
             slots[:, 1] |= _take(_SEPARATOR_TOP, sep_index)
             return slots
+    elif _take(_POINT_SECOND, index).all():
+        # a fallback value's X is 0, so its exponent word is the separator
+        np.add(index, sep_index, out=index)
+        work = _take(_EXPONENT, index)
+        del index
+        slots = np.empty((x.size, 3), "<u8")
+        slots[:, 2] = work
+        # word 1: digits 6 and 7, the top bytes of low, then 8-11
+        high <<= _U[16]
+        np.right_shift(low, _U[48], out=work)
+        high |= work
+        slots[:, 1] = high
+        # word 0, made in high: the point in byte 2 where digit 1 (byte 1
+        # of low) has a digit's 0x20 bit; digit 0 in byte 1, ORed with
+        # "0", whose bits every digit holds, so that a zero writes "0";
+        # the sign bit in byte 0, so -0.0 is "-0"; digits 1-5 in bytes 3-7
+        np.bitwise_and(low, _U[0x2000], out=high)
+        high *= _U[0x170]
+        np.left_shift(low, _U[8], out=work)
+        work &= _U[0xFF00]
+        high |= work
+        np.right_shift(x.view("<u8"), _U[63], out=work)
+        work *= _U[ord("-")]
+        high |= work
+        del work
+        high |= _U[0x3000]
+        low <<= _U[16]
+        low &= _U[0xFFFFFFFFFF000000]
+        high |= low
+        slots[:, 0] = high
+        del low, high
+        for part, text in _fallback_texts(x, slow):
+            slots[part] = text.view("<u8")
+            slots[part, 2] |= _take(_SEPARATOR_TOP, sep_index[part])
+        return slots
+    else:
+        _place_points(index, low, high)
     slots = np.empty((x.size, 4), "<u8")
     slots[:, 1] = low
     slots[:, 2] = high
@@ -309,16 +382,28 @@ def _squeeze(slots: np.ndarray, pick=None) -> Iterator[bytes]:
     In parts, so that the copy tobytes makes and the squeezed bytes stay
     a part long, not the slots' size each.  The deletion reads every slot
     byte: on 2048 rows of two columns, the copy and the deletion cost
-    about 29 ns per value in four-word slots (a trace) and 13 in two-word
-    ones (a transmission table), 0.8-0.9 ns per slot byte either way
-    (best of 2000 in-process runs, 2 CPUs); a bytearray's translate and a
-    numpy boolean mask over the bytes were slower.
+    about 30 ns per value in four-word slots, 20 in three-word ones (a
+    trace) and 12 in two-word ones (a transmission table), 0.76-0.93 ns
+    per slot byte whatever the width (best of 2000 in-process runs, 2
+    CPUs); a bytearray's translate, bytes.replace and a numpy boolean
+    mask over the bytes were slower.
     """
     for start in range(0, len(slots), _SQUEEZE_ROWS):
         part = slots[start:start + _SQUEEZE_ROWS]
         if pick is not None:
             part = part.take(pick, axis=1)
         yield part.tobytes().translate(None, b"\0")
+
+
+def _write(fd: int, parts: list[bytes]) -> None:
+    """Write the byte strings parts to the file descriptor fd, in order,
+    by os.writev, again from where a short write stopped."""
+    while parts:
+        written = os.writev(fd, parts)
+        while parts and written >= len(parts[0]):
+            written -= len(parts.pop(0))
+        if written:
+            parts[0] = parts[0][written:]
 
 
 def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
@@ -334,9 +419,11 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
     them, so that no column need be whole in memory.  Each range is
     formatted BLOCK_ROWS rows at a time by one _format_block call, so a
     shared column is formatted once for all the files; each file's
-    columns of the slots (two or four words each) are picked
-    (ndarray.take), squeezed and written _SQUEEZE_ROWS rows at a time.
-    Raises ValueError, before a file opens, when rows is below 1.
+    columns of the slots (two, three or four words each) are picked
+    (ndarray.take) and squeezed _SQUEEZE_ROWS rows at a time, and written
+    to the unbuffered file by one os.writev per _WRITE_ROWS rows.  Raises
+    ValueError, before a file opens, when rows is below 1, and OSError
+    where a write fails.
     """
     n_own = header.count(",") + 1 - n_shared
     if not paths or n_own < 1:
@@ -351,9 +438,10 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
              for start in range(n_shared, n_cols, n_own)]
     sep_index = np.tile(np.array(seps) * _NX, BLOCK_ROWS)
     with ExitStack() as stack:
-        files = [stack.enter_context(open(path, "wb")) for path in paths]
-        for file in files:
-            file.write(header.encode() + b"\n")
+        fds = [stack.enter_context(open(path, "wb", buffering=0)).fileno()
+               for path in paths]
+        for fd in fds:
+            _write(fd, [header.encode() + b"\n"])
         for lo in range(0, n_rows, rows):
             hi = min(lo + rows, n_rows)
             block = np.asarray(np.column_stack(columns(lo, hi)), dtype=np.float64)
@@ -363,9 +451,10 @@ def write_rows(paths, header: str, n_shared: int, n_rows: int, columns,
                 values = block[start:start + BLOCK_ROWS].ravel()
                 slots = _format_block(values, sep_index[:values.size])
                 slots = slots.reshape(-1, n_cols, slots.shape[1])
-                for file, pick in zip(files, picks):
-                    file.writelines(
-                        _squeeze(slots, pick if len(files) > 1 else None))
+                for fd, pick in zip(fds, picks if len(fds) > 1 else [None]):
+                    for at in range(0, len(slots), _WRITE_ROWS):
+                        _write(fd, list(_squeeze(
+                            slots[at:at + _WRITE_ROWS], pick)))
                 # the slots go before the next rows are formatted
                 del slots
             # the block goes before the next one is computed

@@ -195,6 +195,21 @@ def test_long_jobs_reach_the_window_tail():
     assert base.t_toggle + ex.WINDOW_TAIL > base.duration
 
 
+def recorded_slot_widths(monkeypatch) -> list[int]:
+    """The list that receives the slot width, in words, of each block
+    the CSV writer formats from now on, in order."""
+    widths = []
+    format_block = table._format_block
+
+    def recorded(x, sep_index):
+        slots = format_block(x, sep_index)
+        widths.append(slots.shape[1])
+        return slots
+
+    monkeypatch.setattr(table, "_format_block", recorded)
+    return widths
+
+
 def test_small_k_job_mixes_both_slot_layouts(tmp_path, monkeypatch):
     # the small-k job's one backward-volume file, negative v_g, takes the
     # CSV writer's four-word slots for its first two blocks (k below 1)
@@ -209,21 +224,34 @@ def test_small_k_job_mixes_both_slot_layouts(tmp_path, monkeypatch):
     cfg = cf.parse_config(config.read_text())
     assert cfg.dispersion.k_start_rad_per_m == 1e-3
     assert cfg.dispersion.n_points == 9000
-    widths = []
-    format_block = table._format_block
-
-    def recorded(x, sep_index):
-        slots = format_block(x, sep_index)
-        widths.append(slots.shape[1])
-        return slots
-
-    monkeypatch.setattr(table, "_format_block", recorded)
+    widths = recorded_slot_widths(monkeypatch)
     assert cli.main(["dispersion", "--config", str(config),
                      "--out", str(tmp_path)]) == 0
     assert widths == [4, 4, 2, 2, 2]
     v_g = np.loadtxt(tmp_path / "dispersion.csv", delimiter=",",
                      skiprows=1)[:, 2]
     assert v_g.size == 9000 and (v_g < 0).all()
+
+
+def test_bright_job_mixes_three_and_four_word_slots(tmp_path, monkeypatch):
+    # the bright job's trace, 39 blocks of the CSV writer, takes its
+    # three-word slots while the levels are below 1e-4 (the first 6
+    # blocks) and its four-word slots once they write a "0.00" prefix
+    jobs = compare_artifacts.JOBS
+    assert {job: jobs[job] for job in jobs if job.endswith("-bright")} == {
+        "switch-bright": ["switch"]}
+    assert compare_artifacts.BRIGHT[:-1] == compare_artifacts.FINE
+    config = tmp_path / "bright.txt"
+    config.write_text(REFERENCE.read_text()
+                      + "\n".join(compare_artifacts.BRIGHT) + "\n")
+    assert cf.parse_config(config.read_text()).detector.responsivity_v == 1e4
+    widths = recorded_slot_widths(monkeypatch)
+    assert cli.main(["switch", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    assert widths == [3] * 6 + [4] * 33
+    levels = np.loadtxt(tmp_path / "switch_trace.csv", delimiter=",",
+                        skiprows=1)[:, 1]
+    assert levels.size == 79872 and 0.5 < levels.max() < 1.0
 
 
 def test_fine_jobs_span_many_drive_blocks():

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import math
+import os
 import re
 import tempfile
 import tracemalloc
@@ -742,6 +743,20 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("command, artifact", [
+        ("switch", "switch_trace.csv"), ("dispersion", "dispersion.csv")])
+    def test_failed_artifact_write_exit_code(self, tmp_path, capsys, command,
+                                             artifact):
+        # the artifact opens, but writing its rows fails (no space left):
+        # the writer's os.writev error is one config line and exit 2
+        (tmp_path / artifact).symlink_to("/dev/full")
+        assert main([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert "No space left on device" in err and err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path):
         assert main(["dispersion", "--config", str(tmp_path / "nope.txt"),

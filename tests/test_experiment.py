@@ -100,6 +100,25 @@ class TestCalibrateAmplitudes:
         with pytest.raises(ex.CalibrationError, match="no transmission"):
             ex.calibrate(nl)
 
+    @pytest.mark.parametrize("lines, message", [
+        # every arm below the float floor behind a +200 dB output coupling:
+        # gains 18 dB apart, leveling is not what fails
+        ("microwave.coupling_db = -6250, -6250, -6250\n",
+         "channel i1 falls below the smallest normal float ahead of its "
+         "output coupling"),
+        # i1's arm above it, which leveling down to i2 and i3 pushes under
+        ("microwave.coupling_db = 200, -6271.5, -6271.5\n"
+         "microwave.attenuator_db = 307.5, 0, 0\n",
+         "channel gains lie too far apart to level i1")])
+    def test_float_floor_refusal_named(self, lines, message):
+        nl = cf.validate_config(cf.parse_config(
+            REFERENCE.read_text() + "microwave.output_coupling_db = 200\n"
+            + lines)).netlist()
+        assert min(np.abs(nl.carrier_gains)) >= np.finfo(np.float64).tiny
+        with pytest.raises(ex.CalibrationError) as err:
+            ex.calibrate(nl)
+        assert str(err.value) == message
+
     def test_returns_copy(self):
         nl = build(coupling_db=(2.0, -1.0, 3.5))
         before = nl.settings
@@ -113,6 +132,19 @@ class TestCalibratePhases:
     def test_symmetric_gate_zero_offsets(self):
         _, res = ex.calibrate(symmetric())
         assert res.phase_offsets_rad == pytest.approx((0.0, 0.0, 0.0), abs=1e-6)
+
+    @pytest.mark.parametrize("phase_i2", [4.0, -3.5, 0.25])
+    def test_offsets_are_the_gates_settings(self, phase_i2):
+        # the offsets returned are the calibrated gate's shifter settings,
+        # bit for bit: i2's is the one its record reduced, not reduced
+        # again (at 4.0 the second reduction moved it by an ulp)
+        nl = cf.validate_config(cf.parse_config(
+            REFERENCE.read_text()
+            + f"microwave.phase_rad = 0, {phase_i2}, 0\n")).netlist()
+        aligned, res = ex.calibrate(nl)
+        assert (np.array(res.phase_offsets_rad).tobytes()
+                == np.array(aligned.settings.phase_rad).tobytes())
+        assert res.phase_offsets_rad[1] == nl.settings.phase_rad[1]
 
     def test_recovers_injected_offsets(self):
         # hardware phases on i1/i3; the shifter must cancel them w.r.t. i2
@@ -231,6 +263,8 @@ class TestCalibrate:
             attenuator_db=res.attenuator_db,
             phase_rad=(offsets[0], nl.settings.phase_rad[1], offsets[2]))
         assert aligned.settings == copy.settings
+        assert (np.array(offsets).tobytes()
+                == np.array(aligned.settings.phase_rad).tobytes())
         assert aligned.carrier_gains.tobytes() == copy.carrier_gains.tobytes()
         gains = copy.carrier_gains
         mags = np.abs(gains)

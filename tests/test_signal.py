@@ -699,6 +699,116 @@ def test_plain_blocks_peak_below_four_word_ones():
     assert plain < peak(spectra) - 4 * n_values
 
 
+# values whose blocks take the writer's three-word slots: magnitudes whose
+# point, if any, follows the first digit (below 1e-4, from 1e12 and in
+# [1, 10)), 12th-digit ties there, and the zeros, nan, infinities and
+# subnormals, which are fast "0"s or fallback texts of up to 23 bytes.
+# Below 1e-4 a value that rounds up to "0.0001" falls back, as does one
+# in [1, 10) that rounds up to "10"
+exponent_ties = st.builds(
+    "{}5e{}".format, st.integers(10 ** 11, 10 ** 12 - 1),
+    st.one_of(st.integers(-300, -17), st.integers(0, 290))).map(float)
+exponent_values = st.one_of(
+    st.floats(0.0, 1e-4, exclude_max=True),
+    st.floats(min_value=1e12),
+    st.floats(1.0, 10.0, exclude_max=True),
+    exponent_ties,
+    st.sampled_from([0.0, math.nan, math.inf, 5e-324, 1e-310,
+                     2.2250738585072014e-308])).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(exponent_values, min_size=1, max_size=64),
+       n_rows=st.sampled_from([1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 5000]),
+       n_cols=st.integers(1, 3))
+def test_exponent_tables_take_three_word_slots(table_dir, values, n_rows,
+                                               n_cols):
+    # every block of a table of exponent-form values is written in
+    # three-word slots, with the bytes of '%.12g' %.  A column of times
+    # (1 to n_rows times 3.125 ps) comes first, so that no block is plain:
+    # one of only zeros, values in [1, 10) and short texts takes two words
+    columns = [np.arange(1, n_rows + 1) * 3.125e-12, *np.resize(
+        np.array(values, dtype=np.float64), (n_cols, n_rows))]
+    header = ",".join(f"c{i}" for i in range(n_cols + 1))
+    path = table_dir / "exponent.csv"
+    widths = slot_widths(lambda: write_table(path, header, *columns))
+    assert widths == [3] * -(-n_rows // BLOCK)
+    assert path.read_bytes() == percent_table(header, columns)
+
+
+def trace_columns(n):
+    """A switching trace's columns: times j * 3.125 ps and levels rising
+    from 2.4e-36 to 7.2e-5, every value in exponent form but the first
+    time, 0."""
+    return [np.arange(n) * 3.125e-12,
+            7.17e-5 * -np.expm1(-np.arange(n) / 900.0) + 2.4e-36]
+
+
+@pytest.mark.parametrize("value", [1e-3, -0.05, 12345.678, 5.9e9])
+def test_one_prefix_value_sends_only_its_block_to_four_words(tmp_path,
+                                                              value):
+    # a value with a "0.00" prefix, or a plain one with its point after
+    # the second digit or later, in the second block of an exponent-form
+    # table: that block takes four-word slots, the others three, and the
+    # bytes are the same
+    columns = trace_columns(3 * BLOCK + 100)
+    columns[1][BLOCK + 17] = value
+    path = tmp_path / "t.csv"
+    widths = slot_widths(lambda: write_table(path, "time_s,value", *columns))
+    assert widths == [3, 4, 3, 3]
+    assert path.read_bytes() == percent_table("time_s,value", columns)
+
+
+def test_exponent_blocks_peak_below_four_word_ones():
+    # one block of a trace: the writer's tracemalloc peak on exponent-form
+    # values is below its peak on the same table with one "0.00"-prefix
+    # value in it, by at least half a word per value (it is one, 6 arrays
+    # of the block's 4096 values where four-word slots take 7)
+    columns = trace_columns(BLOCK)
+
+    def peak(columns):
+        def write():
+            write_table(os.devnull, "time_s,value", *columns)
+        write()
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    three = peak(columns)
+    columns[1] = columns[1].copy()
+    columns[1][BLOCK // 2] = 1e-3
+    assert slot_widths(lambda: write_table(
+        os.devnull, "time_s,value", *columns)) == [4]
+    n_values = 2 * BLOCK
+    assert three < peak(columns) - 4 * n_values
+
+
+@pytest.mark.parametrize("limit", [1, 777, 40000])
+def test_short_writes_are_resumed(tmp_path, monkeypatch, limit):
+    # os.writev may write fewer bytes than it is given, here at most
+    # limit bytes a call: the writer writes the rest from where it
+    # stopped, within a part or at a part's edge, and the bytes are the
+    # same
+    writev = os.writev
+    calls = []
+
+    def short(fd, parts):
+        calls.append(len(parts))
+        return writev(fd, [b"".join(parts)[:limit]])
+
+    monkeypatch.setattr(os, "writev", short)
+    columns = trace_columns(BLOCK + 100)
+    path = tmp_path / "t.csv"
+    write_table(path, "time_s,value", *columns)
+    assert path.read_bytes() == percent_table("time_s,value", columns)
+    assert len(calls) >= 4
+    assert max(calls) == table._WRITE_ROWS // table._SQUEEZE_ROWS
+
+
 def test_zeros_take_the_fast_path(table_dir):
     # exact zeros of either sign among plain values, across blocks: each
     # written "0" or "-0" as f"{v:.12g}" writes it, and none sent to the

@@ -39,7 +39,10 @@ the longest one the reference timing's runway carries;
 appended, wavenumbers from 1e-3 rad/m, whose first blocks of rows the
 CSV writer writes in its four-word slots and whose last ones in its
 two-word slots; ``calibrate-level`` runs ``calibrate`` with the LEVEL
-lines appended, gains that calibrate cannot level.
+lines appended, gains that calibrate cannot level; ``switch-bright``
+runs ``switch`` with the BRIGHT lines appended, the FINE window at a
+detector responsivity whose levels rise past 1e-4, so that the CSV
+writer writes its first blocks in three-word slots and the rest in four.
 The ``*help`` jobs print the program's and ``truthtable``'s help text,
 the parser the command table builds.
 OUT_DIR/<flag set>/<job>/ receives the artifacts and OUT_DIR/<flag
@@ -111,6 +114,7 @@ JOBS = {
     "switch-overrun": ["switch"],
     "dispersion-small-k": ["dispersion"],
     "calibrate-level": ["calibrate"],
+    "switch-bright": ["switch"],
     "help": ["--help"],
     "truthtable-help": ["truthtable", "--help"],
 }
@@ -187,13 +191,19 @@ SMALL_K = ("dispersion.k_start_rad_per_m = 1e-3", "dispersion.n_points = 9000")
 LEVEL = ("microwave.output_coupling_db = 200",
          "microwave.coupling_db = 200, -6271.5, -6271.5",
          "microwave.attenuator_db = 307.5, 0, 0")
+# appended for the *-bright job: the FINE window detected at a
+# responsivity of 1e4, so that the trace's levels rise past 1e-4 to 0.72:
+# of its 39 blocks of the CSV writer, the first 6 (levels below 1e-4)
+# take its three-word slots and the other 33, with "0.00"-prefix levels,
+# its four-word ones
+BRIGHT = FINE + ("detector.responsivity_v = 1e4",)
 # job name suffix -> the lines appended to the reference config
 APPENDED = {"-dense": DENSE, "-wide": WIDE, "-linear": LINEAR,
             "-long": LONG, "-phi0": PHI0,
             "-guard": GUARD, "-flagged": FLAGGED, "-fine": FINE,
             "-ragged": RAGGED, "-edge": EDGE, "-onepoint": ONEPOINT,
             "-runway": RUNWAY, "-overrun": OVERRUN, "-small-k": SMALL_K,
-            "-level": LEVEL}
+            "-level": LEVEL, "-bright": BRIGHT}
 FLAG_SETS = {
     "plain": [],
     "mssw_fc6.14e9": ["--mode", "mssw", "--fc", "6.14e9"],
